@@ -127,14 +127,15 @@ def _parse_json(text: str) -> ProblemSpec:
     if unknown:
         raise SpecError(f"unknown JSON keys {sorted(unknown)}")
     rank = data.get("r")
-    if not isinstance(rank, int):
+    # type() rather than isinstance(): JSON true/false decode to bool, an int subclass.
+    if type(rank) is not int:
         raise SpecError("JSON key 'r' must be an integer")
     entries: dict[tuple[int, int], int] = {}
     for item in data.get("m", []):
         if not (isinstance(item, list) and len(item) == 3):
             raise SpecError("JSON key 'm' must be a list of [i, j, mult] triples")
         i, j, value = item
-        if not all(isinstance(x, int) for x in (i, j, value)):
+        if not all(type(x) is int for x in (i, j, value)):
             raise SpecError(f"non-integer multiplicity triple {item}")
         if (i, j) in entries:
             raise SpecError(f"duplicate entry m[{i},{j}]")

@@ -89,8 +89,8 @@ class DiffOperator:
                     if de:
                         factor *= math.perm(pe, de)
                 exps = tuple(pe - de for pe, de in zip(pexps, dexps))
-                result[exps] = result.get(exps, Fraction(0)) + dcoeff * pcoeff * factor
-        return MultiPoly(p.nvars, result)
+                result[exps] = result.get(exps, 0) + dcoeff * pcoeff * factor
+        return MultiPoly._trusted(p.nvars, {e: c for e, c in result.items() if c})
 
     def __str__(self) -> str:
         return self.poly.render(names="d")
@@ -162,7 +162,10 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
         for col, exps in enumerate(columns):
             image = op.apply(MultiPoly.monomial(exps))
             for texps, coeff in image.terms.items():
-                assert coeff.denominator == 1
+                if coeff.denominator != 1:
+                    raise ArithmeticError(
+                        f"operator image of {exps} has non-integer coefficient {coeff}"
+                    )
                 block[targets[texps]][col] = int(coeff)
         rows.extend(block)
 

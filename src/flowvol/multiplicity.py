@@ -27,6 +27,9 @@ class MultiplicityMatrix:
     mult: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # type() rather than isinstance(), so that booleans are rejected.
+        if type(self.rank) is not int:
+            raise ValueError(f"rank must be an integer, got {self.rank!r}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         expected = self.rank * (self.rank + 1) // 2
@@ -36,7 +39,7 @@ class MultiplicityMatrix:
                 f"rank {self.rank} needs {expected} multiplicities, got {len(self.mult)}"
             )
         for (i, j), value in zip(root_pairs(self.rank), self.mult):
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError(f"multiplicity m[{i},{j}] must be a positive integer")
 
     @classmethod

@@ -31,7 +31,7 @@ def _checked_point(m: MultiplicityMatrix, a: Sequence[int], minimum: int) -> tup
     if len(point) != m.rank:
         raise ValueError(f"supply vector has length {len(point)}, expected {m.rank}")
     for value in point:
-        if not isinstance(value, int):
+        if type(value) is not int:  # rejects booleans too
             raise ValueError(f"supply entries must be integers, got {value!r}")
         if value < minimum:
             raise ValueError(f"supply entry {value} below the required minimum {minimum}")

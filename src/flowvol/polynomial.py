@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 # Scalars are stdlib Fractions: denominator > 0 and gcd-reduced by
@@ -65,6 +66,14 @@ class MultiPoly:
 
     Instances are treated as immutable: no method mutates ``terms`` after
     construction, so values can be shared freely (including across threads).
+
+    Validation happens once, at the boundary.  The public constructor and the
+    ``zero``/``constant``/``one``/``variable``/``monomial`` classmethods check
+    exponent lengths and signs and coerce every coefficient to a nonzero
+    ``Fraction``.  Arithmetic, ``partial``, ``embed`` and operator
+    application trust their canonical operands, drop cancelled zeros
+    themselves and wrap their output with ``_trusted``, without checking it
+    again.
     """
 
     __slots__ = ("nvars", "terms")
@@ -84,6 +93,19 @@ class MultiPoly:
                 canonical[exps] = value
         self.nvars = nvars
         self.terms = canonical
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "MultiPoly":
+        """Wrap ``terms`` as is; the caller guarantees canonical form.
+
+        That is: tuple keys of length ``nvars`` with nonnegative entries, and
+        nonzero ``Fraction`` values.  The dict is not copied, so the caller
+        must not keep mutating it.
+        """
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -158,8 +180,10 @@ class MultiPoly:
         self._require_same_shape(other)
         merged = dict(self.terms)
         for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + coeff
-        return MultiPoly(self.nvars, merged)
+            total = merged.pop(exps, 0) + coeff
+            if total:
+                merged[exps] = total
+        return MultiPoly._trusted(self.nvars, merged)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -167,20 +191,22 @@ class MultiPoly:
         return self + (-other)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return MultiPoly._trusted(self.nvars, {})
+            return MultiPoly._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same_shape(other)
         product: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                product[exps] = product.get(exps, Fraction(0)) + c1 * c2
-        return MultiPoly(self.nvars, product)
+                exps = tuple(map(add, e1, e2))
+                product[exps] = product.get(exps, 0) + c1 * c2
+        return MultiPoly._trusted(self.nvars, {e: c for e, c in product.items() if c})
 
     def __rmul__(self, other: Scalar) -> "MultiPoly":
         return self * other
@@ -203,27 +229,42 @@ class MultiPoly:
         if not 1 <= index <= self.nvars:
             raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
         i = index - 1
-        derived: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == 0:
-                continue
-            lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            derived[lowered] = derived.get(lowered, Fraction(0)) + coeff * exps[i]
-        return MultiPoly(self.nvars, derived)
+        # Lowering exponent i is injective on the terms it keeps, so no two
+        # terms merge and no coefficient cancels.
+        derived = {
+            exps[:i] + (exps[i] - 1,) + exps[i + 1:]: coeff * exps[i]
+            for exps, coeff in self.terms.items()
+            if exps[i]
+        }
+        return MultiPoly._trusted(self.nvars, derived)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact evaluation at a point of rationals."""
+        """Exact evaluation at a point of rationals, in integer arithmetic.
+
+        With a_i = n_i/d_i and top_i the largest exponent of a_i, every term
+        c * prod a_i^e_i equals c * prod n_i^e_i d_i^(top_i - e_i) divided by
+        the common D = prod d_i^top_i.  So the integer products are summed per
+        coefficient denominator and only those few sums become Fractions.
+        """
         values = [Fraction(v) for v in point]
         if len(values) != self.nvars:
             raise ValueError(f"point has length {len(values)}, expected {self.nvars}")
-        total = Fraction(0)
+        if not self.terms:
+            return Fraction(0)
+        tops = [max(column) for column in zip(*self.terms)]
+        tables = [
+            [v.numerator ** e * v.denominator ** (top - e) for e in range(top + 1)]
+            for v, top in zip(values, tops)
+        ]
+        by_denominator: dict[int, int] = {}
         for exps, coeff in self.terms.items():
-            term = coeff
-            for value, e in zip(values, exps):
-                if e:
-                    term *= value ** e
-            total += term
-        return total
+            product = coeff.numerator
+            for table, e in zip(tables, exps):
+                product *= table[e]
+            q = coeff.denominator
+            by_denominator[q] = by_denominator.get(q, 0) + product
+        common = math.prod(v.denominator ** top for v, top in zip(values, tops))
+        return sum(Fraction(total, q) for q, total in by_denominator.items()) / common
 
     def embed(self, nvars: int, offset: int) -> "MultiPoly":
         """Reindex into a larger variable frame, shifting variables right by ``offset``."""
@@ -233,7 +274,7 @@ class MultiPoly:
             (0,) * offset + exps + (0,) * (nvars - offset - self.nvars): coeff
             for exps, coeff in self.terms.items()
         }
-        return MultiPoly(nvars, shifted)
+        return MultiPoly._trusted(nvars, shifted)
 
     # -- rendering ---------------------------------------------------------
 

@@ -28,6 +28,17 @@ by coefficient.  Each intermediate stays a closed-form sum of terms
 
 with polynomial coefficients c(a), and like terms are merged on the factored
 denominator, so no polynomial division is ever needed.
+
+A step builds its output once.  Each pair of a term and a series depth
+vector adds c(a) times an integer (the product of the signed binomials) into
+a plain dict, grouped first by the output's factored denominator and then by
+the power s of a_k taken from exp(a_k x_k).  Only at the end is each group
+multiplied by a_k^s / s!, once, and the groups of one denominator added.
+This is sound because a_k enters only through exp(a_k x_k): before x_k is
+integrated out no coefficient depends on a_k, in any residue order.  So
+grouping by s merely reorders an exact sum (distributivity), the group for
+s is exactly the a_k-degree-s part of the new coefficient, and the groups
+being added share no monomial.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from .multiplicity import MultiplicityMatrix
 from .polynomial import MultiPoly, binomial_series_coeff
 
 DiffFactors = tuple[tuple[tuple[int, int], int], ...]
+TermKey = tuple[tuple[int, ...], DiffFactors]  # (xpow, diff): a term's factored denominator
 
 
 @dataclass(frozen=True)
@@ -76,7 +88,7 @@ class ResidueSum:
         nvars: int,
         xvars: Iterator[int] | Sequence[int],
         exp_vars: Iterator[int] | Sequence[int],
-        raw_terms: Mapping[tuple[tuple[int, ...], DiffFactors], MultiPoly],
+        raw_terms: Mapping[TermKey, MultiPoly],
     ) -> "ResidueSum":
         xvars = frozenset(xvars)
         exp_vars = frozenset(exp_vars)
@@ -110,9 +122,6 @@ class ResidueKernel:
     m: MultiplicityMatrix
     axis_orders: tuple[int, ...]
     diff_orders: DiffFactors
-
-    def pole_order_at_zero(self, i: int) -> int:
-        return self.axis_orders[i - 1]
 
     def difference_order(self, i: int, j: int) -> int:
         return dict(self.diff_orders).get((i, j), 0)
@@ -165,11 +174,14 @@ def residue_at_zero(expr: ResidueSum, var: int, pole_order: int | None = None) -
     Every factor of every term is expandable around x_var = 0 by
     construction; ``pole_order``, when given, asserts an upper bound on the
     central pole and a term exceeding it is reported as an error.
+    Contributions are accumulated per output denominator and per power s of
+    a_var, and a_var^s / s! is applied once per group (see the module
+    docstring for why that is exact).
     """
     if var not in expr.xvars:
         raise ValueError(f"variable x{var} was already integrated out")
     has_exp = var in expr.exp_vars
-    collected: dict[tuple[tuple[int, ...], DiffFactors], MultiPoly] = {}
+    groups: dict[TermKey, dict[int, dict[tuple[int, ...], Fraction]]] = {}
 
     for term in expr.terms:
         if pole_order is not None and term.pole_order(var) > pole_order:
@@ -187,7 +199,7 @@ def residue_at_zero(expr: ResidueSum, var: int, pole_order: int | None = None) -
             exp_power = budget - sum(depths)
             if not has_exp and exp_power != 0:
                 continue
-            scalar = Fraction(1)
+            scalar = 1
             xpow = list(term.xpow)
             xpow[var - 1] = 0
             for ((i, j), q), n in zip(involved, depths):
@@ -195,17 +207,20 @@ def residue_at_zero(expr: ResidueSum, var: int, pole_order: int | None = None) -
                 sign = 1 if var == j else (-1) ** q
                 scalar *= sign * binomial_series_coeff(q, n)
                 xpow[other - 1] -= q + n
-            coeff = term.coeff * scalar
+            acc = groups.setdefault((tuple(xpow), passive), {}).setdefault(exp_power, {})
+            for exps, c in term.coeff.terms.items():
+                acc[exps] = acc.get(exps, 0) + c * scalar
+
+    collected: dict[TermKey, MultiPoly] = {}
+    for key, by_power in groups.items():
+        total = None
+        for exp_power, acc in by_power.items():
+            coeff = MultiPoly._trusted(expr.nvars, {e: c for e, c in acc.items() if c})
             if exp_power:
-                exps = tuple(
-                    exp_power if i == var - 1 else 0 for i in range(expr.nvars)
-                )
-                coeff = coeff * MultiPoly.monomial(
-                    exps, Fraction(1, math.factorial(exp_power))
-                )
-            key = (tuple(xpow), passive)
-            previous = collected.get(key)
-            collected[key] = coeff if previous is None else previous + coeff
+                exps = tuple(exp_power if i == var - 1 else 0 for i in range(expr.nvars))
+                coeff = coeff * MultiPoly.monomial(exps, Fraction(1, math.factorial(exp_power)))
+            total = coeff if total is None else total + coeff
+        collected[key] = total
 
     return ResidueSum.build(
         expr.nvars, expr.xvars - {var}, expr.exp_vars - {var}, collected

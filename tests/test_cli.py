@@ -76,6 +76,16 @@ class TestJsonFormat:
         with pytest.raises(SpecError):
             parse_spec(json.dumps({"r": 1, "m": [[1, 2, 1]], "extra": True}))
 
+    @pytest.mark.parametrize("data", [
+        {"r": True, "m": [[1, 2, True]]},
+        {"r": 1, "m": [[1, 2, True]]},
+        {"r": 1, "m": [[True, 2, 1]]},
+        {"r": 2, "m": [[1, 2, 1], [1, 3, 1], [2, 3, False]]},
+    ])
+    def test_booleans_are_not_integers(self, data):
+        with pytest.raises(SpecError):
+            parse_spec(json.dumps(data))
+
 
 specs = st.builds(
     ProblemSpec,
@@ -185,6 +195,17 @@ class TestMainEntry:
 
     def test_missing_spec_file(self, capsys):
         assert main(["volume", "@/no/such/file"]) == 2
+
+    def test_boolean_json_exits_2_without_traceback(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "flowvol", "volume", '{"r": true, "m": [[1, 2, true]]}'],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
 
     def test_module_invocation(self):
         result = subprocess.run(

@@ -69,3 +69,10 @@ def test_rejects_wrong_entry_count():
         MultiplicityMatrix(2, (1, 1))
     with pytest.raises(ValueError):
         MultiplicityMatrix(0, ())
+
+
+def test_rejects_booleans():
+    with pytest.raises(ValueError):
+        MultiplicityMatrix(2, (1, True, 1))
+    with pytest.raises(ValueError):
+        MultiplicityMatrix(True, (1,))

@@ -58,6 +58,12 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_lattice_points(GOLDEN_M, (1, 1))
 
+    def test_rejects_booleans(self):
+        with pytest.raises(ValueError):
+            count_lattice_points(MultiplicityMatrix(1, (1,)), [True])
+        with pytest.raises(ValueError):
+            compare_volume(GOLDEN_M, (1, True, 1))
+
     @pytest.mark.parametrize("mult", list(product((1, 2), repeat=3)))
     def test_matches_brute_force_rank_two(self, mult):
         m = MultiplicityMatrix(2, mult)

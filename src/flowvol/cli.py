@@ -130,10 +130,13 @@ def _parse_json(text: str) -> ProblemSpec:
     # type() rather than isinstance(): JSON true/false decode to bool, an int subclass.
     if type(rank) is not int:
         raise SpecError("JSON key 'r' must be an integer")
+    triples = data.get("m", [])
+    if not isinstance(triples, list) or not all(
+        isinstance(item, list) and len(item) == 3 for item in triples
+    ):
+        raise SpecError("JSON key 'm' must be a list of [i, j, mult] triples")
     entries: dict[tuple[int, int], int] = {}
-    for item in data.get("m", []):
-        if not (isinstance(item, list) and len(item) == 3):
-            raise SpecError("JSON key 'm' must be a list of [i, j, mult] triples")
+    for item in triples:
         i, j, value = item
         if not all(type(x) is int for x in (i, j, value)):
             raise SpecError(f"non-integer multiplicity triple {item}")

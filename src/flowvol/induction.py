@@ -11,18 +11,32 @@ forced from it by the node-1 operator.  The machinery has two pieces:
 * ``lowering_operator(m, q)`` is the order-q operator in d_2..d_r collecting
   every way to spread q derivative orders over those variables, each d_i^p
   weighted by C(m[1,i], p); equivalently the u^q coefficient of
-  prod_{i=2..r} (1 + u d_i)^m[1,i].  It vanishes once q exceeds the total
-  first-row multiplicity into nodes 2..r.
-* the ladder steps E_n combine them through the signed convolution
-  E_0 = 1, E_n = sum_{j=1..n} (-1)^(j+1) D_j E_(n-j), giving
-  E_1 = D_1, E_2 = D_1^2 - D_2, E_3 = D_1^3 - 2 D_1 D_2 + D_3, ...
+  prod_{i=2..r} (1 + u d_i)^m[1,i].  It vanishes once q exceeds
+  span = row_sum(1) - m[1,r+1], the first-row multiplicity into nodes 2..r.
+* the layer relation, solved downward from the top by ``layer_recursion``:
 
-The lift of the restricted volume w (degree h, variables a_2..a_r) is then
+      g_(h-n) = sum_{j>=1} (-1)^(j+1) * (d-h+n-j)!/(d-h+n)! * D_j g_(h-n+j).
 
-    v = sum_{n=0..h} a_1^(s-1+n) / (s-1+n)! * E_n w,   s = row_sum(1),
+With u_n = (d-h+n)! * g_(h-n) the factorials cancel and the relation becomes
 
-homogeneous of the full volume degree.  ``layer_recursion`` exposes the
-underlying layer-by-layer relation for general degrees d.
+      u_n = sum_{j=1..min(n,span)} (-1)^(j+1) D_j u_(n-j),
+
+which does not involve d.  Unrolled from u_0 it is u_n = E_n u_0 with the
+ladder operators E_0 = 1, E_n = sum_{j=1..n} (-1)^(j+1) D_j E_(n-j), that is
+E_1 = D_1, E_2 = D_1^2 - D_2, E_3 = D_1^3 - 2 D_1 D_2 + D_3, ...  So the
+recursion computes every E_n u_0 while only ever applying the generators
+D_j to polynomials.
+
+At the volume degree d - h = s - 1 with s = row_sum(1), so the lift of the
+restricted volume w (degree h, variables a_2..a_r) is
+
+    v = sum_{n=0..h} a_1^(s-1+n) / (s-1+n)! * E_n w,
+
+the layer relation started from the top layer g_h = w / (s-1)!.
+``lift_volume`` is exactly that call.  ``operator_ladder`` still builds
+every E_n as an explicit operator (``OperatorLadder.steps``).  Nothing in
+the package applies them: they exist for acceptance criterion 8 and for the
+ladder metrics of the benchmark in ``flowbench/``.
 """
 
 from __future__ import annotations
@@ -30,22 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .diffop import DiffOperator
 from .multiplicity import MultiplicityMatrix
-from .polynomial import MultiPoly
+from .polynomial import MultiPoly, homogeneous_monomials
 from .residue import VolumePolynomial
-
-
-def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _weak_compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def lowering_operator(m: MultiplicityMatrix, q: int) -> DiffOperator:
@@ -53,15 +56,16 @@ def lowering_operator(m: MultiplicityMatrix, q: int) -> DiffOperator:
     if q < 1:
         raise ValueError(f"order must be >= 1, got {q}")
     r = m.rank
+    if r == 1:
+        return DiffOperator.zero(r)  # no variables a_2..a_r to lower
     first_row = [m.multiplicity(1, i) for i in range(2, r + 1)]
     terms: dict[tuple[int, ...], int] = {}
-    for powers in _weak_compositions(q, len(first_row)):
+    for powers in homogeneous_monomials(r - 1, q):
         coeff = 1
         for mult, p in zip(first_row, powers):
             coeff *= math.comb(mult, p)
         if coeff:
-            exps = (0,) + powers
-            terms[exps] = coeff
+            terms[(0,) + powers] = coeff
     return DiffOperator(MultiPoly(r, terms))
 
 
@@ -70,7 +74,7 @@ class OperatorLadder:
     """Lowering operators D_1..D_J and their signed combinations E_0..E_h.
 
     ``generators[q-1]`` is the order-q lowering operator; ``steps[n]`` is the
-    order-n combination applied at the n-th rung of the lift.
+    explicit operator E_n, kept for acceptance criterion 8 and the benchmark.
     """
 
     m: MultiplicityMatrix
@@ -94,9 +98,8 @@ def operator_ladder(m: MultiplicityMatrix) -> OperatorLadder:
     steps = [DiffOperator.identity(r)]
     for n in range(1, m.restriction_degree + 1):
         acc = DiffOperator.zero(r)
-        for j in range(1, n + 1):
-            d_j = generators[j - 1] if j <= span else DiffOperator.zero(r)
-            acc = acc + (-1) ** (j + 1) * (d_j * steps[n - j])
+        for j in range(1, min(n, span) + 1):
+            acc = acc + (-1) ** (j + 1) * (generators[j - 1] * steps[n - j])
         steps.append(acc)
     return OperatorLadder(m, generators, tuple(steps))
 
@@ -108,18 +111,8 @@ def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolyno
     if v_prev.m != m.restriction():
         raise ValueError("input volume does not belong to the restricted multiplicities")
     r = m.rank
-    base = m.row_sum(1)
-    lifted_prev = v_prev.poly.embed(r, offset=1)
-    ladder = operator_ladder(m)
-    total = MultiPoly.zero(r)
-    for n, step in enumerate(ladder.steps):
-        image = step.apply(lifted_prev)
-        if image.is_zero:
-            continue
-        power = base - 1 + n
-        exps = (power,) + (0,) * (r - 1)
-        total = total + MultiPoly.monomial(exps, Fraction(1, math.factorial(power))) * image
-    return VolumePolynomial(m, total)
+    top = v_prev.poly.embed(r, offset=1) * Fraction(1, math.factorial(m.row_sum(1) - 1))
+    return VolumePolynomial(m, layer_recursion(m, m.degree, top, 1).assemble(r))
 
 
 @dataclass(frozen=True)
@@ -157,16 +150,19 @@ class LayerDecomposition:
         return cls(degree, layers)
 
     def assemble(self, nvars: int | None = None) -> MultiPoly:
-        """Rebuild sum_k a_1^(d-k) g_k."""
+        """Rebuild sum_k a_1^(d-k) g_k.
+
+        No layer involves a_1 and each sits at its own power of it, so every
+        term of every layer becomes one term of the result.
+        """
         if nvars is None:
             nvars = max((layer.nvars for layer in self.layers), default=1)
-        total = MultiPoly.zero(nvars)
-        for k, layer in enumerate(self.layers):
-            if layer.is_zero:
-                continue
-            exps = (self.d - k,) + (0,) * (nvars - 1)
-            total = total + MultiPoly.monomial(exps) * layer
-        return total
+        terms = {
+            (self.d - k,) + exps[1:]: coeff
+            for k, layer in enumerate(self.layers)
+            for exps, coeff in layer.terms.items()
+        }
+        return MultiPoly(nvars, terms)
 
 
 def layer_recursion(
@@ -176,12 +172,15 @@ def layer_recursion(
 
     ``g_top`` is the layer at index h - n_start + 1 (h the restricted volume
     degree); every layer above it is zero.  Step n determines the layer at
-    index h - n from the ones above it:
+    index h - n from the ones above it (see the module docstring).  The loop
+    runs the d-free recurrence on the images u_n / (d-h+n_start-1)!, which
+    start at g_top, and scales each by (d-h+n_start-1)!/(d-h+n)! once.
 
-        g_(h-n) = sum_{j>=1} (-1)^(j+1) * (d-h+n-j)!/(d-h+n)! * D_j g_(h-n+j)
-
-    valid while d - h - row_sum(1) + n >= 0; outside that range the relation
-    has no meaning and a ValueError reports the negative factorial argument.
+    The relation is valid while d - h - row_sum(1) + n >= 0.  That bound only
+    grows with n, so it is checked once, at n = n_start, and a ValueError
+    reports the negative factorial argument.  From there on every factorial
+    of the relation is defined: d-h+n-j >= row_sum(1) - span = m[1,r+1] >= 1
+    for j <= span.
     """
     r = m.rank
     if r < 2:
@@ -200,33 +199,32 @@ def layer_recursion(
             raise ValueError(f"top layer must be homogeneous of degree {top_index}")
         if top_index > d:
             raise ValueError(f"nonzero layer {top_index} impossible at degree {d}")
+    if n_start <= h and d - h - base + n_start < 0:
+        raise ValueError(
+            f"factorial argument {d - h - base + n_start} negative: degree {d} with "
+            f"step {n_start} is outside the valid range of the layer relation"
+        )
 
-    span = base - m.multiplicity(1, r + 1)
-    ladder = operator_ladder(m)
-    layers: dict[int, MultiPoly] = {k: MultiPoly.zero(r) for k in range(max(d, top_index) + 1)}
-    layers[top_index] = g_top
-
+    generators = operator_ladder(m).generators
+    layers = [MultiPoly.zero(r)] * (d + 1)
+    if top_index <= d:
+        layers[top_index] = g_top
+    images = [g_top]  # images[i] = u_(n_start-1+i) / (d-h+n_start-1)!
     for n in range(n_start, h + 1):
-        if d - h - base + n < 0:
-            raise ValueError(
-                f"factorial argument {d - h - base + n} negative: degree {d} with "
-                f"step {n} is outside the valid range of the layer relation"
-            )
+        i = len(images)
+        image = MultiPoly.zero(r)
+        for j in range(1, min(i, len(generators)) + 1):
+            source = images[i - j]
+            if not source.is_zero:
+                term = generators[j - 1].apply(source)
+                image = image + term if j % 2 else image - term
+        images.append(image)
         k = h - n
-        acc = MultiPoly.zero(r)
-        for j in range(1, span + 1):
-            source = layers.get(k + j)
-            if source is None or source.is_zero:
-                continue
-            numerator = d - h + n - j
-            if numerator < 0:
-                raise ValueError(f"factorial argument {numerator} negative at step {n}")
-            ratio = Fraction(math.factorial(numerator), math.factorial(d - h + n))
-            acc = acc + (-1) ** (j + 1) * ratio * ladder.generator(j).apply(source)
         if k > d:
-            if not acc.is_zero:
+            if not image.is_zero:
                 raise ValueError(f"nonzero layer {k} impossible at degree {d}")
             continue
-        layers[k] = acc
+        scale = Fraction(math.factorial(d - h + n_start - 1), math.factorial(d - h + n))
+        layers[k] = image * scale
 
-    return LayerDecomposition(d, tuple(layers[k] for k in range(d + 1)))
+    return LayerDecomposition(d, tuple(layers))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 # Scalars are stdlib Fractions: denominator > 0 and gcd-reduced by
 # construction, which is exactly the canonical form the engine relies on.
@@ -278,57 +278,48 @@ class MultiPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def render(self, names: str = "a") -> str:
-        """Canonical text form: graded-lex order, explicit rational coefficients."""
+    def _render(
+        self, factor: Callable[[int, int], str], scalar: Callable[[Fraction], str], sep: str
+    ) -> str:
+        """Signed terms in canonical order, built from the given pieces.
+
+        ``factor(i, e)`` renders a_i^e for e >= 1, ``scalar`` a positive
+        coefficient, and ``sep`` joins the factors of a term and puts a
+        coefficient other than 1 in front of them.
+        """
         if not self.terms:
             return "0"
         pieces: list[str] = []
         for exps, coeff in self.sorted_terms():
-            monomial = "*".join(
-                f"{names}{i + 1}^{e}" if e > 1 else f"{names}{i + 1}"
-                for i, e in enumerate(exps)
-                if e
-            )
+            monomial = sep.join(factor(i, e) for i, e in enumerate(exps, start=1) if e)
             magnitude = abs(coeff)
             if not monomial:
-                body = str(magnitude)
+                body = scalar(magnitude)
             elif magnitude == 1:
                 body = monomial
             else:
-                body = f"{magnitude}*{monomial}"
+                body = f"{scalar(magnitude)}{sep}{monomial}"
             if not pieces:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:
                 pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(pieces)
 
+    def render(self, names: str = "a") -> str:
+        """Canonical text form: graded-lex order, explicit rational coefficients."""
+        return self._render(
+            lambda i, e: f"{names}{i}^{e}" if e > 1 else f"{names}{i}", str, "*"
+        )
+
     def render_latex(self, names: str = "a") -> str:
         """LaTeX rendering in the same canonical term order."""
-        if not self.terms:
-            return "0"
-        pieces: list[str] = []
-        for exps, coeff in self.sorted_terms():
-            monomial = " ".join(
-                f"{names}_{{{i + 1}}}^{{{e}}}" if e > 1 else f"{names}_{{{i + 1}}}"
-                for i, e in enumerate(exps)
-                if e
-            )
-            magnitude = abs(coeff)
-            if magnitude.denominator == 1:
-                scalar = str(magnitude.numerator)
-            else:
-                scalar = f"\\frac{{{magnitude.numerator}}}{{{magnitude.denominator}}}"
-            if monomial and magnitude == 1:
-                body = monomial
-            elif monomial:
-                body = f"{scalar} {monomial}"
-            else:
-                body = scalar
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(pieces)
+        return self._render(
+            lambda i, e: f"{names}_{{{i}}}^{{{e}}}" if e > 1 else f"{names}_{{{i}}}",
+            lambda q: (
+                str(q) if q.denominator == 1 else f"\\frac{{{q.numerator}}}{{{q.denominator}}}"
+            ),
+            " ",
+        )
 
     def __str__(self) -> str:
         return self.render()

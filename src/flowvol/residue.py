@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .multiplicity import MultiplicityMatrix
-from .polynomial import MultiPoly, binomial_series_coeff
+from .polynomial import MultiPoly, binomial_series_coeff, homogeneous_monomials
 
 DiffFactors = tuple[tuple[tuple[int, int], int], ...]
 TermKey = tuple[tuple[int, ...], DiffFactors]  # (xpow, diff): a term's factored denominator
@@ -62,10 +62,6 @@ class ResidueTerm:
     coeff: MultiPoly
     xpow: tuple[int, ...]
     diff: DiffFactors
-
-    def pole_order(self, var: int) -> int:
-        """Order of the pole at x_var = 0."""
-        return max(0, -self.xpow[var - 1])
 
 
 @dataclass(frozen=True)
@@ -158,25 +154,16 @@ def build_kernel(m: MultiplicityMatrix) -> ResidueKernel:
     return ResidueKernel(m, axis, diff)
 
 
-def _bounded_vectors(slots: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``slots`` nonnegative integers with sum <= bound."""
-    if slots == 0:
-        yield ()
-        return
-    for head in range(bound + 1):
-        for tail in _bounded_vectors(slots - 1, bound - head):
-            yield (head,) + tail
-
-
-def residue_at_zero(expr: ResidueSum, var: int, pole_order: int | None = None) -> ResidueSum:
+def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
     """Residue at x_var = 0, treating the other live variables as generic.
 
     Every factor of every term is expandable around x_var = 0 by
-    construction; ``pole_order``, when given, asserts an upper bound on the
-    central pole and a term exceeding it is reported as an error.
-    Contributions are accumulated per output denominator and per power s of
-    a_var, and a_var^s / s! is applied once per group (see the module
-    docstring for why that is exact).
+    construction.  A pole of order p contributes once for each split of p - 1
+    into series depths of the difference factors through x_var plus the
+    power s of a_var, the last coordinate of each ``homogeneous_monomials``
+    vector.  Contributions are accumulated per output denominator and per s,
+    and a_var^s / s! is applied once per group (see the module docstring for
+    why that is exact).
     """
     if var not in expr.xvars:
         raise ValueError(f"variable x{var} was already integrated out")
@@ -184,19 +171,13 @@ def residue_at_zero(expr: ResidueSum, var: int, pole_order: int | None = None) -
     groups: dict[TermKey, dict[int, dict[tuple[int, ...], Fraction]]] = {}
 
     for term in expr.terms:
-        if pole_order is not None and term.pole_order(var) > pole_order:
-            raise ValueError(
-                f"pole of order {term.pole_order(var)} at x{var} = 0 exceeds "
-                f"the stated bound {pole_order}"
-            )
         budget = -term.xpow[var - 1] - 1
         if budget < 0:
             continue  # analytic in x_var at 0, residue contribution is zero
         involved = [(pair, q) for pair, q in term.diff if var in pair]
         passive = tuple((pair, q) for pair, q in term.diff if var not in pair)
 
-        for depths in _bounded_vectors(len(involved), budget):
-            exp_power = budget - sum(depths)
+        for *depths, exp_power in homogeneous_monomials(len(involved) + 1, budget):
             if not has_exp and exp_power != 0:
                 continue
             scalar = 1

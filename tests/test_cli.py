@@ -207,6 +207,21 @@ class TestMainEntry:
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("m", ["5", "null", "true"])
+    def test_non_list_json_m_exits_2_without_traceback(self, m):
+        spec = '{"r": 1, "m": %s}' % m
+        with pytest.raises(SpecError, match="'m' must be a list"):
+            parse_spec(spec)
+        result = subprocess.run(
+            [sys.executable, "-m", "flowvol", "volume", spec],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "flowvol", "corner", GOLDEN_TEXT],

@@ -1,25 +1,41 @@
-"""The trusted polynomial core and the grouped residue step against the plain paths.
+"""The trusted polynomial core, the grouped residue step and the rank-induction
+loop against the plain paths.
 
 ``reference_residue_at_zero`` is the plain form of one residue step: every
 (term, depth vector) pair builds its own checked polynomial, multiplies it by
-a_k^s / s! and adds it into the accumulator.  It is kept here, outside the
-package, as the reference the engine's grouped step must match exactly.
+a_k^s / s! and adds it into the accumulator.  ``reference_lift_volume``
+applies every explicit ladder step E_n to the restricted volume, and
+``reference_layer_recursion`` runs the layer relation with one factorial
+ratio per (n, j) pair.  ``_bounded_vectors`` and ``_weak_compositions``
+enumerate what the residue step and the lowering operators take from
+``homogeneous_monomials``, directly.  All are kept here, outside the package,
+as the references the engine must match exactly.
 """
 
 import math
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from flowvol import (
     DiffOperator,
+    LayerDecomposition,
     MultiPoly,
+    MultiplicityMatrix,
     ResidueSum,
+    VolumePolynomial,
     binomial_series_coeff,
     build_kernel,
     canonical_order,
+    homogeneous_monomials,
+    iterated_residue,
+    layer_recursion,
+    lift_volume,
+    lowering_operator,
+    operator_ladder,
     residue_at_zero,
     residue_in_order,
 )
@@ -36,6 +52,16 @@ def _bounded_vectors(slots, bound):
         return
     for head in range(bound + 1):
         for tail in _bounded_vectors(slots - 1, bound - head):
+            yield (head,) + tail
+
+
+def _weak_compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for tail in _weak_compositions(total - head, parts - 1):
             yield (head,) + tail
 
 
@@ -71,6 +97,61 @@ def reference_residue_at_zero(expr, var):
             previous = collected.get(key)
             collected[key] = coeff if previous is None else previous + coeff
     return ResidueSum.build(expr.nvars, expr.xvars - {var}, expr.exp_vars - {var}, collected)
+
+
+def reference_lift_volume(v_prev, m):
+    """The lift as a sum of explicit ladder steps applied to the restricted volume."""
+    r = m.rank
+    base = m.row_sum(1)
+    lifted_prev = v_prev.poly.embed(r, offset=1)
+    total = MultiPoly.zero(r)
+    for n, step in enumerate(operator_ladder(m).steps):
+        image = step.apply(lifted_prev)
+        if image.is_zero:
+            continue
+        power = base - 1 + n
+        exps = (power,) + (0,) * (r - 1)
+        total = total + MultiPoly.monomial(exps, Fraction(1, math.factorial(power))) * image
+    return VolumePolynomial(m, total)
+
+
+def reference_layer_recursion(m, d, g_top, n_start):
+    """The layer relation with a factorial ratio per (n, j); inputs already checked."""
+    r = m.rank
+    h = m.restriction_degree
+    base = m.row_sum(1)
+    top_index = h - n_start + 1
+    span = base - m.multiplicity(1, r + 1)
+    ladder = operator_ladder(m)
+    layers = {k: MultiPoly.zero(r) for k in range(max(d, top_index) + 1)}
+    layers[top_index] = g_top
+    for n in range(n_start, h + 1):
+        if d - h - base + n < 0:
+            raise ValueError(
+                f"factorial argument {d - h - base + n} negative: degree {d} with "
+                f"step {n} is outside the valid range of the layer relation"
+            )
+        k = h - n
+        acc = MultiPoly.zero(r)
+        for j in range(1, span + 1):
+            source = layers.get(k + j)
+            if source is None or source.is_zero:
+                continue
+            ratio = Fraction(math.factorial(d - h + n - j), math.factorial(d - h + n))
+            acc = acc + (-1) ** (j + 1) * ratio * ladder.generator(j).apply(source)
+        if k > d:
+            if not acc.is_zero:
+                raise ValueError(f"nonzero layer {k} impossible at degree {d}")
+            continue
+        layers[k] = acc
+    return LayerDecomposition(d, tuple(layers[k] for k in range(d + 1)))
+
+
+def every_matrix(rank, entries):
+    return [
+        MultiplicityMatrix(rank, mult)
+        for mult in product(entries, repeat=rank * (rank + 1) // 2)
+    ]
 
 
 def assert_canonical(poly):
@@ -184,3 +265,59 @@ class TestPublicConstructorStillChecks:
 
     def test_integer_coefficients_become_fractions(self):
         assert_canonical(MultiPoly(2, {(1, 0): 3, (0, 1): 0, (0, 0): Fraction(1, 2)}))
+
+
+class TestRankInductionMatchesReference:
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_lift_on_every_small_matrix(self, rank):
+        for m in every_matrix(rank, (1, 2, 3)):
+            v_prev = iterated_residue(m.restriction())
+            assert lift_volume(v_prev, m) == reference_lift_volume(v_prev, m), m
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lift_on_rank_four_samples(self, seed):
+        rng = random.Random(2000 + seed)
+        m = MultiplicityMatrix(4, tuple(rng.randint(1, 3) for _ in range(10)))
+        v_prev = iterated_residue(m.restriction())
+        assert lift_volume(v_prev, m) == reference_lift_volume(v_prev, m)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_layer_recursion_at_every_start(self, rank):
+        # Top layers are taken from the volume itself, so each has the degree
+        # its n_start asks for; both paths must agree, or both must refuse.
+        for m in every_matrix(rank, (1, 2)):
+            h = m.restriction_degree
+            layers = LayerDecomposition.of(iterated_residue(m).poly).layers
+            for d in (m.degree, m.degree + 1):
+                for n_start in range(h + 2):
+                    top_index = h - n_start + 1
+                    top = layers[top_index] if top_index <= h else MultiPoly.zero(rank)
+                    try:
+                        expected = reference_layer_recursion(m, d, top, n_start)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as caught:
+                            layer_recursion(m, d, top, n_start)
+                        assert str(caught.value) == str(exc)
+                        continue
+                    assert layer_recursion(m, d, top, n_start) == expected, (m, d, n_start)
+
+
+class TestOneCompositionEnumerator:
+    @pytest.mark.parametrize("slots", range(5))
+    @pytest.mark.parametrize("bound", range(6))
+    def test_slack_coordinate_gives_bounded_vectors(self, slots, bound):
+        dropped = [tuple(v[:-1]) for v in homogeneous_monomials(slots + 1, bound)]
+        assert len(set(dropped)) == len(dropped)
+        assert set(dropped) == set(_bounded_vectors(slots, bound))
+
+    @pytest.mark.parametrize("parts", range(1, 5))
+    @pytest.mark.parametrize("total", range(6))
+    def test_homogeneous_monomials_are_weak_compositions(self, parts, total):
+        listed = homogeneous_monomials(parts, total)
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == set(_weak_compositions(total, parts))
+
+    @pytest.mark.parametrize("q", [1, 2, 5])
+    def test_rank_one_lowering_operator_is_zero(self, q):
+        assert not list(_weak_compositions(q, 0))
+        assert lowering_operator(MultiplicityMatrix(1, (3,)), q) == DiffOperator.zero(1)

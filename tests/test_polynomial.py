@@ -168,6 +168,14 @@ class TestRendering:
     def test_latex(self):
         p = MultiPoly(2, {(2, 0): Fraction(1, 6), (1, 1): -2})
         assert p.render_latex() == "\\frac{1}{6} a_{1}^{2} - 2 a_{1} a_{2}"
+        # +-1 coefficients drop, constants keep their scalar, a negative
+        # leading term takes a bare minus sign.
+        p = MultiPoly(2, {(1, 0): -1, (0, 1): 1, (0, 0): Fraction(-3, 4)})
+        assert p.render_latex() == "-a_{1} + a_{2} - \\frac{3}{4}"
+        p = MultiPoly(2, {(3, 0): Fraction(-2, 5), (0, 2): -1, (0, 0): 1})
+        assert p.render_latex() == "-\\frac{2}{5} a_{1}^{3} - a_{2}^{2} + 1"
+        assert MultiPoly.constant(2, 5).render_latex() == "5"
+        assert MultiPoly.zero(2).render_latex() == "0"
 
     def test_operator_symbols(self):
         assert MultiPoly(2, {(1, 1): 1}).render(names="d") == "d1*d2"

@@ -81,12 +81,6 @@ class TestSingleResidue:
             ResidueTerm(MultiPoly.one(2), (-n, 0), ()),
         )
 
-    def test_pole_order_bound_enforced(self):
-        state = build_kernel(MultiplicityMatrix(1, (3,))).to_sum()
-        assert residue_at_zero(state, 1, pole_order=3).polynomial() is not None
-        with pytest.raises(ValueError):
-            residue_at_zero(state, 1, pole_order=2)
-
     def test_consumed_variable_rejected(self):
         state = build_kernel(MultiplicityMatrix(2, (1, 1, 1))).to_sum()
         once = residue_at_zero(state, 2)

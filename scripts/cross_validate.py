@@ -57,7 +57,8 @@ def main(argv=None):
     parser.add_argument("--max-rank", type=int, default=3)
     parser.add_argument("--max-mult", type=int, default=2)
     parser.add_argument("--skip-kernel", action="store_true",
-                        help="skip the linear-algebra kernel checks (faster at high degree)")
+                        help="skip the operator-kernel checks (rank <= 3, m <= 3: "
+                             "about 8.5 s with them, 2.5 s without on a 2-core VM)")
     args = parser.parse_args(argv)
 
     started = time.perf_counter()

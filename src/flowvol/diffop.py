@@ -15,14 +15,33 @@ that kernel exactly by fraction-free elimination on the monomial basis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm, prod
+from operator import sub
+from typing import Collection, Iterable, Iterator
 
 from .linalg import integer_nullspace
 from .multiplicity import MultiplicityMatrix
-from .polynomial import MultiPoly, homogeneous_monomials
+from .polynomial import Exponents, MultiPoly, Scalar, homogeneous_monomials
 from .residue import VolumePolynomial
+
+
+def _derivatives(
+    op_terms: Iterable[tuple[Exponents, Scalar]], poly_terms: Collection[tuple[Exponents, Scalar]]
+) -> Iterator[tuple[Exponents, Scalar]]:
+    """Yield the image of every (operator term, polynomial term) pair that survives.
+
+    The one monomial rule: c d^k applied to x^e is c prod_i perm(e_i, k_i)
+    x^(e - k), and zero when some e_i < k_i.  Pairs come operator term
+    first; ``poly_terms`` is iterated once per operator term.  A generator,
+    so that a per-function tracer charges its time to the caller.
+    """
+    for dexps, dcoeff in op_terms:
+        for pexps, pcoeff in poly_terms:
+            exps = tuple(map(sub, pexps, dexps))
+            if min(exps) >= 0:
+                yield exps, dcoeff * pcoeff * prod(map(perm, pexps, dexps))
 
 
 @dataclass(frozen=True)
@@ -80,16 +99,8 @@ class DiffOperator:
         if p.nvars != self.nvars:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {p.nvars}")
         result: dict[tuple[int, ...], Fraction] = {}
-        for dexps, dcoeff in self.poly.terms.items():
-            for pexps, pcoeff in p.terms.items():
-                if any(pe < de for pe, de in zip(pexps, dexps)):
-                    continue
-                factor = 1
-                for pe, de in zip(pexps, dexps):
-                    if de:
-                        factor *= math.perm(pe, de)
-                exps = tuple(pe - de for pe, de in zip(pexps, dexps))
-                result[exps] = result.get(exps, 0) + dcoeff * pcoeff * factor
+        for exps, coeff in _derivatives(self.poly.terms.items(), p.terms.items()):
+            result[exps] = result.get(exps, 0) + coeff
         return MultiPoly._trusted(p.nvars, {e: c for e, c in result.items() if c})
 
     def __str__(self) -> str:
@@ -143,7 +154,9 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     """Exact basis of the homogeneous degree-d polynomials killed by the system.
 
     Stacks the coefficient matrix of every operator on the degree-d monomial
-    basis and extracts its null space by fraction-free elimination.  At the
+    basis, filled from the operator's integer terms by the monomial rule of
+    ``_derivatives``, and extracts its null space by sparse fraction-free
+    elimination.  At the
     volume degree the basis is normalized to the expected corner coefficient;
     at other degrees each basis element is made monic in its graded-lex
     leading term.
@@ -157,16 +170,16 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
         order = op.order()
         if order is None or order > degree:
             continue  # operator kills all of this degree, no constraints
+        terms = []
+        for dexps, coeff in op.poly.terms.items():
+            if coeff.denominator != 1:
+                raise ArithmeticError(f"operator coefficient {coeff} is not an integer")
+            terms.append((dexps, coeff.numerator))
         targets = {exps: i for i, exps in enumerate(homogeneous_monomials(r, degree - order))}
         block = [[0] * len(columns) for _ in targets]
         for col, exps in enumerate(columns):
-            image = op.apply(MultiPoly.monomial(exps))
-            for texps, coeff in image.terms.items():
-                if coeff.denominator != 1:
-                    raise ArithmeticError(
-                        f"operator image of {exps} has non-integer coefficient {coeff}"
-                    )
-                block[targets[texps]][col] = int(coeff)
+            for image, coeff in _derivatives(terms, ((exps, 1),)):
+                block[targets[image]][col] = coeff
         rows.extend(block)
 
     basis = []

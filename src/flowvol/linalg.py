@@ -1,14 +1,33 @@
-"""Exact null spaces of integer matrices via fraction-free elimination.
+"""Exact null spaces of sparse integer matrices by fraction-free Gauss-Jordan.
 
-Bareiss one-step elimination keeps every intermediate entry an integer (each
-division is exact), so there is no rounding and no coefficient blow-up beyond
-what determinant minors force.  Back substitution then produces one rational
-basis vector per free column.
+Each row is kept as a dict ``{column: nonzero int}``.  Pivots are taken in
+column order.  A chosen pivot row is divided by the gcd of its entries, and
+its column is eliminated from every other row that contains it, pending rows
+and earlier pivot rows alike: ``row <- (p/g) row - (f/g) pivot_row`` with p
+the pivot, f the row's entry and g = gcd(p, f), after which the row's own
+content is removed.  Only rows that contain the pivot column are touched, and
+every entry stays an integer, so there is no rounding and, on the 2-4% dense
+operator matrices, little fill-in.
+
+Soundness.  Scaling a row by a nonzero integer, dividing it by the gcd of its
+entries and adding an integer multiple of another row all keep the row space,
+hence the null space.  The pivot columns are exactly the columns that are not
+in the span of the columns before them, a property of the matrix and not of
+the elimination order.  When elimination ends every pivot column has been
+cleared from all rows but its own, so the rows form a reduced echelon form:
+the row of pivot c reads p_c x_c + sum over free f of a_cf x_f = 0.  The
+basis vector for free column f has x_f = 1, zero on the other free columns
+and x_c = -a_cf / p_c on each pivot c, and it is the only null vector with
+those free coordinates.  The output is therefore the unique basis of null
+vectors that is the identity on the free columns, listed by free column:
+whatever pivot rows are chosen, and whichever exact method computes it, the
+vectors are the same, in the same order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 
@@ -16,49 +35,68 @@ def integer_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fr
     """Basis of {x : A x = 0} for the integer matrix A, one vector per free column.
 
     ``ncols`` is required because A may have no rows at all, in which case
-    the null space is the whole coordinate space.
+    the null space is the whole coordinate space.  Every entry must be an
+    ``int`` (not a ``bool``); anything else raises ``ValueError`` rather than
+    being truncated.
     """
     if ncols < 0:
         raise ValueError("ncols must be nonnegative")
-    a = [list(map(int, row)) for row in rows]
-    for row in a:
+    pending: list[dict[int, int]] = []
+    for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-    nrows = len(a)
+        for kind in set(map(type, row)):
+            if kind is bool or not issubclass(kind, int):
+                raise ValueError(f"matrix entries must be integers, got {kind.__name__}")
+        entries = {col: value for col, value in enumerate(row) if value}
+        if entries:
+            pending.append(entries)
 
-    pivots: list[tuple[int, int]] = []  # (row, column), in elimination order
-    prev = 1
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = next((i for i in range(pr, nrows) if a[i][pc] != 0), None)
-        if pivot_row is None:
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> its row
+
+    def remove_content(row: dict[int, int]) -> None:
+        content = gcd(*row.values())
+        if content > 1:
+            for key in row:
+                row[key] //= content
+
+    def eliminate(row: dict[int, int], col: int, pivot_row: dict[int, int]) -> None:
+        """Clear ``col`` from ``row`` in place, then remove the row's content."""
+        pivot, factor = pivot_row[col], row[col]
+        g = gcd(pivot, factor)
+        scale, factor = pivot // g, factor // g
+        if scale != 1:
+            for key in row:
+                row[key] *= scale
+        for key, value in pivot_row.items():
+            updated = row.get(key, 0) - factor * value
+            if updated:
+                row[key] = updated
+            else:
+                del row[key]
+        remove_content(row)
+
+    for col in range(ncols):
+        hits = [row for row in pending if col in row]
+        if not hits:
             continue
-        a[pr], a[pivot_row] = a[pivot_row], a[pr]
-        pivot = a[pr][pc]
-        for i in range(pr + 1, nrows):
-            factor = a[i][pc]
-            row_i = a[i]
-            row_p = a[pr]
-            for j in range(pc, ncols):
-                row_i[j] = (pivot * row_i[j] - factor * row_p[j]) // prev
-        pivots.append((pr, pc))
-        prev = pivot
-        pr += 1
-        if pr == nrows:
-            break
+        pivot_row = min(hits, key=len)
+        remove_content(pivot_row)
+        for row in hits:
+            if row is not pivot_row:
+                eliminate(row, col, pivot_row)
+        for row in pivots.values():
+            if col in row:
+                eliminate(row, col, pivot_row)
+        pivots[col] = pivot_row
+        pending = [row for row in pending if row and row is not pivot_row]
 
-    pivot_cols = {pc for _, pc in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-
-    basis: list[list[Fraction]] = []
-    for free in free_cols:
-        x = [Fraction(0)] * ncols
+    basis = {free: [Fraction(0)] * ncols for free in range(ncols) if free not in pivots}
+    for free, x in basis.items():
         x[free] = Fraction(1)
-        for row, col in reversed(pivots):
-            acc = Fraction(0)
-            for j in range(col + 1, ncols):
-                if x[j]:
-                    acc += a[row][j] * x[j]
-            x[col] = -acc / a[row][col]
-        basis.append(x)
-    return basis
+    for col, row in pivots.items():
+        pivot = row[col]
+        for free, value in row.items():
+            if free != col:
+                basis[free][col] = Fraction(-value, pivot)
+    return list(basis.values())

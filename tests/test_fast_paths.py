@@ -8,8 +8,11 @@ applies every explicit ladder step E_n to the restricted volume, and
 ``reference_layer_recursion`` runs the layer relation with one factorial
 ratio per (n, j) pair.  ``_bounded_vectors`` and ``_weak_compositions``
 enumerate what the residue step and the lowering operators take from
-``homogeneous_monomials``, directly.  All are kept here, outside the package,
-as the references the engine must match exactly.
+``homogeneous_monomials``, directly.  ``reference_integer_nullspace`` is the
+dense Bareiss elimination with Fraction back-substitution that the sparse
+Gauss-Jordan solve replaced, and ``reference_operator_rows`` builds the
+kernel matrix from one ``op.apply`` per monomial.  All are kept here, outside
+the package, as the references the engine must match exactly.
 """
 
 import math
@@ -18,8 +21,9 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import flowvol.diffop
 from flowvol import (
     DiffOperator,
     LayerDecomposition,
@@ -31,13 +35,16 @@ from flowvol import (
     build_kernel,
     canonical_order,
     homogeneous_monomials,
+    integer_nullspace,
     iterated_residue,
     layer_recursion,
     lift_volume,
     lowering_operator,
     operator_ladder,
+    pde_system,
     residue_at_zero,
     residue_in_order,
+    solution_space,
 )
 
 from conftest import multipolys, multiplicity_matrices, rational_points, small_fractions
@@ -145,6 +152,62 @@ def reference_layer_recursion(m, d, g_top, n_start):
             continue
         layers[k] = acc
     return LayerDecomposition(d, tuple(layers[k] for k in range(d + 1)))
+
+
+def reference_integer_nullspace(rows, ncols):
+    """Dense Bareiss elimination, then Fraction back-substitution per free column."""
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    pivots = []
+    prev = 1
+    pr = 0
+    for pc in range(ncols):
+        pivot_row = next((i for i in range(pr, nrows) if a[i][pc] != 0), None)
+        if pivot_row is None:
+            continue
+        a[pr], a[pivot_row] = a[pivot_row], a[pr]
+        pivot = a[pr][pc]
+        for i in range(pr + 1, nrows):
+            factor = a[i][pc]
+            for j in range(pc, ncols):
+                a[i][j] = (pivot * a[i][j] - factor * a[pr][j]) // prev
+        pivots.append((pr, pc))
+        prev = pivot
+        pr += 1
+        if pr == nrows:
+            break
+    pivot_cols = {pc for _, pc in pivots}
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for row, col in reversed(pivots):
+            acc = Fraction(0)
+            for j in range(col + 1, ncols):
+                if x[j]:
+                    acc += a[row][j] * x[j]
+            x[col] = -acc / a[row][col]
+        basis.append(x)
+    return basis
+
+
+def reference_operator_rows(m, degree):
+    """The stacked operator blocks, one checked monomial and one ``apply`` per column."""
+    r = m.rank
+    columns = homogeneous_monomials(r, degree)
+    rows = []
+    for op in pde_system(m).ops:
+        order = op.order()
+        if order is None or order > degree:
+            continue
+        targets = {exps: i for i, exps in enumerate(homogeneous_monomials(r, degree - order))}
+        block = [[0] * len(columns) for _ in targets]
+        for col, exps in enumerate(columns):
+            for texps, coeff in op.apply(MultiPoly.monomial(exps)).terms.items():
+                assert coeff.denominator == 1
+                block[targets[texps]][col] = int(coeff)
+        rows.extend(block)
+    return rows
 
 
 def every_matrix(rank, entries):
@@ -321,3 +384,51 @@ class TestOneCompositionEnumerator:
     def test_rank_one_lowering_operator_is_zero(self, q):
         assert not list(_weak_compositions(q, 0))
         assert lowering_operator(MultiplicityMatrix(1, (3,)), q) == DiffOperator.zero(1)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small sparse integer matrices, tall, square or wide, with zero and repeated rows."""
+    ncols = draw(st.integers(min_value=0, max_value=7))
+    entry = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=9))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [0] * ncols)
+    return rows, ncols
+
+
+class TestKernelSolveMatchesReference:
+    @settings(max_examples=200)
+    @given(integer_matrices())
+    def test_sparse_solve_equals_bareiss(self, matrix):
+        rows, ncols = matrix
+        basis = integer_nullspace(rows, ncols)
+        assert basis == reference_integer_nullspace(rows, ncols)
+        assert all(type(x) is Fraction for vector in basis for x in vector)
+
+    @pytest.mark.parametrize("rows, ncols", [
+        ([], 0), ([], 3), ([[]], 0), ([[0, 0, 0]] * 3, 3), ([[2, 4, 6]] * 4, 3),
+        ([[0, 3], [0, 6]], 2), ([[1, 0, 0, 0]], 4), ([[4], [6]], 1),
+    ])
+    def test_edge_shapes(self, rows, ncols):
+        assert integer_nullspace(rows, ncols) == reference_integer_nullspace(rows, ncols)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_operator_matrices_at_every_degree(self, rank, monkeypatch):
+        seen = []
+
+        def record(rows, ncols):
+            seen.append((rows, ncols))
+            return integer_nullspace(rows, ncols)
+
+        monkeypatch.setattr(flowvol.diffop, "integer_nullspace", record)
+        for m in every_matrix(rank, (1, 2)):
+            for degree in range(m.degree + 2):
+                seen.clear()
+                solution_space(m, degree)
+                [(rows, ncols)] = seen
+                assert rows == reference_operator_rows(m, degree), (m, degree)
+                expected = reference_integer_nullspace(rows, ncols)
+                assert integer_nullspace(rows, ncols) == expected, (m, degree)

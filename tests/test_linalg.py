@@ -54,6 +54,13 @@ def test_ragged_matrix_rejected():
         integer_nullspace([[1, 2], [1]], 2)
 
 
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 1.7, 2.0, True, False, "1", None])
+def test_non_integer_entry_rejected(entry):
+    # Truncating Fraction(1, 2) to 0 would return [1, 0], which is no null vector.
+    with pytest.raises(ValueError):
+        integer_nullspace([[entry, 1]], 2)
+
+
 matrices = st.lists(
     st.lists(st.integers(min_value=-6, max_value=6), min_size=4, max_size=4),
     min_size=0,

@@ -291,7 +291,7 @@ def _load_spec_argument(arg: str) -> ProblemSpec:
         try:
             with open(arg[1:], "r", encoding="utf-8") as handle:
                 arg = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SpecError(f"cannot read spec file: {exc}") from exc
     return parse_spec(arg)
 

@@ -7,19 +7,32 @@ node: row l contributes
 
     prod_{j=l+1..r} (d_l - d_j)^m[l,j] * d_l^m[l,r+1]
 
-of order row_sum(l).  Within homogeneous polynomials of the volume degree,
-the common kernel of these operators is one-dimensional and spanned by the
-volume polynomial; one degree higher it is zero.  ``solution_space`` computes
-that kernel exactly by fraction-free elimination on the monomial basis.
+of order row_sum(l).  Expanding each binomial,
+
+    (d_l - d_j)^m = sum_p C(m, p) d_l^(m-p) (-d_j)^p,
+
+the node operator is sum_q (-1)^q d_l^(row_sum(l) - q) * B_q, where B_q, the
+u^q coefficient of prod_{j>l} (1 + u d_j)^m[l,j], is the sum over exponent
+vectors (p_(l+1), ..., p_r) with p_(l+1) + ... + p_r = q of
+prod_j C(m[l,j], p_j) d_j^p_j.  Distinct vectors give distinct monomials, so
+no two terms of the expansion merge, and every coefficient is an integer.
+``_node_terms`` is that coefficient rule for any weight in place of C(m, p);
+``pde_system`` uses it with the binomial coefficients, and the rank-induction
+operators of ``induction`` use it at node 1.
+
+Within homogeneous polynomials of the volume degree, the common kernel of
+these operators is one-dimensional and spanned by the volume polynomial; one
+degree higher it is zero.  ``solution_space`` computes that kernel exactly by
+fraction-free elimination on the monomial basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm, prod
+from math import comb, perm, prod
 from operator import sub
-from typing import Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .linalg import integer_nullspace
 from .multiplicity import MultiplicityMatrix
@@ -42,6 +55,26 @@ def _derivatives(
             exps = tuple(map(sub, pexps, dexps))
             if min(exps) >= 0:
                 yield exps, dcoeff * pcoeff * prod(map(perm, pexps, dexps))
+
+
+def _node_terms(
+    m: MultiplicityMatrix, l: int, q: int, weight: Callable[[int, int], int]
+) -> dict[Exponents, int]:
+    """The u^q coefficient of prod_{j=l+1..r} (sum_p weight(m[l,j], p) u^p d_j^p).
+
+    Returned as ``{exponents: int}`` in all r partials, zero weights dropped;
+    the exponents of d_1..d_l are zero.
+    """
+    r = m.rank
+    if l == r:  # the empty product is 1
+        return {(0,) * r: 1} if q == 0 else {}
+    row = [m.multiplicity(l, j) for j in range(l + 1, r + 1)]
+    terms = {}
+    for powers in homogeneous_monomials(r - l, q):
+        coeff = prod(map(weight, row, powers))
+        if coeff:
+            terms[(0,) * l + powers] = coeff
+    return terms
 
 
 @dataclass(frozen=True)
@@ -123,15 +156,16 @@ class PdeSystem:
 
 
 def pde_system(m: MultiplicityMatrix) -> PdeSystem:
-    """Build the annihilating operator for every node."""
+    """Build the annihilating operator of every node from its binomial expansion."""
     r = m.rank
     ops = []
     for l in range(r, 0, -1):
-        op = DiffOperator.partial(l, r) ** m.multiplicity(l, r + 1)
-        for j in range(l + 1, r + 1):
-            diff = DiffOperator.partial(l, r) - DiffOperator.partial(j, r)
-            op = diff ** m.multiplicity(l, j) * op
-        ops.append(op)
+        order = m.row_sum(l)
+        terms = {}
+        for q in range(order - m.multiplicity(l, r + 1) + 1):
+            for exps, coeff in _node_terms(m, l, q, comb).items():
+                terms[exps[: l - 1] + (order - q,) + exps[l:]] = (-1) ** q * coeff
+        ops.append(DiffOperator(MultiPoly(r, terms)))
     return PdeSystem(m, tuple(ops))
 
 
@@ -154,8 +188,9 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     """Exact basis of the homogeneous degree-d polynomials killed by the system.
 
     Stacks the coefficient matrix of every operator on the degree-d monomial
-    basis, filled from the operator's integer terms by the monomial rule of
-    ``_derivatives``, and extracts its null space by sparse fraction-free
+    basis, one sparse row ``{column: int}`` per target monomial (empty rows
+    included), filled from the operator's integer terms by the monomial rule
+    of ``_derivatives``, and extracts its null space by sparse fraction-free
     elimination.  At the
     volume degree the basis is normalized to the expected corner coefficient;
     at other degrees each basis element is made monic in its graded-lex
@@ -165,7 +200,7 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
         raise ValueError("degree must be nonnegative")
     r = m.rank
     columns = homogeneous_monomials(r, degree)
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     for op in pde_system(m).ops:
         order = op.order()
         if order is None or order > degree:
@@ -176,7 +211,7 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
                 raise ArithmeticError(f"operator coefficient {coeff} is not an integer")
             terms.append((dexps, coeff.numerator))
         targets = {exps: i for i, exps in enumerate(homogeneous_monomials(r, degree - order))}
-        block = [[0] * len(columns) for _ in targets]
+        block: list[dict[int, int]] = [{} for _ in targets]
         for col, exps in enumerate(columns):
             for image, coeff in _derivatives(terms, ((exps, 1),)):
                 block[targets[image]][col] = coeff

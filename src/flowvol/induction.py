@@ -11,7 +11,7 @@ forced from it by the node-1 operator.  The machinery has two pieces:
 * ``lowering_operator(m, q)`` is the order-q operator in d_2..d_r collecting
   every way to spread q derivative orders over those variables, each d_i^p
   weighted by C(m[1,i], p); equivalently the u^q coefficient of
-  prod_{i=2..r} (1 + u d_i)^m[1,i].  It vanishes once q exceeds
+  D(u) = prod_{i=2..r} (1 + u d_i)^m[1,i].  It vanishes once q exceeds
   span = row_sum(1) - m[1,r+1], the first-row multiplicity into nodes 2..r.
 * the layer relation, solved downward from the top by ``layer_recursion``:
 
@@ -33,10 +33,20 @@ restricted volume w (degree h, variables a_2..a_r) is
     v = sum_{n=0..h} a_1^(s-1+n) / (s-1+n)! * E_n w,
 
 the layer relation started from the top layer g_h = w / (s-1)!.
-``lift_volume`` is exactly that call.  ``operator_ladder`` still builds
-every E_n as an explicit operator (``OperatorLadder.steps``).  Nothing in
-the package applies them: they exist for acceptance criterion 8 and for the
-ladder metrics of the benchmark in ``flowbench/``.
+``lift_volume`` is exactly that call.
+
+The ladder operators have a closed form.  With E(u) = sum_n E_n u^n and
+D(u) = 1 + sum_q D_q u^q, the recurrence says that for n >= 1 the u^n
+coefficient of sum_{j>=0} (-1)^j D_j u^j * E(u) vanishes, that is
+E(u) D(-u) = 1, so
+
+    E(u) = prod_{i=2..r} (1 - u d_i)^(-m[1,i]),
+
+and E_n is the u^n coefficient: every way to spread n derivative orders over
+d_2..d_r, each d_i^p weighted by C(m[1,i] - 1 + p, p).  ``operator_ladder``
+builds every E_n from that rule (``OperatorLadder.steps``), with no operator
+products.  Nothing in the package applies them: they exist for acceptance
+criterion 8 and for the ladder metrics of the benchmark in ``flowbench/``.
 """
 
 from __future__ import annotations
@@ -45,9 +55,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import DiffOperator
+from .diffop import DiffOperator, _node_terms
 from .multiplicity import MultiplicityMatrix
-from .polynomial import MultiPoly, homogeneous_monomials
+from .polynomial import MultiPoly, binomial_series_coeff
 from .residue import VolumePolynomial
 
 
@@ -55,18 +65,7 @@ def lowering_operator(m: MultiplicityMatrix, q: int) -> DiffOperator:
     """Order-q lowering operator in d_2..d_r built from the first row of m."""
     if q < 1:
         raise ValueError(f"order must be >= 1, got {q}")
-    r = m.rank
-    if r == 1:
-        return DiffOperator.zero(r)  # no variables a_2..a_r to lower
-    first_row = [m.multiplicity(1, i) for i in range(2, r + 1)]
-    terms: dict[tuple[int, ...], int] = {}
-    for powers in homogeneous_monomials(r - 1, q):
-        coeff = 1
-        for mult, p in zip(first_row, powers):
-            coeff *= math.comb(mult, p)
-        if coeff:
-            terms[(0,) + powers] = coeff
-    return DiffOperator(MultiPoly(r, terms))
+    return DiffOperator(MultiPoly(m.rank, _node_terms(m, 1, q, math.comb)))
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,8 @@ class OperatorLadder:
     """Lowering operators D_1..D_J and their signed combinations E_0..E_h.
 
     ``generators[q-1]`` is the order-q lowering operator; ``steps[n]`` is the
-    explicit operator E_n, kept for acceptance criterion 8 and the benchmark.
+    explicit operator E_n, the u^n coefficient of prod_i (1 - u d_i)^(-m[1,i]),
+    kept for acceptance criterion 8 and the benchmark.
     """
 
     m: MultiplicityMatrix
@@ -95,13 +95,8 @@ def operator_ladder(m: MultiplicityMatrix) -> OperatorLadder:
     r = m.rank
     span = m.row_sum(1) - m.multiplicity(1, r + 1)  # orders beyond this vanish
     generators = tuple(lowering_operator(m, q) for q in range(1, span + 1))
-    steps = [DiffOperator.identity(r)]
-    for n in range(1, m.restriction_degree + 1):
-        acc = DiffOperator.zero(r)
-        for j in range(1, min(n, span) + 1):
-            acc = acc + (-1) ** (j + 1) * (generators[j - 1] * steps[n - j])
-        steps.append(acc)
-    return OperatorLadder(m, generators, tuple(steps))
+    steps = [_node_terms(m, 1, n, binomial_series_coeff) for n in range(m.restriction_degree + 1)]
+    return OperatorLadder(m, generators, tuple(DiffOperator(MultiPoly(r, e_n)) for e_n in steps))
 
 
 def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolynomial:

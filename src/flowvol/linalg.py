@@ -1,12 +1,13 @@
 """Exact null spaces of sparse integer matrices by fraction-free Gauss-Jordan.
 
-Each row is kept as a dict ``{column: nonzero int}``.  Pivots are taken in
-column order.  A chosen pivot row is divided by the gcd of its entries, and
-its column is eliminated from every other row that contains it, pending rows
-and earlier pivot rows alike: ``row <- (p/g) row - (f/g) pivot_row`` with p
-the pivot, f the row's entry and g = gcd(p, f), after which the row's own
-content is removed.  Only rows that contain the pivot column are touched, and
-every entry stays an integer, so there is no rounding and, on the 2-4% dense
+Rows come in as mappings ``{column: int}`` and are copied, zeros dropped, into
+working dicts ``{column: nonzero int}``.  Pivots are taken in column order.
+A chosen pivot row is divided by the gcd of its entries, and its column is
+eliminated from every other row that contains it, pending rows and earlier
+pivot rows alike: ``row <- (p/g) row - (f/g) pivot_row`` with p the pivot,
+f the row's entry and g = gcd(p, f), after which the row's own content is
+removed.  Only rows that contain the pivot column are touched, and every
+entry stays an integer, so there is no rounding and, on the 2-4% dense
 operator matrices, little fill-in.
 
 Soundness.  Scaling a row by a nonzero integer, dividing it by the gcd of its
@@ -28,27 +29,29 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
-def integer_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fraction]]:
+def integer_nullspace(rows: Sequence[Mapping[int, int]], ncols: int) -> list[list[Fraction]]:
     """Basis of {x : A x = 0} for the integer matrix A, one vector per free column.
 
+    Each row of A is a mapping ``{column: entry}``; absent columns are zero.
     ``ncols`` is required because A may have no rows at all, in which case
-    the null space is the whole coordinate space.  Every entry must be an
-    ``int`` (not a ``bool``); anything else raises ``ValueError`` rather than
-    being truncated.
+    the null space is the whole coordinate space.  Every column must be an
+    ``int`` in ``range(ncols)`` and every entry an ``int`` (neither a
+    ``bool``); anything else raises ``ValueError`` rather than being
+    truncated.  The rows are copied, not modified.
     """
     if ncols < 0:
         raise ValueError("ncols must be nonnegative")
     pending: list[dict[int, int]] = []
     for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        for kind in set(map(type, row)):
+        for kind in {*map(type, row), *map(type, row.values())}:
             if kind is bool or not issubclass(kind, int):
-                raise ValueError(f"matrix entries must be integers, got {kind.__name__}")
-        entries = {col: value for col, value in enumerate(row) if value}
+                raise ValueError(f"columns and entries must be integers, got {kind.__name__}")
+        if row and not 0 <= min(row) <= max(row) < ncols:
+            raise ValueError(f"matrix column out of range for {ncols} columns")
+        entries = {col: value for col, value in row.items() if value}
         if entries:
             pending.append(entries)
 

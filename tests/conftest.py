@@ -35,3 +35,12 @@ def multiplicity_matrices(draw, min_rank=1, max_rank=3, max_mult=3):
 @st.composite
 def rational_points(draw, nvars):
     return tuple(draw(small_fractions) for _ in range(nvars))
+
+
+def sparse_rows(rows):
+    """Dense matrix rows as the ``{column: entry}`` mappings ``integer_nullspace`` takes.
+
+    Every entry is kept, zeros and non-integers included, so the solver's
+    own checks and zero dropping see them.
+    """
+    return [dict(enumerate(row)) for row in rows]

@@ -196,6 +196,19 @@ class TestMainEntry:
     def test_missing_spec_file(self, capsys):
         assert main(["volume", "@/no/such/file"]) == 2
 
+    def test_non_utf8_spec_file_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "problem.txt"
+        path.write_bytes(b"r=1; m[1,2]=\xff")
+        result = subprocess.run(
+            [sys.executable, "-m", "flowvol", "volume", f"@{path}"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: cannot read spec file:")
+        assert "Traceback" not in result.stderr
+
     def test_boolean_json_exits_2_without_traceback(self):
         result = subprocess.run(
             [sys.executable, "-m", "flowvol", "volume", '{"r": true, "m": [[1, 2, true]]}'],

@@ -11,8 +11,12 @@ enumerate what the residue step and the lowering operators take from
 ``homogeneous_monomials``, directly.  ``reference_integer_nullspace`` is the
 dense Bareiss elimination with Fraction back-substitution that the sparse
 Gauss-Jordan solve replaced, and ``reference_operator_rows`` builds the
-kernel matrix from one ``op.apply`` per monomial.  All are kept here, outside
-the package, as the references the engine must match exactly.
+kernel matrix from one ``op.apply`` per monomial.  ``reference_pde_system``
+multiplies out the node operators prod_j (d_l - d_j)^m[l,j] * d_l^m[l,r+1]
+and ``reference_ladder_steps`` runs E_n = sum_j (-1)^(j+1) D_j E_(n-j) as
+operator products, as the package did before both were read off their
+closed forms.  All are kept here, outside the package, as the references the
+engine must match exactly.
 """
 
 import math
@@ -47,7 +51,13 @@ from flowvol import (
     solution_space,
 )
 
-from conftest import multipolys, multiplicity_matrices, rational_points, small_fractions
+from conftest import (
+    multipolys,
+    multiplicity_matrices,
+    rational_points,
+    small_fractions,
+    sparse_rows,
+)
 
 # Every rank-2 and rank-3 matrix with entries in {1, 2, 3}.
 small_families = multiplicity_matrices(min_rank=2, max_rank=3, max_mult=3)
@@ -208,6 +218,44 @@ def reference_operator_rows(m, degree):
                 block[targets[texps]][col] = int(coeff)
         rows.extend(block)
     return rows
+
+
+def reference_pde_system(m):
+    """The node operators as products of powers of binomials."""
+    r = m.rank
+    ops = []
+    for l in range(r, 0, -1):
+        op = DiffOperator.partial(l, r) ** m.multiplicity(l, r + 1)
+        for j in range(l + 1, r + 1):
+            diff = DiffOperator.partial(l, r) - DiffOperator.partial(j, r)
+            op = diff ** m.multiplicity(l, j) * op
+        ops.append(op)
+    return tuple(ops)
+
+
+def reference_ladder_steps(m):
+    """E_0..E_h by the signed recurrence over the lowering operators."""
+    r = m.rank
+    span = m.row_sum(1) - m.multiplicity(1, r + 1)
+    generators = [lowering_operator(m, q) for q in range(1, span + 1)]
+    steps = [DiffOperator.identity(r)]
+    for n in range(1, m.restriction_degree + 1):
+        acc = DiffOperator.zero(r)
+        for j in range(1, min(n, span) + 1):
+            acc = acc + (-1) ** (j + 1) * (generators[j - 1] * steps[n - j])
+        steps.append(acc)
+    return tuple(steps)
+
+
+def reference_lowering_operator(m, q):
+    """D_q as the u^q coefficient of prod_i (1 + u d_i)^m[1,i], multiplied out."""
+    r = m.rank
+    series = MultiPoly.one(r + 1)  # slot 0 is u, slots 1..r are d_1..d_r
+    u = MultiPoly.variable(1, r + 1)
+    for i in range(2, r + 1):
+        factor = MultiPoly.one(r + 1) + u * MultiPoly.variable(i + 1, r + 1)
+        series = series * factor ** m.multiplicity(1, i)
+    return {exps[1:]: c for exps, c in series.terms.items() if exps[0] == q}
 
 
 def every_matrix(rank, entries):
@@ -404,7 +452,7 @@ class TestKernelSolveMatchesReference:
     @given(integer_matrices())
     def test_sparse_solve_equals_bareiss(self, matrix):
         rows, ncols = matrix
-        basis = integer_nullspace(rows, ncols)
+        basis = integer_nullspace(sparse_rows(rows), ncols)
         assert basis == reference_integer_nullspace(rows, ncols)
         assert all(type(x) is Fraction for vector in basis for x in vector)
 
@@ -413,7 +461,8 @@ class TestKernelSolveMatchesReference:
         ([[0, 3], [0, 6]], 2), ([[1, 0, 0, 0]], 4), ([[4], [6]], 1),
     ])
     def test_edge_shapes(self, rows, ncols):
-        assert integer_nullspace(rows, ncols) == reference_integer_nullspace(rows, ncols)
+        expected = reference_integer_nullspace(rows, ncols)
+        assert integer_nullspace(sparse_rows(rows), ncols) == expected
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_operator_matrices_at_every_degree(self, rank, monkeypatch):
@@ -429,6 +478,45 @@ class TestKernelSolveMatchesReference:
                 seen.clear()
                 solution_space(m, degree)
                 [(rows, ncols)] = seen
-                assert rows == reference_operator_rows(m, degree), (m, degree)
-                expected = reference_integer_nullspace(rows, ncols)
+                assert all(all(row.values()) for row in rows), (m, degree)
+                dense = [[row.get(col, 0) for col in range(ncols)] for row in rows]
+                assert dense == reference_operator_rows(m, degree), (m, degree)
+                expected = reference_integer_nullspace(dense, ncols)
                 assert integer_nullspace(rows, ncols) == expected, (m, degree)
+
+
+def operator_families_match_reference(m):
+    r = m.rank
+    for op, expected in zip(pde_system(m).ops, reference_pde_system(m), strict=True):
+        assert op.poly.terms == expected.poly.terms, m
+    ladder = operator_ladder(m)
+    for step, expected in zip(ladder.steps, reference_ladder_steps(m), strict=True):
+        assert step.poly.terms == expected.poly.terms, m
+    span = m.row_sum(1) - m.multiplicity(1, r + 1)
+    assert len(ladder.generators) == span
+    for q in range(1, span + 2):
+        assert lowering_operator(m, q).poly.terms == reference_lowering_operator(m, q), (m, q)
+    for op in (*pde_system(m).ops, *ladder.steps, *ladder.generators):
+        assert_canonical(op.poly)
+
+
+class TestOperatorsMatchReference:
+    """Closed-form node, lowering and ladder operators against their products."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_every_small_matrix(self, rank):
+        for m in every_matrix(rank, (1, 2, 3)):
+            operator_families_match_reference(m)
+
+    @pytest.mark.parametrize("position", range(21))
+    def test_rank_six_with_one_entry_two(self, position):
+        mult = [1] * 21
+        mult[position] = 2
+        operator_families_match_reference(MultiplicityMatrix(6, tuple(mult)))
+
+    @pytest.mark.parametrize("rank, entries", [(4, (1, 2, 3)), (5, (1, 2))])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_rank_four_and_five(self, rank, entries, seed):
+        rng = random.Random(3000 + 10 * rank + seed)
+        mult = tuple(rng.choice(entries) for _ in range(rank * (rank + 1) // 2))
+        operator_families_match_reference(MultiplicityMatrix(rank, mult))

@@ -94,6 +94,27 @@ class TestOperatorLadder:
             if not step.is_zero:
                 assert step.poly.is_homogeneous(n)
 
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_ladder_inverts_the_signed_lowering_series(self, rank):
+        # (sum_n E_n u^n) * (1 + sum_q (-1)^q D_q u^q) must be 1 through u^h,
+        # h the last ladder index; slot 0 below is u, slots 1..rank are
+        # d_1..d_rank.
+        for first_row in product((1, 2, 3), repeat=rank - 1):
+            fill = [2] * (rank * (rank + 1) // 2 - rank)
+            m = MultiplicityMatrix(rank, tuple(first_row) + (1,) + tuple(fill))
+            ladder = operator_ladder(m)
+            h = m.restriction_degree
+            u = MultiPoly.variable(1, rank + 1)
+            steps = MultiPoly.zero(rank + 1)
+            for n, step in enumerate(ladder.steps):
+                steps = steps + u ** n * step.poly.embed(rank + 1, 1)
+            signed = MultiPoly.one(rank + 1)
+            for q in range(1, sum(first_row) + 1):
+                signed = signed + (-u) ** q * ladder.generator(q).poly.embed(rank + 1, 1)
+            product_terms = (steps * signed).terms
+            low = {exps: c for exps, c in product_terms.items() if exps[0] <= h}
+            assert MultiPoly(rank + 1, low) == MultiPoly.one(rank + 1), m
+
     def test_rank_one_ladder_is_trivial(self):
         ladder = operator_ladder(MultiplicityMatrix(1, (4,)))
         assert ladder.generators == ()

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from flowvol import integer_nullspace
 
+from conftest import sparse_rows
+
 
 def rank_by_fraction_elimination(rows, ncols):
     """Independent rank computation with plain rational pivoting."""
@@ -24,14 +26,14 @@ def rank_by_fraction_elimination(rows, ncols):
 
 
 def test_single_row():
-    basis = integer_nullspace([[1, 2, 3]], 3)
+    basis = integer_nullspace(sparse_rows([[1, 2, 3]]), 3)
     assert len(basis) == 2
     for vec in basis:
         assert vec[0] + 2 * vec[1] + 3 * vec[2] == 0
 
 
 def test_identity_has_trivial_nullspace():
-    assert integer_nullspace([[1, 0], [0, 1]], 2) == []
+    assert integer_nullspace(sparse_rows([[1, 0], [0, 1]]), 2) == []
 
 
 def test_no_rows_gives_full_space():
@@ -40,25 +42,43 @@ def test_no_rows_gives_full_space():
 
 
 def test_zero_matrix():
-    assert len(integer_nullspace([[0, 0], [0, 0]], 2)) == 2
+    assert len(integer_nullspace(sparse_rows([[0, 0], [0, 0]]), 2)) == 2
 
 
 def test_dependent_rows():
-    basis = integer_nullspace([[2, 4], [1, 2]], 2)
+    basis = integer_nullspace(sparse_rows([[2, 4], [1, 2]]), 2)
     assert len(basis) == 1
     assert 2 * basis[0][0] + 4 * basis[0][1] == 0
 
 
-def test_ragged_matrix_rejected():
-    with pytest.raises(ValueError):
-        integer_nullspace([[1, 2], [1]], 2)
+@pytest.mark.parametrize("row", [{2: 1}, {0: 1, 5: 1}, {-1: 1}])
+def test_out_of_range_column_rejected(row):
+    with pytest.raises(ValueError, match="out of range"):
+        integer_nullspace([{0: 1}, row], 2)
+
+
+@pytest.mark.parametrize("col", [True, False, 1.0, "1", None, Fraction(1)])
+def test_non_integer_column_rejected(col):
+    with pytest.raises(ValueError, match="integers"):
+        integer_nullspace([{col: 1}], 2)
+
+
+def test_zero_entries_are_dropped():
+    assert integer_nullspace([{0: 0, 1: 3}], 2) == [[Fraction(1), Fraction(0)]]
+
+
+def test_rows_are_not_modified():
+    rows = [{0: 2, 1: 4, 2: 0}, {0: 1, 2: 3}, {1: 6, 2: 9}]
+    before = [dict(row) for row in rows]
+    integer_nullspace(rows, 3)
+    assert rows == before
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 1.7, 2.0, True, False, "1", None])
 def test_non_integer_entry_rejected(entry):
     # Truncating Fraction(1, 2) to 0 would return [1, 0], which is no null vector.
     with pytest.raises(ValueError):
-        integer_nullspace([[entry, 1]], 2)
+        integer_nullspace(sparse_rows([[entry, 1]]), 2)
 
 
 matrices = st.lists(
@@ -71,7 +91,7 @@ matrices = st.lists(
 @given(matrices)
 def test_vectors_solve_and_dimension_matches_rank(rows):
     ncols = 4
-    basis = integer_nullspace(rows, ncols)
+    basis = integer_nullspace(sparse_rows(rows), ncols)
     for vec in basis:
         for row in rows:
             assert sum(c * x for c, x in zip(row, vec)) == 0

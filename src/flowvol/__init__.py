@@ -11,9 +11,7 @@ rationals; there is no floating point anywhere.
 from .cli import ProblemSpec, SpecError, parse_spec, render_spec, run_command
 from .diffop import DiffOperator, PdeSystem, annihilates, pde_system, solution_space
 from .induction import (
-    LayerDecomposition,
     OperatorLadder,
-    layer_recursion,
     lift_volume,
     lowering_operator,
     operator_ladder,
@@ -30,7 +28,6 @@ from .oracle import (
 )
 from .polynomial import (
     MultiPoly,
-    Rational,
     binomial_series_coeff,
     grlex_key,
     homogeneous_monomials,
@@ -54,13 +51,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CountTable",
     "DiffOperator",
-    "LayerDecomposition",
     "MultiPoly",
     "MultiplicityMatrix",
     "OperatorLadder",
     "PdeSystem",
     "ProblemSpec",
-    "Rational",
     "ResidueKernel",
     "ResidueSum",
     "ResidueTerm",
@@ -81,7 +76,6 @@ __all__ = [
     "iterated_residue",
     "laurent_derivative",
     "laurent_residue",
-    "layer_recursion",
     "lift_volume",
     "lowering_operator",
     "operator_ladder",

@@ -10,7 +10,8 @@ A problem is given as one string, e.g.
 form @path reads either format from a file.
 
 Exit codes: 0 success, 1 property violation (an exact identity failed),
-2 input error.
+2 input error.  A problem whose volume degree exceeds ``MAX_DEGREE``, or a
+``kernel --degree`` above it, is an input error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ from .multiplicity import MultiplicityMatrix, root_pairs
 from .oracle import compare_volume
 from .polynomial import MultiPoly
 from .residue import canonical_order, iterated_residue, residue_in_order
+
+
+# About twice the volume degree of the largest problem run so far (r=7, all
+# m=2: degree 49), so that far larger inputs fail at once instead of running
+# for hours or exhausting memory.
+MAX_DEGREE = 100
 
 
 class SpecError(ValueError):
@@ -62,6 +69,11 @@ def _build(rank: int | None, entries: dict[tuple[int, int], int],
         raise SpecError("missing rank entry r=<int>")
     if rank < 1:
         raise SpecError(f"rank must be >= 1, got {rank}")
+    # Every multiplicity is at least 1, so the degree M - r is at least
+    # r(r-1)/2: bound the rank before root_pairs builds r(r+1)/2 pairs.
+    least = rank * (rank - 1) // 2
+    if least > MAX_DEGREE:
+        raise SpecError(f"rank {rank} has volume degree at least {least}, above the ceiling {MAX_DEGREE}")
     pairs = root_pairs(rank)
     for pair in entries:
         if pair not in pairs:
@@ -73,6 +85,9 @@ def _build(rank: int | None, entries: dict[tuple[int, int], int],
     for (i, j), value in entries.items():
         if value < 1:
             raise SpecError(f"multiplicity m[{i},{j}] must be positive, got {value}")
+    degree = sum(entries.values()) - rank
+    if degree > MAX_DEGREE:
+        raise SpecError(f"volume degree {degree} is above the ceiling {MAX_DEGREE}")
     if a is not None and len(a) != rank:
         raise SpecError(f"a has {len(a)} entries, expected {rank}")
     return ProblemSpec(rank, tuple(entries[p] for p in pairs), a)
@@ -230,6 +245,8 @@ def run_command(
         d = m.degree if degree is None else degree
         if d < 0:
             raise SpecError(f"degree must be nonnegative, got {d}")
+        if d > MAX_DEGREE:
+            raise SpecError(f"degree {d} is above the ceiling {MAX_DEGREE}")
         basis = solution_space(m, d)
         lines.append(f"solution space at degree {d}: dimension {len(basis)}")
         for idx, poly in enumerate(basis):

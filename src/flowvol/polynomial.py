@@ -22,10 +22,6 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Iterator, Mapping, Sequence
 
-# Scalars are stdlib Fractions: denominator > 0 and gcd-reduced by
-# construction, which is exactly the canonical form the engine relies on.
-Rational = Fraction
-
 Exponents = tuple[int, ...]
 Scalar = Fraction | int
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flowvol import ProblemSpec, SpecError, parse_spec, render_spec, run_command
-from flowvol.cli import main
+from flowvol.cli import MAX_DEGREE, main
 
 GOLDEN_TEXT = "r=3; m[1,2]=1; m[1,3]=1; m[1,4]=2; m[2,3]=1; m[2,4]=2; m[3,4]=2"
 GOLDEN_RENDER = (
@@ -176,6 +176,37 @@ class TestCommands:
         first = run_command(spec, "volume", order_check=True)
         second = run_command(spec, "volume", order_check=True)
         assert first == second
+
+
+HUGE_MULT = "99999999999999999999"
+
+
+class TestDegreeCeiling:
+    @pytest.mark.parametrize(
+        "spec", [f"r=1; m[1,2]={HUGE_MULT}", '{"r": 1, "m": [[1, 2, %s]]}' % HUGE_MULT]
+    )
+    def test_huge_multiplicity_exits_2(self, spec, capsys):
+        with pytest.raises(SpecError, match="volume degree 99999999999999999998 is above"):
+            parse_spec(spec)
+        assert main(["volume", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("spec", ["r=100000", '{"r": 100000, "m": []}'])
+    def test_huge_rank_rejected_before_its_pairs_are_listed(self, spec):
+        with pytest.raises(SpecError, match="rank 100000 has volume degree at least"):
+            parse_spec(spec)
+
+    def test_ceiling_is_inclusive(self):
+        assert parse_spec(f"r=1; m[1,2]={MAX_DEGREE + 1}").matrix().degree == MAX_DEGREE
+        with pytest.raises(SpecError, match="ceiling"):
+            parse_spec(f"r=1; m[1,2]={MAX_DEGREE + 2}")
+
+    def test_kernel_degree_above_ceiling(self):
+        spec = parse_spec("r=1; m[1,2]=3")
+        with pytest.raises(SpecError, match="ceiling"):
+            run_command(spec, "kernel", degree=MAX_DEGREE + 1)
 
 
 class TestMainEntry:

@@ -4,16 +4,16 @@ loop against the plain paths.
 ``reference_residue_at_zero`` is the plain form of one residue step: every
 (term, depth vector) pair builds its own checked polynomial, multiplies it by
 a_k^s / s! and adds it into the accumulator.  ``reference_lift_volume``
-applies every explicit ladder step E_n to the restricted volume, and
-``reference_layer_recursion`` runs the layer relation with one factorial
-ratio per (n, j) pair.  ``_bounded_vectors`` and ``_weak_compositions``
-enumerate what the residue step and the lowering operators take from
-``homogeneous_monomials``, directly.  ``reference_integer_nullspace`` is the
-dense Bareiss elimination with Fraction back-substitution that the sparse
-Gauss-Jordan solve replaced, and ``reference_operator_rows`` builds the
-kernel matrix from one ``op.apply`` per monomial.  ``reference_pde_system``
-multiplies out the node operators prod_j (d_l - d_j)^m[l,j] * d_l^m[l,r+1]
-and ``reference_ladder_steps`` runs E_n = sum_j (-1)^(j+1) D_j E_(n-j) as
+applies every explicit ladder step E_n to the restricted volume, where
+``lift_volume`` runs the recurrence u_n = sum_j (-1)^(j+1) D_j u_(n-j) from
+it.  ``_bounded_vectors`` and ``_weak_compositions`` enumerate what the
+residue step and the lowering operators take from ``homogeneous_monomials``,
+directly.  ``reference_integer_nullspace`` is the dense Bareiss elimination
+with Fraction back-substitution that the sparse Gauss-Jordan solve replaced,
+and ``reference_operator_rows`` builds the kernel matrix from one
+``op.apply`` per monomial.  ``reference_pde_system`` multiplies out
+the node operators prod_j (d_l - d_j)^m[l,j] * d_l^m[l,r+1] and
+``reference_ladder_steps`` runs E_n = sum_j (-1)^(j+1) D_j E_(n-j) as
 operator products, as the package did before both were read off their
 closed forms.  All are kept here, outside the package, as the references the
 engine must match exactly.
@@ -30,7 +30,6 @@ from hypothesis import given, settings, strategies as st
 import flowvol.diffop
 from flowvol import (
     DiffOperator,
-    LayerDecomposition,
     MultiPoly,
     MultiplicityMatrix,
     ResidueSum,
@@ -41,7 +40,6 @@ from flowvol import (
     homogeneous_monomials,
     integer_nullspace,
     iterated_residue,
-    layer_recursion,
     lift_volume,
     lowering_operator,
     operator_ladder,
@@ -130,38 +128,6 @@ def reference_lift_volume(v_prev, m):
         exps = (power,) + (0,) * (r - 1)
         total = total + MultiPoly.monomial(exps, Fraction(1, math.factorial(power))) * image
     return VolumePolynomial(m, total)
-
-
-def reference_layer_recursion(m, d, g_top, n_start):
-    """The layer relation with a factorial ratio per (n, j); inputs already checked."""
-    r = m.rank
-    h = m.restriction_degree
-    base = m.row_sum(1)
-    top_index = h - n_start + 1
-    span = base - m.multiplicity(1, r + 1)
-    ladder = operator_ladder(m)
-    layers = {k: MultiPoly.zero(r) for k in range(max(d, top_index) + 1)}
-    layers[top_index] = g_top
-    for n in range(n_start, h + 1):
-        if d - h - base + n < 0:
-            raise ValueError(
-                f"factorial argument {d - h - base + n} negative: degree {d} with "
-                f"step {n} is outside the valid range of the layer relation"
-            )
-        k = h - n
-        acc = MultiPoly.zero(r)
-        for j in range(1, span + 1):
-            source = layers.get(k + j)
-            if source is None or source.is_zero:
-                continue
-            ratio = Fraction(math.factorial(d - h + n - j), math.factorial(d - h + n))
-            acc = acc + (-1) ** (j + 1) * ratio * ladder.generator(j).apply(source)
-        if k > d:
-            if not acc.is_zero:
-                raise ValueError(f"nonzero layer {k} impossible at degree {d}")
-            continue
-        layers[k] = acc
-    return LayerDecomposition(d, tuple(layers[k] for k in range(d + 1)))
 
 
 def reference_integer_nullspace(rows, ncols):
@@ -392,25 +358,20 @@ class TestRankInductionMatchesReference:
         v_prev = iterated_residue(m.restriction())
         assert lift_volume(v_prev, m) == reference_lift_volume(v_prev, m)
 
-    @pytest.mark.parametrize("rank", [2, 3])
-    def test_layer_recursion_at_every_start(self, rank):
-        # Top layers are taken from the volume itself, so each has the degree
-        # its n_start asks for; both paths must agree, or both must refuse.
-        for m in every_matrix(rank, (1, 2)):
-            h = m.restriction_degree
-            layers = LayerDecomposition.of(iterated_residue(m).poly).layers
-            for d in (m.degree, m.degree + 1):
-                for n_start in range(h + 2):
-                    top_index = h - n_start + 1
-                    top = layers[top_index] if top_index <= h else MultiPoly.zero(rank)
-                    try:
-                        expected = reference_layer_recursion(m, d, top, n_start)
-                    except ValueError as exc:
-                        with pytest.raises(ValueError) as caught:
-                            layer_recursion(m, d, top, n_start)
-                        assert str(caught.value) == str(exc)
-                        continue
-                    assert layer_recursion(m, d, top, n_start) == expected, (m, d, n_start)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lift_on_rank_five_samples(self, seed):
+        rng = random.Random(5000 + seed)
+        m = MultiplicityMatrix(5, tuple(rng.randint(1, 2) for _ in range(15)))
+        v_prev = iterated_residue(m.restriction())
+        assert lift_volume(v_prev, m) == reference_lift_volume(v_prev, m), m
+
+    @pytest.mark.parametrize("entry", [0, 20])
+    def test_lift_on_rank_six_with_one_entry_two(self, entry):
+        # The sizes of certify-deep's lift ops: all ones but one entry 2,
+        # here m[1,2] (a longer ladder) or m[6,7] (a larger restricted volume).
+        m = MultiplicityMatrix(6, tuple(2 if i == entry else 1 for i in range(21)))
+        v_prev = iterated_residue(m.restriction())
+        assert lift_volume(v_prev, m) == reference_lift_volume(v_prev, m)
 
 
 class TestOneCompositionEnumerator:

@@ -7,11 +7,9 @@ from hypothesis import given
 
 from flowvol import (
     DiffOperator,
-    LayerDecomposition,
     MultiPoly,
     MultiplicityMatrix,
     iterated_residue,
-    layer_recursion,
     lift_volume,
     lowering_operator,
     operator_ladder,
@@ -165,57 +163,3 @@ class TestLiftVolume:
             lift_volume(iterated_residue(MultiplicityMatrix(1, (2,))),
                         MultiplicityMatrix(1, (3,)))
 
-
-class TestLayerDecomposition:
-    def test_roundtrip_on_reference_volume(self):
-        poly = iterated_residue(GOLDEN_M).poly
-        decomposition = LayerDecomposition.of(poly)
-        assert decomposition.d == GOLDEN_M.degree
-        assert decomposition.assemble(3) == poly
-
-    def test_layers_avoid_first_variable(self):
-        decomposition = LayerDecomposition.of(iterated_residue(GOLDEN_M).poly)
-        for layer in decomposition.layers:
-            assert all(exps[0] == 0 for exps in layer.terms)
-
-    def test_rejects_inhomogeneous(self):
-        with pytest.raises(ValueError):
-            LayerDecomposition.of(MultiPoly(2, {(1, 0): 1, (2, 0): 1}))
-
-
-class TestLayerRecursion:
-    def test_first_step_matches_weighted_gradient(self):
-        m = GOLDEN_M
-        h = m.restriction_degree
-        base = m.row_sum(1)
-        top = LayerDecomposition.of(iterated_residue(m).poly).layers[h]
-        decomposition = layer_recursion(m, m.degree, top, 1)
-        expected = Fraction(math.factorial(base - 1), math.factorial(base)) * (
-            lowering_operator(m, 1).apply(top)
-        )
-        assert decomposition.layers[h - 1] == expected
-
-    def test_rebuilds_the_volume_from_its_top_layer(self):
-        for mult in product((1, 2), repeat=3):
-            m = MultiplicityMatrix(2, mult)
-            poly = iterated_residue(m).poly
-            top = LayerDecomposition.of(poly).layers[m.restriction_degree]
-            decomposition = layer_recursion(m, m.degree, top, 1)
-            assert decomposition.assemble(2) == poly
-
-    def test_degree_above_volume_collapses(self):
-        m = GOLDEN_M
-        decomposition = layer_recursion(m, m.degree + 1, MultiPoly.zero(3), 0)
-        assert all(layer.is_zero for layer in decomposition.layers)
-
-    def test_zero_top_layer_gives_zero(self):
-        decomposition = layer_recursion(GOLDEN_M, GOLDEN_M.degree, MultiPoly.zero(3), 1)
-        assert all(layer.is_zero for layer in decomposition.layers)
-
-    def test_out_of_range_step_reports_factorial_argument(self):
-        with pytest.raises(ValueError, match="factorial|range"):
-            layer_recursion(GOLDEN_M, GOLDEN_M.degree, MultiPoly.zero(3), 0)
-
-    def test_rank_one_rejected(self):
-        with pytest.raises(ValueError):
-            layer_recursion(MultiplicityMatrix(1, (2,)), 1, MultiPoly.zero(1), 1)

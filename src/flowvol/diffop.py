@@ -20,10 +20,24 @@ no two terms of the expansion merge, and every coefficient is an integer.
 ``pde_system`` uses it with the binomial coefficients, and the rank-induction
 operators of ``induction`` use it at node 1.
 
+To test a candidate, ``node_residual`` never expands the node operator.  It
+applies d_l m[l,r+1] times and then each linear factor d_l - d_j m[l,j]
+times, each time with ``MultiPoly.partial``, and stops as soon as the
+polynomial is zero.  This is exact: constant-coefficient operators commute,
+so applying the factors one after another gives the same polynomial as
+applying their expanded product, and every factor maps 0 to 0, so stopping
+early changes nothing.  ``check-pde`` therefore prints the same residual,
+term for term, as the expanded operator gives.  A partial derivative lowers
+one exponent, which is injective on the terms it keeps, so unlike
+``DiffOperator.apply`` no (operator term, polynomial term) pair is formed
+only to be thrown away.
+
 Within homogeneous polynomials of the volume degree, the common kernel of
 these operators is one-dimensional and spanned by the volume polynomial; one
 degree higher it is zero.  ``solution_space`` computes that kernel exactly by
-fraction-free elimination on the monomial basis.
+fraction-free elimination on the monomial basis; it still needs the
+expanded operators of ``pde_system``, as the matrix entries are their
+coefficients.
 """
 
 from __future__ import annotations
@@ -169,8 +183,30 @@ def pde_system(m: MultiplicityMatrix) -> PdeSystem:
     return PdeSystem(m, tuple(ops))
 
 
+def node_residual(m: MultiplicityMatrix, l: int, poly: MultiPoly) -> MultiPoly:
+    """The node-l operator applied to poly, one linear factor at a time.
+
+    d_l^m[l,r+1] first, then (d_l - d_j)^m[l,j] for j = l+1..r; the zero
+    polynomial is returned as soon as it appears.  Equal to
+    ``pde_system(m)``'s node-l operator applied to poly (module docstring).
+    """
+    r = m.rank
+    if poly.nvars != r:
+        raise ValueError(f"variable-count mismatch: {r} vs {poly.nvars}")
+    for _ in range(m.multiplicity(l, r + 1)):
+        if poly.is_zero:
+            return poly
+        poly = poly.partial(l)
+    for j in range(l + 1, r + 1):
+        for _ in range(m.multiplicity(l, j)):
+            if poly.is_zero:
+                return poly
+            poly = poly.partial(l) - poly.partial(j)
+    return poly
+
+
 def annihilates(m: MultiplicityMatrix, v: VolumePolynomial | MultiPoly) -> bool:
-    """True when every system operator maps v to the zero polynomial.
+    """True when every node operator maps v to the zero polynomial.
 
     Accepts a bare polynomial as well, so that deliberately wrong candidates
     (which cannot satisfy the VolumePolynomial invariants) can be tested.
@@ -181,7 +217,7 @@ def annihilates(m: MultiplicityMatrix, v: VolumePolynomial | MultiPoly) -> bool:
         poly = v.poly
     else:
         poly = v
-    return all(op.apply(poly).is_zero for op in pde_system(m).ops)
+    return all(node_residual(m, l, poly).is_zero for l in range(m.rank, 0, -1))
 
 
 def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:

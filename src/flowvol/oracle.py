@@ -11,7 +11,18 @@ Counts come from a dynamic program over the roots in the fixed order
 (1,2), (1,3), ..., (1,r+1), (2,3), ...: the state is the remaining supply
 vector, a root of multiplicity mu carrying total flow s contributes
 C(s + mu - 1, mu - 1) ways to split the flow over its parallel copies, and
-the last root of each row must drain that node's remaining supply exactly.
+the last root (i, r+1) of each row must drain node i's remaining supply
+exactly.
+
+That last root is forced, so it gets no loop of its own: in the loop of root
+(i, r), flow s leaves avail - s for (i, r+1), and the weight of that forced
+flow, C(avail - s + mu - 1, mu - 1), is multiplied in at once.  After it
+node i is drained and never touched again, so while row i runs the state key
+holds only the remaining supplies of nodes i..r, and the next row's states
+come out of root (i, r) already without node i.  Row r has no root (r, r):
+its count is the sum of the states' ways times the forced weight of their one
+remaining supply (at rank 1 that is the whole count).  Each root's weights
+C(s + mu - 1, mu - 1) are tabulated once, for every flow s node i can hold.
 """
 
 from __future__ import annotations
@@ -42,25 +53,35 @@ def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
     """Number of nonnegative integer flows with net supply a."""
     point = _checked_point(m, a, minimum=0)
     r = m.rank
+
+    def weights(i: int, j: int) -> list[int]:
+        """C(s + mu - 1, mu - 1) for root (i, j), for every flow s node i can hold."""
+        mu = m.multiplicity(i, j)
+        return [math.comb(s + mu - 1, mu - 1) for s in range(sum(point[:i]) + 1)]
+
     states: dict[tuple[int, ...], int] = {point: 1}
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 2):
-            mu = m.multiplicity(i, j)
+    for i in range(1, r):
+        for j in range(i + 1, r):
+            weight = weights(i, j)
             next_states: dict[tuple[int, ...], int] = {}
-            last_in_row = j == r + 1
+            k = j - i
             for state, ways in states.items():
-                available = state[i - 1]
-                flows = (available,) if last_in_row else range(available + 1)
-                for s in flows:
-                    new_state = list(state)
-                    new_state[i - 1] -= s
-                    if j <= r:
-                        new_state[j - 1] += s
-                    key = tuple(new_state)
-                    weight = ways * math.comb(s + mu - 1, mu - 1)
-                    next_states[key] = next_states.get(key, 0) + weight
+                available, mid, base, tail = state[0], state[1:k], state[k], state[k + 1:]
+                for s in range(available + 1):
+                    key = (available - s,) + mid + (base + s,) + tail
+                    next_states[key] = next_states.get(key, 0) + ways * weight[s]
             states = next_states
-    return states.get((0,) * r, 0)
+        # root (i, r) with the forced root (i, r+1) folded in: node i drains
+        weight, forced = weights(i, r), weights(i, r + 1)
+        next_states = {}
+        for state, ways in states.items():
+            available, rest, last = state[0], state[1:-1], state[-1]
+            for s in range(available + 1):
+                key = rest + (last + s,)
+                next_states[key] = next_states.get(key, 0) + ways * weight[s] * forced[available - s]
+        states = next_states
+    forced = weights(r, r + 1)
+    return sum(ways * forced[state[0]] for state, ways in states.items())
 
 
 def _newton_fit(values: Sequence[int]) -> MultiPoly:

@@ -1,12 +1,25 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from flowvol import ProblemSpec, SpecError, parse_spec, render_spec, run_command
+import flowvol.cli
+from flowvol import (
+    MultiPoly,
+    ProblemSpec,
+    SpecError,
+    iterated_residue,
+    parse_spec,
+    pde_system,
+    render_spec,
+    run_command,
+)
 from flowvol.cli import MAX_DEGREE, main
 
 GOLDEN_TEXT = "r=3; m[1,2]=1; m[1,3]=1; m[1,4]=2; m[2,3]=1; m[2,4]=2; m[3,4]=2"
@@ -87,21 +100,61 @@ class TestJsonFormat:
             parse_spec(json.dumps(data))
 
 
-specs = st.builds(
+point_entries = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+specs = st.integers(1, 4).flatmap(lambda rank: st.builds(
     ProblemSpec,
-    st.just(2),
-    st.tuples(*(st.integers(1, 5) for _ in range(3))),
-    st.one_of(
-        st.none(),
-        st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=5),
-                  st.fractions(min_value=-4, max_value=4, max_denominator=5)),
-    ),
-)
+    st.just(rank),
+    st.tuples(*(st.integers(1, 5) for _ in range(rank * (rank + 1) // 2))),
+    st.one_of(st.none(), st.tuples(*(point_entries for _ in range(rank)))),
+))
 
 
 @given(specs)
 def test_render_parse_roundtrip(spec):
     assert parse_spec(render_spec(spec)) == spec
+
+
+# Values int() rejects or the parser refuses: non-positive, non-integer, empty.
+bad_values = st.one_of(
+    st.integers(max_value=0).map(str),
+    st.fractions(min_value=-9, max_value=9).filter(lambda q: q.denominator != 1).map(str),
+    st.sampled_from(["1.5", "x", "", "1e3", "two"]),
+)
+
+
+@st.composite
+def malformed_specs(draw):
+    """A valid spec's text with one mutation that makes it invalid."""
+    spec = draw(specs)
+    parts = render_spec(spec).split("; ")
+    keyed = parts[: 1 + len(spec.mult)]  # r and the m entries; a is optional
+    kind = draw(st.sampled_from(["drop", "repeat", "value", "a-length", "junk"]))
+    if kind == "drop":
+        parts.remove(draw(st.sampled_from(keyed)))
+    elif kind == "repeat":
+        parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from(parts)))
+    elif kind == "value":
+        index = draw(st.integers(0, len(keyed) - 1))
+        parts[index] = parts[index].partition("=")[0] + "=" + draw(bad_values)
+    elif kind == "a-length":
+        length = draw(st.integers(0, 6).filter(lambda n: n != spec.rank))
+        entries = draw(st.lists(point_entries, min_size=length, max_size=length))
+        parts = keyed + ["a=(" + ",".join(map(str, entries)) + ")"]
+    else:
+        # no digit or whitespace, so it cannot extend a number into another one
+        parts[-1] += draw(st.text(alphabet="!?#xz()[],=", min_size=1, max_size=4))
+    return "; ".join(parts)
+
+
+@given(malformed_specs())
+def test_malformed_spec_exits_2_without_traceback(text):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["volume", text])
+    assert code == 2, text
+    assert err.getvalue().startswith("error:"), (text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert out.getvalue() == ""
 
 
 class TestCommands:
@@ -123,6 +176,27 @@ class TestCommands:
         text, code = run_command(parse_spec(GOLDEN_TEXT), "check-pde")
         assert code == 0
         assert "all 3 operators annihilate v" in text
+
+    def test_check_pde_failure_matches_expanded_operators(self, monkeypatch):
+        m = parse_spec(GOLDEN_TEXT).matrix()
+        wrong = iterated_residue(m).poly + MultiPoly.monomial((m.degree - 1, 1, 0))
+        monkeypatch.setattr(flowvol.cli, "iterated_residue", lambda _: SimpleNamespace(poly=wrong))
+        expected, failures = [], 0
+        for l, op in pde_system(m).labeled():
+            residual = op.apply(wrong)
+            if residual.is_zero:
+                expected.append(f"operator l={l}: annihilates v")
+            else:
+                failures += 1
+                expected.append(f"operator l={l}: FAILS, residual {residual.render()}")
+        expected.append(f"property violation: {failures} operator(s) do not annihilate v")
+        assert 0 < failures < m.rank  # both kinds of line occur
+        text, code = run_command(parse_spec(GOLDEN_TEXT), "check-pde")
+        assert (text, code) == ("\n".join(expected), 1)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["check-pde", GOLDEN_TEXT]) == 1
+        assert out.getvalue() == text + "\n"
 
     def test_kernel_default_degree(self):
         text, code = run_command(parse_spec(GOLDEN_TEXT), "kernel")

@@ -15,8 +15,12 @@ and ``reference_operator_rows`` builds the kernel matrix from one
 the node operators prod_j (d_l - d_j)^m[l,j] * d_l^m[l,r+1] and
 ``reference_ladder_steps`` runs E_n = sum_j (-1)^(j+1) D_j E_(n-j) as
 operator products, as the package did before both were read off their
-closed forms.  All are kept here, outside the package, as the references the
-engine must match exactly.
+closed forms.  ``reference_node_residuals`` applies each expanded node
+operator of ``pde_system`` with ``op.apply``, where ``node_residual`` applies
+its linear factors one at a time, and ``reference_count_lattice_points`` is
+the lattice-count DP with a full supply vector as state and a loop of its own
+for the forced last root of each row.  All are kept here, outside the
+package, as the references the engine must match exactly.
 """
 
 import math
@@ -28,6 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowvol.diffop
+from flowvol.diffop import node_residual
 from flowvol import (
     DiffOperator,
     MultiPoly,
@@ -37,6 +42,7 @@ from flowvol import (
     binomial_series_coeff,
     build_kernel,
     canonical_order,
+    count_lattice_points,
     homogeneous_monomials,
     integer_nullspace,
     iterated_residue,
@@ -222,6 +228,35 @@ def reference_lowering_operator(m, q):
         factor = MultiPoly.one(r + 1) + u * MultiPoly.variable(i + 1, r + 1)
         series = series * factor ** m.multiplicity(1, i)
     return {exps[1:]: c for exps, c in series.terms.items() if exps[0] == q}
+
+
+def reference_node_residuals(m, poly):
+    """{l: the expanded node-l operator applied to poly}, for l = r down to 1."""
+    return {l: op.apply(poly) for l, op in pde_system(m).labeled()}
+
+
+def reference_count_lattice_points(m, a):
+    """The lattice-count DP with the whole supply vector as state."""
+    r = m.rank
+    states = {tuple(a): 1}
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 2):
+            mu = m.multiplicity(i, j)
+            next_states = {}
+            last_in_row = j == r + 1
+            for state, ways in states.items():
+                available = state[i - 1]
+                flows = (available,) if last_in_row else range(available + 1)
+                for s in flows:
+                    new_state = list(state)
+                    new_state[i - 1] -= s
+                    if j <= r:
+                        new_state[j - 1] += s
+                    key = tuple(new_state)
+                    weight = ways * math.comb(s + mu - 1, mu - 1)
+                    next_states[key] = next_states.get(key, 0) + weight
+            states = next_states
+    return states.get((0,) * r, 0)
 
 
 def every_matrix(rank, entries):
@@ -481,3 +516,71 @@ class TestOperatorsMatchReference:
         rng = random.Random(3000 + 10 * rank + seed)
         mult = tuple(rng.choice(entries) for _ in range(rank * (rank + 1) // 2))
         operator_families_match_reference(MultiplicityMatrix(rank, mult))
+
+
+def failing_nodes(m, poly):
+    """Check ``node_residual`` against the expanded operators; count the nonzero residuals."""
+    fast = {l: node_residual(m, l, poly) for l in range(m.rank, 0, -1)}
+    assert fast == reference_node_residuals(m, poly), (m, poly)
+    for residual in fast.values():
+        assert_canonical(residual)
+    return sum(not residual.is_zero for residual in fast.values())
+
+
+def perturbed_failures(m, rng):
+    """Residuals of the volume (all zero) and of the volume plus one monomial of its degree."""
+    volume = iterated_residue(m).poly
+    assert failing_nodes(m, volume) == 0, m
+    return failing_nodes(m, volume + MultiPoly.monomial(rng.choice(homogeneous_monomials(m.rank, m.degree))))
+
+
+class TestNodeResidualMatchesExpandedOperator:
+    """The node operators applied one linear factor at a time, against their expansion."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_every_small_matrix(self, rank):
+        rng = random.Random(4000 + rank)
+        failures = sum(perturbed_failures(m, rng) for m in every_matrix(rank, (1, 2, 3)))
+        # at rank 1 every polynomial of the volume degree is annihilated
+        assert failures > 0 or rank == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_rank_five(self, seed):
+        rng = random.Random(4100 + seed)
+        m = MultiplicityMatrix(5, tuple(rng.choice((1, 2)) for _ in range(15)))
+        assert perturbed_failures(m, rng) > 0
+
+    def test_variable_count_mismatch(self):
+        with pytest.raises(ValueError):
+            node_residual(MultiplicityMatrix(2, (1, 1, 1)), 1, MultiPoly.one(3))
+
+
+class TestFoldedLatticeCountMatchesReference:
+    """The DP with each row's forced root folded in, against the full-state DP."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_every_small_matrix_at_every_small_supply(self, rank):
+        points = list(product(range(4), repeat=rank))
+        for m in every_matrix(rank, (1, 2, 3)):
+            for a in points:
+                assert count_lattice_points(m, a) == reference_count_lattice_points(m, a), (m, a)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_seeded_rank_four_dilations(self, seed):
+        rng = random.Random(4200 + seed)
+        m = MultiplicityMatrix(4, tuple(rng.choice((1, 2)) for _ in range(10)))
+        self.check_dilations(m, tuple(rng.choice((1, 2)) for _ in range(4)))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_seeded_rank_five_dilations(self, seed):
+        # one entry 2 at a seeded position: degree 11; the reference DP
+        # takes seconds per table once a has entries 2 as well
+        mult = [1] * 15
+        mult[random.Random(4300 + seed).randrange(15)] = 2
+        self.check_dilations(MultiplicityMatrix(5, tuple(mult)), (1,) * 5)
+
+    @staticmethod
+    def check_dilations(m, a):
+        for t in range(m.degree + 1):
+            point = tuple(t * x for x in a)
+            assert count_lattice_points(m, point) == reference_count_lattice_points(m, point), (m, t)

@@ -24,7 +24,6 @@ from .oracle import (
     compare_volume,
     count_lattice_points,
     dilation_counts,
-    ehrhart_leading_coefficient,
 )
 from .polynomial import (
     MultiPoly,
@@ -69,7 +68,6 @@ __all__ = [
     "compare_volume",
     "count_lattice_points",
     "dilation_counts",
-    "ehrhart_leading_coefficient",
     "grlex_key",
     "homogeneous_monomials",
     "integer_nullspace",

@@ -11,7 +11,8 @@ form @path reads either format from a file.
 
 Exit codes: 0 success, 1 property violation (an exact identity failed),
 2 input error.  A problem whose volume degree exceeds ``MAX_DEGREE``, or a
-``kernel --degree`` above it, is an input error.
+``kernel --degree`` or ``oracle-compare --dilations`` above it, is an input
+error.
 """
 
 from __future__ import annotations
@@ -275,6 +276,8 @@ def run_command(
             point.append(int(x))
         if dilations is not None and dilations < m.degree:
             raise SpecError(f"--dilations must be at least the degree {m.degree}")
+        if dilations is not None and dilations > MAX_DEGREE:
+            raise SpecError(f"--dilations {dilations} is above the ceiling {MAX_DEGREE}")
         try:
             report = compare_volume(m, point, t_max=dilations)
         except ValueError as exc:

@@ -8,21 +8,28 @@ and its leading coefficient equals the volume polynomial evaluated at a
 (the root lattice is unimodular, so no normalization factor appears).
 
 Counts come from a dynamic program over the roots in the fixed order
-(1,2), (1,3), ..., (1,r+1), (2,3), ...: the state is the remaining supply
-vector, a root of multiplicity mu carrying total flow s contributes
-C(s + mu - 1, mu - 1) ways to split the flow over its parallel copies, and
-the last root (i, r+1) of each row must drain node i's remaining supply
-exactly.
+(1,2), (1,3), ..., (1,r+1), (2,3), ...: a root of multiplicity mu carrying
+total flow s contributes C(s + mu - 1, mu - 1) ways to split the flow over
+its parallel copies, and the last root (i, r+1) of each row must drain node
+i's remaining supply exactly.
 
-That last root is forced, so it gets no loop of its own: in the loop of root
-(i, r), flow s leaves avail - s for (i, r+1), and the weight of that forced
-flow, C(avail - s + mu - 1, mu - 1), is multiplied in at once.  After it
-node i is drained and never touched again, so while row i runs the state key
-holds only the remaining supplies of nodes i..r, and the next row's states
-come out of root (i, r) already without node i.  Row r has no root (r, r):
-its count is the sum of the states' ways times the forced weight of their one
-remaining supply (at rank 1 that is the whole count).  Each root's weights
-C(s + mu - 1, mu - 1) are tabulated once, for every flow s node i can hold.
+The program runs on running sums.  While row i runs, the state maps each
+tuple of supplies of nodes i+1..r to a list of ways indexed by x, the
+remaining supply of node i; row 1 starts from the one list [0]*a_1 + [1].
+Since sum_s C(s + mu - 1, mu - 1) u^s = (1 - u)^(-mu), splitting s units over
+mu parallel copies is the same as mu moves over a single copy.  After a
+single-copy move from node i to node j, with y node j's supply,
+out(x, y) = sum_{s>=0} in(x + s, y - s), and that sum satisfies
+out(x, y) = in(x, y) + out(x + 1, y - 1).  So with the lists grouped by the
+key without y, one copy is one pass over y ascending,
+out[y] = in[y] + out[y-1][1:] (the shorter list padded with zeros), kept
+going while the carried list has more than one entry; root (i, j) is
+m[i,j] such passes.  After root (i, r) the forced root (i, r+1) takes all of
+x: each list is contracted with its weights C(x + mu - 1, mu - 1), and the
+total is added to row i+1's list for the supplies of nodes i+2..r, at the
+index given by node i+1's supply.  Row r's contraction is the count.  Every
+step is an exact identity of integer sums, so the count is the same integer
+as the plain loop over every flow s of every root would give.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import add, mul
+from typing import Iterator, Sequence
 
 from .multiplicity import MultiplicityMatrix
 from .polynomial import MultiPoly
@@ -54,34 +62,57 @@ def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
     point = _checked_point(m, a, minimum=0)
     r = m.rank
 
-    def weights(i: int, j: int) -> list[int]:
-        """C(s + mu - 1, mu - 1) for root (i, j), for every flow s node i can hold."""
-        mu = m.multiplicity(i, j)
-        return [math.comb(s + mu - 1, mu - 1) for s in range(sum(point[:i]) + 1)]
+    def one_copy(column: list[list[int]]) -> Iterator[list[int]]:
+        """One parallel copy of a root: yields out[y] = in[y] + out[y-1][1:], zero-padded."""
+        carry: list[int] = []
+        for ways in column:
+            shifted = carry[1:]
+            if len(ways) < len(shifted):
+                ways, shifted = shifted, ways
+            carry = [*map(add, ways, shifted), *ways[len(shifted):]] if shifted else ways
+            yield carry
+        while len(carry) > 1:
+            carry = carry[1:]
+            yield carry
 
-    states: dict[tuple[int, ...], int] = {point: 1}
+    def move(states: dict, k: int, copies: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        """Send flow from the row's node to the node at key position k over every copy.
+
+        Yields the moved (key, ways) pairs as the last copy makes them and
+        empties ``states``, so that each group's lists are freed once moved.
+        """
+        columns: dict[tuple[int, ...], dict[int, list[int]]] = {}
+        for key, ways in states.items():
+            columns.setdefault(key[:k] + key[k + 1:], {})[key[k]] = ways
+        states.clear()
+        while columns:
+            rest, by_y = columns.popitem()
+            column = [by_y.pop(y, []) for y in range(max(by_y) + 1)]
+            for _ in range(copies - 1):
+                column = list(one_copy(column))
+            for y, ways in enumerate(one_copy(column)):
+                if ways:
+                    yield rest[:k] + (y,) + rest[k:], ways
+
+    def forced(i: int) -> list[int]:
+        """C(x + mu - 1, mu - 1) for the forced root (i, r+1), for every x node i can hold."""
+        mu = m.multiplicity(i, r + 1)
+        return [math.comb(x + mu - 1, mu - 1) for x in range(sum(point[:i]) + 1)]
+
+    states = {point[1:]: [0] * point[0] + [1]}
     for i in range(1, r):
         for j in range(i + 1, r):
-            weight = weights(i, j)
-            next_states: dict[tuple[int, ...], int] = {}
-            k = j - i
-            for state, ways in states.items():
-                available, mid, base, tail = state[0], state[1:k], state[k], state[k + 1:]
-                for s in range(available + 1):
-                    key = (available - s,) + mid + (base + s,) + tail
-                    next_states[key] = next_states.get(key, 0) + ways * weight[s]
-            states = next_states
-        # root (i, r) with the forced root (i, r+1) folded in: node i drains
-        weight, forced = weights(i, r), weights(i, r + 1)
-        next_states = {}
-        for state, ways in states.items():
-            available, rest, last = state[0], state[1:-1], state[-1]
-            for s in range(available + 1):
-                key = rest + (last + s,)
-                next_states[key] = next_states.get(key, 0) + ways * weight[s] * forced[available - s]
+            states = dict(move(states, j - i - 1, m.multiplicity(i, j)))
+        # root (i, r), then node i drains over (i, r+1): each moved list is
+        # contracted at once, and the total lands at node i+1's supply
+        weight = forced(i)
+        next_states: dict[tuple[int, ...], list[int]] = {}
+        for key, ways in move(states, r - i - 1, m.multiplicity(i, r)):
+            column = next_states.setdefault(key[1:], [])
+            column.extend([0] * (key[0] + 1 - len(column)))
+            column[key[0]] += sum(map(mul, ways, weight))
         states = next_states
-    forced = weights(r, r + 1)
-    return sum(ways * forced[state[0]] for state, ways in states.items())
+    return sum(map(mul, states[()], forced(r)))
 
 
 def _newton_fit(values: Sequence[int]) -> MultiPoly:
@@ -141,11 +172,6 @@ def dilation_counts(m: MultiplicityMatrix, a: Sequence[int], t_max: int | None =
                 "polynomial; the supply vector is degenerate or counting is wrong"
             )
     return CountTable(m, point, counts, fitted)
-
-
-def ehrhart_leading_coefficient(m: MultiplicityMatrix, a: Sequence[int]) -> Fraction:
-    """Leading coefficient of the dilation-count polynomial at interior a."""
-    return dilation_counts(m, a).leading_coefficient
 
 
 @dataclass(frozen=True)

@@ -282,6 +282,20 @@ class TestDegreeCeiling:
         with pytest.raises(SpecError, match="ceiling"):
             run_command(spec, "kernel", degree=MAX_DEGREE + 1)
 
+    def test_dilations_above_ceiling_exits_2(self, capsys):
+        spec = "r=2; m[1,2]=1; m[1,3]=1; m[2,3]=1; a=(1,1)"
+        with pytest.raises(SpecError, match="--dilations 101 is above the ceiling 100"):
+            run_command(parse_spec(spec), "oracle-compare", dilations=MAX_DEGREE + 1)
+        assert main(["oracle-compare", spec, "--dilations", str(MAX_DEGREE + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_dilations_ceiling_is_inclusive(self, capsys):
+        spec = "r=2; m[1,2]=1; m[1,3]=1; m[2,3]=1; a=(1,1)"
+        assert main(["oracle-compare", spec, "--dilations", str(MAX_DEGREE)]) == 0
+        assert "exact match" in capsys.readouterr().out
+
 
 class TestMainEntry:
     def test_success_exit_code(self, capsys):

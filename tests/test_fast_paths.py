@@ -18,8 +18,9 @@ operator products, as the package did before both were read off their
 closed forms.  ``reference_node_residuals`` applies each expanded node
 operator of ``pde_system`` with ``op.apply``, where ``node_residual`` applies
 its linear factors one at a time, and ``reference_count_lattice_points`` is
-the lattice-count DP with a full supply vector as state and a loop of its own
-for the forced last root of each row.  All are kept here, outside the
+the lattice-count DP with a full supply vector as state and a loop over every
+flow s of every root, the forced last root of each row included, where
+``count_lattice_points`` runs on running sums.  All are kept here, outside the
 package, as the references the engine must match exactly.
 """
 
@@ -29,7 +30,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import flowvol.diffop
 from flowvol.diffop import node_residual
@@ -584,3 +585,38 @@ class TestFoldedLatticeCountMatchesReference:
         for t in range(m.degree + 1):
             point = tuple(t * x for x in a)
             assert count_lattice_points(m, point) == reference_count_lattice_points(m, point), (m, t)
+
+
+@st.composite
+def matrices_with_supplies(draw):
+    m = draw(multiplicity_matrices(min_rank=1, max_rank=3, max_mult=4))
+    return m, tuple(draw(st.integers(min_value=0, max_value=6)) for _ in range(m.rank))
+
+
+class TestRunningSumLatticeCount:
+    """One shifted-list pass per parallel copy, against the full-state DP."""
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_up_to_five_copies_at_every_small_supply(self, rank):
+        points = list(product(range(5), repeat=rank))
+        for m in every_matrix(rank, (1, 2, 3, 4, 5)):
+            for a in points:
+                assert count_lattice_points(m, a) == reference_count_lattice_points(m, a), (m, a)
+
+    @given(matrices_with_supplies())
+    @example((MultiplicityMatrix(3, (2, 1, 3, 4, 1, 2)), (3, 0, 5)))
+    @example((MultiplicityMatrix(3, (1, 4, 2, 3, 1, 1)), (6, 0, 0)))
+    def test_property(self, case):
+        m, a = case
+        assert count_lattice_points(m, a) == reference_count_lattice_points(m, a)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_certify_deep_shaped_tables(self, seed):
+        # rank 4 with 3-5 entries 2 and a a permutation of (1,1,2,2)
+        rng = random.Random(4400 + seed)
+        mult = [1] * 10
+        for position in rng.sample(range(10), 3 + seed):
+            mult[position] = 2
+        m = MultiplicityMatrix(4, tuple(mult))
+        a = rng.choice(sorted(set(permutations((1, 1, 2, 2)))))
+        TestFoldedLatticeCountMatchesReference.check_dilations(m, a)

@@ -32,7 +32,6 @@ from .polynomial import (
     homogeneous_monomials,
 )
 from .residue import (
-    ResidueKernel,
     ResidueSum,
     ResidueTerm,
     VolumePolynomial,
@@ -55,7 +54,6 @@ __all__ = [
     "OperatorLadder",
     "PdeSystem",
     "ProblemSpec",
-    "ResidueKernel",
     "ResidueSum",
     "ResidueTerm",
     "SpecError",

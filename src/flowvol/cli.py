@@ -12,7 +12,8 @@ form @path reads either format from a file.
 Exit codes: 0 success, 1 property violation (an exact identity failed),
 2 input error.  A problem whose volume degree exceeds ``MAX_DEGREE``, or a
 ``kernel --degree`` or ``oracle-compare --dilations`` above it, is an input
-error.
+error, and so is an evaluation point too large to print (``MAX_POINT_BITS``)
+or written in exponent notation.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ from .residue import canonical_order, iterated_residue, residue_in_order
 # for hours or exhausting memory.
 MAX_DEGREE = 100
 
+# Python refuses to print an int of more than 4,300 digits (about 14,284
+# bits).  At a point with entries p_i/q_i of at most b bits, a degree-d
+# value over the common denominator prod q_i^d has a numerator of at most
+# r*d*b bits from the point, and each entry has b, so a point with
+# r * max(d, 1) * b above this ceiling is refused.  The other 4,284 bits
+# cover the volume coefficients (their denominators divide d!, 525 bits at
+# MAX_DEGREE) and the sum over the monomials.
+MAX_POINT_BITS = 10_000
+
 
 class SpecError(ValueError):
     """Malformed or inconsistent problem specification."""
@@ -58,6 +68,9 @@ _PAIR_KEY = re.compile(r"^m\[(\d+),(\d+)\]$")
 
 
 def _parse_rational(text: str) -> Fraction:
+    # Fraction would expand an exponent such as 1e10000000 before any size check.
+    if re.search(r"[eE][-+]?\d", text):
+        raise SpecError(f"exponent notation is not accepted, got {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -89,8 +102,15 @@ def _build(rank: int | None, entries: dict[tuple[int, int], int],
     degree = sum(entries.values()) - rank
     if degree > MAX_DEGREE:
         raise SpecError(f"volume degree {degree} is above the ceiling {MAX_DEGREE}")
-    if a is not None and len(a) != rank:
-        raise SpecError(f"a has {len(a)} entries, expected {rank}")
+    if a is not None:
+        if len(a) != rank:
+            raise SpecError(f"a has {len(a)} entries, expected {rank}")
+        bits = max(n.bit_length() for x in a for n in (x.numerator, x.denominator))
+        if rank * max(degree, 1) * bits > MAX_POINT_BITS:
+            raise SpecError(
+                f"evaluation point of {bits}-bit entries at rank {rank} and degree {degree} "
+                f"is above the ceiling rank * max(degree, 1) * bits <= {MAX_POINT_BITS}"
+            )
     return ProblemSpec(rank, tuple(entries[p] for p in pairs), a)
 
 

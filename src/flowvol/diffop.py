@@ -17,8 +17,8 @@ vectors (p_(l+1), ..., p_r) with p_(l+1) + ... + p_r = q of
 prod_j C(m[l,j], p_j) d_j^p_j.  Distinct vectors give distinct monomials, so
 no two terms of the expansion merge, and every coefficient is an integer.
 ``_node_terms`` is that coefficient rule for any weight in place of C(m, p);
-``pde_system`` uses it with the binomial coefficients, and the rank-induction
-operators of ``induction`` use it at node 1.
+``_node_operator`` uses it with the binomial coefficients, and the
+rank-induction operators of ``induction`` use it at node 1.
 
 To test a candidate, ``node_residual`` never expands the node operator.  It
 applies d_l m[l,r+1] times and then each linear factor d_l - d_j m[l,j]
@@ -35,9 +35,10 @@ only to be thrown away.
 Within homogeneous polynomials of the volume degree, the common kernel of
 these operators is one-dimensional and spanned by the volume polynomial; one
 degree higher it is zero.  ``solution_space`` computes that kernel exactly by
-fraction-free elimination on the monomial basis; it still needs the
-expanded operators of ``pde_system``, as the matrix entries are their
-coefficients.
+fraction-free elimination on the monomial basis.  The matrix entries are the
+coefficients of the expanded operators, so it reads their integer terms from
+``_node_operator`` directly; ``pde_system`` wraps the same terms as
+``DiffOperator`` objects.
 """
 
 from __future__ import annotations
@@ -169,18 +170,21 @@ class PdeSystem:
         return [(self.m.rank - idx, op) for idx, op in enumerate(self.ops)]
 
 
+def _node_operator(m: MultiplicityMatrix, l: int) -> dict[Exponents, int]:
+    """The node-l operator read off its binomial expansion, as ``{exponents: int}``."""
+    order = m.row_sum(l)
+    terms = {}
+    for q in range(order - m.multiplicity(l, m.rank + 1) + 1):
+        for exps, coeff in _node_terms(m, l, q, comb).items():
+            terms[exps[: l - 1] + (order - q,) + exps[l:]] = (-1) ** q * coeff
+    return terms
+
+
 def pde_system(m: MultiplicityMatrix) -> PdeSystem:
     """Build the annihilating operator of every node from its binomial expansion."""
     r = m.rank
-    ops = []
-    for l in range(r, 0, -1):
-        order = m.row_sum(l)
-        terms = {}
-        for q in range(order - m.multiplicity(l, r + 1) + 1):
-            for exps, coeff in _node_terms(m, l, q, comb).items():
-                terms[exps[: l - 1] + (order - q,) + exps[l:]] = (-1) ** q * coeff
-        ops.append(DiffOperator(MultiPoly(r, terms)))
-    return PdeSystem(m, tuple(ops))
+    ops = tuple(DiffOperator(MultiPoly(r, _node_operator(m, l))) for l in range(r, 0, -1))
+    return PdeSystem(m, ops)
 
 
 def node_residual(m: MultiplicityMatrix, l: int, poly: MultiPoly) -> MultiPoly:
@@ -223,29 +227,27 @@ def annihilates(m: MultiplicityMatrix, v: VolumePolynomial | MultiPoly) -> bool:
 def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     """Exact basis of the homogeneous degree-d polynomials killed by the system.
 
-    Stacks the coefficient matrix of every operator on the degree-d monomial
-    basis, one sparse row ``{column: int}`` per target monomial (empty rows
-    included), filled from the operator's integer terms by the monomial rule
-    of ``_derivatives``, and extracts its null space by sparse fraction-free
-    elimination.  At the
-    volume degree the basis is normalized to the expected corner coefficient;
-    at other degrees each basis element is made monic in its graded-lex
-    leading term.
+    Stacks the coefficient matrix of every operator, for node l = rank down
+    to 1, on the degree-d monomial basis, one sparse row ``{column: int}``
+    per target monomial (empty rows included), filled from the operator's
+    integer terms by the monomial rule of ``_derivatives``, and extracts its
+    null space by sparse fraction-free elimination.  The node-l operator is
+    homogeneous of order row_sum(l) (its term d_l^row_sum(l) has coefficient
+    1), so it adds no rows at a degree below that order.  At the volume
+    degree the basis is normalized to the expected corner coefficient; at
+    other degrees each basis element is made monic in its graded-lex leading
+    term.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     r = m.rank
     columns = homogeneous_monomials(r, degree)
     rows: list[dict[int, int]] = []
-    for op in pde_system(m).ops:
-        order = op.order()
-        if order is None or order > degree:
+    for l in range(r, 0, -1):
+        order = m.row_sum(l)
+        if order > degree:
             continue  # operator kills all of this degree, no constraints
-        terms = []
-        for dexps, coeff in op.poly.terms.items():
-            if coeff.denominator != 1:
-                raise ArithmeticError(f"operator coefficient {coeff} is not an integer")
-            terms.append((dexps, coeff.numerator))
+        terms = _node_operator(m, l).items()
         targets = {exps: i for i, exps in enumerate(homogeneous_monomials(r, degree - order))}
         block: list[dict[int, int]] = [{} for _ in targets]
         for col, exps in enumerate(columns):

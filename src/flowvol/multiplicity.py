@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 
 def root_pairs(rank: int) -> list[tuple[int, int]]:
@@ -41,17 +40,6 @@ class MultiplicityMatrix:
         for (i, j), value in zip(root_pairs(self.rank), self.mult):
             if type(value) is not int or value < 1:
                 raise ValueError(f"multiplicity m[{i},{j}] must be a positive integer")
-
-    @classmethod
-    def from_entries(cls, rank: int, entries: Mapping[tuple[int, int], int]) -> "MultiplicityMatrix":
-        pairs = root_pairs(rank)
-        missing = [p for p in pairs if p not in entries]
-        if missing:
-            raise ValueError(f"missing multiplicities for pairs {missing}")
-        extra = [p for p in entries if p not in pairs]
-        if extra:
-            raise ValueError(f"pairs {extra} out of range for rank {rank}")
-        return cls(rank, tuple(entries[p] for p in pairs))
 
     def pairs(self) -> list[tuple[int, int]]:
         return root_pairs(self.rank)

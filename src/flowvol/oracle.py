@@ -30,6 +30,15 @@ total is added to row i+1's list for the supplies of nodes i+2..r, at the
 index given by node i+1's supply.  Row r's contraction is the count.  Every
 step is an exact identity of integer sums, so the count is the same integer
 as the plain loop over every flow s of every root would give.
+
+The fit stays in integers.  The forward differences D^k v(0) of the counts
+v(0), v(1), ... are the Newton coefficients in the basis C(t, k), so the
+degree-d polynomial through v(0..d) is p(t) = sum_(k<=d) D^k v(0) C(t, k),
+and its leading coefficient is D^d v(0) / d!.  Further dilations are checked
+on the differences of all tabulated counts: the polynomial through v(0..k)
+is p plus sum_(d<j<=k) D^j v(0) C(t, j), so if D^j v(0) = 0 for d < j < k,
+p meets v(0..k-1) and misses v(k) by exactly D^k v(0).  The first nonzero
+difference above index d is therefore the first dilation off the fit.
 """
 
 from __future__ import annotations
@@ -37,11 +46,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterator, Sequence
 
 from .multiplicity import MultiplicityMatrix
-from .polynomial import MultiPoly
 from .residue import iterated_residue
 
 
@@ -115,20 +123,14 @@ def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
     return sum(map(mul, states[()], forced(r)))
 
 
-def _newton_fit(values: Sequence[int]) -> MultiPoly:
-    """Interpolating polynomial through (0, v0), (1, v1), ... as a MultiPoly in t."""
-    table = [Fraction(v) for v in values]
-    coeffs = [table[0]]
-    for level in range(1, len(values)):
-        table = [(table[i + 1] - table[i]) / level for i in range(len(table) - 1)]
-        coeffs.append(table[0])
-    poly = MultiPoly.zero(1)
-    basis = MultiPoly.one(1)
-    t = MultiPoly.variable(1, 1)
-    for node, c in enumerate(coeffs):
-        poly = poly + basis * c
-        basis = basis * (t - MultiPoly.constant(1, node))
-    return poly
+def _newton_fit(values: Sequence[int]) -> tuple[int, ...]:
+    """Forward differences at 0 of v0, v1, ...: the Newton coefficients in the basis C(t, k)."""
+    row = list(values)
+    differences = []
+    while row:
+        differences.append(row[0])
+        row = list(map(sub, row[1:], row[:-1]))
+    return tuple(differences)
 
 
 @dataclass(frozen=True)
@@ -138,22 +140,24 @@ class CountTable:
     m: MultiplicityMatrix
     a: tuple[int, ...]
     counts: tuple[int, ...]
-    fitted: MultiPoly
+    differences: tuple[int, ...]  # Newton coefficients of the fit, degree + 1 of them
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self.fitted.coefficient((self.m.degree,))
+        return Fraction(self.differences[self.m.degree], math.factorial(self.m.degree))
 
-    def predicted(self, t: int) -> Fraction:
-        return self.fitted.evaluate((t,))
+    def predicted(self, t: int) -> int:
+        return sum(d * math.comb(t, k) for k, d in enumerate(self.differences))
 
 
 def dilation_counts(m: MultiplicityMatrix, a: Sequence[int], t_max: int | None = None) -> CountTable:
     """Count t*a for t = 0..t_max and fit the degree-(volume degree) polynomial.
 
     The fit runs through the first degree+1 counts; any further tabulated
-    dilation must match it exactly, otherwise the counts are not polynomial
-    of the expected degree and an ArithmeticError reports the inconsistency.
+    dilation must match it exactly, that is every forward difference above
+    index degree must vanish (module docstring), otherwise the counts are
+    not polynomial of the expected degree and an ArithmeticError reports
+    the first dilation off the fit.
     """
     point = _checked_point(m, a, minimum=1)
     degree = m.degree
@@ -164,14 +168,14 @@ def dilation_counts(m: MultiplicityMatrix, a: Sequence[int], t_max: int | None =
     counts = tuple(
         count_lattice_points(m, tuple(t * x for x in point)) for t in range(t_max + 1)
     )
-    fitted = _newton_fit(counts[: degree + 1])
-    for t, count in enumerate(counts):
-        if fitted.evaluate((t,)) != count:
+    differences = _newton_fit(counts)
+    for t in range(degree + 1, t_max + 1):
+        if differences[t]:
             raise ArithmeticError(
-                f"count {count} at dilation {t} does not fit a degree-{degree} "
+                f"count {counts[t]} at dilation {t} does not fit a degree-{degree} "
                 "polynomial; the supply vector is degenerate or counting is wrong"
             )
-    return CountTable(m, point, counts, fitted)
+    return CountTable(m, point, counts, differences[: degree + 1])
 
 
 @dataclass(frozen=True)

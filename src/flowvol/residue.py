@@ -11,6 +11,8 @@ coordinates positive, is the iterated residue of the kernel: take the
 residue at 0 in x_r first, then x_{r-1}, and so on out to x_1.  The order
 matters; ``iterated_residue`` always uses this one, and ``residue_in_order``
 exists so tests can demonstrate that other orders give different answers.
+``build_kernel`` writes the kernel directly as the sum the steps start
+from: one term with coefficient 1.
 
 One residue step is computed exactly.  With x_k active, every factor other
 than the central pole x_k^-p is analytic at x_k = 0:
@@ -111,47 +113,20 @@ class ResidueSum:
         return total
 
 
-@dataclass(frozen=True)
-class ResidueKernel:
-    """The exponential kernel in factored form."""
+def build_kernel(m: MultiplicityMatrix) -> ResidueSum:
+    """The kernel as a one-term sum, every variable live and carrying its exponential.
 
-    m: MultiplicityMatrix
-    axis_orders: tuple[int, ...]
-    diff_orders: DiffFactors
-
-    def difference_order(self, i: int, j: int) -> int:
-        return dict(self.diff_orders).get((i, j), 0)
-
-    def to_sum(self) -> ResidueSum:
-        r = self.m.rank
-        xpow = tuple(-p for p in self.axis_orders)
-        term = {(xpow, self.diff_orders): MultiPoly.one(r)}
-        return ResidueSum.build(r, range(1, r + 1), range(1, r + 1), term)
-
-    def __str__(self) -> str:
-        r = self.m.rank
-        exponent = " + ".join(f"a{i}*x{i}" for i in range(1, r + 1))
-        factors = [
-            f"x{i}^{p}" if p > 1 else f"x{i}"
-            for i, p in enumerate(self.axis_orders, start=1)
-        ]
-        factors += [
-            f"(x{i} - x{j})^{q}" if q > 1 else f"(x{i} - x{j})"
-            for (i, j), q in self.diff_orders
-        ]
-        return f"exp({exponent}) / ({' * '.join(factors)})"
-
-
-def build_kernel(m: MultiplicityMatrix) -> ResidueKernel:
-    """Kernel with pole order m[i,r+1] at x_i = 0 and m[i,j] on x_i - x_j."""
+    Pole order m[i,r+1] at x_i = 0 and m[i,j] on x_i - x_j, coefficient 1.
+    """
     r = m.rank
-    axis = tuple(m.multiplicity(i, r + 1) for i in range(1, r + 1))
+    xpow = tuple(-m.multiplicity(i, r + 1) for i in range(1, r + 1))
     diff = tuple(
         ((i, j), m.multiplicity(i, j))
         for i in range(1, r)
         for j in range(i + 1, r + 1)
     )
-    return ResidueKernel(m, axis, diff)
+    live = frozenset(range(1, r + 1))
+    return ResidueSum(r, live, live, (ResidueTerm(MultiPoly.one(r), xpow, diff),))
 
 
 def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
@@ -231,7 +206,7 @@ def residue_in_order(m: MultiplicityMatrix, order: Sequence[int]) -> MultiPoly:
     """Iterated residue of the kernel, taking variables in the given order."""
     if sorted(order) != list(range(1, m.rank + 1)):
         raise ValueError(f"order {order} is not a permutation of 1..{m.rank}")
-    state = build_kernel(m).to_sum()
+    state = build_kernel(m)
     for var in order:
         state = residue_at_zero(state, var)
     return state.polynomial()

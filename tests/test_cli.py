@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ from flowvol import (
     render_spec,
     run_command,
 )
-from flowvol.cli import MAX_DEGREE, main
+from flowvol.cli import MAX_DEGREE, MAX_POINT_BITS, main
 
 GOLDEN_TEXT = "r=3; m[1,2]=1; m[1,3]=1; m[1,4]=2; m[2,3]=1; m[2,4]=2; m[3,4]=2"
 GOLDEN_RENDER = (
@@ -295,6 +296,42 @@ class TestDegreeCeiling:
         spec = "r=2; m[1,2]=1; m[1,3]=1; m[2,3]=1; a=(1,1)"
         assert main(["oracle-compare", spec, "--dilations", str(MAX_DEGREE)]) == 0
         assert "exact match" in capsys.readouterr().out
+
+
+class TestPointCeiling:
+    def exits_2(self, spec, capsys):
+        assert main(["volume", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
+    def test_exponent_notation_exits_2(self, capsys):
+        self.exits_2("r=1; m[1,2]=3; a=(1e3000)", capsys)
+
+    def test_huge_exponent_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        self.exits_2("r=1; m[1,2]=3; a=(1e10000000)", capsys)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("spec, bits, degree", [
+        # 10^3000 has 9,966 bits, under the ceiling at degree 1 only
+        ("r=1; m[1,2]=3; a=(1%s)" % ("0" * 3000), 9966, 2),
+        ("r=1; m[1,2]=3; a=(1/1%s)" % ("0" * 3000), 9966, 2),
+        # degree 0 counts as 1: 10^3100 has 10,298 bits
+        ("r=1; m[1,2]=1; a=(1%s)" % ("0" * 3100), 10298, 0),
+    ], ids=["numerator", "denominator", "degree-0"])
+    def test_point_too_large_to_print_exits_2(self, spec, bits, degree, capsys):
+        with pytest.raises(
+            SpecError, match=f"{bits}-bit entries at rank 1 and degree {degree} .* {MAX_POINT_BITS}$"
+        ):
+            parse_spec(spec)
+        self.exits_2(spec, capsys)
+
+    def test_thousand_digit_point_at_degree_one_is_accepted(self, capsys):
+        big = 10**999 + 7
+        assert main(["volume", f"r=1; m[1,2]=2; a=({big})"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"value at a=({big}): {big}"
 
 
 class TestMainEntry:

@@ -5,12 +5,10 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-import flowvol.diffop
 from flowvol import (
     DiffOperator,
     MultiPoly,
     MultiplicityMatrix,
-    PdeSystem,
     annihilates,
     iterated_residue,
     pde_system,
@@ -155,13 +153,6 @@ class TestSolutionSpace:
         m = MultiplicityMatrix(4, tuple(rng.randint(1, 2) for _ in range(10)))
         assert solution_space(m, m.degree) == [iterated_residue(m).poly]
         assert solution_space(m, m.degree + 1) == []
-
-    def test_non_integer_operator_rejected(self, monkeypatch):
-        m = MultiplicityMatrix(2, (1, 1, 1))
-        half = DiffOperator(MultiPoly(2, {(1, 0): Fraction(1, 2)}))
-        monkeypatch.setattr(flowvol.diffop, "pde_system", lambda m: PdeSystem(m, (half,)))
-        with pytest.raises(ArithmeticError):
-            solution_space(m, 1)
 
     def test_every_degree_up_to_the_volume_degree_has_solutions(self):
         m = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 2))

@@ -38,13 +38,6 @@ def test_restriction_entries():
         restricted.restriction().restriction()
 
 
-def test_from_entries_roundtrip():
-    entries = dict(zip(root_pairs(3), GOLDEN.mult))
-    assert MultiplicityMatrix.from_entries(3, entries) == GOLDEN
-    with pytest.raises(ValueError):
-        MultiplicityMatrix.from_entries(3, {(1, 2): 1})
-
-
 @given(multiplicity_matrices())
 def test_row_sums_partition_total(m):
     assert sum(m.row_sums) == m.total

@@ -2,14 +2,19 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
+import flowvol.oracle
 from flowvol import (
+    CountTable,
+    MultiPoly,
     MultiplicityMatrix,
     compare_volume,
     count_lattice_points,
     dilation_counts,
     iterated_residue,
 )
+from flowvol.oracle import _newton_fit
 
 GOLDEN_M = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 2))
 
@@ -37,6 +42,33 @@ def brute_force_count(m, a):
         return total
 
     return recurse(0, supply)
+
+
+def reference_newton_fit(values):
+    """The fit as a Fraction MultiPoly in t, from divided differences and products."""
+    table = [Fraction(v) for v in values]
+    coeffs = [table[0]]
+    for level in range(1, len(values)):
+        table = [(table[i + 1] - table[i]) / level for i in range(len(table) - 1)]
+        coeffs.append(table[0])
+    poly = MultiPoly.zero(1)
+    basis = MultiPoly.one(1)
+    t = MultiPoly.variable(1, 1)
+    for node, c in enumerate(coeffs):
+        poly = poly + basis * c
+        basis = basis * (t - MultiPoly.constant(1, node))
+    return poly
+
+
+def assert_fit_matches_reference(table, fitted_values):
+    """Leading coefficient and predictions for t = 0..2*len against the reference fit."""
+    fitted = reference_newton_fit(fitted_values)
+    degree = len(fitted_values) - 1
+    assert table.leading_coefficient == fitted.coefficient((degree,))
+    for t in range(2 * len(fitted_values) + 1):
+        predicted = table.predicted(t)
+        assert type(predicted) is int
+        assert predicted == fitted.evaluate((t,))
 
 
 class TestCounting:
@@ -120,6 +152,37 @@ class TestDilationTable:
     def test_insufficient_dilations_rejected(self):
         with pytest.raises(ValueError):
             dilation_counts(GOLDEN_M, (1, 1, 1), t_max=2)
+
+
+class TestIntegerFit:
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12))
+    def test_forward_differences_match_reference_fit(self, values):
+        degree = len(values) - 1
+        m = MultiplicityMatrix(1, (degree + 1,))
+        table = CountTable(m, (1,), tuple(values), _newton_fit(values))
+        assert_fit_matches_reference(table, values)
+
+    def test_every_small_family_table_matches_reference_fit(self):
+        for rank in (2, 3):
+            for mult in product((1, 2), repeat=rank * (rank + 1) // 2):
+                m = MultiplicityMatrix(rank, mult)
+                for a in product((1, 2), repeat=rank):
+                    table = dilation_counts(m, a)
+                    assert_fit_matches_reference(table, table.counts)
+
+    def test_count_off_the_fit_is_reported(self, monkeypatch):
+        m = MultiplicityMatrix(2, (2, 1, 1))
+        degree = m.degree
+        exact = count_lattice_points
+
+        def perturbed(m, point):
+            count = exact(m, point)
+            return count + 1 if point[0] == degree + 1 else count
+
+        monkeypatch.setattr(flowvol.oracle, "count_lattice_points", perturbed)
+        bad = exact(m, (degree + 1, degree + 1)) + 1
+        with pytest.raises(ArithmeticError, match=f"count {bad} at dilation {degree + 1} "):
+            dilation_counts(m, (1, 1), t_max=degree + 2)
 
 
 class TestLeadingCoefficient:

@@ -37,26 +37,27 @@ GOLDEN_POLY = MultiPoly(3, {
 class TestBuildKernel:
     def test_rank_one(self):
         kernel = build_kernel(MultiplicityMatrix(1, (3,)))
-        assert kernel.axis_orders == (3,)
-        assert kernel.diff_orders == ()
-        assert str(kernel) == "exp(a1*x1) / (x1^3)"
+        assert kernel.xvars == kernel.exp_vars == {1}
+        assert kernel.terms == (ResidueTerm(MultiPoly.one(1), (-3,), ()),)
 
     def test_rank_two_heavy_difference(self):
         kernel = build_kernel(MultiplicityMatrix(2, (4, 1, 1)))
-        assert kernel.axis_orders == (1, 1)
-        assert kernel.difference_order(1, 2) == 4
-        assert str(kernel) == "exp(a1*x1 + a2*x2) / (x1 * x2 * (x1 - x2)^4)"
+        assert kernel.xvars == kernel.exp_vars == {1, 2}
+        assert kernel.terms == (ResidueTerm(MultiPoly.one(2), (-1, -1), (((1, 2), 4),)),)
 
     def test_rank_three(self):
         kernel = build_kernel(GOLDEN_M)
-        assert kernel.axis_orders == (2, 2, 2)
-        assert kernel.diff_orders == (((1, 2), 1), ((1, 3), 1), ((2, 3), 1))
+        assert kernel.xvars == kernel.exp_vars == {1, 2, 3}
+        [term] = kernel.terms
+        assert term.coeff == MultiPoly.one(3)
+        assert term.xpow == (-2, -2, -2)
+        assert term.diff == (((1, 2), 1), ((1, 3), 1), ((2, 3), 1))
 
 
 class TestSingleResidue:
     @pytest.mark.parametrize("order", [1, 2, 3, 5])
     def test_exponential_over_power(self, order):
-        state = build_kernel(MultiplicityMatrix(1, (order,))).to_sum()
+        state = build_kernel(MultiplicityMatrix(1, (order,)))
         result = residue_at_zero(state, 1)
         expected = MultiPoly(1, {(order - 1,): Fraction(1, math.factorial(order - 1))})
         assert result.polynomial() == expected
@@ -82,7 +83,7 @@ class TestSingleResidue:
         )
 
     def test_consumed_variable_rejected(self):
-        state = build_kernel(MultiplicityMatrix(2, (1, 1, 1))).to_sum()
+        state = build_kernel(MultiplicityMatrix(2, (1, 1, 1)))
         once = residue_at_zero(state, 2)
         with pytest.raises(ValueError):
             residue_at_zero(once, 2)

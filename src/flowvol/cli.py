@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 property violation (an exact identity failed),
 2 input error.  A problem whose volume degree exceeds ``MAX_DEGREE``, or a
 ``kernel --degree`` or ``oracle-compare --dilations`` above it, is an input
 error, and so is an evaluation point too large to print (``MAX_POINT_BITS``)
-or written in exponent notation.
+or written in exponent notation, and an ``oracle-compare`` whose largest
+dilated supply is above ``MAX_SUPPLY``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ from .residue import canonical_order, iterated_residue, residue_in_order
 # m=2: degree 49), so that far larger inputs fail at once instead of running
 # for hours or exhausting memory.
 MAX_DEGREE = 100
+
+# The lattice count keeps lists of ways indexed by the remaining supplies, so
+# its memory grows with the supply (a = (1000000000) at rank 1 asks for a
+# list of a billion ways) and its time with a power of it that rises with the
+# rank.  ``oracle-compare`` refuses a largest dilated supply t_max * sum(a)
+# above this, which admits ``--dilations`` at its ceiling on a = (1, 1).  At
+# the ceiling, with all m=1, rank 3 counts in under 0.1 s and rank 4 in 3.5 s
+# at its worst point, a = (30, 1, 1, 1), on a 2-core VM.
+MAX_SUPPLY = 200
 
 # Python refuses to print an int of more than 4,300 digits (about 14,284
 # bits).  At a point with entries p_i/q_i of at most b bits, a degree-d
@@ -298,6 +308,11 @@ def run_command(
             raise SpecError(f"--dilations must be at least the degree {m.degree}")
         if dilations is not None and dilations > MAX_DEGREE:
             raise SpecError(f"--dilations {dilations} is above the ceiling {MAX_DEGREE}")
+        supply = (m.degree if dilations is None else dilations) * sum(point)
+        if supply > MAX_SUPPLY:
+            raise SpecError(
+                f"largest dilated supply t_max * sum(a) = {supply} is above the ceiling {MAX_SUPPLY}"
+            )
         try:
             report = compare_volume(m, point, t_max=dilations)
         except ValueError as exc:

@@ -39,6 +39,25 @@ fraction-free elimination on the monomial basis.  The matrix entries are the
 coefficients of the expanded operators, so it reads their integer terms from
 ``_node_operator`` directly; ``pde_system`` wraps the same terms as
 ``DiffOperator`` objects.
+
+The matrix is built only on the monomials the node-r operator leaves alive.
+That operator is d_r^c with c = m[r,r+1].  It maps each monomial x^e with
+e_r >= c to a nonzero multiple of x^(e - c u_r), and distinct monomials to
+distinct ones, so its kernel in any degree is spanned by the live monomials,
+those with e_r < c, and every common kernel vector vanishes off them.  A
+derivative only lowers exponents, so the other operators map live monomials
+to live monomials: the rows of the full matrix at dead targets, and the
+node-r block, are zero on the live columns.  Dropping the dead columns, those
+rows and the node-r block therefore leaves the null space unchanged, with
+zeros put back on the dead columns.  The basis is unchanged too.  Pivots are
+taken in column order, so column k of the full matrix is free exactly when some kernel vector with x_k = 1 is zero
+on every later column; that vector is zero on the dead columns, so k is live
+and the same vector shows k free in the live matrix, and conversely.  The
+free columns are the same, in the same order, because the live columns keep
+the order of ``homogeneous_monomials``, and ``integer_nullspace`` returns the
+unique null basis that is the identity on the free columns (``linalg``
+docstring).  So the kernel comes out as the same polynomials in the same
+order as from the full matrix.
 """
 
 from __future__ import annotations
@@ -224,31 +243,50 @@ def annihilates(m: MultiplicityMatrix, v: VolumePolynomial | MultiPoly) -> bool:
     return all(node_residual(m, l, poly).is_zero for l in range(m.rank, 0, -1))
 
 
+def _live_monomials(r: int, degree: int, bound: int) -> list[Exponents]:
+    """The degree-d exponent vectors with e_r < bound, in ``homogeneous_monomials`` order.
+
+    Built as the degree-(d - e_r) vectors in the first r - 1 exponents for
+    each e_r < bound; that order is descending lexicographic, so one sort of
+    their union restores it.
+    """
+    if r == 1:
+        return [(degree,)] if degree < bound else []
+    heads = (
+        head + (last,)
+        for last in range(min(bound, degree + 1))
+        for head in homogeneous_monomials(r - 1, degree - last)
+    )
+    return sorted(heads, reverse=True)
+
+
 def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     """Exact basis of the homogeneous degree-d polynomials killed by the system.
 
-    Stacks the coefficient matrix of every operator, for node l = rank down
-    to 1, on the degree-d monomial basis, one sparse row ``{column: int}``
-    per target monomial (empty rows included), filled from the operator's
-    integer terms by the monomial rule of ``_derivatives``, and extracts its
-    null space by sparse fraction-free elimination.  The node-l operator is
-    homogeneous of order row_sum(l) (its term d_l^row_sum(l) has coefficient
-    1), so it adds no rows at a degree below that order.  At the volume
-    degree the basis is normalized to the expected corner coefficient; at
-    other degrees each basis element is made monic in its graded-lex leading
-    term.
+    Stacks the coefficient matrix of the operator of every node l = rank - 1
+    down to 1 on the degree-d monomials the node-r operator leaves alive
+    (module docstring), one sparse row ``{column: int}`` per live target
+    monomial (empty rows included), filled from the operator's integer terms
+    by the monomial rule of ``_derivatives``, and extracts its null space by
+    sparse fraction-free elimination.  The node-r operator itself adds no
+    rows: it kills every live monomial.  The node-l operator is homogeneous
+    of order row_sum(l) (its term d_l^row_sum(l) has coefficient 1), so it
+    adds no rows at a degree below that order.  At the volume degree the
+    basis is normalized to the expected corner coefficient; at other degrees
+    each basis element is made monic in its graded-lex leading term.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     r = m.rank
-    columns = homogeneous_monomials(r, degree)
+    bound = m.multiplicity(r, r + 1)
+    columns = _live_monomials(r, degree, bound)
     rows: list[dict[int, int]] = []
-    for l in range(r, 0, -1):
+    for l in range(r - 1, 0, -1):
         order = m.row_sum(l)
         if order > degree:
             continue  # operator kills all of this degree, no constraints
         terms = _node_operator(m, l).items()
-        targets = {exps: i for i, exps in enumerate(homogeneous_monomials(r, degree - order))}
+        targets = {exps: i for i, exps in enumerate(_live_monomials(r, degree - order, bound))}
         block: list[dict[int, int]] = [{} for _ in targets]
         for col, exps in enumerate(columns):
             for image, coeff in _derivatives(terms, ((exps, 1),)):

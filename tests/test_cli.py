@@ -21,7 +21,7 @@ from flowvol import (
     render_spec,
     run_command,
 )
-from flowvol.cli import MAX_DEGREE, MAX_POINT_BITS, main
+from flowvol.cli import MAX_DEGREE, MAX_POINT_BITS, MAX_SUPPLY, main
 
 GOLDEN_TEXT = "r=3; m[1,2]=1; m[1,3]=1; m[1,4]=2; m[2,3]=1; m[2,4]=2; m[3,4]=2"
 GOLDEN_RENDER = (
@@ -295,6 +295,30 @@ class TestDegreeCeiling:
     def test_dilations_ceiling_is_inclusive(self, capsys):
         spec = "r=2; m[1,2]=1; m[1,3]=1; m[2,3]=1; a=(1,1)"
         assert main(["oracle-compare", spec, "--dilations", str(MAX_DEGREE)]) == 0
+        assert "exact match" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", [
+        f"r=1; m[1,2]=2; a=({MAX_SUPPLY + 1})",
+        "r=1; m[1,2]=2; a=(1000000000)",
+        "r=3; m[1,2]=1; m[1,3]=1; m[1,4]=1; m[2,3]=1; m[2,4]=1; m[3,4]=1; a=(400,400,400)",
+    ])
+    def test_supply_above_ceiling_exits_2(self, spec, capsys):
+        assert main(["oracle-compare", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: largest dilated supply")
+        assert f"above the ceiling {MAX_SUPPLY}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_supply_ceiling_counts_the_dilations(self):
+        k = MAX_SUPPLY // (2 * MAX_DEGREE) + 1
+        spec = parse_spec(f"r=2; m[1,2]=1; m[1,3]=1; m[2,3]=1; a=({k},{k})")
+        assert run_command(spec, "oracle-compare")[1] == 0
+        with pytest.raises(SpecError, match=f"= {2 * k * MAX_DEGREE} is above"):
+            run_command(spec, "oracle-compare", dilations=MAX_DEGREE)
+
+    def test_supply_ceiling_is_inclusive(self, capsys):
+        assert main(["oracle-compare", f"r=1; m[1,2]=2; a=({MAX_SUPPLY})"]) == 0
         assert "exact match" in capsys.readouterr().out
 
 

@@ -154,6 +154,13 @@ class TestSolutionSpace:
         assert solution_space(m, m.degree) == [iterated_residue(m).poly]
         assert solution_space(m, m.degree + 1) == []
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rank_five_seeded(self, seed):
+        rng = random.Random(950 + seed)
+        m = MultiplicityMatrix(5, tuple(rng.randint(1, 2) for _ in range(15)))
+        assert solution_space(m, m.degree) == [iterated_residue(m).poly]
+        assert solution_space(m, m.degree + 1) == []
+
     def test_every_degree_up_to_the_volume_degree_has_solutions(self):
         m = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 2))
         for degree in range(m.degree + 1):

@@ -10,9 +10,11 @@ it.  ``_bounded_vectors`` and ``_weak_compositions`` enumerate what the
 residue step and the lowering operators take from ``homogeneous_monomials``,
 directly.  ``reference_integer_nullspace`` is the dense Bareiss elimination
 with Fraction back-substitution that the sparse Gauss-Jordan solve replaced,
-and ``reference_operator_rows`` builds the kernel matrix from one
-``op.apply`` per monomial.  ``reference_pde_system`` multiplies out
-the node operators prod_j (d_l - d_j)^m[l,j] * d_l^m[l,r+1] and
+``reference_operator_rows`` builds the kernel matrix on every monomial from
+one ``op.apply`` per monomial, and ``reference_solution_space`` solves that
+full matrix, node-r block included, where ``solution_space`` keeps only the
+monomials the node-r operator leaves alive.  ``reference_pde_system``
+multiplies out the node operators prod_j (d_l - d_j)^m[l,j] * d_l^m[l,r+1] and
 ``reference_ladder_steps`` runs E_n = sum_j (-1)^(j+1) D_j E_(n-j) as
 operator products, as the package did before both were read off their
 closed forms.  ``reference_node_residuals`` applies each expanded node
@@ -175,22 +177,53 @@ def reference_integer_nullspace(rows, ncols):
 
 
 def reference_operator_rows(m, degree):
-    """The stacked operator blocks, one checked monomial and one ``apply`` per column."""
+    """The stacked operator blocks on every monomial, one checked monomial and one
+    ``apply`` per column.
+
+    Returns the columns and one ``(node, target monomial, dense row)`` per row.
+    """
     r = m.rank
     columns = homogeneous_monomials(r, degree)
     rows = []
-    for op in pde_system(m).ops:
+    for l, op in pde_system(m).labeled():
         order = op.order()
         if order is None or order > degree:
             continue
-        targets = {exps: i for i, exps in enumerate(homogeneous_monomials(r, degree - order))}
+        targets = homogeneous_monomials(r, degree - order)
+        index = {exps: i for i, exps in enumerate(targets)}
         block = [[0] * len(columns) for _ in targets]
         for col, exps in enumerate(columns):
             for texps, coeff in op.apply(MultiPoly.monomial(exps)).terms.items():
                 assert coeff.denominator == 1
-                block[targets[texps]][col] = int(coeff)
+                block[index[texps]][col] = int(coeff)
+        rows.extend(zip([l] * len(targets), targets, block))
+    return columns, rows
+
+
+def reference_solution_space(m, degree):
+    """``solution_space`` as it was before it kept only the live columns.
+
+    Every operator, node-r block included, on every degree-d monomial.
+    """
+    r = m.rank
+    columns = homogeneous_monomials(r, degree)
+    rows = []
+    for l in range(r, 0, -1):
+        order = m.row_sum(l)
+        if order > degree:
+            continue
+        terms = flowvol.diffop._node_operator(m, l).items()
+        targets = {exps: i for i, exps in enumerate(homogeneous_monomials(r, degree - order))}
+        block = [{} for _ in targets]
+        for col, exps in enumerate(columns):
+            for image, coeff in flowvol.diffop._derivatives(terms, ((exps, 1),)):
+                block[targets[image]][col] = coeff
         rows.extend(block)
-    return rows
+    basis = []
+    for vector in integer_nullspace(rows, len(columns)):
+        poly = MultiPoly(r, {exps: c for exps, c in zip(columns, vector) if c})
+        basis.append(flowvol.diffop._normalize(m, degree, poly))
+    return basis
 
 
 def reference_pde_system(m):
@@ -471,15 +504,48 @@ class TestKernelSolveMatchesReference:
 
         monkeypatch.setattr(flowvol.diffop, "integer_nullspace", record)
         for m in every_matrix(rank, (1, 2)):
+            bound = m.multiplicity(rank, rank + 1)
             for degree in range(m.degree + 2):
                 seen.clear()
                 solution_space(m, degree)
                 [(rows, ncols)] = seen
                 assert all(all(row.values()) for row in rows), (m, degree)
                 dense = [[row.get(col, 0) for col in range(ncols)] for row in rows]
-                assert dense == reference_operator_rows(m, degree), (m, degree)
+                # the live part of the full matrix, and nothing else of it on the live columns
+                columns, labeled = reference_operator_rows(m, degree)
+                live = [k for k, exps in enumerate(columns) if exps[-1] < bound]
+                kept = [
+                    [row[k] for k in live]
+                    for l, target, row in labeled
+                    if l < rank and target[-1] < bound
+                ]
+                dropped = [row for l, target, row in labeled if l == rank or target[-1] >= bound]
+                assert dense == kept and ncols == len(live), (m, degree)
+                assert not any(row[k] for row in dropped for k in live), (m, degree)
                 expected = reference_integer_nullspace(dense, ncols)
                 assert integer_nullspace(rows, ncols) == expected, (m, degree)
+
+
+class TestLiveColumnKernelMatchesFullKernel:
+    """The kernel on the live columns against the kernel on every monomial."""
+
+    @staticmethod
+    def assert_same_kernel(m):
+        # every degree up to d + 1, not only d - 1 to d + 1: the wider kernels
+        # of the middle degrees are where a wrong column order shows
+        for degree in range(m.degree + 2):
+            assert solution_space(m, degree) == reference_solution_space(m, degree), (m, degree)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_every_small_matrix(self, rank):
+        for m in every_matrix(rank, (1, 2, 3)):
+            self.assert_same_kernel(m)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_rank_three(self, seed):
+        rng = random.Random(5000 + seed)
+        for _ in range(10):
+            self.assert_same_kernel(MultiplicityMatrix(3, tuple(rng.choice((1, 2, 3)) for _ in range(6))))
 
 
 def operator_families_match_reference(m):

@@ -26,6 +26,7 @@ def test_cross_validate_rank_two():
     result = run_script("cross_validate.py", "--max-rank", "2", "--max-mult", "2")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "8 matrices checked, 0 failures" in result.stdout
+    assert f"kernel rank=6 m={(1,) * 21}: ok (" in result.stdout
     assert "oracle sweep: 0 mismatches" in result.stdout
     assert "Traceback" not in result.stderr
 

@@ -65,8 +65,8 @@ def main(argv=None):
     parser.add_argument("--max-mult", type=int, default=2)
     parser.add_argument("--skip-kernel", action="store_true",
                         help="skip the operator-kernel checks (rank <= 3, m <= 3: "
-                             "about 1.2 s with them, 0.6 s without, on a 2-core VM; "
-                             "the fixed rank-6 kernel case adds 2.5 s)")
+                             "about 2.2 s with them, 1.3 s without, on a 2-core VM; "
+                             "the fixed rank-6 kernel case adds 0.4 s)")
     args = parser.parse_args(argv)
 
     started = time.perf_counter()

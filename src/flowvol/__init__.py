@@ -9,18 +9,12 @@ rationals; there is no floating point anywhere.
 """
 
 from .cli import ProblemSpec, SpecError, parse_spec, render_spec, run_command
-from .diffop import DiffOperator, PdeSystem, annihilates, pde_system, solution_space
-from .induction import (
-    OperatorLadder,
-    lift_volume,
-    lowering_operator,
-    operator_ladder,
-)
+from .diffop import DiffOperator, annihilates, pde_system, solution_space
+from .induction import lift_volume, lowering_operator, operator_ladder
 from .linalg import integer_nullspace
 from .multiplicity import MultiplicityMatrix, root_pairs
 from .oracle import (
     CountTable,
-    VolumeComparison,
     compare_volume,
     count_lattice_points,
     dilation_counts,
@@ -51,13 +45,10 @@ __all__ = [
     "DiffOperator",
     "MultiPoly",
     "MultiplicityMatrix",
-    "OperatorLadder",
-    "PdeSystem",
     "ProblemSpec",
     "ResidueSum",
     "ResidueTerm",
     "SpecError",
-    "VolumeComparison",
     "VolumePolynomial",
     "annihilates",
     "binomial_series_coeff",

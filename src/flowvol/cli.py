@@ -10,17 +10,19 @@ A problem is given as one string, e.g.
 form @path reads either format from a file.
 
 Exit codes: 0 success, 1 property violation (an exact identity failed),
-2 input error.  A problem whose volume degree exceeds ``MAX_DEGREE``, or a
-``kernel --degree`` or ``oracle-compare --dilations`` above it, is an input
-error, and so is an evaluation point too large to print (``MAX_POINT_BITS``)
-or written in exponent notation, and an ``oracle-compare`` whose largest
-dilated supply is above ``MAX_SUPPLY``.
+2 input error, 141 (``EXIT_STDOUT_CLOSED``) when standard output is closed
+before the report is written in full.  A problem whose volume degree exceeds
+``MAX_DEGREE``, or a ``kernel --degree`` or ``oracle-compare --dilations``
+above it, is an input error, and so is an evaluation point too large to
+print (``MAX_POINT_BITS``) or written in exponent notation, and an
+``oracle-compare`` whose largest dilated supply is above ``MAX_SUPPLY``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -56,6 +58,10 @@ MAX_SUPPLY = 200
 # cover the volume coefficients (their denominators divide d!, 525 bits at
 # MAX_DEGREE) and the sum over the monomials.
 MAX_POINT_BITS = 10_000
+
+# 128 + SIGPIPE: the status a shell reports for a writer that the signal ended,
+# so ``set -o pipefail`` sees ``flowvol ... | head`` as it sees ``yes | head``.
+EXIT_STDOUT_CLOSED = 141
 
 
 class SpecError(ValueError):
@@ -390,7 +396,13 @@ def main(argv: list[str] | None = None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader is gone (``| head``).  Point stdout at devnull, so that the
+        # flush at exit cannot fail again, and end without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
     return code
 
 

@@ -40,32 +40,51 @@ coefficients of the expanded operators, so it reads their integer terms from
 ``_node_operator`` directly; ``pde_system`` wraps the same terms as
 ``DiffOperator`` objects.
 
-The matrix is built only on the monomials the node-r operator leaves alive.
-That operator is d_r^c with c = m[r,r+1].  It maps each monomial x^e with
-e_r >= c to a nonzero multiple of x^(e - c u_r), and distinct monomials to
-distinct ones, so its kernel in any degree is spanned by the live monomials,
-those with e_r < c, and every common kernel vector vanishes off them.  A
-derivative only lowers exponents, so the other operators map live monomials
-to live monomials: the rows of the full matrix at dead targets, and the
-node-r block, are zero on the live columns.  Dropping the dead columns, those
-rows and the node-r block therefore leaves the null space unchanged, with
-zeros put back on the dead columns.  The basis is unchanged too.  Pivots are
-taken in column order, so column k of the full matrix is free exactly when some kernel vector with x_k = 1 is zero
-on every later column; that vector is zero on the dead columns, so k is live
-and the same vector shows k free in the live matrix, and conversely.  The
-free columns are the same, in the same order, because the live columns keep
-the order of ``homogeneous_monomials``, and ``integer_nullspace`` returns the
-unique null basis that is the identity on the free columns (``linalg``
-docstring).  So the kernel comes out as the same polynomials in the same
-order as from the full matrix.
+The matrix is built only on the staircase monomials: the x^e whose every
+suffix sum e_(i+1) + ... + e_r, for i = 1..r-1, is at most
+D_i = sum_(l>i) (row_sum(l) - 1), the volume degree of the restriction to
+nodes i+1..r+1.  Every common kernel vector vanishes off them:
+
+- The operators of nodes l > i involve only d_(i+1)..d_r, and they are
+  exactly the annihilating system of that restriction.  So, writing a kernel
+  vector as a sum of monomials in a_1..a_i times polynomials in
+  a_(i+1)..a_r, each such coefficient lies in the restriction's kernel.
+- That kernel is zero one degree above D_i, by the uniqueness theorem for
+  the restriction.  It is zero in every higher degree too: the partial
+  derivatives of a solution are solutions of one degree less, so in the
+  lowest degree above D_i + 1 that had a nonzero solution, all its partials
+  would vanish, and a homogeneous polynomial of positive degree whose
+  partials all vanish is 0.
+
+At i = r - 1 the cap is e_r < m[r,r+1], the monomials the node-r operator
+d_r^m[r,r+1] leaves alive, so at rank >= 2 that operator's block is empty on
+these columns.  The full-degree cap (i = 0) is left out on purpose, so that
+one degree above the volume degree the kernel is shown to be zero by
+elimination, not assumed, and rank 1 keeps its node-1 rows.
+
+The target rows of every node are restricted by the same rule.  A derivative
+only lowers suffix sums, so every operator maps staircase monomials to
+staircase monomials, and the rows of the full matrix at the other targets
+are zero on the staircase columns.  Dropping the other columns and those
+rows therefore leaves the null space unchanged, with zeros put back on the
+dropped columns.  The basis is unchanged too.  Pivots are taken in column
+order, so column k of the full matrix is free exactly when some kernel
+vector with x_k = 1 is zero on every later column; that vector is zero off
+the staircase, so k is kept and the same vector shows k free in the smaller
+matrix, and conversely.  The free columns are the same, in the same order,
+because the kept columns keep the order of ``homogeneous_monomials``, and
+``integer_nullspace`` returns the unique null basis that is the identity on
+the free columns (``linalg`` docstring).  So the kernel comes out as the
+same polynomials in the same order as from the full matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, perm, prod
-from operator import sub
+from operator import le, sub
 from typing import Callable, Collection, Iterable, Iterator
 
 from .linalg import integer_nullspace
@@ -243,50 +262,42 @@ def annihilates(m: MultiplicityMatrix, v: VolumePolynomial | MultiPoly) -> bool:
     return all(node_residual(m, l, poly).is_zero for l in range(m.rank, 0, -1))
 
 
-def _live_monomials(r: int, degree: int, bound: int) -> list[Exponents]:
-    """The degree-d exponent vectors with e_r < bound, in ``homogeneous_monomials`` order.
-
-    Built as the degree-(d - e_r) vectors in the first r - 1 exponents for
-    each e_r < bound; that order is descending lexicographic, so one sort of
-    their union restores it.
-    """
-    if r == 1:
-        return [(degree,)] if degree < bound else []
-    heads = (
-        head + (last,)
-        for last in range(min(bound, degree + 1))
-        for head in homogeneous_monomials(r - 1, degree - last)
-    )
-    return sorted(heads, reverse=True)
-
-
 def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     """Exact basis of the homogeneous degree-d polynomials killed by the system.
 
-    Stacks the coefficient matrix of the operator of every node l = rank - 1
-    down to 1 on the degree-d monomials the node-r operator leaves alive
-    (module docstring), one sparse row ``{column: int}`` per live target
-    monomial (empty rows included), filled from the operator's integer terms
-    by the monomial rule of ``_derivatives``, and extracts its null space by
-    sparse fraction-free elimination.  The node-r operator itself adds no
-    rows: it kills every live monomial.  The node-l operator is homogeneous
-    of order row_sum(l) (its term d_l^row_sum(l) has coefficient 1), so it
-    adds no rows at a degree below that order.  At the volume degree the
-    basis is normalized to the expected corner coefficient; at other degrees
-    each basis element is made monic in its graded-lex leading term.
+    Stacks the coefficient matrix of the operator of every node l = rank
+    down to 1 on the degree-d staircase monomials (module docstring), one
+    sparse row ``{column: int}`` per staircase target monomial (empty rows
+    included), filled from the operator's integer terms by the monomial rule
+    of ``_derivatives``, and extracts its null space by sparse fraction-free
+    elimination.  The node-l operator is homogeneous of order row_sum(l)
+    (its term d_l^row_sum(l) has coefficient 1), so it adds no rows at a
+    degree below that order.  At the volume degree the basis is normalized
+    to the expected corner coefficient; at other degrees each basis element
+    is made monic in its graded-lex leading term.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     r = m.rank
-    bound = m.multiplicity(r, r + 1)
-    columns = _live_monomials(r, degree, bound)
+    orders = m.row_sums
+    caps = list(accumulate(order - 1 for order in reversed(orders[1:])))  # D_(r-1), ..., D_1
+
+    def staircase(degree: int) -> list[Exponents]:
+        """The degree-d monomials with e_(i+1) + ... + e_r <= D_i for i = 1..r-1."""
+        return [
+            exps
+            for exps in homogeneous_monomials(r, degree)
+            if all(map(le, accumulate(reversed(exps[1:])), caps))
+        ]
+
+    columns = staircase(degree)
     rows: list[dict[int, int]] = []
-    for l in range(r - 1, 0, -1):
-        order = m.row_sum(l)
+    for l in range(r, 0, -1):
+        order = orders[l - 1]
         if order > degree:
             continue  # operator kills all of this degree, no constraints
         terms = _node_operator(m, l).items()
-        targets = {exps: i for i, exps in enumerate(_live_monomials(r, degree - order, bound))}
+        targets = {exps: i for i, exps in enumerate(staircase(degree - order))}
         block: list[dict[int, int]] = [{} for _ in targets]
         for col, exps in enumerate(columns):
             for image, coeff in _derivatives(terms, ((exps, 1),)):

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -21,7 +22,7 @@ from flowvol import (
     render_spec,
     run_command,
 )
-from flowvol.cli import MAX_DEGREE, MAX_POINT_BITS, MAX_SUPPLY, main
+from flowvol.cli import EXIT_STDOUT_CLOSED, MAX_DEGREE, MAX_POINT_BITS, MAX_SUPPLY, main
 
 GOLDEN_TEXT = "r=3; m[1,2]=1; m[1,3]=1; m[1,4]=2; m[2,3]=1; m[2,4]=2; m[3,4]=2"
 GOLDEN_RENDER = (
@@ -414,6 +415,39 @@ class TestMainEntry:
         assert result.stdout == ""
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.stderr
+
+    def test_reader_closing_early_ends_without_traceback(self):
+        # r=6, all m=2 prints about 650 kB, far more than a pipe holds, so the
+        # write is still pending when the reader closes after 80 bytes
+        pairs = "; ".join(f"m[{i},{j}]=2" for i in range(1, 8) for j in range(i + 1, 8))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "flowvol", "volume", f"r=6; {pairs}"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(80)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_STDOUT_CLOSED == 141
+        assert head.startswith(b"volume polynomial (rank 6, degree 36):")
+        assert err == b""
+
+    def test_reader_gone_before_the_first_write(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "flowvol", "corner", GOLDEN_TEXT],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == EXIT_STDOUT_CLOSED
+        assert result.stderr == ""
 
     def test_module_invocation(self):
         result = subprocess.run(

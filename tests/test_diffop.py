@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -165,6 +166,16 @@ class TestSolutionSpace:
         m = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 2))
         for degree in range(m.degree + 1):
             assert len(solution_space(m, degree)) >= 1
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_dimension_in_every_degree(self, rank):
+        # [t^k] prod_l (1 - t^row_sum(l)) / (1 - t), counted as the degree-k
+        # box monomials, those with every e_l < row_sum(l)
+        for mult in product((1, 2), repeat=rank * (rank + 1) // 2):
+            m = MultiplicityMatrix(rank, mult)
+            box = Counter(map(sum, product(*map(range, m.row_sums))))
+            for degree in range(m.degree + 2):
+                assert len(solution_space(m, degree)) == box[degree], (m, degree)
 
     @pytest.mark.parametrize("mult", list(product((1, 2), repeat=3)))
     def test_rank_two_sweep(self, mult):

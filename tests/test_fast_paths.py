@@ -12,8 +12,8 @@ directly.  ``reference_integer_nullspace`` is the dense Bareiss elimination
 with Fraction back-substitution that the sparse Gauss-Jordan solve replaced,
 ``reference_operator_rows`` builds the kernel matrix on every monomial from
 one ``op.apply`` per monomial, and ``reference_solution_space`` solves that
-full matrix, node-r block included, where ``solution_space`` keeps only the
-monomials the node-r operator leaves alive.  ``reference_pde_system``
+full matrix, where ``solution_space`` keeps only the staircase monomials,
+those ``on_staircase`` accepts.  ``reference_pde_system``
 multiplies out the node operators prod_j (d_l - d_j)^m[l,j] * d_l^m[l,r+1] and
 ``reference_ladder_steps`` runs E_n = sum_j (-1)^(j+1) D_j E_(n-j) as
 operator products, as the package did before both were read off their
@@ -200,10 +200,19 @@ def reference_operator_rows(m, degree):
     return columns, rows
 
 
-def reference_solution_space(m, degree):
-    """``solution_space`` as it was before it kept only the live columns.
+def on_staircase(m, exps):
+    """Every suffix sum e_(i+1) + ... + e_r at most D_i, the volume degree of the
+    restriction to nodes i+1..r+1, for i = 1..r-1."""
+    r = m.rank
+    return all(
+        sum(exps[i:]) <= sum(m.row_sum(l) - 1 for l in range(i + 1, r + 1)) for i in range(1, r)
+    )
 
-    Every operator, node-r block included, on every degree-d monomial.
+
+def reference_solution_space(m, degree):
+    """``solution_space`` as it was before it kept only the staircase columns.
+
+    Every operator on every degree-d monomial.
     """
     r = m.rank
     columns = homogeneous_monomials(r, degree)
@@ -494,7 +503,7 @@ class TestKernelSolveMatchesReference:
         expected = reference_integer_nullspace(rows, ncols)
         assert integer_nullspace(sparse_rows(rows), ncols) == expected
 
-    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_operator_matrices_at_every_degree(self, rank, monkeypatch):
         seen = []
 
@@ -504,36 +513,36 @@ class TestKernelSolveMatchesReference:
 
         monkeypatch.setattr(flowvol.diffop, "integer_nullspace", record)
         for m in every_matrix(rank, (1, 2)):
-            bound = m.multiplicity(rank, rank + 1)
             for degree in range(m.degree + 2):
                 seen.clear()
                 solution_space(m, degree)
                 [(rows, ncols)] = seen
                 assert all(all(row.values()) for row in rows), (m, degree)
                 dense = [[row.get(col, 0) for col in range(ncols)] for row in rows]
-                # the live part of the full matrix, and nothing else of it on the live columns
+                # the staircase part of the full matrix, and nothing else of it
+                # on the staircase columns
                 columns, labeled = reference_operator_rows(m, degree)
-                live = [k for k, exps in enumerate(columns) if exps[-1] < bound]
+                kept_columns = [k for k, exps in enumerate(columns) if on_staircase(m, exps)]
                 kept = [
-                    [row[k] for k in live]
+                    [row[k] for k in kept_columns]
                     for l, target, row in labeled
-                    if l < rank and target[-1] < bound
+                    if on_staircase(m, target)
                 ]
-                dropped = [row for l, target, row in labeled if l == rank or target[-1] >= bound]
-                assert dense == kept and ncols == len(live), (m, degree)
-                assert not any(row[k] for row in dropped for k in live), (m, degree)
+                dropped = [row for l, target, row in labeled if not on_staircase(m, target)]
+                assert dense == kept and ncols == len(kept_columns), (m, degree)
+                assert not any(row[k] for row in dropped for k in kept_columns), (m, degree)
                 expected = reference_integer_nullspace(dense, ncols)
                 assert integer_nullspace(rows, ncols) == expected, (m, degree)
 
 
-class TestLiveColumnKernelMatchesFullKernel:
-    """The kernel on the live columns against the kernel on every monomial."""
+class TestStaircaseKernelMatchesFullKernel:
+    """The kernel on the staircase columns against the kernel on every monomial."""
 
     @staticmethod
-    def assert_same_kernel(m):
-        # every degree up to d + 1, not only d - 1 to d + 1: the wider kernels
-        # of the middle degrees are where a wrong column order shows
-        for degree in range(m.degree + 2):
+    def assert_same_kernel(m, degrees=None):
+        # every degree up to d + 1 by default, not only d - 1 to d + 1: the
+        # wider kernels of the middle degrees are where a wrong column order shows
+        for degree in degrees or range(m.degree + 2):
             assert solution_space(m, degree) == reference_solution_space(m, degree), (m, degree)
 
     @pytest.mark.parametrize("rank", [1, 2])
@@ -546,6 +555,12 @@ class TestLiveColumnKernelMatchesFullKernel:
         rng = random.Random(5000 + seed)
         for _ in range(10):
             self.assert_same_kernel(MultiplicityMatrix(3, tuple(rng.choice((1, 2, 3)) for _ in range(6))))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_rank_four(self, seed):
+        rng = random.Random(5100 + seed)
+        m = MultiplicityMatrix(4, tuple(rng.choice((1, 2)) for _ in range(10)))
+        self.assert_same_kernel(m, (m.degree - 1, m.degree, m.degree + 1))
 
 
 def operator_families_match_reference(m):

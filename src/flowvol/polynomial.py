@@ -69,7 +69,9 @@ class MultiPoly:
     ``Fraction``.  Arithmetic, ``partial``, ``embed`` and operator
     application trust their canonical operands, drop cancelled zeros
     themselves and wrap their output with ``_trusted``, without checking it
-    again.
+    again.  ``+`` and ``*`` store the value for a key the result does not
+    hold yet as it is, with no ``Fraction`` add against zero; only a key
+    already present pays for an add, and only such a key can cancel.
     """
 
     __slots__ = ("nvars", "terms")
@@ -176,9 +178,13 @@ class MultiPoly:
         self._require_same_shape(other)
         merged = dict(self.terms)
         for exps, coeff in other.terms.items():
-            total = merged.pop(exps, 0) + coeff
-            if total:
+            old = merged.get(exps)
+            if old is None:
+                merged[exps] = coeff
+            elif total := old + coeff:
                 merged[exps] = total
+            else:
+                del merged[exps]
         return MultiPoly._trusted(self.nvars, merged)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
@@ -201,7 +207,8 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(map(add, e1, e2))
-                product[exps] = product.get(exps, 0) + c1 * c2
+                old = product.get(exps)
+                product[exps] = c1 * c2 if old is None else old + c1 * c2
         return MultiPoly._trusted(self.nvars, {e: c for e, c in product.items() if c})
 
     def __rmul__(self, other: Scalar) -> "MultiPoly":
@@ -274,46 +281,49 @@ class MultiPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def _render(
-        self, factor: Callable[[int, int], str], scalar: Callable[[Fraction], str], sep: str
-    ) -> str:
+    def _render(self, factor: Callable[[int, int], str], fraction: str, sep: str) -> str:
         """Signed terms in canonical order, built from the given pieces.
 
-        ``factor(i, e)`` renders a_i^e for e >= 1, ``scalar`` a positive
-        coefficient, and ``sep`` joins the factors of a term and puts a
-        coefficient other than 1 in front of them.
+        ``factor(i, e)`` renders a_i^e for e >= 1, ``fraction`` formats the
+        numerator and denominator of a positive non-integer coefficient, and
+        ``sep`` joins the factors of a term and puts a coefficient other than 1
+        in front of them.  Sign and magnitude come from the coefficient's
+        ``numerator`` and ``denominator`` ints, and each a_i^e is rendered
+        once per polynomial.
         """
         if not self.terms:
             return "0"
+        tops = [max(column) for column in zip(*self.terms)]
+        tables = [[factor(i, e) for e in range(top + 1)] for i, top in enumerate(tops, start=1)]
         pieces: list[str] = []
         for exps, coeff in self.sorted_terms():
-            monomial = sep.join(factor(i, e) for i, e in enumerate(exps, start=1) if e)
-            magnitude = abs(coeff)
+            monomial = sep.join([table[e] for table, e in zip(tables, exps) if e])
+            num, den = coeff.numerator, coeff.denominator
+            magnitude = -num if num < 0 else num
+            size = str(magnitude) if den == 1 else fraction.format(magnitude, den)
             if not monomial:
-                body = scalar(magnitude)
-            elif magnitude == 1:
+                body = size
+            elif size == "1":
                 body = monomial
             else:
-                body = f"{scalar(magnitude)}{sep}{monomial}"
+                body = f"{size}{sep}{monomial}"
             if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
+                pieces.append(body if num > 0 else f"-{body}")
             else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                pieces.append(f"+ {body}" if num > 0 else f"- {body}")
         return " ".join(pieces)
 
     def render(self, names: str = "a") -> str:
         """Canonical text form: graded-lex order, explicit rational coefficients."""
         return self._render(
-            lambda i, e: f"{names}{i}^{e}" if e > 1 else f"{names}{i}", str, "*"
+            lambda i, e: f"{names}{i}^{e}" if e > 1 else f"{names}{i}", "{}/{}", "*"
         )
 
     def render_latex(self, names: str = "a") -> str:
         """LaTeX rendering in the same canonical term order."""
         return self._render(
             lambda i, e: f"{names}_{{{i}}}^{{{e}}}" if e > 1 else f"{names}_{{{i}}}",
-            lambda q: (
-                str(q) if q.denominator == 1 else f"\\frac{{{q.numerator}}}{{{q.denominator}}}"
-            ),
+            "\\frac{{{}}}{{{}}}",
             " ",
         )
 

@@ -31,10 +31,21 @@ by coefficient.  Each intermediate stays a closed-form sum of terms
 with polynomial coefficients c(a), and like terms are merged on the factored
 denominator, so no polynomial division is ever needed.
 
-A step builds its output once.  Each pair of a term and a series depth
-vector adds c(a) times an integer (the product of the signed binomials) into
-a plain dict, grouped first by the output's factored denominator and then by
-the power s of a_k taken from exp(a_k x_k).  Only at the end is each group
+A step builds its output once, in integer arithmetic.  For each monomial e
+of a_1..a_r let L_e be the lcm of the denominators of the coefficients
+c_(t,e) of a^e over every input term t, and write c_(t,e) = n_(t,e) / L_e
+with n_(t,e) an integer, converted once per term.  Each pair of a term t and
+a series depth vector contributes its signed binomial product s_t, an
+integer, and only the integers n_(t,e) * s_t are added into plain dicts,
+grouped first by the output's factored denominator and then by the power s
+of a_k taken from exp(a_k x_k).  By distributivity
+sum_t c_(t,e) s_t = (sum_t n_(t,e) s_t) / L_e, so one division per output
+coefficient gives the exact rational sum for any rational input; no claim
+about the denominators is needed.  On the kernel route L_e divides e!, so
+the integers stay small: the kernel's coefficient is 1, the binomials are
+integers, and a_k^s / s! meets no a_k already present (see below), so
+(a^e / e!) * (a_k^s / s!) = a^(e + s u_k) / (e + s u_k)! keeps every
+coefficient an integer multiple of a^e / e!.  Only at the end is each group
 multiplied by a_k^s / s!, once, and the groups of one denominator added.
 This is sound because a_k enters only through exp(a_k x_k): before x_k is
 integrated out no coefficient depends on a_k, in any residue order.  So
@@ -136,19 +147,28 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
     construction.  A pole of order p contributes once for each split of p - 1
     into series depths of the difference factors through x_var plus the
     power s of a_var, the last coordinate of each ``homogeneous_monomials``
-    vector.  Contributions are accumulated per output denominator and per s,
-    and a_var^s / s! is applied once per group (see the module docstring for
-    why that is exact).
+    vector.  Integer numerators over L_e are accumulated per output
+    denominator and per s, divided once per output coefficient, and
+    a_var^s / s! is applied once per group (see the module docstring for why
+    that is exact).
     """
     if var not in expr.xvars:
         raise ValueError(f"variable x{var} was already integrated out")
     has_exp = var in expr.exp_vars
-    groups: dict[TermKey, dict[int, dict[tuple[int, ...], Fraction]]] = {}
+    groups: dict[TermKey, dict[int, dict[tuple[int, ...], int]]] = {}
+    common: dict[tuple[int, ...], int] = {}  # L_e: lcm of the denominators of a^e
+    for term in expr.terms:
+        for exps, c in term.coeff.terms.items():
+            common[exps] = math.lcm(common.get(exps, 1), c.denominator)
 
     for term in expr.terms:
         budget = -term.xpow[var - 1] - 1
         if budget < 0:
             continue  # analytic in x_var at 0, residue contribution is zero
+        numerators = [
+            (exps, c.numerator * (common[exps] // c.denominator))
+            for exps, c in term.coeff.terms.items()
+        ]
         involved = [(pair, q) for pair, q in term.diff if var in pair]
         passive = tuple((pair, q) for pair, q in term.diff if var not in pair)
 
@@ -164,14 +184,16 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
                 scalar *= sign * binomial_series_coeff(q, n)
                 xpow[other - 1] -= q + n
             acc = groups.setdefault((tuple(xpow), passive), {}).setdefault(exp_power, {})
-            for exps, c in term.coeff.terms.items():
-                acc[exps] = acc.get(exps, 0) + c * scalar
+            for exps, num in numerators:
+                acc[exps] = acc.get(exps, 0) + num * scalar
 
     collected: dict[TermKey, MultiPoly] = {}
     for key, by_power in groups.items():
         total = None
         for exp_power, acc in by_power.items():
-            coeff = MultiPoly._trusted(expr.nvars, {e: c for e, c in acc.items() if c})
+            coeff = MultiPoly._trusted(
+                expr.nvars, {e: Fraction(num, common[e]) for e, num in acc.items() if num}
+            )
             if exp_power:
                 exps = tuple(exp_power if i == var - 1 else 0 for i in range(expr.nvars))
                 coeff = coeff * MultiPoly.monomial(exps, Fraction(1, math.factorial(exp_power)))

@@ -22,8 +22,10 @@ operator of ``pde_system`` with ``op.apply``, where ``node_residual`` applies
 its linear factors one at a time, and ``reference_count_lattice_points`` is
 the lattice-count DP with a full supply vector as state and a loop over every
 flow s of every root, the forced last root of each row included, where
-``count_lattice_points`` runs on running sums.  All are kept here, outside the
-package, as the references the engine must match exactly.
+``count_lattice_points`` runs on running sums.  ``naive_combine`` adds,
+subtracts and multiplies plain Fraction dicts, where ``MultiPoly`` stores a
+new key without an add.  All are kept here, outside the package, as the
+references the engine must match exactly.
 """
 
 import math
@@ -302,6 +304,53 @@ def reference_count_lattice_points(m, a):
     return states.get((0,) * r, 0)
 
 
+def naive_combine(p, q, op):
+    """``p op q`` for op in '+', '-', '*' on plain Fraction dicts, zeros dropped."""
+    out = {}
+    if op == "*":
+        for e1, c1 in p.terms.items():
+            for e2, c2 in q.terms.items():
+                exps = tuple(a + b for a, b in zip(e1, e2))
+                out[exps] = out.get(exps, Fraction(0)) + c1 * c2
+    else:
+        sign = 1 if op == "+" else -1
+        for exps, c in p.terms.items():
+            out[exps] = out.get(exps, Fraction(0)) + c
+        for exps, c in q.terms.items():
+            out[exps] = out.get(exps, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def residue_sums(draw):
+    """Hand-built sums with arbitrary rational coefficients on a^e.
+
+    Coefficients come from ``multipolys``, so their denominators (up to 6)
+    need not divide e!, and they take either sign.  When drawn, a pair of
+    terms whose residues at one variable cancel exactly is added: the
+    residue of x_v^-1 (x_i - x_v)^-1 at x_v = 0 is x_i^-1, and that of
+    x_v^-1 (x_v - x_i)^-1 is -x_i^-1, the same as that of
+    -/+ x_v^-1 x_i^-1.
+    """
+    nvars = draw(st.integers(2, 3))
+    live = sorted(draw(st.sets(st.integers(1, nvars), min_size=1)))
+    exp_vars = [i for i in live if draw(st.booleans())]
+    pairs = [(i, j) for i in live for j in live if i < j]
+    raw = {}
+    for _ in range(draw(st.integers(0, 3))):
+        xpow = tuple(draw(st.integers(-3, 0)) if i in live else 0 for i in range(1, nvars + 1))
+        diff = tuple((pair, draw(st.integers(1, 2))) for pair in pairs if draw(st.booleans()))
+        raw[(xpow, diff)] = draw(multipolys(nvars=nvars, max_exp=2))
+    if pairs and draw(st.booleans()):
+        i, v = draw(st.sampled_from(pairs + [(j, i) for i, j in pairs]))
+        coeff = draw(multipolys(nvars=nvars, max_exp=2))
+        pole = tuple(-1 if k in (i, v) else 0 for k in range(1, nvars + 1))
+        alone = tuple(-1 if k == v else 0 for k in range(1, nvars + 1))
+        raw[(alone, ((tuple(sorted((i, v))), 1),))] = coeff
+        raw[(pole, ())] = -coeff if i < v else coeff
+    return ResidueSum.build(nvars, live, exp_vars, raw)
+
+
 def every_matrix(rank, entries):
     return [
         MultiplicityMatrix(rank, mult)
@@ -353,6 +402,21 @@ class TestResidueStepMatchesReference:
         assert reference_residue_at_zero(expr, 2).is_zero
         assert residue_at_zero(expr, 2).is_zero
 
+    @given(residue_sums())
+    @example(ResidueSum.build(2, (1, 2), (1,), {
+        ((-1, -3), (((1, 2), 2),)): MultiPoly(2, {(1, 0): Fraction(-3, 7), (0, 0): Fraction(5, 11)}),
+        ((0, -2), ()): MultiPoly(2, {(1, 0): Fraction(2, 9), (0, 2): Fraction(-1, 5)}),
+    }))
+    def test_any_rational_coefficients(self, expr):
+        # Denominators that do not divide e!, negative coefficients and exact
+        # cancellation: the step divides each integer sum by L_e once, which
+        # must give the same sum as the plain Fraction path.
+        for var in sorted(expr.xvars):
+            fast = residue_at_zero(expr, var)
+            assert fast == reference_residue_at_zero(expr, var)
+            for term in fast.terms:
+                assert_canonical(term.coeff)
+
 
 class TestArithmeticStaysCanonical:
     @given(multipolys(nvars=3), multipolys(nvars=3))
@@ -382,6 +446,37 @@ class TestArithmeticStaysCanonical:
         op = DiffOperator.partial(1, 2) - DiffOperator.partial(2, 2)
         image = op.apply(MultiPoly.variable(1, 2) + MultiPoly.variable(2, 2))
         assert image.terms == {}
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials with disjoint, overlapping or fully cancelling supports."""
+    p = draw(multipolys(nvars=3))
+    q = draw(multipolys(nvars=3))
+    kind = draw(st.sampled_from(["overlap", "disjoint", "cancel", "partial-cancel"]))
+    if kind == "disjoint":
+        q = q * MultiPoly.monomial((4, 0, 0))  # p's exponents are at most 3
+    elif kind == "cancel":
+        q = -p
+    elif kind == "partial-cancel":
+        q = q - p
+    return p, q
+
+
+class TestArithmeticMatchesNaiveDicts:
+    @given(polynomial_pairs())
+    def test_sum_difference_product(self, pair):
+        p, q = pair
+        for op, result in (("+", p + q), ("-", p - q), ("*", p * q)):
+            assert_canonical(result)
+            assert result.terms == naive_combine(p, q, op)
+
+    def test_cancelling_supports(self):
+        a1, a2 = MultiPoly.variable(1, 2), MultiPoly.variable(2, 2)
+        half = MultiPoly.constant(2, Fraction(1, 2))
+        assert (a1 + half) + (-a1 - half) == MultiPoly.zero(2)
+        assert ((a1 + a2) * (a1 - a2)).terms == {(2, 0): 1, (0, 2): -1}
+        assert ((a1 + a2) - (a1 + a2)).terms == {}
 
 
 class TestIntegerEvaluation:

@@ -45,9 +45,11 @@ MAX_DEGREE = 100
 # its memory grows with the supply (a = (1000000000) at rank 1 asks for a
 # list of a billion ways) and its time with a power of it that rises with the
 # rank.  ``oracle-compare`` refuses a largest dilated supply t_max * sum(a)
-# above this, which admits ``--dilations`` at its ceiling on a = (1, 1).  At
-# the ceiling, with all m=1, rank 3 counts in under 0.1 s and rank 4 in 3.5 s
-# at its worst point, a = (30, 1, 1, 1), on a 2-core VM.
+# above this, which admits ``--dilations`` at its ceiling on a = (1, 1).
+# Without ``--dilations`` the counts run on a window around t = 0 (``oracle``)
+# whose largest supply is about half of degree * sum(a).  At the ceiling, with
+# all m=1, rank 4 counts in 1.1 s at a = (30, 1, 1, 1) and rank 5 in 23 s at
+# a = (16, 1, 1, 1, 1), on a shared 2-core VM.
 MAX_SUPPLY = 200
 
 # Python refuses to print an int of more than 4,300 digits (about 14,284

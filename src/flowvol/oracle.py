@@ -2,42 +2,73 @@
 
 Counting integer flows gives a route to the volume that shares nothing with
 the residue engine.  For an interior integer supply vector a (all entries
-positive) the number of lattice points of the dilated polytope is a
-polynomial in the dilation factor t of degree equal to the volume degree,
-and its leading coefficient equals the volume polynomial evaluated at a
-(the root lattice is unimodular, so no normalization factor appears).
+positive) the number L(t) of lattice points of the dilated polytope F(t*a)
+is a polynomial in the dilation factor t of degree equal to the volume
+degree, and its leading coefficient equals the volume polynomial evaluated
+at a (the root lattice is unimodular, so no normalization factor appears).
 
 Counts come from a dynamic program over the roots in the fixed order
 (1,2), (1,3), ..., (1,r+1), (2,3), ...: a root of multiplicity mu carrying
 total flow s contributes C(s + mu - 1, mu - 1) ways to split the flow over
 its parallel copies, and the last root (i, r+1) of each row must drain node
-i's remaining supply exactly.
+i's remaining supply exactly.  Supplies may be negative: node r+1 takes
+-sum(a), and a node may pass on more than its own supply when earlier
+nodes feed it.
 
 The program runs on running sums.  While row i runs, the state maps each
 tuple of supplies of nodes i+1..r to a list of ways indexed by x, the
-remaining supply of node i; row 1 starts from the one list [0]*a_1 + [1].
-Since sum_s C(s + mu - 1, mu - 1) u^s = (1 - u)^(-mu), splitting s units over
+remaining supply of node i; row 1 starts from the one list [0]*a_1 + [1],
+and there is no flow at all when a_1 < 0.  Since
+sum_s C(s + mu - 1, mu - 1) u^s = (1 - u)^(-mu), splitting s units over
 mu parallel copies is the same as mu moves over a single copy.  After a
 single-copy move from node i to node j, with y node j's supply,
 out(x, y) = sum_{s>=0} in(x + s, y - s), and that sum satisfies
 out(x, y) = in(x, y) + out(x + 1, y - 1).  So with the lists grouped by the
-key without y, one copy is one pass over y ascending,
-out[y] = in[y] + out[y-1][1:] (the shorter list padded with zeros), kept
-going while the carried list has more than one entry; root (i, j) is
-m[i,j] such passes.  After root (i, r) the forced root (i, r+1) takes all of
-x: each list is contracted with its weights C(x + mu - 1, mu - 1), and the
-total is added to row i+1's list for the supplies of nodes i+2..r, at the
-index given by node i+1's supply.  Row r's contraction is the count.  Every
-step is an exact identity of integer sums, so the count is the same integer
-as the plain loop over every flow s of every root would give.
+key without y, one copy is one pass over y ascending from the group's
+smallest y, out[y] = in[y] + out[y-1][1:] (the shorter list padded with
+zeros), kept going while the carried list has more than one entry; root
+(i, j) is m[i,j] such passes.  After root (i, r) the forced root (i, r+1)
+takes all of x: each list is contracted with its weights
+C(x + mu - 1, mu - 1), and the total is added to row i+1's list for the
+supplies of nodes i+2..r, at the index given by node i+1's supply.  No later
+row feeds node i+1, so a negative supply there has no flow and is dropped.
+Row r's contraction is the count.  Every step is an exact identity of
+integer sums, so the count is the same integer as the plain loop over every
+flow s of every root would give.
 
-The fit stays in integers.  The forward differences D^k v(0) of the counts
-v(0), v(1), ... are the Newton coefficients in the basis C(t, k), so the
-degree-d polynomial through v(0..d) is p(t) = sum_(k<=d) D^k v(0) C(t, k),
-and its leading coefficient is D^d v(0) / d!.  Further dilations are checked
-on the differences of all tabulated counts: the polynomial through v(0..k)
-is p plus sum_(d<j<=k) D^j v(0) C(t, j), so if D^j v(0) = 0 for d < j < k,
-p meets v(0..k-1) and misses v(k) by exactly D^k v(0).  The first nonzero
+The dilations are counted on a window around t = 0, by Ehrhart-Macdonald
+reciprocity (Beck-Robins, Computing the Continuous Discretely, Thm 4.1).
+With M the number of parallel copies, d = M - r the volume degree, and
+a >= 1 throughout:
+
+* The constraint matrix is the incidence matrix of a directed graph, a
+  network matrix, so it is totally unimodular and F(a) is a lattice
+  polytope; F(t*a) = t*F(a), and L is its Ehrhart polynomial.
+* F(a) has a point with every parallel copy > 0: put eps on every copy and
+  send the rest of each node's supply down (i, r+1).  So F(a) has dimension
+  M - r = d, and its relative interior is the set of flows with every copy
+  > 0.
+* Substituting f = g + 1 on every copy maps the interior lattice points of
+  F(t*a) one to one onto the nonnegative integer flows g with net supply
+  t*a - s, where s_i = sum_(j>i) m[i,j] - sum_(k<i) m[k,i] is the net number
+  of copies leaving node i.  Reciprocity then reads
+  L(-t) = (-1)^d K(t*a - s) for t >= 1, K the count on signed supplies.
+* K is 0 when node 1's supply is negative, or when a node's supply is
+  negative at its own row's contraction, as above.
+
+Since sum_i s_i = sum_i m[i,r+1], the window t = -T..d-T with
+T = round((d*sum(a) + sum_i m[i,r+1]) / (2*sum(a))), capped at d,
+balances the largest total supply counted on the two sides,
+(d-T)*sum(a) and T*sum(a) - sum_i m[i,r+1], which is about half of d*sum(a).
+
+The fit stays in integers.  With v(k) = L(k - T) the counts from the start
+of the window, the forward differences D^k v(0) are the Newton coefficients
+in the basis C(t + T, k), so the degree-d polynomial through v(0..d) is
+p(t) = sum_(k<=d) D^k v(0) C(t + T, k), and its leading coefficient is
+D^d v(0) / d!.  Further dilations are checked on the differences of all
+tabulated counts: the polynomial through v(0..k) is p plus
+sum_(d<j<=k) D^j v(0) C(t + T, j), so if D^j v(0) = 0 for d < j < k, p meets
+v(0..k-1) and misses v(k) by exactly D^k v(0).  The first nonzero
 difference above index d is therefore the first dilation off the fit.
 """
 
@@ -53,22 +84,24 @@ from .multiplicity import MultiplicityMatrix
 from .residue import iterated_residue
 
 
-def _checked_point(m: MultiplicityMatrix, a: Sequence[int], minimum: int) -> tuple[int, ...]:
+def _checked_point(m: MultiplicityMatrix, a: Sequence[int], minimum: int | None) -> tuple[int, ...]:
     point = tuple(a)
     if len(point) != m.rank:
         raise ValueError(f"supply vector has length {len(point)}, expected {m.rank}")
     for value in point:
         if type(value) is not int:  # rejects booleans too
             raise ValueError(f"supply entries must be integers, got {value!r}")
-        if value < minimum:
+        if minimum is not None and value < minimum:
             raise ValueError(f"supply entry {value} below the required minimum {minimum}")
     return point
 
 
 def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
-    """Number of nonnegative integer flows with net supply a."""
-    point = _checked_point(m, a, minimum=0)
+    """Number of nonnegative integer flows with net supply a; entries may be negative."""
+    point = _checked_point(m, a, minimum=None)
     r = m.rank
+    if point[0] < 0:
+        return 0
 
     def one_copy(column: list[list[int]]) -> Iterator[list[int]]:
         """One parallel copy of a root: yields out[y] = in[y] + out[y-1][1:], zero-padded."""
@@ -95,10 +128,11 @@ def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
         states.clear()
         while columns:
             rest, by_y = columns.popitem()
-            column = [by_y.pop(y, []) for y in range(max(by_y) + 1)]
+            low = min(by_y)
+            column = [by_y.pop(y, []) for y in range(low, max(by_y) + 1)]
             for _ in range(copies - 1):
                 column = list(one_copy(column))
-            for y, ways in enumerate(one_copy(column)):
+            for y, ways in enumerate(one_copy(column), low):
                 if ways:
                     yield rest[:k] + (y,) + rest[k:], ways
 
@@ -116,11 +150,13 @@ def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
         weight = forced(i)
         next_states: dict[tuple[int, ...], list[int]] = {}
         for key, ways in move(states, r - i - 1, m.multiplicity(i, r)):
+            if key[0] < 0:
+                continue
             column = next_states.setdefault(key[1:], [])
             column.extend([0] * (key[0] + 1 - len(column)))
             column[key[0]] += sum(map(mul, ways, weight))
         states = next_states
-    return sum(map(mul, states[()], forced(r)))
+    return sum(map(mul, states.get((), ()), forced(r)))
 
 
 def _newton_fit(values: Sequence[int]) -> tuple[int, ...]:
@@ -135,47 +171,62 @@ def _newton_fit(values: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Lattice counts of the dilates t*a with their exact polynomial fit."""
+    """Lattice counts L(t) of the dilates t*a from t = first on, with their exact polynomial fit."""
 
     m: MultiplicityMatrix
     a: tuple[int, ...]
-    counts: tuple[int, ...]
+    counts: tuple[int, ...]  # L(first), L(first + 1), ...
     differences: tuple[int, ...]  # Newton coefficients of the fit, degree + 1 of them
+    first: int
 
     @property
     def leading_coefficient(self) -> Fraction:
         return Fraction(self.differences[self.m.degree], math.factorial(self.m.degree))
 
     def predicted(self, t: int) -> int:
-        return sum(d * math.comb(t, k) for k, d in enumerate(self.differences))
+        """The fit at dilation t >= first."""
+        return sum(d * math.comb(t - self.first, k) for k, d in enumerate(self.differences))
 
 
 def dilation_counts(m: MultiplicityMatrix, a: Sequence[int], t_max: int | None = None) -> CountTable:
-    """Count t*a for t = 0..t_max and fit the degree-(volume degree) polynomial.
+    """Count L(t) on the window t = -T..degree-T and fit the degree-(volume degree) polynomial.
 
-    The fit runs through the first degree+1 counts; any further tabulated
-    dilation must match it exactly, that is every forward difference above
-    index degree must vanish (module docstring), otherwise the counts are
-    not polynomial of the expected degree and an ArithmeticError reports
-    the first dilation off the fit.
+    T balances the largest supply counted on the two sides, and L(-t) comes
+    from the count at t*a - s by reciprocity (module docstring).  An explicit
+    t_max counts every dilation above the window up to t_max as well; each
+    must match the fit exactly, that is every forward difference above index
+    degree must vanish, otherwise the counts are not polynomial of the
+    expected degree and an ArithmeticError reports the first dilation off
+    the fit.
     """
     point = _checked_point(m, a, minimum=1)
     degree = m.degree
-    if t_max is None:
-        t_max = degree
-    if t_max < degree:
+    if t_max is not None and t_max < degree:
         raise ValueError(f"need dilations up to {degree}, got bound {t_max}")
-    counts = tuple(
-        count_lattice_points(m, tuple(t * x for x in point)) for t in range(t_max + 1)
-    )
+    r = m.rank
+    sink = sum(m.multiplicity(i, r + 1) for i in range(1, r + 1))
+    first = -min(round(Fraction(degree * sum(point) + sink, 2 * sum(point))), degree)
+    shift = [
+        m.row_sum(i) - sum(m.multiplicity(k, i) for k in range(1, i)) for i in range(1, r + 1)
+    ]
+    sign = (-1) ** degree
+
+    def count(t: int) -> int:
+        """L(t); for t < 0 by reciprocity, from the count at -t*a - s."""
+        if t < 0:
+            return sign * count_lattice_points(m, tuple(-t * x - s for x, s in zip(point, shift)))
+        return count_lattice_points(m, tuple(t * x for x in point))
+
+    top = degree + first if t_max is None else t_max
+    counts = tuple(count(t) for t in range(first, top + 1))
     differences = _newton_fit(counts)
-    for t in range(degree + 1, t_max + 1):
-        if differences[t]:
+    for k in range(degree + 1, len(counts)):
+        if differences[k]:
             raise ArithmeticError(
-                f"count {counts[t]} at dilation {t} does not fit a degree-{degree} "
+                f"count {counts[k]} at dilation {first + k} does not fit a degree-{degree} "
                 "polynomial; the supply vector is degenerate or counting is wrong"
             )
-    return CountTable(m, point, counts, differences[: degree + 1])
+    return CountTable(m, point, counts, differences[: degree + 1], first)
 
 
 @dataclass(frozen=True)

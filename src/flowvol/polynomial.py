@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Scalar = Fraction | int
@@ -47,14 +47,16 @@ def homogeneous_monomials(nvars: int, degree: int) -> list[Exponents]:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
 
-    def emit(prefix: tuple[int, ...], remaining: int, slots: int) -> Iterator[Exponents]:
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for e in range(remaining, -1, -1):
-            yield from emit(prefix + (e,), remaining - e, slots - 1)
+    def prepend(tails: list[list[Exponents]], k: int) -> list[Exponents]:
+        """The total-k vectors with one more leading variable, in order."""
+        return [(e,) + tail for e in range(k, -1, -1) for tail in tails[k - e]]
 
-    return list(emit((), degree, nvars))
+    # tails[k] lists the vectors of the last few variables with total k, in
+    # order: first the last variable alone, then one more variable a pass
+    tails = [[(k,)] for k in range(degree + 1)]
+    for _ in range(nvars - 2):
+        tails = [prepend(tails, k) for k in range(degree + 1)]
+    return prepend(tails, degree) if nvars > 1 else tails[degree]
 
 
 class MultiPoly:
@@ -156,7 +158,8 @@ class MultiPoly:
         return self.terms.get(tuple(exps), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
+        # descending (total degree, exponents) is grlex_key's order: the keys are distinct
+        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -24,8 +24,12 @@ the lattice-count DP with a full supply vector as state and a loop over every
 flow s of every root, the forced last root of each row included, where
 ``count_lattice_points`` runs on running sums.  ``naive_combine`` adds,
 subtracts and multiplies plain Fraction dicts, where ``MultiPoly`` stores a
-new key without an add.  All are kept here, outside the package, as the
-references the engine must match exactly.
+new key without an add.  ``reference_homogeneous_monomials`` enumerates the
+monomials through one recursive generator frame per variable, where
+``homogeneous_monomials`` builds the list from tables of tails, and
+``MultiPoly.sorted_terms`` sorts on (total degree, exponents) descending
+where ``grlex_key`` negates each entry.  All are kept here, outside the
+package, as the references the engine must match exactly.
 """
 
 import math
@@ -48,6 +52,7 @@ from flowvol import (
     build_kernel,
     canonical_order,
     count_lattice_points,
+    grlex_key,
     homogeneous_monomials,
     integer_nullspace,
     iterated_residue,
@@ -304,6 +309,19 @@ def reference_count_lattice_points(m, a):
     return states.get((0,) * r, 0)
 
 
+def reference_homogeneous_monomials(nvars, degree):
+    """The degree-d exponent vectors in descending graded-lex order, recursively."""
+
+    def emit(prefix, remaining, slots):
+        if slots == 1:
+            yield prefix + (remaining,)
+            return
+        for e in range(remaining, -1, -1):
+            yield from emit(prefix + (e,), remaining - e, slots - 1)
+
+    return list(emit((), degree, nvars))
+
+
 def naive_combine(p, q, op):
     """``p op q`` for op in '+', '-', '*' on plain Fraction dicts, zeros dropped."""
     out = {}
@@ -479,6 +497,16 @@ class TestArithmeticMatchesNaiveDicts:
         assert ((a1 + a2) - (a1 + a2)).terms == {}
 
 
+class TestSortedTermsMatchGrlexKey:
+    @given(multipolys(max_terms=8))
+    def test_property(self, p):
+        assert p.sorted_terms() == sorted(p.terms.items(), key=lambda item: grlex_key(item[0]))
+
+    def test_rank_four_volume(self):
+        p = iterated_residue(MultiplicityMatrix(4, (2, 1, 1, 2, 1, 2, 1, 1, 2, 1))).poly
+        assert p.sorted_terms() == sorted(p.terms.items(), key=lambda item: grlex_key(item[0]))
+
+
 class TestIntegerEvaluation:
     @given(multipolys(nvars=3, max_terms=6), rational_points(3))
     def test_matches_naive_fraction_sum(self, p, point):
@@ -561,6 +589,12 @@ class TestOneCompositionEnumerator:
         listed = homogeneous_monomials(parts, total)
         assert len(set(listed)) == len(listed)
         assert set(listed) == set(_weak_compositions(total, parts))
+
+    @pytest.mark.parametrize("nvars", range(1, 8))
+    def test_list_built_monomials_match_recursive_enumeration(self, nvars):
+        for degree in range(13):
+            listed = homogeneous_monomials(nvars, degree)
+            assert listed == reference_homogeneous_monomials(nvars, degree), degree
 
     @pytest.mark.parametrize("q", [1, 2, 5])
     def test_rank_one_lowering_operator_is_zero(self, q):

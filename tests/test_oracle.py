@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -25,7 +26,7 @@ def brute_force_count(m, a):
     for (i, j) in m.pairs():
         edges.extend([(i, j)] * m.multiplicity(i, j))
     supply = list(a) + [-sum(a)]
-    bound = sum(a)
+    bound = sum(x for x in a if x > 0)  # no copy carries more than the positive supplies
 
     def recurse(idx, balance):
         if idx == len(edges):
@@ -61,14 +62,38 @@ def reference_newton_fit(values):
 
 
 def assert_fit_matches_reference(table, fitted_values):
-    """Leading coefficient and predictions for t = 0..2*len against the reference fit."""
+    """Leading coefficient and predictions for window index 0..2*len against the reference fit.
+
+    The reference fit runs on the window index k, the dilation less
+    ``table.first``.
+    """
     fitted = reference_newton_fit(fitted_values)
     degree = len(fitted_values) - 1
     assert table.leading_coefficient == fitted.coefficient((degree,))
-    for t in range(2 * len(fitted_values) + 1):
-        predicted = table.predicted(t)
+    for k in range(2 * len(fitted_values) + 1):
+        predicted = table.predicted(table.first + k)
         assert type(predicted) is int
-        assert predicted == fitted.evaluate((t,))
+        assert predicted == fitted.evaluate((k,))
+
+
+def positive_window_fit(m, a):
+    """The fit as counted before the window: the forward differences of L(0..d)."""
+    return _newton_fit([count_lattice_points(m, tuple(t * x for x in a)) for t in range(m.degree + 1)])
+
+
+def fit_at_negative(differences, t):
+    """sum_k D^k C(-t, k) for t >= 1, with C(-t, k) = (-1)^k C(t + k - 1, k)."""
+    return sum(d * (-1) ** k * math.comb(t + k - 1, k) for k, d in enumerate(differences))
+
+
+def copies_out(m):
+    """s_i: the parallel copies leaving node i less those entering it."""
+    r = m.rank
+    return tuple(
+        sum(m.multiplicity(i, j) for j in range(i + 1, r + 2))
+        - sum(m.multiplicity(k, i) for k in range(1, i))
+        for i in range(1, r + 1)
+    )
 
 
 class TestCounting:
@@ -81,11 +106,11 @@ class TestCounting:
     def test_zero_supply_has_the_empty_flow(self):
         assert count_lattice_points(GOLDEN_M, (0, 0, 0)) == 1
 
-    def test_rejects_negative_and_noninteger(self):
-        with pytest.raises(ValueError):
-            count_lattice_points(GOLDEN_M, (1, -1, 1))
+    def test_rejects_noninteger_and_wrong_length(self):
         with pytest.raises(ValueError):
             count_lattice_points(GOLDEN_M, (1, Fraction(1, 2), 1))
+        with pytest.raises(ValueError):
+            count_lattice_points(GOLDEN_M, (1, 1.0, 1))
         with pytest.raises(ValueError):
             count_lattice_points(GOLDEN_M, (1, 1))
 
@@ -106,6 +131,22 @@ class TestCounting:
             GOLDEN_M, (1, 1, 1)
         )
 
+    @pytest.mark.parametrize("mult", list(product((1, 2), repeat=3)))
+    def test_signed_supplies_match_brute_force_rank_two(self, mult):
+        m = MultiplicityMatrix(2, mult)
+        for a in product(range(-2, 4), repeat=2):
+            assert count_lattice_points(m, a) == brute_force_count(m, a), a
+
+    def test_signed_supplies_match_brute_force_rank_three(self):
+        for a in product(range(-2, 3), repeat=3):
+            assert count_lattice_points(GOLDEN_M, a) == brute_force_count(GOLDEN_M, a), a
+
+    def test_negative_supplies_with_and_without_flow(self):
+        m = MultiplicityMatrix(2, (1, 1, 1))
+        assert count_lattice_points(m, (-1, 3)) == 0  # node 1 has no inflow
+        assert count_lattice_points(m, (2, -1)) == 2  # node 1 sends 1 or 2 on to node 2
+        assert count_lattice_points(m, (1, -2)) == 0  # node 2 cannot be fed enough
+
     def test_known_quadratic_family(self):
         # m=(2,1,1) at a=(2t, t): 1 + five choices layered, (2t+1)(t+1) points
         m = MultiplicityMatrix(2, (2, 1, 1))
@@ -122,26 +163,40 @@ class TestCounting:
 
 class TestDilationTable:
     def test_reference_counts(self):
+        # (2t+1)(t+1) points at t >= 0; T = round((2*3 + 2) / 6) = 1, and
+        # L(-1) = (-1)^2 K((2, 1) - s) = K(-1, 2) = 0 with s = (3, -1)
         table = dilation_counts(MultiplicityMatrix(2, (2, 1, 1)), (2, 1))
-        assert table.counts == (1, 6, 15)
+        assert table.first == -1
+        assert table.counts == (0, 1, 6)
+        assert table.predicted(2) == 15
         assert table.leading_coefficient == 2
+
+    def test_window_start_balances_the_supplies(self):
+        # T = round((d*sum(a) + sum_i m[i,r+1]) / (2*sum(a))), capped at d
+        assert dilation_counts(GOLDEN_M, (1, 1, 1)).first == -4  # round((6*3 + 6) / 6)
+        assert dilation_counts(MultiplicityMatrix(1, (2,)), (1,)).first == -1  # round(3/2) > d
 
     def test_count_at_zero_is_one(self):
         table = dilation_counts(GOLDEN_M, (1, 1, 1))
-        assert table.counts[0] == 1
+        assert table.counts[-table.first] == 1
+
+    def test_window_holds_degree_plus_one_counts(self):
+        table = dilation_counts(GOLDEN_M, (1, 2, 1))
+        assert len(table.counts) == GOLDEN_M.degree + 1
 
     def test_fit_reproduces_all_tabulated_counts(self):
         m = MultiplicityMatrix(2, (1, 1, 1))
         table = dilation_counts(m, (1, 1), t_max=m.degree + 2)
-        for t, count in enumerate(table.counts):
-            assert table.predicted(t) == count
+        assert table.first + len(table.counts) - 1 == m.degree + 2
+        for k, count in enumerate(table.counts):
+            assert table.predicted(table.first + k) == count
 
     def test_extra_dilations_validate_the_polynomial(self):
         # predictions beyond the fitting window must match fresh counts
         for mult in ((1, 1, 1), (2, 1, 2)):
             m = MultiplicityMatrix(2, mult)
             table = dilation_counts(m, (1, 2))
-            for t in (m.degree + 1, m.degree + 2):
+            for t in range(table.first + m.degree + 1, m.degree + 3):
                 fresh = count_lattice_points(m, (t, 2 * t))
                 assert table.predicted(t) == fresh
 
@@ -155,11 +210,14 @@ class TestDilationTable:
 
 
 class TestIntegerFit:
-    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12))
-    def test_forward_differences_match_reference_fit(self, values):
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+        st.integers(-12, 0),
+    )
+    def test_forward_differences_match_reference_fit(self, values, first):
         degree = len(values) - 1
         m = MultiplicityMatrix(1, (degree + 1,))
-        table = CountTable(m, (1,), tuple(values), _newton_fit(values))
+        table = CountTable(m, (1,), tuple(values), _newton_fit(values), first)
         assert_fit_matches_reference(table, values)
 
     def test_every_small_family_table_matches_reference_fit(self):
@@ -170,19 +228,41 @@ class TestIntegerFit:
                     table = dilation_counts(m, a)
                     assert_fit_matches_reference(table, table.counts)
 
-    def test_count_off_the_fit_is_reported(self, monkeypatch):
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    def test_count_off_the_fit_is_reported(self, monkeypatch, dilation):
+        # m=(2,1,1) at a=(1,1): T = round(6/4) = 2, so the window is -2..0 and
+        # every positive dilation up to t_max is checked against the fit
         m = MultiplicityMatrix(2, (2, 1, 1))
         degree = m.degree
         exact = count_lattice_points
+        off = (dilation, dilation)
 
         def perturbed(m, point):
             count = exact(m, point)
-            return count + 1 if point[0] == degree + 1 else count
+            return count + 1 if point == off else count
 
         monkeypatch.setattr(flowvol.oracle, "count_lattice_points", perturbed)
-        bad = exact(m, (degree + 1, degree + 1)) + 1
-        with pytest.raises(ArithmeticError, match=f"count {bad} at dilation {degree + 1} "):
-            dilation_counts(m, (1, 1), t_max=degree + 2)
+        assert dilation_counts(m, (1, 1)).first == -degree
+        bad = exact(m, off) + 1
+        with pytest.raises(ArithmeticError, match=f"count {bad} at dilation {dilation} "):
+            dilation_counts(m, (1, 1), t_max=degree + 1)
+
+
+class TestWindowMatchesPositiveWindow:
+    """The window around t = 0 against the fit of L(0..d), the table counted before it."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_every_small_matrix_at_every_small_point(self, rank):
+        for mult in product((1, 2, 3), repeat=rank * (rank + 1) // 2):
+            m = MultiplicityMatrix(rank, mult)
+            d, shift = m.degree, copies_out(m)
+            for a in product((1, 2), repeat=rank):
+                differences = positive_window_fit(m, a)
+                table = dilation_counts(m, a)
+                assert table.leading_coefficient == Fraction(differences[d], math.factorial(d))
+                for t in range(1, d + 1):
+                    inside = count_lattice_points(m, tuple(t * x - s for x, s in zip(a, shift)))
+                    assert (-1) ** d * inside == fit_at_negative(differences, t), (m, a, t)
 
 
 class TestLeadingCoefficient:

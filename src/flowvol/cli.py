@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import node_residual, solution_space
+from .diffop import node_residuals, solution_space
 from .induction import lift_volume
 from .multiplicity import MultiplicityMatrix, root_pairs
 from .oracle import compare_volume
@@ -268,13 +268,12 @@ def run_command(
     elif command == "check-pde":
         v = iterated_residue(m)
         failures = 0
-        for l in range(m.rank, 0, -1):
-            residual = node_residual(m, l, v.poly)
+        for l, residual in node_residuals(m, v.poly):
             if residual.is_zero:
                 lines.append(f"operator l={l}: annihilates v")
             else:
                 failures += 1
-                lines.append(f"operator l={l}: FAILS, residual {residual.render()}")
+                lines.append(f"operator l={l}: FAILS, residual {_render_poly(residual, latex)}")
         if failures == 0:
             lines.append(f"all {m.rank} operators annihilate v")
         else:

@@ -20,17 +20,22 @@ no two terms of the expansion merge, and every coefficient is an integer.
 ``_node_operator`` uses it with the binomial coefficients, and the
 rank-induction operators of ``induction`` use it at node 1.
 
-To test a candidate, ``node_residual`` never expands the node operator.  It
-applies d_l m[l,r+1] times and then each linear factor d_l - d_j m[l,j]
-times, each time with ``MultiPoly.partial``, and stops as soon as the
-polynomial is zero.  This is exact: constant-coefficient operators commute,
-so applying the factors one after another gives the same polynomial as
-applying their expanded product, and every factor maps 0 to 0, so stopping
-early changes nothing.  ``check-pde`` therefore prints the same residual,
-term for term, as the expanded operator gives.  A partial derivative lowers
-one exponent, which is injective on the terms it keeps, so unlike
-``DiffOperator.apply`` no (operator term, polynomial term) pair is formed
-only to be thrown away.
+To test a candidate, ``node_residuals`` never expands a node operator.  It
+writes the polynomial once in divided powers a^e/e!, as the integer table
+G(e) = S * e! * coeff_e, where S is the lcm of the coefficient denominators
+(S = 1 for every volume: e! * coeff_e is the Kostant partition function of
+Meszaros-Morales).  On divided powers every partial derivative is a shift:
+d_i a^e = e_i a^(e-u_i) and e! = e_i (e-u_i)!, so d_i maps a^e/e! to
+a^(e-u_i)/(e-u_i)!, and to 0 when e_i = 0.  So for every node it applies
+d_l^m[l,r+1] as one filtered shift of the keys and each linear factor
+d_l - d_j, m[l,j] times, as two shifts and one subtraction, with no
+multiply, until the table is empty.  Only a nonzero residual is divided
+back by S * e!.  This is exact: a common nonzero scale commutes with every
+linear operator, and constant-coefficient operators commute, so applying
+the factors one after another gives the same polynomial as applying their
+expanded product; every factor maps 0 to 0, so stopping early changes
+nothing.  ``check-pde`` therefore prints the same residual, term for term,
+as the expanded operator gives.
 
 Within homogeneous polynomials of the volume degree, the common kernel of
 these operators is one-dimensional and spanned by the volume polynomial; one
@@ -55,6 +60,9 @@ nodes i+1..r+1.  Every common kernel vector vanishes off them:
   lowest degree above D_i + 1 that had a nonzero solution, all its partials
   would vanish, and a homogeneous polynomial of positive degree whose
   partials all vanish is 0.
+
+``homogeneous_monomials`` builds these monomials directly from the caps,
+never the others, in its usual order.
 
 At i = r - 1 the cap is e_r < m[r,r+1], the monomials the node-r operator
 d_r^m[r,r+1] leaves alive, so at rank >= 2 that operator's block is empty on
@@ -83,8 +91,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, perm, prod
-from operator import le, sub
+from math import comb, factorial, lcm, perm, prod
+from operator import mul, sub
 from typing import Callable, Collection, Iterable, Iterator
 
 from .linalg import integer_nullspace
@@ -225,26 +233,59 @@ def pde_system(m: MultiplicityMatrix) -> PdeSystem:
     return PdeSystem(m, ops)
 
 
-def node_residual(m: MultiplicityMatrix, l: int, poly: MultiPoly) -> MultiPoly:
-    """The node-l operator applied to poly, one linear factor at a time.
+def _shift_difference(table: dict[int, int], u: int, v: int, base: int) -> dict[int, int]:
+    """(d_l - d_j) on a divided-power table with keys sum_i e_i * base^(r-i).
 
-    d_l^m[l,r+1] first, then (d_l - d_j)^m[l,j] for j = l+1..r; the zero
-    polynomial is returned as soon as it appears.  Equal to
-    ``pde_system(m)``'s node-l operator applied to poly (module docstring).
+    ``u`` and ``v`` are the place values of d_l and d_j; a digit of 0 is the
+    e_i = 0 that the derivative kills.  Cancelled keys are dropped.
+    """
+    out: dict[int, int] = {}
+    u_next, v_next = u * base, v * base
+    for key, c in table.items():
+        if key % u_next >= u:
+            old = out.get(key - u)
+            out[key - u] = c if old is None else old + c
+        if key % v_next >= v:
+            old = out.get(key - v)
+            out[key - v] = -c if old is None else old - c
+    return {key: c for key, c in out.items() if c}
+
+
+def node_residuals(m: MultiplicityMatrix, poly: MultiPoly) -> Iterator[tuple[int, MultiPoly]]:
+    """Yield (l, node-l operator applied to poly) for l = rank down to 1.
+
+    poly is converted once to its integer divided-power table (module
+    docstring), with each exponent vector e packed into the integer key
+    sum_i e_i * base^(r-i).  base is one above the largest total degree, so
+    above every exponent, and derivatives only lower exponents: the key
+    determines e, its digit at place base^(r-i) is e_i, and d_i is the
+    subtraction of that place value where the digit is nonzero.  Each
+    residual equals ``pde_system(m)``'s node-l operator applied to poly.
     """
     r = m.rank
     if poly.nvars != r:
         raise ValueError(f"variable-count mismatch: {r} vs {poly.nvars}")
-    for _ in range(m.multiplicity(l, r + 1)):
-        if poly.is_zero:
-            return poly
-        poly = poly.partial(l)
-    for j in range(l + 1, r + 1):
-        for _ in range(m.multiplicity(l, j)):
-            if poly.is_zero:
-                return poly
-            poly = poly.partial(l) - poly.partial(j)
-    return poly
+    base = max(map(sum, poly.terms), default=0) + 1  # above every exponent
+    places = [base ** (r - i) for i in range(1, r + 1)]
+    scale = lcm(*(c.denominator for c in poly.terms.values()))
+    table = {
+        sum(map(mul, exps, places)): c.numerator * (scale // c.denominator) * prod(map(factorial, exps))
+        for exps, c in poly.terms.items()
+    }
+    for l in range(r, 0, -1):
+        u = places[l - 1]
+        top = m.multiplicity(l, r + 1) * u
+        # key % (u * base) is e_l * u plus lower digits that sum to less than u
+        image = {key - top: c for key, c in table.items() if key % (u * base) >= top}
+        for j in range(l + 1, r + 1):
+            for _ in range(m.multiplicity(l, j)):
+                if image:
+                    image = _shift_difference(image, u, places[j - 1], base)
+        residual = {}
+        for key, c in image.items():
+            exps = tuple(key // place % base for place in places)
+            residual[exps] = Fraction(c, scale * prod(map(factorial, exps)))
+        yield l, MultiPoly._trusted(r, residual)
 
 
 def annihilates(m: MultiplicityMatrix, v: VolumePolynomial | MultiPoly) -> bool:
@@ -259,7 +300,7 @@ def annihilates(m: MultiplicityMatrix, v: VolumePolynomial | MultiPoly) -> bool:
         poly = v.poly
     else:
         poly = v
-    return all(node_residual(m, l, poly).is_zero for l in range(m.rank, 0, -1))
+    return all(residual.is_zero for _, residual in node_residuals(m, poly))
 
 
 def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
@@ -282,22 +323,14 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     orders = m.row_sums
     caps = list(accumulate(order - 1 for order in reversed(orders[1:])))  # D_(r-1), ..., D_1
 
-    def staircase(degree: int) -> list[Exponents]:
-        """The degree-d monomials with e_(i+1) + ... + e_r <= D_i for i = 1..r-1."""
-        return [
-            exps
-            for exps in homogeneous_monomials(r, degree)
-            if all(map(le, accumulate(reversed(exps[1:])), caps))
-        ]
-
-    columns = staircase(degree)
+    columns = homogeneous_monomials(r, degree, caps)
     rows: list[dict[int, int]] = []
     for l in range(r, 0, -1):
         order = orders[l - 1]
         if order > degree:
             continue  # operator kills all of this degree, no constraints
         terms = _node_operator(m, l).items()
-        targets = {exps: i for i, exps in enumerate(staircase(degree - order))}
+        targets = {exps: i for i, exps in enumerate(homogeneous_monomials(r, degree - order, caps))}
         block: list[dict[int, int]] = [{} for _ in targets]
         for col, exps in enumerate(columns):
             for image, coeff in _derivatives(terms, ((exps, 1),)):

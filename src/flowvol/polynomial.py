@@ -40,8 +40,13 @@ def grlex_key(exponents: Exponents) -> tuple:
     return (-sum(exponents), tuple(-e for e in exponents))
 
 
-def homogeneous_monomials(nvars: int, degree: int) -> list[Exponents]:
-    """All exponent vectors of the given total degree, descending graded-lex."""
+def homogeneous_monomials(nvars: int, degree: int, caps: Sequence[int] = ()) -> list[Exponents]:
+    """All exponent vectors of the given total degree, descending graded-lex.
+
+    ``caps[t]``, for t < nvars - 1, bounds the sum of the last t + 1 entries
+    (later caps are ignored); the vectors over a cap are never built, and the
+    others keep their order.
+    """
     if nvars < 1:
         raise ValueError("need at least one variable")
     if degree < 0:
@@ -51,11 +56,13 @@ def homogeneous_monomials(nvars: int, degree: int) -> list[Exponents]:
         """The total-k vectors with one more leading variable, in order."""
         return [(e,) + tail for e in range(k, -1, -1) for tail in tails[k - e]]
 
-    # tails[k] lists the vectors of the last few variables with total k, in
-    # order: first the last variable alone, then one more variable a pass
-    tails = [[(k,)] for k in range(degree + 1)]
-    for _ in range(nvars - 2):
-        tails = [prepend(tails, k) for k in range(degree + 1)]
+    # tails[k] lists the vectors of the last t + 1 variables with total k, in
+    # order: first the last variable alone, then one more variable a pass;
+    # it is empty when k is above tops[t]
+    tops = list(caps[: nvars - 1]) + [degree] * nvars
+    tails = [[(k,)] if k <= tops[0] else [] for k in range(degree + 1)]
+    for t in range(1, nvars - 1):
+        tails = [prepend(tails, k) if k <= tops[t] else [] for k in range(degree + 1)]
     return prepend(tails, degree) if nvars > 1 else tails[degree]
 
 

@@ -179,7 +179,9 @@ class TestCommands:
         assert code == 0
         assert "all 3 operators annihilate v" in text
 
-    def test_check_pde_failure_matches_expanded_operators(self, monkeypatch):
+    @staticmethod
+    def wrong_volume_report(monkeypatch, render):
+        """Inject the golden volume plus one monomial; the report the expanded operators give."""
         m = parse_spec(GOLDEN_TEXT).matrix()
         wrong = iterated_residue(m).poly + MultiPoly.monomial((m.degree - 1, 1, 0))
         monkeypatch.setattr(flowvol.cli, "iterated_residue", lambda _: SimpleNamespace(poly=wrong))
@@ -190,14 +192,28 @@ class TestCommands:
                 expected.append(f"operator l={l}: annihilates v")
             else:
                 failures += 1
-                expected.append(f"operator l={l}: FAILS, residual {residual.render()}")
+                expected.append(f"operator l={l}: FAILS, residual {render(residual)}")
         expected.append(f"property violation: {failures} operator(s) do not annihilate v")
         assert 0 < failures < m.rank  # both kinds of line occur
+        return "\n".join(expected)
+
+    def test_check_pde_failure_matches_expanded_operators(self, monkeypatch):
+        expected = self.wrong_volume_report(monkeypatch, MultiPoly.render)
         text, code = run_command(parse_spec(GOLDEN_TEXT), "check-pde")
-        assert (text, code) == ("\n".join(expected), 1)
+        assert (text, code) == (expected, 1)
         out = io.StringIO()
         with redirect_stdout(out):
             assert main(["check-pde", GOLDEN_TEXT]) == 1
+        assert out.getvalue() == text + "\n"
+
+    def test_check_pde_failure_renders_latex(self, monkeypatch):
+        expected = self.wrong_volume_report(monkeypatch, MultiPoly.render_latex)
+        assert "a_{1}" in expected
+        text, code = run_command(parse_spec(GOLDEN_TEXT), "check-pde", latex=True)
+        assert (text, code) == (expected, 1)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["check-pde", GOLDEN_TEXT, "--latex"]) == 1
         assert out.getvalue() == text + "\n"
 
     def test_kernel_default_degree(self):

@@ -13,13 +13,17 @@ with Fraction back-substitution that the sparse Gauss-Jordan solve replaced,
 ``reference_operator_rows`` builds the kernel matrix on every monomial from
 one ``op.apply`` per monomial, and ``reference_solution_space`` solves that
 full matrix, where ``solution_space`` keeps only the staircase monomials,
-those ``on_staircase`` accepts.  ``reference_pde_system``
+those ``on_staircase`` accepts; ``filtered_staircase`` filters every
+monomial with it, where ``homogeneous_monomials`` builds only the staircase
+from its suffix-sum caps.  ``reference_pde_system``
 multiplies out the node operators prod_j (d_l - d_j)^m[l,j] * d_l^m[l,r+1] and
 ``reference_ladder_steps`` runs E_n = sum_j (-1)^(j+1) D_j E_(n-j) as
 operator products, as the package did before both were read off their
 closed forms.  ``reference_node_residuals`` applies each expanded node
-operator of ``pde_system`` with ``op.apply``, where ``node_residual`` applies
-its linear factors one at a time, and ``reference_count_lattice_points`` is
+operator of ``pde_system`` with ``op.apply``, and ``partial_node_residual``
+applies its linear factors one at a time with ``MultiPoly.partial``, where
+``node_residuals`` shifts the keys of an integer divided-power table, and
+``reference_count_lattice_points`` is
 the lattice-count DP with a full supply vector as state and a loop over every
 flow s of every root, the forced last root of each row included, where
 ``count_lattice_points`` runs on running sums.  ``naive_combine`` adds,
@@ -41,7 +45,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import flowvol.diffop
-from flowvol.diffop import node_residual
+from flowvol.diffop import node_residuals
 from flowvol import (
     DiffOperator,
     MultiPoly,
@@ -216,6 +220,17 @@ def on_staircase(m, exps):
     )
 
 
+def staircase_caps(m):
+    """caps[t] = D_(r-1-t), the bound on the sum of the last t + 1 exponents."""
+    r = m.rank
+    return [sum(m.row_sum(l) - 1 for l in range(r - t, r + 1)) for t in range(r - 1)]
+
+
+def filtered_staircase(m, degree):
+    """The degree-d staircase monomials, filtered out of every monomial."""
+    return [exps for exps in homogeneous_monomials(m.rank, degree) if on_staircase(m, exps)]
+
+
 def reference_solution_space(m, degree):
     """``solution_space`` as it was before it kept only the staircase columns.
 
@@ -283,6 +298,17 @@ def reference_lowering_operator(m, q):
 def reference_node_residuals(m, poly):
     """{l: the expanded node-l operator applied to poly}, for l = r down to 1."""
     return {l: op.apply(poly) for l, op in pde_system(m).labeled()}
+
+
+def partial_node_residual(m, l, poly):
+    """The node-l operator applied with ``MultiPoly.partial``, one linear factor at a time."""
+    r = m.rank
+    for _ in range(m.multiplicity(l, r + 1)):
+        poly = poly.partial(l)
+    for j in range(l + 1, r + 1):
+        for _ in range(m.multiplicity(l, j)):
+            poly = poly.partial(l) - poly.partial(j)
+    return poly
 
 
 def reference_count_lattice_points(m, a):
@@ -596,6 +622,32 @@ class TestOneCompositionEnumerator:
             listed = homogeneous_monomials(nvars, degree)
             assert listed == reference_homogeneous_monomials(nvars, degree), degree
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_capped_monomials_are_the_filtered_staircase(self, rank):
+        for m in every_matrix(rank, (1, 2, 3)):
+            for degree in range(m.degree + 2):
+                capped = homogeneous_monomials(rank, degree, staircase_caps(m))
+                assert capped == filtered_staircase(m, degree), (m, degree)
+
+    @pytest.mark.parametrize("rank, entries", [(4, (1, 2, 3)), (5, (1, 2))])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_capped_monomials_at_seeded_rank_four_and_five(self, rank, entries, seed):
+        rng = random.Random(4500 + 10 * rank + seed)
+        m = MultiplicityMatrix(rank, tuple(rng.choice(entries) for _ in range(rank * (rank + 1) // 2)))
+        for degree in range(m.degree + 2):
+            capped = homogeneous_monomials(rank, degree, staircase_caps(m))
+            assert capped == filtered_staircase(m, degree), (m, degree)
+
+    @pytest.mark.parametrize("caps", [(), (0,), (2, 1), (9, 9, 9, 9), (-1,), (3, 3, 3)])
+    def test_caps_bound_suffix_sums_and_keep_the_order(self, caps):
+        for nvars in range(1, 5):
+            for degree in range(7):
+                kept = [
+                    exps for exps in homogeneous_monomials(nvars, degree)
+                    if all(sum(exps[nvars - 1 - t:]) <= cap for t, cap in enumerate(caps[: nvars - 1]))
+                ]
+                assert homogeneous_monomials(nvars, degree, caps) == kept, (nvars, degree)
+
     @pytest.mark.parametrize("q", [1, 2, 5])
     def test_rank_one_lowering_operator_is_zero(self, q):
         assert not list(_weak_compositions(q, 0))
@@ -730,10 +782,13 @@ class TestOperatorsMatchReference:
 
 
 def failing_nodes(m, poly):
-    """Check ``node_residual`` against the expanded operators; count the nonzero residuals."""
-    fast = {l: node_residual(m, l, poly) for l in range(m.rank, 0, -1)}
+    """Check ``node_residuals`` against the expanded operators and the partials; count the nonzero residuals."""
+    fast = dict(node_residuals(m, poly))
+    assert list(fast) == list(range(m.rank, 0, -1))
     assert fast == reference_node_residuals(m, poly), (m, poly)
-    for residual in fast.values():
+    for l, residual in fast.items():
+        slow = partial_node_residual(m, l, poly)
+        assert residual == slow and residual.render() == slow.render(), (m, l, poly)
         assert_canonical(residual)
     return sum(not residual.is_zero for residual in fast.values())
 
@@ -763,7 +818,55 @@ class TestNodeResidualMatchesExpandedOperator:
 
     def test_variable_count_mismatch(self):
         with pytest.raises(ValueError):
-            node_residual(MultiplicityMatrix(2, (1, 1, 1)), 1, MultiPoly.one(3))
+            list(node_residuals(MultiplicityMatrix(2, (1, 1, 1)), MultiPoly.one(3)))
+
+
+class TestDividedPowerResidualMatchesPartials:
+    """The divided-power residuals against ``MultiPoly.partial``, off the volumes too."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_volumes_perturbed_by_coefficients_that_do_not_divide_e_factorial(self, rank):
+        rng = random.Random(4400 + rank)
+        for m in every_matrix(rank, (1, 2)):
+            monomials = homogeneous_monomials(rank, m.degree)
+            volume = iterated_residue(m).poly
+            for coeff in (Fraction(1, 7), Fraction(-5, 11)):
+                failing_nodes(m, volume + MultiPoly.monomial(rng.choice(monomials), coeff))
+            failing_nodes(m, volume * Fraction(5, 11))
+
+    @settings(max_examples=150)
+    @given(multiplicity_matrices(min_rank=1, max_rank=3, max_mult=2), st.data())
+    def test_any_polynomial(self, m, data):
+        # non-homogeneous, any rational coefficients, the zero polynomial included
+        failing_nodes(m, data.draw(multipolys(nvars=m.rank, max_terms=6, max_exp=5)))
+
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    @pytest.mark.parametrize("value", [0, 1, Fraction(-5, 11)])
+    def test_zero_and_constants(self, rank, value):
+        m = MultiplicityMatrix(rank, (1,) * (rank * (rank + 1) // 2))
+        assert failing_nodes(m, MultiPoly.constant(rank, value)) == 0
+
+    @pytest.mark.parametrize("mult", [1, 2, 3])
+    def test_rank_one(self, mult):
+        m = MultiplicityMatrix(1, (mult,))
+        for degree in range(6):
+            poly = MultiPoly.monomial((degree,), Fraction(3, 7))
+            assert failing_nodes(m, poly) == (degree >= mult)
+
+    @pytest.mark.parametrize("power", [3, 6])
+    def test_residual_that_vanishes_only_after_the_differences(self, power):
+        # node 1 applies d_1^2 (d_1 - d_2)^2 (d_1 - d_3): (a_1 + a_2)^power
+        # survives d_1^2 and is killed by d_1 - d_2, a_3 is killed by d_1^2
+        # and a_1^(power + 2), of degree at least the order 5, by none
+        m = MultiplicityMatrix(3, (2, 1, 2, 1, 1, 1))
+        a1, a2, a3 = (MultiPoly.variable(i, 3) for i in (1, 2, 3))
+        killed = (a1 + a2) ** power * Fraction(1, 7)
+        assert not killed.partial(1).partial(1).is_zero
+        assert dict(node_residuals(m, killed))[1].is_zero
+        failing_nodes(m, killed)
+        survivor = a1 ** (power + 2) + a3
+        assert not dict(node_residuals(m, survivor))[1].is_zero
+        failing_nodes(m, survivor)
 
 
 class TestFoldedLatticeCountMatchesReference:

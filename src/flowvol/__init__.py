@@ -22,7 +22,6 @@ from .oracle import (
 from .polynomial import (
     MultiPoly,
     binomial_series_coeff,
-    grlex_key,
     homogeneous_monomials,
 )
 from .residue import (
@@ -57,7 +56,6 @@ __all__ = [
     "compare_volume",
     "count_lattice_points",
     "dilation_counts",
-    "grlex_key",
     "homogeneous_monomials",
     "integer_nullspace",
     "iterated_residue",

@@ -17,7 +17,7 @@ vectors (p_(l+1), ..., p_r) with p_(l+1) + ... + p_r = q of
 prod_j C(m[l,j], p_j) d_j^p_j.  Distinct vectors give distinct monomials, so
 no two terms of the expansion merge, and every coefficient is an integer.
 ``_node_terms`` is that coefficient rule for any weight in place of C(m, p);
-``_node_operator`` uses it with the binomial coefficients, and the
+``pde_system`` uses it with the binomial coefficients, and the
 rank-induction operators of ``induction`` use it at node 1.
 
 To test a candidate, ``node_residuals`` never expands a node operator.  It
@@ -35,15 +35,16 @@ linear operator, and constant-coefficient operators commute, so applying
 the factors one after another gives the same polynomial as applying their
 expanded product; every factor maps 0 to 0, so stopping early changes
 nothing.  ``check-pde`` therefore prints the same residual, term for term,
-as the expanded operator gives.
+as the expanded operator gives.  ``_node_image`` is that action of one node
+operator on a table; ``node_residuals`` and ``solution_space`` both use it.
 
 Within homogeneous polynomials of the volume degree, the common kernel of
 these operators is one-dimensional and spanned by the volume polynomial; one
 degree higher it is zero.  ``solution_space`` computes that kernel exactly by
-fraction-free elimination on the monomial basis.  The matrix entries are the
-coefficients of the expanded operators, so it reads their integer terms from
-``_node_operator`` directly; ``pde_system`` wraps the same terms as
-``DiffOperator`` objects.
+fraction-free elimination, in the divided-power coordinates y_e = e! * x_e
+of the polynomial sum_e x_e a^e = sum_e y_e a^e/e!, on the same shifts as
+``check-pde``.  No operator is expanded for it; ``pde_system`` builds the
+expanded operators as ``DiffOperator`` objects for the reference checks.
 
 The matrix is built only on the staircase monomials: the x^e whose every
 suffix sum e_(i+1) + ... + e_r, for i = 1..r-1, is at most
@@ -70,20 +71,43 @@ these columns.  The full-degree cap (i = 0) is left out on purpose, so that
 one degree above the volume degree the kernel is shown to be zero by
 elimination, not assumed, and rank 1 keeps its node-1 rows.
 
-The target rows of every node are restricted by the same rule.  A derivative
-only lowers suffix sums, so every operator maps staircase monomials to
-staircase monomials, and the rows of the full matrix at the other targets
-are zero on the staircase columns.  Dropping the other columns and those
-rows therefore leaves the null space unchanged, with zeros put back on the
-dropped columns.  The basis is unchanged too.  Pivots are taken in column
-order, so column k of the full matrix is free exactly when some kernel
-vector with x_k = 1 is zero on every later column; that vector is zero off
-the staircase, so k is kept and the same vector shows k free in the smaller
+A vector on the staircase columns is killed by the full matrix exactly
+when it is killed by those columns alone, so dropping the other columns
+leaves the null space unchanged, with zeros put back on the dropped
+columns.  The basis is unchanged too.  Pivots are taken in column order, so
+column k of the full matrix is free exactly when some kernel vector with
+x_k = 1 is zero on every later column; that vector is zero off the
+staircase, so k is kept and the same vector shows k free in the smaller
 matrix, and conversely.  The free columns are the same, in the same order,
 because the kept columns keep the order of ``homogeneous_monomials``, and
 ``integer_nullspace`` returns the unique null basis that is the identity on
 the free columns (``linalg`` docstring).  So the kernel comes out as the
 same polynomials in the same order as from the full matrix.
+
+The matrix is built from the staircase columns in divided powers.  Column
+e is the one-entry table {key(e): 1}, and all columns go into one table,
+column col under the tag col * base^r, base = d + 1; ``_node_image``
+applies each node operator to that table once.  Each image key splits back
+as (col, target) = divmod(key, base^r), and its integer value is the entry
+of the row (l, target) at column col: the coefficient c_k of the
+operator's term d^k, k = e - target, where the monomial rule on x^e gives
+c_k e!/target!.  This gives the same kernel, for three reasons:
+
+(a) The matrix is the monomial one with row t scaled by t! and column e by
+    1/e!.  Scaling rows does not change the null space; scaling column e by
+    a nonzero number does not change which columns are pivots, since it
+    keeps every column in or out of the span of the columns before it.  A
+    null vector is fixed by its free coordinates, so the basis vector for
+    free column f, read back by x_e = y_e / e!, is the monomial one times
+    1/f!, and the normalization of ``solution_space`` does not depend on
+    the scale of a vector.
+(b) A shift subtracts a place value u <= base^(r-1), and only where that
+    digit is nonzero, so it never borrows from the tag; the filter
+    key % (u * base) ignores the tag, because u * base divides base^r.  So
+    two columns never merge, and each column's image is its image alone.
+(c) A target that no column reaches is a zero row, and a zero row does not
+    change the null space; so only the rows that some column reaches are
+    passed to the elimination.
 """
 
 from __future__ import annotations
@@ -93,29 +117,12 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, lcm, perm, prod
 from operator import mul, sub
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .linalg import integer_nullspace
 from .multiplicity import MultiplicityMatrix
-from .polynomial import Exponents, MultiPoly, Scalar, homogeneous_monomials
+from .polynomial import Exponents, MultiPoly, homogeneous_monomials
 from .residue import VolumePolynomial
-
-
-def _derivatives(
-    op_terms: Iterable[tuple[Exponents, Scalar]], poly_terms: Collection[tuple[Exponents, Scalar]]
-) -> Iterator[tuple[Exponents, Scalar]]:
-    """Yield the image of every (operator term, polynomial term) pair that survives.
-
-    The one monomial rule: c d^k applied to x^e is c prod_i perm(e_i, k_i)
-    x^(e - k), and zero when some e_i < k_i.  Pairs come operator term
-    first; ``poly_terms`` is iterated once per operator term.  A generator,
-    so that a per-function tracer charges its time to the caller.
-    """
-    for dexps, dcoeff in op_terms:
-        for pexps, pcoeff in poly_terms:
-            exps = tuple(map(sub, pexps, dexps))
-            if min(exps) >= 0:
-                yield exps, dcoeff * pcoeff * prod(map(perm, pexps, dexps))
 
 
 def _node_terms(
@@ -193,8 +200,13 @@ class DiffOperator:
         if p.nvars != self.nvars:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {p.nvars}")
         result: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in _derivatives(self.poly.terms.items(), p.terms.items()):
-            result[exps] = result.get(exps, 0) + coeff
+        # c d^k maps x^e to c prod_i perm(e_i, k_i) x^(e - k), and to 0 when some e_i < k_i
+        for dexps, dcoeff in self.poly.terms.items():
+            for pexps, pcoeff in p.terms.items():
+                exps = tuple(map(sub, pexps, dexps))
+                if min(exps) >= 0:
+                    coeff = dcoeff * pcoeff * prod(map(perm, pexps, dexps))
+                    result[exps] = result.get(exps, 0) + coeff
         return MultiPoly._trusted(p.nvars, {e: c for e, c in result.items() if c})
 
     def __str__(self) -> str:
@@ -216,21 +228,18 @@ class PdeSystem:
         return [(self.m.rank - idx, op) for idx, op in enumerate(self.ops)]
 
 
-def _node_operator(m: MultiplicityMatrix, l: int) -> dict[Exponents, int]:
-    """The node-l operator read off its binomial expansion, as ``{exponents: int}``."""
-    order = m.row_sum(l)
-    terms = {}
-    for q in range(order - m.multiplicity(l, m.rank + 1) + 1):
-        for exps, coeff in _node_terms(m, l, q, comb).items():
-            terms[exps[: l - 1] + (order - q,) + exps[l:]] = (-1) ** q * coeff
-    return terms
-
-
 def pde_system(m: MultiplicityMatrix) -> PdeSystem:
     """Build the annihilating operator of every node from its binomial expansion."""
     r = m.rank
-    ops = tuple(DiffOperator(MultiPoly(r, _node_operator(m, l))) for l in range(r, 0, -1))
-    return PdeSystem(m, ops)
+    ops = []
+    for l in range(r, 0, -1):
+        order = m.row_sum(l)
+        terms = {}
+        for q in range(order - m.multiplicity(l, r + 1) + 1):
+            for exps, coeff in _node_terms(m, l, q, comb).items():
+                terms[exps[: l - 1] + (order - q,) + exps[l:]] = (-1) ** q * coeff
+        ops.append(DiffOperator(MultiPoly(r, terms)))
+    return PdeSystem(m, tuple(ops))
 
 
 def _shift_difference(table: dict[int, int], u: int, v: int, base: int) -> dict[int, int]:
@@ -249,6 +258,27 @@ def _shift_difference(table: dict[int, int], u: int, v: int, base: int) -> dict[
             old = out.get(key - v)
             out[key - v] = -c if old is None else old - c
     return {key: c for key, c in out.items() if c}
+
+
+def _node_image(
+    m: MultiplicityMatrix, l: int, table: dict[int, int], places: list[int], base: int
+) -> dict[int, int]:
+    """The node-l operator applied to a divided-power table, as key shifts.
+
+    ``places[i - 1]`` is the place value base^(r-i) of d_i, and every digit
+    of a key is below ``base``.  d_l^m[l,r+1] is one filtered shift, then
+    each factor d_l - d_j, m[l,j] times, is ``_shift_difference``.
+    """
+    r = m.rank
+    u = places[l - 1]
+    top = m.multiplicity(l, r + 1) * u
+    # key % (u * base) is e_l * u plus lower digits that sum to less than u
+    image = {key - top: c for key, c in table.items() if key % (u * base) >= top}
+    for j in range(l + 1, r + 1):
+        for _ in range(m.multiplicity(l, j)):
+            if image:
+                image = _shift_difference(image, u, places[j - 1], base)
+    return image
 
 
 def node_residuals(m: MultiplicityMatrix, poly: MultiPoly) -> Iterator[tuple[int, MultiPoly]]:
@@ -273,16 +303,8 @@ def node_residuals(m: MultiplicityMatrix, poly: MultiPoly) -> Iterator[tuple[int
         for exps, c in poly.terms.items()
     }
     for l in range(r, 0, -1):
-        u = places[l - 1]
-        top = m.multiplicity(l, r + 1) * u
-        # key % (u * base) is e_l * u plus lower digits that sum to less than u
-        image = {key - top: c for key, c in table.items() if key % (u * base) >= top}
-        for j in range(l + 1, r + 1):
-            for _ in range(m.multiplicity(l, j)):
-                if image:
-                    image = _shift_difference(image, u, places[j - 1], base)
         residual = {}
-        for key, c in image.items():
+        for key, c in _node_image(m, l, table, places, base).items():
             exps = tuple(key // place % base for place in places)
             residual[exps] = Fraction(c, scale * prod(map(factorial, exps)))
         yield l, MultiPoly._trusted(r, residual)
@@ -306,41 +328,41 @@ def annihilates(m: MultiplicityMatrix, v: VolumePolynomial | MultiPoly) -> bool:
 def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     """Exact basis of the homogeneous degree-d polynomials killed by the system.
 
-    Stacks the coefficient matrix of the operator of every node l = rank
-    down to 1 on the degree-d staircase monomials (module docstring), one
-    sparse row ``{column: int}`` per staircase target monomial (empty rows
-    included), filled from the operator's integer terms by the monomial rule
-    of ``_derivatives``, and extracts its null space by sparse fraction-free
-    elimination.  The node-l operator is homogeneous of order row_sum(l)
-    (its term d_l^row_sum(l) has coefficient 1), so it adds no rows at a
-    degree below that order.  At the volume degree the basis is normalized
-    to the expected corner coefficient; at other degrees each basis element
-    is made monic in its graded-lex leading term.
+    Stacks the matrix of the operator of every node l = rank down to 1 on
+    the degree-d staircase monomials, in the divided-power coordinates
+    y_e = e! * x_e of ``node_residuals``, and extracts its null space by
+    sparse fraction-free elimination.  The columns are tagged into one
+    table, keyed col * base^r + sum_i e_i * base^(r-i) with base = d + 1,
+    and ``_node_image`` applies each node operator to that table once; an
+    image key splits back as (col, target) = divmod(key, base^r), and its
+    value is the entry of the sparse row ``{column: int}`` of (l, target).
+    Arguments (a)-(c) of the module docstring show that this matrix has the
+    same null space, after x_e = y_e / e!, and the same basis up to the
+    scale of each vector, which the normalization removes.  At the volume
+    degree the basis is normalized to the expected corner coefficient; at
+    other degrees each basis element is made monic in its graded-lex
+    leading term.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     r = m.rank
-    orders = m.row_sums
-    caps = list(accumulate(order - 1 for order in reversed(orders[1:])))  # D_(r-1), ..., D_1
-
+    caps = list(accumulate(order - 1 for order in reversed(m.row_sums[1:])))  # D_(r-1), ..., D_1
     columns = homogeneous_monomials(r, degree, caps)
-    rows: list[dict[int, int]] = []
+
+    base = degree + 1
+    tag = base**r
+    places = [base ** (r - i) for i in range(1, r + 1)]
+    table = {col * tag + sum(map(mul, exps, places)): 1 for col, exps in enumerate(columns)}
+    rows: dict[tuple[int, int], dict[int, int]] = {}
     for l in range(r, 0, -1):
-        order = orders[l - 1]
-        if order > degree:
-            continue  # operator kills all of this degree, no constraints
-        terms = _node_operator(m, l).items()
-        targets = {exps: i for i, exps in enumerate(homogeneous_monomials(r, degree - order, caps))}
-        block: list[dict[int, int]] = [{} for _ in targets]
-        for col, exps in enumerate(columns):
-            for image, coeff in _derivatives(terms, ((exps, 1),)):
-                block[targets[image]][col] = coeff
-        rows.extend(block)
+        for key, c in _node_image(m, l, table, places, base).items():
+            col, target = divmod(key, tag)
+            rows.setdefault((l, target), {})[col] = c
 
     basis = []
-    for vector in integer_nullspace(rows, len(columns)):
-        poly = MultiPoly(r, {exps: c for exps, c in zip(columns, vector) if c})
-        basis.append(_normalize(m, degree, poly))
+    for vector in integer_nullspace(list(rows.values()), len(columns)):
+        terms = {exps: y / prod(map(factorial, exps)) for exps, y in zip(columns, vector) if y}
+        basis.append(_normalize(m, degree, MultiPoly(r, terms)))
     return basis
 
 

@@ -41,9 +41,6 @@ class MultiplicityMatrix:
             if type(value) is not int or value < 1:
                 raise ValueError(f"multiplicity m[{i},{j}] must be a positive integer")
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return root_pairs(self.rank)
-
     def multiplicity(self, i: int, j: int) -> int:
         """m[i,j] for 1 <= i < j <= rank+1."""
         if not 1 <= i < j <= self.rank + 1:

@@ -35,11 +35,6 @@ def binomial_series_coeff(m: int, k: int) -> int:
     return math.comb(m - 1 + k, k)
 
 
-def grlex_key(exponents: Exponents) -> tuple:
-    """Sort key putting monomials in descending graded-lex order."""
-    return (-sum(exponents), tuple(-e for e in exponents))
-
-
 def homogeneous_monomials(nvars: int, degree: int, caps: Sequence[int] = ()) -> list[Exponents]:
     """All exponent vectors of the given total degree, descending graded-lex.
 
@@ -165,7 +160,7 @@ class MultiPoly:
         return self.terms.get(tuple(exps), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        # descending (total degree, exponents) is grlex_key's order: the keys are distinct
+        # descending (total degree, exponents) is descending graded-lex order: the keys are distinct
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
 
     # -- arithmetic --------------------------------------------------------

@@ -37,6 +37,11 @@ def rational_points(draw, nvars):
     return tuple(draw(small_fractions) for _ in range(nvars))
 
 
+def grlex_key(exponents):
+    """Sort key putting monomials in descending graded-lex order: the order reference."""
+    return (-sum(exponents), tuple(-e for e in exponents))
+
+
 def sparse_rows(rows):
     """Dense matrix rows as the ``{column: entry}`` mappings ``integer_nullspace`` takes.
 

@@ -13,7 +13,10 @@ with Fraction back-substitution that the sparse Gauss-Jordan solve replaced,
 ``reference_operator_rows`` builds the kernel matrix on every monomial from
 one ``op.apply`` per monomial, and ``reference_solution_space`` solves that
 full matrix, where ``solution_space`` keeps only the staircase monomials,
-those ``on_staircase`` accepts; ``filtered_staircase`` filters every
+those ``on_staircase`` accepts; ``staircase_solution_space`` solves on the
+staircase in the monomial basis, where ``solution_space`` builds its matrix
+in divided powers from ``node_residuals``' key shifts (``_node_image``);
+``filtered_staircase`` filters every
 monomial with it, where ``homogeneous_monomials`` builds only the staircase
 from its suffix-sum caps.  ``reference_pde_system``
 multiplies out the node operators prod_j (d_l - d_j)^m[l,j] * d_l^m[l,r+1] and
@@ -32,20 +35,22 @@ new key without an add.  ``reference_homogeneous_monomials`` enumerates the
 monomials through one recursive generator frame per variable, where
 ``homogeneous_monomials`` builds the list from tables of tails, and
 ``MultiPoly.sorted_terms`` sorts on (total degree, exponents) descending
-where ``grlex_key`` negates each entry.  All are kept here, outside the
+where ``grlex_key`` (conftest) negates each entry.  All are kept here, outside the
 package, as the references the engine must match exactly.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from operator import mul, sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import flowvol.diffop
-from flowvol.diffop import node_residuals
+from flowvol.diffop import _node_image, node_residuals
 from flowvol import (
     DiffOperator,
     MultiPoly,
@@ -56,7 +61,6 @@ from flowvol import (
     build_kernel,
     canonical_order,
     count_lattice_points,
-    grlex_key,
     homogeneous_monomials,
     integer_nullspace,
     iterated_residue,
@@ -70,6 +74,7 @@ from flowvol import (
 )
 
 from conftest import (
+    grlex_key,
     multipolys,
     multiplicity_matrices,
     rational_points,
@@ -211,6 +216,11 @@ def reference_operator_rows(m, degree):
     return columns, rows
 
 
+def factorials(exps):
+    """e! = prod_i e_i!, the divided-power scale of x^e."""
+    return math.prod(map(math.factorial, exps))
+
+
 def on_staircase(m, exps):
     """Every suffix sum e_(i+1) + ... + e_r at most D_i, the volume degree of the
     restriction to nodes i+1..r+1, for i = 1..r-1."""
@@ -231,30 +241,51 @@ def filtered_staircase(m, degree):
     return [exps for exps in homogeneous_monomials(m.rank, degree) if on_staircase(m, exps)]
 
 
-def reference_solution_space(m, degree):
-    """``solution_space`` as it was before it kept only the staircase columns.
+def monomial_solution_space(m, degree, caps=()):
+    """The kernel solve on the monomial basis x^e, one row per target monomial.
 
-    Every operator on every degree-d monomial.
+    Every entry comes from the monomial rule: c d^k maps x^e to
+    c prod_i perm(e_i, k_i) x^(e - k), and to 0 when some e_i < k_i.  The
+    caps bound the suffix sums of the columns and targets as in
+    ``homogeneous_monomials``.
     """
     r = m.rank
-    columns = homogeneous_monomials(r, degree)
+    columns = homogeneous_monomials(r, degree, caps)
     rows = []
-    for l in range(r, 0, -1):
+    for l, op in pde_system(m).labeled():
         order = m.row_sum(l)
         if order > degree:
             continue
-        terms = flowvol.diffop._node_operator(m, l).items()
-        targets = {exps: i for i, exps in enumerate(homogeneous_monomials(r, degree - order))}
+        targets = {exps: i for i, exps in enumerate(homogeneous_monomials(r, degree - order, caps))}
         block = [{} for _ in targets]
         for col, exps in enumerate(columns):
-            for image, coeff in flowvol.diffop._derivatives(terms, ((exps, 1),)):
-                block[targets[image]][col] = coeff
+            for dexps, dcoeff in op.poly.terms.items():
+                image = tuple(map(sub, exps, dexps))
+                if min(image) >= 0:
+                    block[targets[image]][col] = int(dcoeff) * math.prod(map(math.perm, exps, dexps))
         rows.extend(block)
     basis = []
     for vector in integer_nullspace(rows, len(columns)):
         poly = MultiPoly(r, {exps: c for exps, c in zip(columns, vector) if c})
         basis.append(flowvol.diffop._normalize(m, degree, poly))
     return basis
+
+
+def reference_solution_space(m, degree):
+    """``solution_space`` as it was before it kept only the staircase columns.
+
+    Every operator on every degree-d monomial.
+    """
+    return monomial_solution_space(m, degree)
+
+
+def staircase_solution_space(m, degree):
+    """``solution_space`` as it was before it worked in divided powers.
+
+    The staircase columns and the staircase targets of every node, on the
+    monomial basis.
+    """
+    return monomial_solution_space(m, degree, staircase_caps(m))
 
 
 def reference_pde_system(m):
@@ -698,19 +729,21 @@ class TestKernelSolveMatchesReference:
                 seen.clear()
                 solution_space(m, degree)
                 [(rows, ncols)] = seen
-                assert all(all(row.values()) for row in rows), (m, degree)
+                assert all(row and all(row.values()) for row in rows), (m, degree)
                 dense = [[row.get(col, 0) for col in range(ncols)] for row in rows]
-                # the staircase part of the full matrix, and nothing else of it
-                # on the staircase columns
+                # the nonzero staircase rows of the full matrix on the staircase
+                # columns, in divided powers: entry (t, e) times t!/e!; and nothing
+                # else of the full matrix on the staircase columns
                 columns, labeled = reference_operator_rows(m, degree)
                 kept_columns = [k for k, exps in enumerate(columns) if on_staircase(m, exps)]
                 kept = [
-                    [row[k] for k in kept_columns]
+                    tuple(Fraction(row[k] * factorials(target), factorials(columns[k])) for k in kept_columns)
                     for l, target, row in labeled
                     if on_staircase(m, target)
                 ]
                 dropped = [row for l, target, row in labeled if not on_staircase(m, target)]
-                assert dense == kept and ncols == len(kept_columns), (m, degree)
+                nonzero = Counter(row for row in kept if any(row))
+                assert Counter(map(tuple, dense)) == nonzero and ncols == len(kept_columns), (m, degree)
                 assert not any(row[k] for row in dropped for k in kept_columns), (m, degree)
                 expected = reference_integer_nullspace(dense, ncols)
                 assert integer_nullspace(rows, ncols) == expected, (m, degree)
@@ -742,6 +775,61 @@ class TestStaircaseKernelMatchesFullKernel:
         rng = random.Random(5100 + seed)
         m = MultiplicityMatrix(4, tuple(rng.choice((1, 2)) for _ in range(10)))
         self.assert_same_kernel(m, (m.degree - 1, m.degree, m.degree + 1))
+
+
+class TestDividedPowerKernelMatchesStaircaseKernel:
+    """The kernel in divided powers against the staircase kernel on the monomial basis."""
+
+    @staticmethod
+    def assert_same_kernel(m, degrees=None):
+        for degree in degrees or range(m.degree + 2):
+            basis, expected = solution_space(m, degree), staircase_solution_space(m, degree)
+            assert [p.render() for p in basis] == [p.render() for p in expected], (m, degree)
+            assert basis == expected, (m, degree)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_every_small_matrix(self, rank):
+        for m in every_matrix(rank, (1, 2, 3)):
+            self.assert_same_kernel(m)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_rank_three(self, seed):
+        rng = random.Random(5200 + seed)
+        for _ in range(10):
+            self.assert_same_kernel(MultiplicityMatrix(3, tuple(rng.choice((1, 2, 3)) for _ in range(6))))
+
+    @pytest.mark.parametrize("rank, seed", [(4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (5, 2)])
+    def test_seeded_rank_four_and_five(self, rank, seed):
+        rng = random.Random(5300 + 10 * rank + seed)
+        m = MultiplicityMatrix(rank, tuple(rng.choice((1, 2)) for _ in range(rank * (rank + 1) // 2)))
+        self.assert_same_kernel(m, (m.degree - 1, m.degree, m.degree + 1))
+
+
+class TestNodeImageOnTaggedColumns:
+    @given(multiplicity_matrices(max_rank=3, max_mult=2), st.data())
+    def test_tagged_table_is_the_union_of_column_images(self, m, data):
+        # the tag col * base^r keeps the columns apart: no shift reaches it
+        r = m.rank
+        degree = data.draw(st.integers(min_value=0, max_value=m.degree + 1))
+        base = degree + 1
+        tag = base**r
+        places = [base ** (r - i) for i in range(1, r + 1)]
+        monomials = [exps for k in range(degree + 1) for exps in homogeneous_monomials(r, k)]
+        entries = st.dictionaries(
+            st.sampled_from(monomials), st.integers(min_value=-5, max_value=5).filter(bool), max_size=4
+        )
+        columns = [
+            {sum(map(mul, exps, places)): c for exps, c in column.items()}
+            for column in data.draw(st.lists(entries, min_size=1, max_size=4))
+        ]
+        tagged = {col * tag + key: c for col, column in enumerate(columns) for key, c in column.items()}
+        for l in range(1, r + 1):
+            union = {
+                col * tag + key: c
+                for col, column in enumerate(columns)
+                for key, c in _node_image(m, l, column, places, base).items()
+            }
+            assert _node_image(m, l, tagged, places, base) == union, (m, degree, l)
 
 
 def operator_families_match_reference(m):

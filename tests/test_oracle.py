@@ -14,6 +14,7 @@ from flowvol import (
     count_lattice_points,
     dilation_counts,
     iterated_residue,
+    root_pairs,
 )
 from flowvol.oracle import _newton_fit
 
@@ -23,7 +24,7 @@ GOLDEN_M = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 2))
 def brute_force_count(m, a):
     """Enumerate integer flows edge by edge, checking node balances directly."""
     edges = []
-    for (i, j) in m.pairs():
+    for (i, j) in root_pairs(m.rank):
         edges.extend([(i, j)] * m.multiplicity(i, j))
     supply = list(a) + [-sum(a)]
     bound = sum(x for x in a if x > 0)  # no copy carries more than the positive supplies

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from flowvol import MultiPoly, binomial_series_coeff, grlex_key, homogeneous_monomials
+from flowvol import MultiPoly, binomial_series_coeff, homogeneous_monomials
 
-from conftest import multipolys, rational_points
+from conftest import grlex_key, multipolys, rational_points
 
 A1 = MultiPoly.variable(1, 2)
 A2 = MultiPoly.variable(2, 2)

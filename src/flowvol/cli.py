@@ -47,9 +47,12 @@ MAX_DEGREE = 100
 # rank.  ``oracle-compare`` refuses a largest dilated supply t_max * sum(a)
 # above this, which admits ``--dilations`` at its ceiling on a = (1, 1).
 # Without ``--dilations`` the counts run on a window around t = 0 (``oracle``)
-# whose largest supply is about half of degree * sum(a).  At the ceiling, with
-# all m=1, rank 4 counts in 1.1 s at a = (30, 1, 1, 1) and rank 5 in 23 s at
-# a = (16, 1, 1, 1, 1), on a shared 2-core VM.
+# whose largest supply is about half of degree * sum(a), so the check is loose
+# both ways.  Under it, with all m=1 on a shared 2-core VM, rank 4 counts in
+# 1.1 s at a = (30, 1, 1, 1), rank 5 in 23 s at a = (16, 1, 1, 1, 1), and
+# rank 6 at a = (8, 1, 1, 1, 1, 1) (supply 195) and rank 7 at a = (3, 1, ..., 1)
+# (supply 189) in 60-68 s each.  Above it, the rank-3 matrix m = (1,1,2,1,2,2)
+# at a = (12, 12, 12) (supply 216) is refused, though it counts in under 0.01 s.
 MAX_SUPPLY = 200
 
 # Python refuses to print an int of more than 4,300 digits (about 14,284

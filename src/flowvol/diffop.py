@@ -159,22 +159,6 @@ class DiffOperator:
     def zero(cls, nvars: int) -> "DiffOperator":
         return cls(MultiPoly.zero(nvars))
 
-    @classmethod
-    def identity(cls, nvars: int) -> "DiffOperator":
-        return cls(MultiPoly.one(nvars))
-
-    @classmethod
-    def partial(cls, index: int, nvars: int) -> "DiffOperator":
-        return cls(MultiPoly.variable(index, nvars))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
-
-    def order(self) -> int | None:
-        """Highest total derivative order, or None for the zero operator."""
-        return self.poly.total_degree()
-
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
         return DiffOperator(self.poly + other.poly)
 

@@ -68,7 +68,7 @@ class MultiPoly:
     construction, so values can be shared freely (including across threads).
 
     Validation happens once, at the boundary.  The public constructor and the
-    ``zero``/``constant``/``one``/``variable``/``monomial`` classmethods check
+    ``zero``/``one``/``variable``/``monomial`` classmethods check
     exponent lengths and signs and coerce every coefficient to a nonzero
     ``Fraction``.  Arithmetic, ``partial``, ``embed`` and operator
     application trust their canonical operands, drop cancelled zeros
@@ -116,12 +116,8 @@ class MultiPoly:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars: int, value: Scalar) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
     def one(cls, nvars: int) -> "MultiPoly":
-        return cls.constant(nvars, 1)
+        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "MultiPoly":
@@ -140,12 +136,6 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int | None:
-        """Maximum term degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         """True when every term has the same total degree (zero counts)."""

@@ -81,14 +81,13 @@ class ResidueTerm:
 class ResidueSum:
     """Sum of exponential-rational terms, closed under one-variable residues.
 
-    ``xvars`` are the variables not yet integrated out; ``exp_vars`` is the
-    subset still carrying an exp(a_i x_i) factor.  Terms are merged on their
+    ``xvars`` are the variables not yet integrated out, and each of them
+    still carries its exp(a_i x_i) factor.  Terms are merged on their
     factored denominator, with zero coefficients dropped.
     """
 
     nvars: int
     xvars: frozenset[int]
-    exp_vars: frozenset[int]
     terms: tuple[ResidueTerm, ...]
 
     @classmethod
@@ -96,23 +95,14 @@ class ResidueSum:
         cls,
         nvars: int,
         xvars: Iterator[int] | Sequence[int],
-        exp_vars: Iterator[int] | Sequence[int],
         raw_terms: Mapping[TermKey, MultiPoly],
     ) -> "ResidueSum":
-        xvars = frozenset(xvars)
-        exp_vars = frozenset(exp_vars)
-        if not exp_vars <= xvars:
-            raise ValueError("exponential factors must belong to live variables")
         kept = tuple(
             ResidueTerm(coeff, xpow, diff)
             for (xpow, diff), coeff in sorted(raw_terms.items())
             if not coeff.is_zero
         )
-        return cls(nvars, xvars, exp_vars, kept)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls(nvars, frozenset(xvars), kept)
 
     def polynomial(self) -> MultiPoly:
         """Collapse a fully integrated sum to its polynomial coefficient."""
@@ -136,8 +126,7 @@ def build_kernel(m: MultiplicityMatrix) -> ResidueSum:
         for i in range(1, r)
         for j in range(i + 1, r + 1)
     )
-    live = frozenset(range(1, r + 1))
-    return ResidueSum(r, live, live, (ResidueTerm(MultiPoly.one(r), xpow, diff),))
+    return ResidueSum(r, frozenset(range(1, r + 1)), (ResidueTerm(MultiPoly.one(r), xpow, diff),))
 
 
 def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
@@ -154,7 +143,6 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
     """
     if var not in expr.xvars:
         raise ValueError(f"variable x{var} was already integrated out")
-    has_exp = var in expr.exp_vars
     groups: dict[TermKey, dict[int, dict[tuple[int, ...], int]]] = {}
     common: dict[tuple[int, ...], int] = {}  # L_e: lcm of the denominators of a^e
     for term in expr.terms:
@@ -173,8 +161,6 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
         passive = tuple((pair, q) for pair, q in term.diff if var not in pair)
 
         for *depths, exp_power in homogeneous_monomials(len(involved) + 1, budget):
-            if not has_exp and exp_power != 0:
-                continue
             scalar = 1
             xpow = list(term.xpow)
             xpow[var - 1] = 0
@@ -200,9 +186,7 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
             total = coeff if total is None else total + coeff
         collected[key] = total
 
-    return ResidueSum.build(
-        expr.nvars, expr.xvars - {var}, expr.exp_vars - {var}, collected
-    )
+    return ResidueSum.build(expr.nvars, expr.xvars - {var}, collected)
 
 
 def laurent_residue(series: Mapping[int, Fraction | int]) -> Fraction:

@@ -12,16 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import flowvol.cli
-from flowvol import (
-    MultiPoly,
-    ProblemSpec,
-    SpecError,
-    iterated_residue,
-    parse_spec,
-    pde_system,
-    render_spec,
-    run_command,
-)
+from flowvol import MultiPoly, iterated_residue, pde_system
+from flowvol.cli import ProblemSpec, SpecError, parse_spec, render_spec, run_command
 from flowvol.cli import EXIT_STDOUT_CLOSED, MAX_DEGREE, MAX_POINT_BITS, MAX_SUPPLY, main
 
 GOLDEN_TEXT = "r=3; m[1,2]=1; m[1,3]=1; m[1,4]=2; m[2,3]=1; m[2,4]=2; m[3,4]=2"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from flowvol import integer_nullspace
+from flowvol.linalg import integer_nullspace
 
 from conftest import sparse_rows
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from flowvol import MultiplicityMatrix, root_pairs
+from flowvol import MultiplicityMatrix
+from flowvol.multiplicity import root_pairs
 
 from conftest import multiplicity_matrices
 

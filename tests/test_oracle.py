@@ -6,17 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import flowvol.oracle
-from flowvol import (
-    CountTable,
-    MultiPoly,
-    MultiplicityMatrix,
-    compare_volume,
-    count_lattice_points,
-    dilation_counts,
-    iterated_residue,
-    root_pairs,
-)
-from flowvol.oracle import _newton_fit
+from flowvol import MultiPoly, MultiplicityMatrix, compare_volume, iterated_residue
+from flowvol.multiplicity import root_pairs
+from flowvol.oracle import CountTable, _newton_fit, count_lattice_points, dilation_counts
 
 GOLDEN_M = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 2))
 
@@ -58,7 +50,7 @@ def reference_newton_fit(values):
     t = MultiPoly.variable(1, 1)
     for node, c in enumerate(coeffs):
         poly = poly + basis * c
-        basis = basis * (t - MultiPoly.constant(1, node))
+        basis = basis * (t - MultiPoly.one(1) * node)
     return poly
 
 
@@ -283,7 +275,7 @@ class TestPolynomialRecovery:
         # alone and compare with the residue engine coefficient by coefficient
         import math
 
-        from flowvol import MultiPoly, homogeneous_monomials
+        from flowvol.polynomial import homogeneous_monomials
 
         monos = homogeneous_monomials(3, GOLDEN_M.degree)
         n = len(monos)

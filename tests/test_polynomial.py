@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from flowvol import MultiPoly, binomial_series_coeff, homogeneous_monomials
+from flowvol import MultiPoly
+from flowvol.polynomial import binomial_series_coeff, homogeneous_monomials
 
 from conftest import grlex_key, multipolys, rational_points
 
@@ -174,7 +175,7 @@ class TestRendering:
         assert p.render_latex() == "-a_{1} + a_{2} - \\frac{3}{4}"
         p = MultiPoly(2, {(3, 0): Fraction(-2, 5), (0, 2): -1, (0, 0): 1})
         assert p.render_latex() == "-\\frac{2}{5} a_{1}^{3} - a_{2}^{2} + 1"
-        assert MultiPoly.constant(2, 5).render_latex() == "5"
+        assert MultiPoly(2, {(0, 0): 5}).render_latex() == "5"
         assert MultiPoly.zero(2).render_latex() == "0"
 
     def test_operator_symbols(self):

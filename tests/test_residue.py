@@ -8,17 +8,14 @@ from hypothesis import given, strategies as st
 from flowvol import (
     MultiPoly,
     MultiplicityMatrix,
-    ResidueSum,
-    ResidueTerm,
     VolumePolynomial,
-    build_kernel,
     canonical_order,
     iterated_residue,
     laurent_derivative,
     laurent_residue,
-    residue_at_zero,
     residue_in_order,
 )
+from flowvol.residue import ResidueSum, ResidueTerm, build_kernel, residue_at_zero
 
 from conftest import multiplicity_matrices, small_fractions
 
@@ -37,17 +34,17 @@ GOLDEN_POLY = MultiPoly(3, {
 class TestBuildKernel:
     def test_rank_one(self):
         kernel = build_kernel(MultiplicityMatrix(1, (3,)))
-        assert kernel.xvars == kernel.exp_vars == {1}
+        assert kernel.xvars == {1}
         assert kernel.terms == (ResidueTerm(MultiPoly.one(1), (-3,), ()),)
 
     def test_rank_two_heavy_difference(self):
         kernel = build_kernel(MultiplicityMatrix(2, (4, 1, 1)))
-        assert kernel.xvars == kernel.exp_vars == {1, 2}
+        assert kernel.xvars == {1, 2}
         assert kernel.terms == (ResidueTerm(MultiPoly.one(2), (-1, -1), (((1, 2), 4),)),)
 
     def test_rank_three(self):
         kernel = build_kernel(GOLDEN_M)
-        assert kernel.xvars == kernel.exp_vars == {1, 2, 3}
+        assert kernel.xvars == {1, 2, 3}
         [term] = kernel.terms
         assert term.coeff == MultiPoly.one(3)
         assert term.xpow == (-2, -2, -2)
@@ -62,21 +59,10 @@ class TestSingleResidue:
         expected = MultiPoly(1, {(order - 1,): Fraction(1, math.factorial(order - 1))})
         assert result.polynomial() == expected
 
-    def test_bare_simple_pole(self):
-        # 1/x with no exponential factor: the residue is 1.
-        state = ResidueSum.build(1, [1], [], {((-1,), ()): MultiPoly.one(1)})
-        assert residue_at_zero(state, 1).polynomial() == MultiPoly.one(1)
-
-    def test_bare_double_pole_has_no_residue(self):
-        state = ResidueSum.build(1, [1], [], {((-2,), ()): MultiPoly.one(1)})
-        assert residue_at_zero(state, 1).polynomial().is_zero
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_simple_pole_with_difference_factor(self, n):
-        # exp(a2 x2) / (x2 (x1 - x2)^n): evaluate the analytic part at x2 = 0
-        state = ResidueSum.build(
-            2, [1, 2], [2], {((0, -1), (((1, 2), n),)): MultiPoly.one(2)}
-        )
+        # exp(a1 x1 + a2 x2) / (x2 (x1 - x2)^n): evaluate the analytic part at x2 = 0
+        state = ResidueSum.build(2, [1, 2], {((0, -1), (((1, 2), n),)): MultiPoly.one(2)})
         result = residue_at_zero(state, 2)
         assert result.terms == (
             ResidueTerm(MultiPoly.one(2), (-n, 0), ()),
@@ -162,11 +148,25 @@ class TestClassicalValues:
         normalized = math.factorial(m.degree) * v.value_at((1,) + (0,) * (rank - 1))
         assert normalized == math.prod(self._catalan(k) for k in range(1, rank - 1))
 
+    @pytest.mark.parametrize("rank", range(1, 8))
+    def test_all_ones_supply_volume_is_the_tesler_product(self, rank):
+        # all multiplicities 1, supply (1, ..., 1): the Tesler polytope, whose
+        # normalized volume is C(r,2)! * 2^C(r,2) / (1! 2! ... r!)
+        # (Meszaros-Morales-Rhoades, arXiv 1409.8566)
+        m = MultiplicityMatrix(rank, (1,) * (rank * (rank + 1) // 2))
+        pairs = math.comb(rank, 2)
+        normalized = math.factorial(m.degree) * iterated_residue(m).value_at((1,) * rank)
+        expected = Fraction(
+            math.factorial(pairs) * 2**pairs, math.prod(map(math.factorial, range(1, rank + 1)))
+        )
+        assert m.degree == pairs
+        assert normalized == expected
+
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_unit_supply_counts_match_the_volume(self, rank):
         # even on this boundary supply the polytope stays full-dimensional,
         # so the dilation counts grow with the volume as leading coefficient
-        from flowvol import count_lattice_points
+        from flowvol.oracle import count_lattice_points
 
         m = MultiplicityMatrix(rank, (1,) * (rank * (rank + 1) // 2))
         d = m.degree

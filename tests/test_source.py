@@ -25,6 +25,29 @@ def test_public_names_resolve_once():
     assert not missing, f"__all__ names that do not resolve: {missing}"
 
 
+def test_public_names_are_what_the_callers_use():
+    # the names the README, scripts/ and tests/test_acceptance.py import;
+    # everything else is reached through its submodule
+    assert sorted(flowvol.__all__) == sorted([
+        "MultiPoly",
+        "MultiplicityMatrix",
+        "VolumePolynomial",
+        "annihilates",
+        "canonical_order",
+        "compare_volume",
+        "iterated_residue",
+        "laurent_derivative",
+        "laurent_residue",
+        "lift_volume",
+        "lowering_operator",
+        "operator_ladder",
+        "pde_system",
+        "residue_in_order",
+        "solution_space",
+        "__version__",
+    ])
+
+
 REPO = Path(__file__).resolve().parents[1]
 PYTHON_FILES = sorted(
     path

@@ -48,7 +48,7 @@ def kernel_problems(m, v):
 
 def check_matrix(m):
     v = iterated_residue(m)
-    problems = [] if annihilates(m, v) else ["annihilation"]
+    problems = [] if annihilates(m, v.poly) else ["annihilation"]
     problems += kernel_problems(m, v)
     if lift_volume(iterated_residue(m.restriction()), m).poly != v.poly:
         problems.append("lift")

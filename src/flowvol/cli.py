@@ -31,7 +31,7 @@ from fractions import Fraction
 from .diffop import node_residuals, solution_space
 from .induction import lift_volume
 from .multiplicity import MultiplicityMatrix, root_pairs
-from .oracle import compare_volume
+from .oracle import OffFitError, compare_volume
 from .polynomial import MultiPoly
 from .residue import canonical_order, iterated_residue, residue_in_order
 
@@ -327,9 +327,13 @@ def run_command(
             report = compare_volume(m, point, t_max=dilations)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
-        lines.append(str(report))
-        if not report.matches:
+        except OffFitError as exc:
+            lines.append(f"property violation: {exc}")
             code = 1
+        else:
+            lines.append(str(report))
+            if not report.matches:
+                code = 1
     elif command == "corner":
         v = iterated_residue(m)
         exps = m.corner_exponents

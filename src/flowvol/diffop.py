@@ -117,12 +117,11 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, lcm, perm, prod
 from operator import mul, sub
-from typing import Callable, Iterator
+from typing import Callable
 
 from .linalg import integer_nullspace
 from .multiplicity import MultiplicityMatrix
 from .polynomial import Exponents, MultiPoly, homogeneous_monomials
-from .residue import VolumePolynomial
 
 
 def _node_terms(
@@ -165,9 +164,6 @@ class DiffOperator:
     def __sub__(self, other: "DiffOperator") -> "DiffOperator":
         return DiffOperator(self.poly - other.poly)
 
-    def __neg__(self) -> "DiffOperator":
-        return DiffOperator(-self.poly)
-
     def __mul__(self, other: "DiffOperator | int | Fraction") -> "DiffOperator":
         if isinstance(other, DiffOperator):
             return DiffOperator(self.poly * other.poly)
@@ -175,9 +171,6 @@ class DiffOperator:
 
     def __rmul__(self, other: "int | Fraction") -> "DiffOperator":
         return DiffOperator(self.poly * other)
-
-    def __pow__(self, exponent: int) -> "DiffOperator":
-        return DiffOperator(self.poly ** exponent)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         """Apply the operator to a polynomial, exactly."""
@@ -265,8 +258,8 @@ def _node_image(
     return image
 
 
-def node_residuals(m: MultiplicityMatrix, poly: MultiPoly) -> Iterator[tuple[int, MultiPoly]]:
-    """Yield (l, node-l operator applied to poly) for l = rank down to 1.
+def node_residuals(m: MultiplicityMatrix, poly: MultiPoly) -> list[tuple[int, MultiPoly]]:
+    """Pairs (l, node-l operator applied to poly) for l = rank down to 1.
 
     poly is converted once to its integer divided-power table (module
     docstring), with each exponent vector e packed into the integer key
@@ -275,10 +268,10 @@ def node_residuals(m: MultiplicityMatrix, poly: MultiPoly) -> Iterator[tuple[int
     determines e, its digit at place base^(r-i) is e_i, and d_i is the
     subtraction of that place value where the digit is nonzero.  Each
     residual equals ``pde_system(m)``'s node-l operator applied to poly.
+    poly is trusted to have m.rank variables: ``annihilates`` checks it, and
+    ``check-pde`` passes a volume of m.
     """
     r = m.rank
-    if poly.nvars != r:
-        raise ValueError(f"variable-count mismatch: {r} vs {poly.nvars}")
     base = max(map(sum, poly.terms), default=0) + 1  # above every exponent
     places = [base ** (r - i) for i in range(1, r + 1)]
     scale = lcm(*(c.denominator for c in poly.terms.values()))
@@ -286,26 +279,24 @@ def node_residuals(m: MultiplicityMatrix, poly: MultiPoly) -> Iterator[tuple[int
         sum(map(mul, exps, places)): c.numerator * (scale // c.denominator) * prod(map(factorial, exps))
         for exps, c in poly.terms.items()
     }
+    residuals = []
     for l in range(r, 0, -1):
         residual = {}
         for key, c in _node_image(m, l, table, places, base).items():
             exps = tuple(key // place % base for place in places)
             residual[exps] = Fraction(c, scale * prod(map(factorial, exps)))
-        yield l, MultiPoly._trusted(r, residual)
+        residuals.append((l, MultiPoly._trusted(r, residual)))
+    return residuals
 
 
-def annihilates(m: MultiplicityMatrix, v: VolumePolynomial | MultiPoly) -> bool:
-    """True when every node operator maps v to the zero polynomial.
+def annihilates(m: MultiplicityMatrix, poly: MultiPoly) -> bool:
+    """True when every node operator maps poly to the zero polynomial.
 
-    Accepts a bare polynomial as well, so that deliberately wrong candidates
-    (which cannot satisfy the VolumePolynomial invariants) can be tested.
+    poly is any polynomial in m.rank variables, such as a volume's ``.poly``
+    or a deliberately wrong candidate; the variable count is checked here.
     """
-    if isinstance(v, VolumePolynomial):
-        if v.m != m:
-            raise ValueError("volume polynomial was computed for different multiplicities")
-        poly = v.poly
-    else:
-        poly = v
+    if poly.nvars != m.rank:
+        raise ValueError(f"variable-count mismatch: {m.rank} vs {poly.nvars}")
     return all(residual.is_zero for _, residual in node_residuals(m, poly))
 
 

@@ -37,20 +37,13 @@ def integer_nullspace(rows: Sequence[Mapping[int, int]], ncols: int) -> list[lis
 
     Each row of A is a mapping ``{column: entry}``; absent columns are zero.
     ``ncols`` is required because A may have no rows at all, in which case
-    the null space is the whole coordinate space.  Every column must be an
-    ``int`` in ``range(ncols)`` and every entry an ``int`` (neither a
-    ``bool``); anything else raises ``ValueError`` rather than being
-    truncated.  The rows are copied, not modified.
+    the null space is the whole coordinate space.  The rows are trusted to
+    hold ``int`` columns in ``range(ncols)`` and ``int`` entries:
+    ``solution_space``, the one caller, builds them so.  The rows are
+    copied, not modified.
     """
-    if ncols < 0:
-        raise ValueError("ncols must be nonnegative")
     pending: list[dict[int, int]] = []
     for row in rows:
-        for kind in {*map(type, row), *map(type, row.values())}:
-            if kind is bool or not issubclass(kind, int):
-                raise ValueError(f"columns and entries must be integers, got {kind.__name__}")
-        if row and not 0 <= min(row) <= max(row) < ncols:
-            raise ValueError(f"matrix column out of range for {ncols} columns")
         entries = {col: value for col, value in row.items() if value}
         if entries:
             pending.append(entries)

@@ -84,21 +84,13 @@ from .multiplicity import MultiplicityMatrix
 from .residue import iterated_residue
 
 
-def _checked_point(m: MultiplicityMatrix, a: Sequence[int], minimum: int | None) -> tuple[int, ...]:
-    point = tuple(a)
-    if len(point) != m.rank:
-        raise ValueError(f"supply vector has length {len(point)}, expected {m.rank}")
-    for value in point:
-        if type(value) is not int:  # rejects booleans too
-            raise ValueError(f"supply entries must be integers, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ValueError(f"supply entry {value} below the required minimum {minimum}")
-    return point
-
-
 def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
-    """Number of nonnegative integer flows with net supply a; entries may be negative."""
-    point = _checked_point(m, a, minimum=None)
+    """Number of nonnegative integer flows with net supply a; entries may be negative.
+
+    a is trusted to hold m.rank integers: ``compare_volume`` checks the point,
+    and ``dilation_counts`` builds every supply from it.
+    """
+    point = tuple(a)  # its tails key the states
     r = m.rank
     if point[0] < 0:
         return 0
@@ -188,7 +180,11 @@ class CountTable:
         return sum(d * math.comb(t - self.first, k) for k, d in enumerate(self.differences))
 
 
-def dilation_counts(m: MultiplicityMatrix, a: Sequence[int], t_max: int | None = None) -> CountTable:
+class OffFitError(ArithmeticError):
+    """A lattice count that the polynomial fit of the volume degree misses."""
+
+
+def dilation_counts(m: MultiplicityMatrix, a: tuple[int, ...], t_max: int | None = None) -> CountTable:
     """Count L(t) on the window t = -T..degree-T and fit the degree-(volume degree) polynomial.
 
     T balances the largest supply counted on the two sides, and L(-t) comes
@@ -196,16 +192,14 @@ def dilation_counts(m: MultiplicityMatrix, a: Sequence[int], t_max: int | None =
     t_max counts every dilation above the window up to t_max as well; each
     must match the fit exactly, that is every forward difference above index
     degree must vanish, otherwise the counts are not polynomial of the
-    expected degree and an ArithmeticError reports the first dilation off
-    the fit.
+    expected degree and an ``OffFitError`` reports the first dilation off
+    the fit.  a (m.rank positive integers) and t_max >= degree are
+    trusted: ``compare_volume`` checks them.
     """
-    point = _checked_point(m, a, minimum=1)
     degree = m.degree
-    if t_max is not None and t_max < degree:
-        raise ValueError(f"need dilations up to {degree}, got bound {t_max}")
     r = m.rank
     sink = sum(m.multiplicity(i, r + 1) for i in range(1, r + 1))
-    first = -min(round(Fraction(degree * sum(point) + sink, 2 * sum(point))), degree)
+    first = -min(round(Fraction(degree * sum(a) + sink, 2 * sum(a))), degree)
     shift = [
         m.row_sum(i) - sum(m.multiplicity(k, i) for k in range(1, i)) for i in range(1, r + 1)
     ]
@@ -214,19 +208,19 @@ def dilation_counts(m: MultiplicityMatrix, a: Sequence[int], t_max: int | None =
     def count(t: int) -> int:
         """L(t); for t < 0 by reciprocity, from the count at -t*a - s."""
         if t < 0:
-            return sign * count_lattice_points(m, tuple(-t * x - s for x, s in zip(point, shift)))
-        return count_lattice_points(m, tuple(t * x for x in point))
+            return sign * count_lattice_points(m, tuple(-t * x - s for x, s in zip(a, shift)))
+        return count_lattice_points(m, tuple(t * x for x in a))
 
     top = degree + first if t_max is None else t_max
     counts = tuple(count(t) for t in range(first, top + 1))
     differences = _newton_fit(counts)
     for k in range(degree + 1, len(counts)):
         if differences[k]:
-            raise ArithmeticError(
+            raise OffFitError(
                 f"count {counts[k]} at dilation {first + k} does not fit a degree-{degree} "
                 "polynomial; the supply vector is degenerate or counting is wrong"
             )
-    return CountTable(m, point, counts, differences[: degree + 1], first)
+    return CountTable(m, a, counts, differences[: degree + 1], first)
 
 
 @dataclass(frozen=True)
@@ -256,8 +250,21 @@ class VolumeComparison:
 def compare_volume(
     m: MultiplicityMatrix, a: Sequence[int], t_max: int | None = None
 ) -> VolumeComparison:
-    """Evaluate both routes at an interior integer point and compare exactly."""
-    point = _checked_point(m, a, minimum=1)
+    """Evaluate both routes at an interior integer point and compare exactly.
+
+    The one place the point and t_max are checked: a has m.rank integer
+    entries, each at least 1, and t_max, when given, is at least the degree.
+    """
+    point = tuple(a)
+    if len(point) != m.rank:
+        raise ValueError(f"supply vector has length {len(point)}, expected {m.rank}")
+    for value in point:
+        if type(value) is not int:  # rejects booleans too
+            raise ValueError(f"supply entries must be integers, got {value!r}")
+        if value < 1:
+            raise ValueError(f"supply entry {value} below the required minimum 1")
+    if t_max is not None and t_max < m.degree:
+        raise ValueError(f"need dilations up to {m.degree}, got bound {t_max}")
     residue_value = iterated_residue(m).value_at(point)
     count_value = dilation_counts(m, point, t_max).leading_coefficient
     return VolumeComparison(m, point, residue_value, count_value)

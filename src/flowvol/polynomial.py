@@ -27,11 +27,7 @@ Scalar = Fraction | int
 
 
 def binomial_series_coeff(m: int, k: int) -> int:
-    """k-th Taylor coefficient of (1 - u)^(-m), i.e. C(m - 1 + k, k)."""
-    if m < 1:
-        raise ValueError(f"pole order must be >= 1, got {m}")
-    if k < 0:
-        raise ValueError(f"series index must be >= 0, got {k}")
+    """k-th Taylor coefficient of (1 - u)^(-m), i.e. C(m - 1 + k, k), for m >= 1 and k >= 0."""
     return math.comb(m - 1 + k, k)
 
 
@@ -40,12 +36,9 @@ def homogeneous_monomials(nvars: int, degree: int, caps: Sequence[int] = ()) -> 
 
     ``caps[t]``, for t < nvars - 1, bounds the sum of the last t + 1 entries
     (later caps are ignored); the vectors over a cap are never built, and the
-    others keep their order.
+    others keep their order.  nvars >= 1 and degree >= 0 are trusted; every
+    caller passes them so.
     """
-    if nvars < 1:
-        raise ValueError("need at least one variable")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
 
     def prepend(tails: list[list[Exponents]], k: int) -> list[Exponents]:
         """The total-k vectors with one more leading variable, in order."""
@@ -137,14 +130,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        """True when every term has the same total degree (zero counts)."""
-        degrees = {sum(e) for e in self.terms}
-        if not degrees:
-            return True
-        if len(degrees) > 1:
-            return False
-        return degree is None or degrees == {degree}
+    def is_homogeneous(self, degree: int) -> bool:
+        """True when every term has total degree ``degree`` (zero counts)."""
+        return all(sum(e) == degree for e in self.terms)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))

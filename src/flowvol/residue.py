@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .multiplicity import MultiplicityMatrix
 from .polynomial import MultiPoly, binomial_series_coeff, homogeneous_monomials
@@ -81,28 +81,24 @@ class ResidueTerm:
 class ResidueSum:
     """Sum of exponential-rational terms, closed under one-variable residues.
 
-    ``xvars`` are the variables not yet integrated out, and each of them
-    still carries its exp(a_i x_i) factor.  Terms are merged on their
-    factored denominator, with zero coefficients dropped.
+    Every variable not yet integrated out still carries its exp(a_i x_i)
+    factor.  The sum does not record which variables those are:
+    ``residue_in_order`` checks that its order is a permutation, so each
+    step takes a live variable.  Terms are merged on their factored
+    denominator, sorted, with zero coefficients dropped.
     """
 
     nvars: int
-    xvars: frozenset[int]
     terms: tuple[ResidueTerm, ...]
 
     @classmethod
-    def build(
-        cls,
-        nvars: int,
-        xvars: Iterator[int] | Sequence[int],
-        raw_terms: Mapping[TermKey, MultiPoly],
-    ) -> "ResidueSum":
+    def build(cls, nvars: int, raw_terms: Mapping[TermKey, MultiPoly]) -> "ResidueSum":
         kept = tuple(
             ResidueTerm(coeff, xpow, diff)
             for (xpow, diff), coeff in sorted(raw_terms.items())
             if not coeff.is_zero
         )
-        return cls(nvars, frozenset(xvars), kept)
+        return cls(nvars, kept)
 
     def polynomial(self) -> MultiPoly:
         """Collapse a fully integrated sum to its polynomial coefficient."""
@@ -126,13 +122,14 @@ def build_kernel(m: MultiplicityMatrix) -> ResidueSum:
         for i in range(1, r)
         for j in range(i + 1, r + 1)
     )
-    return ResidueSum(r, frozenset(range(1, r + 1)), (ResidueTerm(MultiPoly.one(r), xpow, diff),))
+    return ResidueSum(r, (ResidueTerm(MultiPoly.one(r), xpow, diff),))
 
 
 def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
     """Residue at x_var = 0, treating the other live variables as generic.
 
-    Every factor of every term is expandable around x_var = 0 by
+    x_var is trusted to be live: ``residue_in_order`` takes each variable
+    once.  Every factor of every term is expandable around x_var = 0 by
     construction.  A pole of order p contributes once for each split of p - 1
     into series depths of the difference factors through x_var plus the
     power s of a_var, the last coordinate of each ``homogeneous_monomials``
@@ -141,8 +138,6 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
     a_var^s / s! is applied once per group (see the module docstring for why
     that is exact).
     """
-    if var not in expr.xvars:
-        raise ValueError(f"variable x{var} was already integrated out")
     groups: dict[TermKey, dict[int, dict[tuple[int, ...], int]]] = {}
     common: dict[tuple[int, ...], int] = {}  # L_e: lcm of the denominators of a^e
     for term in expr.terms:
@@ -186,7 +181,7 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
             total = coeff if total is None else total + coeff
         collected[key] = total
 
-    return ResidueSum.build(expr.nvars, expr.xvars - {var}, collected)
+    return ResidueSum.build(expr.nvars, collected)
 
 
 def laurent_residue(series: Mapping[int, Fraction | int]) -> Fraction:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import flowvol.cli
+import flowvol.oracle
 from flowvol import MultiPoly, iterated_residue, pde_system
 from flowvol.cli import ProblemSpec, SpecError, parse_spec, render_spec, run_command
 from flowvol.cli import EXIT_STDOUT_CLOSED, MAX_DEGREE, MAX_POINT_BITS, MAX_SUPPLY, main
@@ -239,6 +240,31 @@ class TestCommands:
     def test_oracle_compare_needs_point(self):
         with pytest.raises(SpecError, match="evaluation point"):
             run_command(parse_spec("r=1; m[1,2]=2"), "oracle-compare")
+
+    def test_count_off_the_fit_is_a_violation_without_traceback(self, monkeypatch, capsys):
+        # degree 2 and the window -1..1, so --dilations 5 checks t = 2..5 against the fit
+        spec = "r=2; m[1,2]=2; m[1,3]=1; m[2,3]=1; a=(2,1)"
+        exact = flowvol.oracle.count_lattice_points
+        bad = exact(parse_spec(spec).matrix(), (10, 5)) + 1
+        monkeypatch.setattr(
+            flowvol.oracle, "count_lattice_points",
+            lambda m, point: bad if point == (10, 5) else exact(m, point),
+        )
+        assert main(["oracle-compare", spec, "--dilations", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            f"property violation: count {bad} at dilation 5 does not fit a degree-2 "
+            "polynomial; the supply vector is degenerate or counting is wrong\n"
+        )
+        assert captured.err == ""
+
+    def test_other_arithmetic_errors_are_not_relabelled(self, monkeypatch):
+        def divide(m, point):
+            raise ZeroDivisionError("a fault in the counting code")
+
+        monkeypatch.setattr(flowvol.oracle, "count_lattice_points", divide)
+        with pytest.raises(ZeroDivisionError):
+            main(["oracle-compare", "r=1; m[1,2]=2; a=(1)"])
 
     def test_corner(self):
         text, code = run_command(parse_spec(GOLDEN_TEXT), "corner")

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from flowvol.linalg import integer_nullspace
@@ -51,18 +50,6 @@ def test_dependent_rows():
     assert 2 * basis[0][0] + 4 * basis[0][1] == 0
 
 
-@pytest.mark.parametrize("row", [{2: 1}, {0: 1, 5: 1}, {-1: 1}])
-def test_out_of_range_column_rejected(row):
-    with pytest.raises(ValueError, match="out of range"):
-        integer_nullspace([{0: 1}, row], 2)
-
-
-@pytest.mark.parametrize("col", [True, False, 1.0, "1", None, Fraction(1)])
-def test_non_integer_column_rejected(col):
-    with pytest.raises(ValueError, match="integers"):
-        integer_nullspace([{col: 1}], 2)
-
-
 def test_zero_entries_are_dropped():
     assert integer_nullspace([{0: 0, 1: 3}], 2) == [[Fraction(1), Fraction(0)]]
 
@@ -72,13 +59,6 @@ def test_rows_are_not_modified():
     before = [dict(row) for row in rows]
     integer_nullspace(rows, 3)
     assert rows == before
-
-
-@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 1.7, 2.0, True, False, "1", None])
-def test_non_integer_entry_rejected(entry):
-    # Truncating Fraction(1, 2) to 0 would return [1, 0], which is no null vector.
-    with pytest.raises(ValueError):
-        integer_nullspace(sparse_rows([[entry, 1]]), 2)
 
 
 matrices = st.lists(

@@ -34,17 +34,14 @@ GOLDEN_POLY = MultiPoly(3, {
 class TestBuildKernel:
     def test_rank_one(self):
         kernel = build_kernel(MultiplicityMatrix(1, (3,)))
-        assert kernel.xvars == {1}
         assert kernel.terms == (ResidueTerm(MultiPoly.one(1), (-3,), ()),)
 
     def test_rank_two_heavy_difference(self):
         kernel = build_kernel(MultiplicityMatrix(2, (4, 1, 1)))
-        assert kernel.xvars == {1, 2}
         assert kernel.terms == (ResidueTerm(MultiPoly.one(2), (-1, -1), (((1, 2), 4),)),)
 
     def test_rank_three(self):
         kernel = build_kernel(GOLDEN_M)
-        assert kernel.xvars == {1, 2, 3}
         [term] = kernel.terms
         assert term.coeff == MultiPoly.one(3)
         assert term.xpow == (-2, -2, -2)
@@ -62,17 +59,11 @@ class TestSingleResidue:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_simple_pole_with_difference_factor(self, n):
         # exp(a1 x1 + a2 x2) / (x2 (x1 - x2)^n): evaluate the analytic part at x2 = 0
-        state = ResidueSum.build(2, [1, 2], {((0, -1), (((1, 2), n),)): MultiPoly.one(2)})
+        state = ResidueSum.build(2, {((0, -1), (((1, 2), n),)): MultiPoly.one(2)})
         result = residue_at_zero(state, 2)
         assert result.terms == (
             ResidueTerm(MultiPoly.one(2), (-n, 0), ()),
         )
-
-    def test_consumed_variable_rejected(self):
-        state = build_kernel(MultiplicityMatrix(2, (1, 1, 1)))
-        once = residue_at_zero(state, 2)
-        with pytest.raises(ValueError):
-            residue_at_zero(once, 2)
 
 
 class TestIteratedResidue:
@@ -139,7 +130,7 @@ class TestClassicalValues:
     def _catalan(k):
         return math.comb(2 * k, k) // (k + 1)
 
-    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    @pytest.mark.parametrize("rank", range(2, 8))
     def test_unit_supply_volume_is_a_catalan_product(self, rank):
         # all multiplicities 1, supply (1, 0, ..., 0): the normalized volume
         # (degree! times the volume value) is Cat(1)*Cat(2)*...*Cat(rank-2)

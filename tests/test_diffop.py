@@ -91,6 +91,12 @@ class TestAnnihilates:
         m = MultiplicityMatrix(1, (mult,))
         assert annihilates(m, iterated_residue(m).poly)
 
+    def test_multiplicity_mismatch(self):
+        # one more root at node 3 raises the a_3 degree beyond what d_3^2 kills;
+        # (lowering m[3,4] instead would give a solution of lower degree)
+        other = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 3))
+        assert not annihilates(GOLDEN_M, iterated_residue(other).poly)
+
     def test_variable_count_mismatch(self):
         with pytest.raises(ValueError):
             annihilates(MultiplicityMatrix(2, (1, 1, 1)), MultiPoly.one(3))

@@ -84,6 +84,11 @@ class TestOperatorLadder:
         assert ladder.generator(3).poly.is_zero
         assert ladder.generator(99).poly.is_zero
 
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_generator_order_must_be_positive(self, q):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            operator_ladder(GOLDEN_M).generator(q)
+
     @given(multiplicity_matrices(min_rank=2, max_rank=3))
     def test_steps_are_order_homogeneous(self, m):
         ladder = operator_ladder(m)

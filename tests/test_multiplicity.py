@@ -65,6 +65,17 @@ def test_rejects_wrong_entry_count():
         MultiplicityMatrix(0, ())
 
 
+@pytest.mark.parametrize("row", [0, 4])
+def test_row_sum_out_of_range(row):
+    with pytest.raises(ValueError, match="out of range"):
+        GOLDEN.row_sum(row)
+
+
+def test_rejects_non_integer_rank():
+    with pytest.raises(ValueError, match="integer"):
+        MultiplicityMatrix(2.0, (1, 1, 1))
+
+
 def test_rejects_booleans():
     with pytest.raises(ValueError):
         MultiplicityMatrix(2, (1, True, 1))

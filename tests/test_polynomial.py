@@ -56,6 +56,25 @@ class TestMul:
             A1 * MultiPoly.variable(1, 3)
 
 
+class TestPower:
+    def test_matches_repeated_product(self):
+        p = A1 + MultiPoly.variable(2, 2)
+        assert p ** 0 == MultiPoly.one(2)
+        assert p ** 3 == p * p * p
+
+    @pytest.mark.parametrize("exponent", [-1, 2.0, Fraction(1, 2)])
+    def test_rejects_non_natural_exponent(self, exponent):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            A1 ** exponent
+
+
+class TestVariable:
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match="out of range"):
+            MultiPoly.variable(index, 2)
+
+
 class TestPartial:
     def test_power_rule(self):
         assert MultiPoly(2, {(2, 0): 1}).partial(1) == MultiPoly(2, {(1, 0): 2})

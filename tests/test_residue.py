@@ -178,6 +178,13 @@ class TestResidueOrder:
         with pytest.raises(ValueError):
             residue_in_order(MultiplicityMatrix(2, (1, 1, 1)), (1, 1))
 
+    @pytest.mark.parametrize("order", [(), (2,), (2, 1, 3), (0, 2), (2, 2), (3, 1)])
+    def test_every_non_permutation_rejected(self, order):
+        # residue_at_zero trusts its variable: this is the only place an
+        # order that repeats, skips or leaves the range is caught
+        with pytest.raises(ValueError, match="not a permutation"):
+            residue_in_order(MultiplicityMatrix(2, (1, 1, 1)), order)
+
     def test_reversed_order_changes_the_answer(self):
         m = MultiplicityMatrix(2, (1, 1, 1))
         forward = residue_in_order(m, canonical_order(2))
@@ -198,6 +205,10 @@ class TestVolumePolynomialInvariants:
     def test_rejects_wrong_corner(self):
         with pytest.raises(ValueError):
             VolumePolynomial(GOLDEN_M, MultiPoly.monomial((6, 0, 0)))
+
+    def test_rejects_wrong_variable_count(self):
+        with pytest.raises(ValueError, match="variable count"):
+            VolumePolynomial(GOLDEN_M, iterated_residue(MultiplicityMatrix(2, (1, 1, 1))).poly)
 
     def test_value_at(self):
         assert iterated_residue(GOLDEN_M).value_at((1, 1, 1)) == Fraction(2, 9)

@@ -54,6 +54,23 @@ def homogeneous_monomials(nvars: int, degree: int, caps: Sequence[int] = ()) -> 
     return prepend(tails, degree) if nvars > 1 else tails[degree]
 
 
+def add_terms_into(total: dict[Exponents, Fraction], terms: Mapping[Exponents, Fraction]) -> None:
+    """Add canonical ``terms`` into the canonical dict ``total``, in place.
+
+    A key ``total`` does not hold yet takes its value as it is, with no
+    ``Fraction`` add against zero; only a key already present pays for an
+    add, and only such a key can cancel, in which case it is deleted.
+    """
+    for exps, coeff in terms.items():
+        old = total.get(exps)
+        if old is None:
+            total[exps] = coeff
+        elif new := old + coeff:
+            total[exps] = new
+        else:
+            del total[exps]
+
+
 class MultiPoly:
     """Sparse polynomial in ``nvars`` variables with Fraction coefficients.
 
@@ -69,6 +86,12 @@ class MultiPoly:
     again.  ``+`` and ``*`` store the value for a key the result does not
     hold yet as it is, with no ``Fraction`` add against zero; only a key
     already present pays for an add, and only such a key can cancel.
+
+    A product with a one-term factor c * a^f is a shift: every key e of the
+    other factor goes to e + f.  The shift is injective, so no two keys
+    merge, and a product of nonzero rationals is nonzero, so nothing
+    cancels: the result needs no lookup and no zero filter, and when c is 1
+    it keeps every coefficient as it is.
     """
 
     __slots__ = ("nvars", "terms")
@@ -160,14 +183,7 @@ class MultiPoly:
             return NotImplemented
         self._require_same_shape(other)
         merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            old = merged.get(exps)
-            if old is None:
-                merged[exps] = coeff
-            elif total := old + coeff:
-                merged[exps] = total
-            else:
-                del merged[exps]
+        add_terms_into(merged, other.terms)
         return MultiPoly._trusted(self.nvars, merged)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
@@ -186,6 +202,16 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same_shape(other)
+        if len(other.terms) == 1 or len(self.terms) == 1:
+            poly, one = (self, other) if len(other.terms) == 1 else (other, self)
+            ((shift, scale),) = one.terms.items()
+            if scale == 1:
+                return MultiPoly._trusted(
+                    self.nvars, {tuple(map(add, e, shift)): c for e, c in poly.terms.items()}
+                )
+            return MultiPoly._trusted(
+                self.nvars, {tuple(map(add, e, shift)): c * scale for e, c in poly.terms.items()}
+            )
         product: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -230,7 +256,9 @@ class MultiPoly:
         With a_i = n_i/d_i and top_i the largest exponent of a_i, every term
         c * prod a_i^e_i equals c * prod n_i^e_i d_i^(top_i - e_i) divided by
         the common D = prod d_i^top_i.  So the integer products are summed per
-        coefficient denominator and only those few sums become Fractions.
+        coefficient denominator q into T_q, and with L the lcm of those q the
+        value is (sum_q T_q * (L / q)) / (L * D): one exact division, one
+        ``Fraction``, however many denominators the coefficients have.
         """
         values = [Fraction(v) for v in point]
         if len(values) != self.nvars:
@@ -250,7 +278,9 @@ class MultiPoly:
             q = coeff.denominator
             by_denominator[q] = by_denominator.get(q, 0) + product
         common = math.prod(v.denominator ** top for v, top in zip(values, tops))
-        return sum(Fraction(total, q) for q, total in by_denominator.items()) / common
+        lcm = math.lcm(*by_denominator)
+        numerator = sum(total * (lcm // q) for q, total in by_denominator.items())
+        return Fraction(numerator, lcm * common)
 
     def embed(self, nvars: int, offset: int) -> "MultiPoly":
         """Reindex into a larger variable frame, shifting variables right by ``offset``."""

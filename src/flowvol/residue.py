@@ -45,13 +45,24 @@ about the denominators is needed.  On the kernel route L_e divides e!, so
 the integers stay small: the kernel's coefficient is 1, the binomials are
 integers, and a_k^s / s! meets no a_k already present (see below), so
 (a^e / e!) * (a_k^s / s!) = a^(e + s u_k) / (e + s u_k)! keeps every
-coefficient an integer multiple of a^e / e!.  Only at the end is each group
-multiplied by a_k^s / s!, once, and the groups of one denominator added.
-This is sound because a_k enters only through exp(a_k x_k): before x_k is
-integrated out no coefficient depends on a_k, in any residue order.  So
-grouping by s merely reorders an exact sum (distributivity), the group for
-s is exactly the a_k-degree-s part of the new coefficient, and the groups
-being added share no monomial.
+coefficient an integer multiple of a^e / e!.
+
+Only at the end is each group for the power s turned into rationals, and
+the 1/s! goes into the same division: each coefficient is built once, as
+``Fraction(sum, L_e * s!)``.  The group is then multiplied by the bare
+monomial a_k^s, with coefficient 1, which ``MultiPoly`` does as a shift of
+the keys that keeps every coefficient as it is.  That product stays a
+``MultiPoly`` product until ROADMAP item 1b moves the benchmark's traced
+counters off ``MultiPoly.__mul__``; item 3 then keeps each coefficient as
+integers on a^e / e!, where a_k^s / s! is a shift of one exponent.
+Grouping by s merely reorders an exact sum (distributivity), so adding the
+groups of one denominator gives the exact step for any input sum.  They are
+added into one dict, a coefficient on a shared monomial added and a
+cancelled one dropped, because groups can share monomials when the input's
+coefficients hold a_k.  From the kernel they never do: a_k enters only
+through exp(a_k x_k), so before x_k is integrated out no coefficient
+depends on a_k, in any residue order, and the group for s is exactly the
+a_k-degree-s part of the new coefficient.
 """
 
 from __future__ import annotations
@@ -62,7 +73,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .multiplicity import MultiplicityMatrix
-from .polynomial import MultiPoly, binomial_series_coeff, homogeneous_monomials
+from .polynomial import MultiPoly, add_terms_into, binomial_series_coeff, homogeneous_monomials
 
 DiffFactors = tuple[tuple[tuple[int, int], int], ...]
 TermKey = tuple[tuple[int, ...], DiffFactors]  # (xpow, diff): a term's factored denominator
@@ -134,10 +145,11 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
     into series depths of the difference factors through x_var plus the
     power s of a_var, the last coordinate of each ``homogeneous_monomials``
     vector.  Integer numerators over L_e are accumulated per output
-    denominator and per s, divided once per output coefficient, and
-    a_var^s / s! is applied once per group (see the module docstring for why
-    that is exact).
+    denominator and per s, divided once per output coefficient by L_e * s!,
+    shifted by a_var^s, and the groups of one denominator are added in place
+    (see the module docstring for why that is exact).
     """
+    nvars = expr.nvars
     groups: dict[TermKey, dict[int, dict[tuple[int, ...], int]]] = {}
     common: dict[tuple[int, ...], int] = {}  # L_e: lcm of the denominators of a^e
     for term in expr.terms:
@@ -152,36 +164,51 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
             (exps, c.numerator * (common[exps] // c.denominator))
             for exps, c in term.coeff.terms.items()
         ]
-        involved = [(pair, q) for pair, q in term.diff if var in pair]
+        # per involved factor: the index of its other variable, its pole
+        # order q, and its signed series coefficients for every depth n
+        involved = []
+        for (i, j), q in term.diff:
+            if var in (i, j):
+                sign = 1 if var == j else (-1) ** q
+                row = [sign * binomial_series_coeff(q, n) for n in range(budget + 1)]
+                involved.append(((i if var == j else j) - 1, q, row))
         passive = tuple((pair, q) for pair, q in term.diff if var not in pair)
 
         for *depths, exp_power in homogeneous_monomials(len(involved) + 1, budget):
             scalar = 1
             xpow = list(term.xpow)
             xpow[var - 1] = 0
-            for ((i, j), q), n in zip(involved, depths):
-                other = i if var == j else j
-                sign = 1 if var == j else (-1) ** q
-                scalar *= sign * binomial_series_coeff(q, n)
-                xpow[other - 1] -= q + n
+            for (other, q, row), n in zip(involved, depths):
+                scalar *= row[n]
+                xpow[other] -= q + n
             acc = groups.setdefault((tuple(xpow), passive), {}).setdefault(exp_power, {})
             for exps, num in numerators:
                 acc[exps] = acc.get(exps, 0) + num * scalar
 
+    shifts: dict[int, MultiPoly] = {}  # a_var^s with coefficient 1, one per power s
     collected: dict[TermKey, MultiPoly] = {}
     for key, by_power in groups.items():
-        total = None
+        merged: dict[tuple[int, ...], Fraction] = {}
         for exp_power, acc in by_power.items():
+            scale = math.factorial(exp_power)
             coeff = MultiPoly._trusted(
-                expr.nvars, {e: Fraction(num, common[e]) for e, num in acc.items() if num}
+                nvars, {e: Fraction(num, common[e] * scale) for e, num in acc.items() if num}
             )
             if exp_power:
-                exps = tuple(exp_power if i == var - 1 else 0 for i in range(expr.nvars))
-                coeff = coeff * MultiPoly.monomial(exps, Fraction(1, math.factorial(exp_power)))
-            total = coeff if total is None else total + coeff
-        collected[key] = total
+                shift = shifts.get(exp_power)
+                if shift is None:
+                    exps = tuple(exp_power if i == var - 1 else 0 for i in range(nvars))
+                    shift = shifts[exp_power] = MultiPoly._trusted(nvars, {exps: Fraction(1)})
+                coeff = coeff * shift
+            if merged:
+                # the powers share monomials when the input's coefficients
+                # hold a_var, which no sum reached from the kernel does
+                add_terms_into(merged, coeff.terms)
+            else:
+                merged = coeff.terms
+        collected[key] = MultiPoly._trusted(nvars, merged)
 
-    return ResidueSum.build(expr.nvars, collected)
+    return ResidueSum.build(nvars, collected)
 
 
 def laurent_residue(series: Mapping[int, Fraction | int]) -> Fraction:

@@ -31,7 +31,9 @@ the lattice-count DP with a full supply vector as state and a loop over every
 flow s of every root, the forced last root of each row included, where
 ``count_lattice_points`` runs on running sums.  ``naive_combine`` adds,
 subtracts and multiplies plain Fraction dicts, where ``MultiPoly`` stores a
-new key without an add.  ``reference_homogeneous_monomials`` enumerates the
+new key without an add and multiplies by a one-term factor as a key shift,
+and ``naive_evaluate`` sums one Fraction per term, where ``evaluate`` makes
+one Fraction in all.  ``reference_homogeneous_monomials`` enumerates the
 monomials through one recursive generator frame per variable, where
 ``homogeneous_monomials`` builds the list from tables of tails, and
 ``MultiPoly.sorted_terms`` sorts on (total degree, exponents) descending
@@ -73,6 +75,7 @@ from conftest import (
     grlex_key,
     multipolys,
     multiplicity_matrices,
+    nonzero_fractions,
     rational_points,
     small_fractions,
     sparse_rows,
@@ -473,6 +476,12 @@ class TestResidueStepMatchesReference:
         assert not residue_at_zero(expr, 2).terms
 
     @given(residue_sums())
+    @example(([2], ResidueSum.build(2, {
+        # a2 x2^-2 and a2^2 x2^-1 both leave a2^2 at x2 = 0, from the groups for
+        # s = 1 and s = 0: the sum is 2 a2^2, so a merge that overwrites fails
+        ((0, -2), ()): MultiPoly(2, {(0, 1): 1}),
+        ((0, -1), ()): MultiPoly(2, {(0, 2): 1}),
+    })))
     @example(([1, 2], ResidueSum.build(2, {
         ((-1, -3), (((1, 2), 2),)): MultiPoly(2, {(1, 0): Fraction(-3, 7), (0, 0): Fraction(5, 11)}),
         ((0, -2), ()): MultiPoly(2, {(1, 0): Fraction(2, 9), (0, 2): Fraction(-1, 5)}),
@@ -489,6 +498,14 @@ class TestResidueStepMatchesReference:
                 assert_canonical(term.coeff)
 
 
+@st.composite
+def one_term_polys(draw, nvars=3):
+    """c * a^f with c = 1, -1 or a nonzero p/q: the factors ``*`` takes as a key shift."""
+    exps = tuple(draw(st.integers(0, 3)) for _ in range(nvars))
+    coeff = draw(st.one_of(st.sampled_from([1, -1]), nonzero_fractions))
+    return MultiPoly(nvars, {exps: coeff})
+
+
 class TestArithmeticStaysCanonical:
     @given(multipolys(nvars=3), multipolys(nvars=3))
     def test_ring_operations(self, p, q):
@@ -501,6 +518,12 @@ class TestArithmeticStaysCanonical:
         assert_canonical(p * c)
         assert_canonical(c * p)
         assert (p * 0).is_zero
+
+    @given(multipolys(nvars=3), one_term_polys())
+    def test_one_term_products(self, p, t):
+        for result in (p * t, t * p, t * t, (p + t) * t, MultiPoly.zero(3) * t, t * MultiPoly.zero(3)):
+            assert_canonical(result)
+        assert (MultiPoly.zero(3) * t).is_zero and (t * MultiPoly.zero(3)).is_zero
 
     @given(multipolys(nvars=3), st.integers(1, 3))
     def test_partial_and_embed(self, p, index):
@@ -542,6 +565,16 @@ class TestArithmeticMatchesNaiveDicts:
             assert_canonical(result)
             assert result.terms == naive_combine(p, q, op)
 
+    @given(multipolys(nvars=3), one_term_polys())
+    @example(MultiPoly(3, {(1, 0, 2): Fraction(3, 4), (0, 1, 2): -2}), MultiPoly(3, {(0, 0, 1): 1}))
+    @example(MultiPoly(3, {(1, 0, 2): Fraction(3, 4), (2, 0, 0): 5}), MultiPoly(3, {(2, 1, 0): -1}))
+    @example(MultiPoly(3, {(1, 0, 2): Fraction(3, 4)}), MultiPoly(3, {(0, 3, 0): Fraction(-5, 6)}))
+    @example(MultiPoly.zero(3), MultiPoly(3, {(1, 1, 1): Fraction(2, 3)}))
+    def test_one_term_factor_on_either_side(self, p, t):
+        for result in (p * t, t * p):
+            assert_canonical(result)
+            assert result.terms == naive_combine(p, t, "*")
+
     def test_cancelling_supports(self):
         a1, a2 = MultiPoly.variable(1, 2), MultiPoly.variable(2, 2)
         half = MultiPoly.one(2) * Fraction(1, 2)
@@ -576,6 +609,39 @@ class TestIntegerEvaluation:
             (1, 1, 1): Fraction(1, 9), (0, 0, 3): -2,
         })
         assert p.evaluate(point) == naive_evaluate(p, point)
+
+    @given(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 4)] * 3),
+            st.fractions(min_value=-9, max_value=9, max_denominator=60).filter(bool),
+            min_size=5, max_size=12,
+        ),
+        rational_points(3),
+    )
+    def test_many_denominators_matches_naive_fraction_sum(self, terms, point):
+        p = MultiPoly(3, terms)
+        assert p.evaluate(point) == naive_evaluate(p, point)
+
+    @pytest.mark.parametrize("point", [
+        (0, 0, 0), (0, -3, Fraction(5, 4)), (Fraction(-2, 9), Fraction(7, 6), -1), (1, 1, 1),
+    ])
+    def test_twelve_distinct_denominators(self, point):
+        # denominators q(q + 2) for q = 1..12, coprime to each other or not,
+        # with alternating signs
+        p = MultiPoly(3, {
+            (q, 12 - q, q % 3): Fraction((-1) ** q * (q + 1), q * (q + 2)) for q in range(1, 13)
+        })
+        assert len({c.denominator for c in p.terms.values()}) == 12
+        value = p.evaluate(point)
+        assert type(value) is Fraction
+        assert value == naive_evaluate(p, point)
+
+    def test_rank_five_volume_at_a_fractional_point(self):
+        # a volume-deep-shaped volume: rank 5, six entries 2, a point with p/q entries
+        v = iterated_residue(MultiplicityMatrix(5, (2, 2, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 1, 1)))
+        assert len({c.denominator for c in v.poly.terms.values()}) > 10
+        point = (Fraction(7, 3), 4, Fraction(11, 5), Fraction(1, 2), 9)
+        assert v.value_at(point) == naive_evaluate(v.poly, point)
 
     def test_zero_polynomial(self):
         value = MultiPoly.zero(2).evaluate((Fraction(3, 4), -1))

@@ -76,15 +76,14 @@ class MultiplicityMatrix:
         return self.total - self.row_sum(1) - (self.rank - 1)
 
     def restriction(self) -> "MultiplicityMatrix":
-        """Drop node 1: the rank-(r-1) matrix m'[i,j] = m[i+1,j+1]."""
+        """Drop node 1: the rank-(r-1) matrix m'[i,j] = m[i+1,j+1].
+
+        In the flat order row 1 is the first ``rank`` entries, and the rest is
+        the restricted matrix in its own flat order.
+        """
         if self.rank < 2:
             raise ValueError("rank-1 problems have no restriction")
-        entries = tuple(
-            self.multiplicity(i + 1, j + 1)
-            for i in range(1, self.rank)
-            for j in range(i + 1, self.rank + 1)
-        )
-        return MultiplicityMatrix(self.rank - 1, entries)
+        return MultiplicityMatrix(self.rank - 1, self.mult[self.rank:])
 
     # -- corner data -------------------------------------------------------
 

@@ -26,10 +26,21 @@ The coefficient of x_k^(p-1) in the product of these series is a finite sum
 chosen; this is the derivative formula for the residue evaluated coefficient
 by coefficient.  Each intermediate stays a closed-form sum of terms
 
-    c(a) * prod_i x_i^(-p_i) * prod_{i<j} (x_i - x_j)^(-q_ij)
+    c(a) * prod_i x_i^(-p_i)    over    prod_{i<j} (x_i - x_j)^(q_ij)
 
-with polynomial coefficients c(a), and like terms are merged on the factored
-denominator, so no polynomial division is ever needed.
+with polynomial coefficients c(a), and like terms are merged on their powers
+of x, so no polynomial division is ever needed.
+
+Every term of a sum shares one set of difference factors, so a
+``ResidueSum`` holds them once.  The kernel has one term.  A step in x_k
+expands exactly the factors through x_k, whose series only lower the powers
+of the other variables, and leaves every other factor as it is, in every
+term; so the terms it writes share the untouched factors, in any residue
+order, and after each step the factors are exactly the pairs among the
+variables not yet taken.  A step therefore works out once, not once per
+term: which factors run through x_k and, for each pole order p, the splits
+of p - 1 among their series depths and the exponential, each with its
+signed product of binomials and its change to the powers of x.
 
 A step builds its output once, in integer arithmetic.  For each monomial e
 of a_1..a_r let L_e be the lcm of the denominators of the coefficients
@@ -37,8 +48,8 @@ c_(t,e) of a^e over every input term t, and write c_(t,e) = n_(t,e) / L_e
 with n_(t,e) an integer, converted once per term.  Each pair of a term t and
 a series depth vector contributes its signed binomial product s_t, an
 integer, and only the integers n_(t,e) * s_t are added into plain dicts,
-grouped first by the output's factored denominator and then by the power s
-of a_k taken from exp(a_k x_k).  By distributivity
+grouped first by the output's powers of x and then by the power s of a_k
+taken from exp(a_k x_k).  By distributivity
 sum_t c_(t,e) s_t = (sum_t n_(t,e) s_t) / L_e, so one division per output
 coefficient gives the exact rational sum for any rational input; no claim
 about the denominators is needed.  On the kernel route L_e divides e!, so
@@ -56,7 +67,7 @@ the keys that keeps every coefficient as it is.  That product stays a
 counters off ``MultiPoly.__mul__``; item 3 then keeps each coefficient as
 integers on a^e / e!, where a_k^s / s! is a shift of one exponent.
 Grouping by s merely reorders an exact sum (distributivity), so adding the
-groups of one denominator gives the exact step for any input sum.  They are
+groups of one power of x gives the exact step for any input sum.  They are
 added into one dict, a coefficient on a shared monomial added and a
 cancelled one dropped, because groups can share monomials when the input's
 coefficients hold a_k.  From the kernel they never do: a_k enters only
@@ -70,53 +81,45 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 from .multiplicity import MultiplicityMatrix
 from .polynomial import MultiPoly, add_terms_into, binomial_series_coeff, homogeneous_monomials
 
-DiffFactors = tuple[tuple[tuple[int, int], int], ...]
-TermKey = tuple[tuple[int, ...], DiffFactors]  # (xpow, diff): a term's factored denominator
-
 
 @dataclass(frozen=True)
 class ResidueTerm:
-    """One summand: coeff(a) * prod x_i^xpow[i-1] * prod (x_i - x_j)^-q."""
+    """One summand: coeff(a) * prod x_i^xpow[i-1], over its sum's difference factors."""
 
     coeff: MultiPoly
     xpow: tuple[int, ...]
-    diff: DiffFactors
 
 
 @dataclass(frozen=True)
 class ResidueSum:
-    """Sum of exponential-rational terms, closed under one-variable residues.
+    """Sum of exponential-rational terms over shared difference factors.
 
+    ``diff`` lists each factor (x_i - x_j)^q of the common denominator as
+    ((i, j), q), i < j, in lexicographic order; every term carries all of
+    them (see the module docstring for why one set serves every term).
     Every variable not yet integrated out still carries its exp(a_i x_i)
     factor.  The sum does not record which variables those are:
     ``residue_in_order`` checks that its order is a permutation, so each
-    step takes a live variable.  Terms are merged on their factored
-    denominator, sorted, with zero coefficients dropped.
+    step takes a live variable.  Terms are merged on ``xpow``, sorted by it,
+    with zero coefficients dropped.
     """
 
     nvars: int
+    diff: tuple[tuple[tuple[int, int], int], ...]
     terms: tuple[ResidueTerm, ...]
-
-    @classmethod
-    def build(cls, nvars: int, raw_terms: Mapping[TermKey, MultiPoly]) -> "ResidueSum":
-        kept = tuple(
-            ResidueTerm(coeff, xpow, diff)
-            for (xpow, diff), coeff in sorted(raw_terms.items())
-            if not coeff.is_zero
-        )
-        return cls(nvars, kept)
 
     def polynomial(self) -> MultiPoly:
         """Collapse a fully integrated sum to its polynomial coefficient."""
+        if self.diff or any(any(term.xpow) for term in self.terms):
+            raise ValueError("sum still depends on unintegrated x variables")
         total = MultiPoly.zero(self.nvars)
         for term in self.terms:
-            if any(term.xpow) or term.diff:
-                raise ValueError("sum still depends on unintegrated x variables")
             total = total + term.coeff
         return total
 
@@ -133,7 +136,7 @@ def build_kernel(m: MultiplicityMatrix) -> ResidueSum:
         for i in range(1, r)
         for j in range(i + 1, r + 1)
     )
-    return ResidueSum(r, (ResidueTerm(MultiPoly.one(r), xpow, diff),))
+    return ResidueSum(r, diff, (ResidueTerm(MultiPoly.one(r), xpow),))
 
 
 def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
@@ -144,50 +147,57 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
     construction.  A pole of order p contributes once for each split of p - 1
     into series depths of the difference factors through x_var plus the
     power s of a_var, the last coordinate of each ``homogeneous_monomials``
-    vector.  Integer numerators over L_e are accumulated per output
-    denominator and per s, divided once per output coefficient by L_e * s!,
-    shifted by a_var^s, and the groups of one denominator are added in place
-    (see the module docstring for why that is exact).
+    vector.  The factors through x_var and each pole order's splits, with
+    their binomial products, are worked out once per step, since every term
+    shares the factors.  Integer numerators over L_e are accumulated per
+    output power of x and per s, divided once per output coefficient by
+    L_e * s!, shifted by a_var^s, and the groups of one power of x are added
+    in place (see the module docstring for why that is exact).
     """
     nvars = expr.nvars
-    groups: dict[TermKey, dict[int, dict[tuple[int, ...], int]]] = {}
     common: dict[tuple[int, ...], int] = {}  # L_e: lcm of the denominators of a^e
     for term in expr.terms:
         for exps, c in term.coeff.terms.items():
             common[exps] = math.lcm(common.get(exps, 1), c.denominator)
 
+    # each factor through x_var: the index of its other variable, its pole
+    # order q and the sign of its series
+    involved, passive = [], []
+    for (i, j), q in expr.diff:
+        if var in (i, j):
+            involved.append(((i if var == j else j) - 1, q, 1 if var == j else (-1) ** q))
+        else:
+            passive.append(((i, j), q))
+    # budget -> (change to xpow, s, signed binomial product) for each split
+    splits: dict[int, list[tuple[list[int], int, int]]] = {}
+
+    groups: dict[tuple[int, ...], dict[int, dict[tuple[int, ...], int]]] = {}
     for term in expr.terms:
         budget = -term.xpow[var - 1] - 1
         if budget < 0:
             continue  # analytic in x_var at 0, residue contribution is zero
+        if budget not in splits:
+            splits[budget] = []
+            for *depths, exp_power in homogeneous_monomials(len(involved) + 1, budget):
+                scalar, delta = 1, [0] * nvars
+                delta[var - 1] = budget + 1
+                for (other, q, sign), n in zip(involved, depths):
+                    scalar *= sign * binomial_series_coeff(q, n)
+                    delta[other] = -q - n
+                splits[budget].append((delta, exp_power, scalar))
         numerators = [
             (exps, c.numerator * (common[exps] // c.denominator))
             for exps, c in term.coeff.terms.items()
         ]
-        # per involved factor: the index of its other variable, its pole
-        # order q, and its signed series coefficients for every depth n
-        involved = []
-        for (i, j), q in term.diff:
-            if var in (i, j):
-                sign = 1 if var == j else (-1) ** q
-                row = [sign * binomial_series_coeff(q, n) for n in range(budget + 1)]
-                involved.append(((i if var == j else j) - 1, q, row))
-        passive = tuple((pair, q) for pair, q in term.diff if var not in pair)
-
-        for *depths, exp_power in homogeneous_monomials(len(involved) + 1, budget):
-            scalar = 1
-            xpow = list(term.xpow)
-            xpow[var - 1] = 0
-            for (other, q, row), n in zip(involved, depths):
-                scalar *= row[n]
-                xpow[other] -= q + n
-            acc = groups.setdefault((tuple(xpow), passive), {}).setdefault(exp_power, {})
+        for delta, exp_power, scalar in splits[budget]:
+            xpow = tuple(map(add, term.xpow, delta))
+            acc = groups.setdefault(xpow, {}).setdefault(exp_power, {})
             for exps, num in numerators:
                 acc[exps] = acc.get(exps, 0) + num * scalar
 
     shifts: dict[int, MultiPoly] = {}  # a_var^s with coefficient 1, one per power s
-    collected: dict[TermKey, MultiPoly] = {}
-    for key, by_power in groups.items():
+    terms = []
+    for xpow, by_power in sorted(groups.items()):
         merged: dict[tuple[int, ...], Fraction] = {}
         for exp_power, acc in by_power.items():
             scale = math.factorial(exp_power)
@@ -206,9 +216,9 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
                 add_terms_into(merged, coeff.terms)
             else:
                 merged = coeff.terms
-        collected[key] = MultiPoly._trusted(nvars, merged)
-
-    return ResidueSum.build(nvars, collected)
+        if merged:
+            terms.append(ResidueTerm(MultiPoly._trusted(nvars, merged), xpow))
+    return ResidueSum(nvars, tuple(passive), tuple(terms))
 
 
 def laurent_residue(series: Mapping[int, Fraction | int]) -> Fraction:

@@ -3,7 +3,9 @@ loop against the plain paths.
 
 ``reference_residue_at_zero`` is the plain form of one residue step: every
 (term, depth vector) pair builds its own checked polynomial, multiplies it by
-a_k^s / s! and adds it into the accumulator.  ``reference_lift_volume``
+a_k^s / s! and adds it into the accumulator; ``residue_sum`` writes a sum of
+``{xpow: coeff}`` terms over one set of difference factors in the step's
+output form.  ``reference_lift_volume``
 applies every explicit ladder step E_n to the restricted volume, where
 ``lift_volume`` runs the recurrence u_n = sum_j (-1)^(j+1) D_j u_(n-j) from
 it.  ``_bounded_vectors`` and ``_weak_compositions`` enumerate what the
@@ -69,7 +71,7 @@ from flowvol.diffop import DiffOperator, _node_image, node_residuals
 from flowvol.linalg import integer_nullspace
 from flowvol.oracle import count_lattice_points
 from flowvol.polynomial import binomial_series_coeff, homogeneous_monomials
-from flowvol.residue import ResidueSum, build_kernel, residue_at_zero
+from flowvol.residue import ResidueSum, ResidueTerm, build_kernel, residue_at_zero
 
 from conftest import (
     grlex_key,
@@ -104,15 +106,22 @@ def _weak_compositions(total, parts):
             yield (head,) + tail
 
 
+def residue_sum(nvars, diff, raw):
+    """The ``{xpow: coeff}`` terms of ``raw`` over ``diff``, sorted, zeros dropped."""
+    return ResidueSum(nvars, tuple(diff), tuple(
+        ResidueTerm(coeff, xpow) for xpow, coeff in sorted(raw.items()) if not coeff.is_zero
+    ))
+
+
 def reference_residue_at_zero(expr, var):
     """One residue step, one checked polynomial per contribution."""
+    involved = [(pair, q) for pair, q in expr.diff if var in pair]
+    passive = [(pair, q) for pair, q in expr.diff if var not in pair]
     collected = {}
     for term in expr.terms:
         budget = -term.xpow[var - 1] - 1
         if budget < 0:
             continue
-        involved = [(pair, q) for pair, q in term.diff if var in pair]
-        passive = tuple((pair, q) for pair, q in term.diff if var not in pair)
         for depths in _bounded_vectors(len(involved), budget):
             exp_power = budget - sum(depths)
             scalar = Fraction(1)
@@ -129,10 +138,10 @@ def reference_residue_at_zero(expr, var):
                 coeff = coeff * MultiPoly.monomial(
                     exps, Fraction(1, math.factorial(exp_power))
                 )
-            key = (tuple(xpow), passive)
+            key = tuple(xpow)
             previous = collected.get(key)
             collected[key] = coeff if previous is None else previous + coeff
-    return ResidueSum.build(expr.nvars, collected)
+    return residue_sum(expr.nvars, passive, collected)
 
 
 def reference_lift_volume(v_prev, m):
@@ -398,30 +407,31 @@ def residue_sums(draw):
     """Hand-built sums with arbitrary rational coefficients on a^e, with their live variables.
 
     Drawn as (live, sum): a residue step may be taken at any live variable,
-    and only there, as ``residue_in_order`` guarantees.  Coefficients come
-    from ``multipolys``, so their denominators (up to 6) need not divide
-    e!, and they take either sign.  When drawn, a pair of
-    terms whose residues at one variable cancel exactly is added: the
-    residue of x_v^-1 (x_i - x_v)^-1 at x_v = 0 is x_i^-1, and that of
-    x_v^-1 (x_v - x_i)^-1 is -x_i^-1, the same as that of
-    -/+ x_v^-1 x_i^-1.
+    and only there, as ``residue_in_order`` guarantees.  One set of
+    difference factors among the live variables is drawn for the whole sum.
+    Coefficients come from ``multipolys``, so their denominators (up to 6)
+    need not divide e!, and they take either sign.  When drawn, a pair of
+    terms whose residues at one variable cancel in one output group is
+    added: for a factor (x_i - x_j)^q through x_v, with x_o its other
+    variable, the residue at x_v = 0 of c x_v^-1 x_o^-1 and the depth-1
+    part on that factor of that of -(c/q) x_v^-2 land on the same power of
+    x_o with opposite coefficients, whatever the other factors.
     """
     nvars = draw(st.integers(2, 3))
     live = sorted(draw(st.sets(st.integers(1, nvars), min_size=1)))
     pairs = [(i, j) for i in live for j in live if i < j]
+    diff = tuple((pair, draw(st.integers(1, 2))) for pair in pairs if draw(st.booleans()))
     raw = {}
     for _ in range(draw(st.integers(0, 3))):
         xpow = tuple(draw(st.integers(-3, 0)) if i in live else 0 for i in range(1, nvars + 1))
-        diff = tuple((pair, draw(st.integers(1, 2))) for pair in pairs if draw(st.booleans()))
-        raw[(xpow, diff)] = draw(multipolys(nvars=nvars, max_exp=2))
-    if pairs and draw(st.booleans()):
-        i, v = draw(st.sampled_from(pairs + [(j, i) for i, j in pairs]))
+        raw[xpow] = draw(multipolys(nvars=nvars, max_exp=2))
+    if diff and draw(st.booleans()):
+        pair, q = draw(st.sampled_from(diff))
+        v = draw(st.sampled_from(pair))
         coeff = draw(multipolys(nvars=nvars, max_exp=2))
-        pole = tuple(-1 if k in (i, v) else 0 for k in range(1, nvars + 1))
-        alone = tuple(-1 if k == v else 0 for k in range(1, nvars + 1))
-        raw[(alone, ((tuple(sorted((i, v))), 1),))] = coeff
-        raw[(pole, ())] = -coeff if i < v else coeff
-    return live, ResidueSum.build(nvars, raw)
+        raw[tuple(-1 if k in pair else 0 for k in range(1, nvars + 1))] = coeff
+        raw[tuple(-2 if k == v else 0 for k in range(1, nvars + 1))] = coeff * Fraction(-1, q)
+    return live, residue_sum(nvars, diff, raw)
 
 
 def every_matrix(rank, entries):
@@ -465,26 +475,25 @@ class TestResidueStepMatchesReference:
             assert residue_in_order(m, order) == slow.polynomial()
 
     def test_cancelling_contributions_leave_no_zero_terms(self):
-        # x2^-1 (x1 - x2)^-1 and -x1^-1 x2^-1 have the same residue at x2 = 0,
-        # up to sign, so their contributions to one group cancel exactly.
+        # over (x1 - x2)^-1: the residue at x2 = 0 of x1^-1 x2^-1 is x1^-2, and
+        # that of -x2^-2 is -x1^-2 (depth 1) plus -a2 x1^-1 (s = 1), so the
+        # group at x1^-2 cancels exactly and only x1^-1 is left.
         one = MultiPoly.one(2)
-        expr = ResidueSum.build(2, {
-            ((0, -1), (((1, 2), 1),)): one,
-            ((-1, -1), ()): -one,
-        })
-        assert not reference_residue_at_zero(expr, 2).terms
-        assert not residue_at_zero(expr, 2).terms
+        expr = residue_sum(2, (((1, 2), 1),), {(-1, -1): one, (0, -2): -one})
+        fast = residue_at_zero(expr, 2)
+        assert fast == reference_residue_at_zero(expr, 2)
+        assert fast == residue_sum(2, (), {(-1, 0): -MultiPoly.variable(2, 2)})
 
     @given(residue_sums())
-    @example(([2], ResidueSum.build(2, {
+    @example(([2], residue_sum(2, (), {
         # a2 x2^-2 and a2^2 x2^-1 both leave a2^2 at x2 = 0, from the groups for
         # s = 1 and s = 0: the sum is 2 a2^2, so a merge that overwrites fails
-        ((0, -2), ()): MultiPoly(2, {(0, 1): 1}),
-        ((0, -1), ()): MultiPoly(2, {(0, 2): 1}),
+        (0, -2): MultiPoly(2, {(0, 1): 1}),
+        (0, -1): MultiPoly(2, {(0, 2): 1}),
     })))
-    @example(([1, 2], ResidueSum.build(2, {
-        ((-1, -3), (((1, 2), 2),)): MultiPoly(2, {(1, 0): Fraction(-3, 7), (0, 0): Fraction(5, 11)}),
-        ((0, -2), ()): MultiPoly(2, {(1, 0): Fraction(2, 9), (0, 2): Fraction(-1, 5)}),
+    @example(([1, 2], residue_sum(2, (((1, 2), 2),), {
+        (-1, -3): MultiPoly(2, {(1, 0): Fraction(-3, 7), (0, 0): Fraction(5, 11)}),
+        (0, -2): MultiPoly(2, {(1, 0): Fraction(2, 9), (0, 2): Fraction(-1, 5)}),
     })))
     def test_any_rational_coefficients(self, drawn):
         # Denominators that do not divide e!, negative coefficients and exact

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -37,6 +38,15 @@ def test_restriction_entries():
     assert restricted == MultiplicityMatrix(2, (1, 2, 2))
     with pytest.raises(ValueError):
         restricted.restriction().restriction()
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_restriction_drops_node_one_entrywise(rank):
+    for mult in product((1, 2), repeat=rank * (rank + 1) // 2):
+        m = MultiplicityMatrix(rank, mult)
+        restricted = m.restriction()
+        for i, j in root_pairs(rank - 1):
+            assert restricted.multiplicity(i, j) == m.multiplicity(i + 1, j + 1)
 
 
 @given(multiplicity_matrices())

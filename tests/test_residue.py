@@ -1,6 +1,7 @@
 import math
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,18 +35,20 @@ GOLDEN_POLY = MultiPoly(3, {
 class TestBuildKernel:
     def test_rank_one(self):
         kernel = build_kernel(MultiplicityMatrix(1, (3,)))
-        assert kernel.terms == (ResidueTerm(MultiPoly.one(1), (-3,), ()),)
+        assert kernel == ResidueSum(1, (), (ResidueTerm(MultiPoly.one(1), (-3,)),))
 
     def test_rank_two_heavy_difference(self):
         kernel = build_kernel(MultiplicityMatrix(2, (4, 1, 1)))
-        assert kernel.terms == (ResidueTerm(MultiPoly.one(2), (-1, -1), (((1, 2), 4),)),)
+        assert kernel == ResidueSum(
+            2, (((1, 2), 4),), (ResidueTerm(MultiPoly.one(2), (-1, -1)),)
+        )
 
     def test_rank_three(self):
         kernel = build_kernel(GOLDEN_M)
         [term] = kernel.terms
         assert term.coeff == MultiPoly.one(3)
         assert term.xpow == (-2, -2, -2)
-        assert term.diff == (((1, 2), 1), ((1, 3), 1), ((2, 3), 1))
+        assert kernel.diff == (((1, 2), 1), ((1, 3), 1), ((2, 3), 1))
 
 
 class TestSingleResidue:
@@ -59,11 +62,45 @@ class TestSingleResidue:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_simple_pole_with_difference_factor(self, n):
         # exp(a1 x1 + a2 x2) / (x2 (x1 - x2)^n): evaluate the analytic part at x2 = 0
-        state = ResidueSum.build(2, {((0, -1), (((1, 2), n),)): MultiPoly.one(2)})
+        state = ResidueSum(2, (((1, 2), n),), (ResidueTerm(MultiPoly.one(2), (0, -1)),))
         result = residue_at_zero(state, 2)
-        assert result.terms == (
-            ResidueTerm(MultiPoly.one(2), (-n, 0), ()),
-        )
+        assert result == ResidueSum(2, (), (ResidueTerm(MultiPoly.one(2), (-n, 0)),))
+
+
+def difference_pairs(m, live):
+    """Every factor (x_i - x_j)^m[i,j] among the live variables, lexicographic."""
+    return tuple(((i, j), m.multiplicity(i, j)) for i, j in combinations(sorted(live), 2))
+
+
+class TestSharedDifferenceFactors:
+    """A sum holds one set of difference factors: those among the variables not yet taken."""
+
+    @staticmethod
+    def assert_factors_follow_the_order(m, order):
+        state = build_kernel(m)
+        live = set(range(1, m.rank + 1))
+        assert state.diff == difference_pairs(m, live)
+        for var in order:
+            state = residue_at_zero(state, var)
+            live.discard(var)
+            assert state.diff == difference_pairs(m, live)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_every_order_of_every_small_matrix(self, rank):
+        for mult in product((1, 2), repeat=rank * (rank + 1) // 2):
+            m = MultiplicityMatrix(rank, mult)
+            for order in permutations(range(1, rank + 1)):
+                self.assert_factors_follow_the_order(m, order)
+
+    def test_seeded_rank_four(self):
+        rng = random.Random(4)
+        for _ in range(4):
+            m = MultiplicityMatrix(4, tuple(rng.choice((1, 2)) for _ in range(10)))
+            self.assert_factors_follow_the_order(m, canonical_order(4))
+
+    def test_empty_sum_steps_to_empty_sum(self):
+        empty = ResidueSum(3, (((1, 2), 1), ((1, 3), 2), ((2, 3), 1)), ())
+        assert residue_at_zero(empty, 3) == ResidueSum(3, (((1, 2), 1),), ())
 
 
 class TestIteratedResidue:

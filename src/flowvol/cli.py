@@ -85,12 +85,27 @@ class ProblemSpec:
         return MultiplicityMatrix(self.rank, self.mult)
 
 
-_PAIR_KEY = re.compile(r"^m\[(\d+),(\d+)\]$")
+# int() and Fraction() also read digit separators and non-ASCII digits, so
+# that 1_0 would be 10 and the Arabic-Indic 2 would be 2: numbers are plain
+# ASCII, and an integer is an optional sign and the digits 0-9.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_PAIR_KEY = re.compile(r"m\[([0-9]+),([0-9]+)\]")
+
+
+def _parse_int(text: str, what: str) -> int:
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's limit on digits
+            pass
+    raise SpecError(f"{what} must be an integer, got {text!r}")
 
 
 def _parse_rational(text: str) -> Fraction:
+    if not text.isascii() or "_" in text:
+        raise SpecError(f"malformed rational {text!r}")
     # Fraction would expand an exponent such as 1e10000000 before any size check.
-    if re.search(r"[eE][-+]?\d", text):
+    if re.search(r"[eE][-+]?[0-9]", text):
         raise SpecError(f"exponent notation is not accepted, got {text!r}")
     try:
         return Fraction(text)
@@ -149,10 +164,7 @@ def _parse_plain(text: str) -> ProblemSpec:
         if key == "r":
             if rank is not None:
                 raise SpecError("duplicate rank entry")
-            try:
-                rank = int(value)
-            except ValueError as exc:
-                raise SpecError(f"rank must be an integer, got {value!r}") from exc
+            rank = _parse_int(value, "rank")
         elif key == "a":
             if a is not None:
                 raise SpecError("duplicate a entry")
@@ -160,16 +172,13 @@ def _parse_plain(text: str) -> ProblemSpec:
                 raise SpecError("a must be a parenthesized tuple, e.g. a=(1,2/3)")
             a = tuple(_parse_rational(x) for x in value[1:-1].split(","))
         else:
-            match = _PAIR_KEY.match(key)
+            match = _PAIR_KEY.fullmatch(key)
             if not match:
                 raise SpecError(f"unknown entry key {key!r}")
             pair = (int(match.group(1)), int(match.group(2)))
             if pair in entries:
                 raise SpecError(f"duplicate entry m[{pair[0]},{pair[1]}]")
-            try:
-                entries[pair] = int(value)
-            except ValueError as exc:
-                raise SpecError(f"multiplicity must be an integer, got {value!r}") from exc
+            entries[pair] = _parse_int(value, "multiplicity")
     return _build(rank, entries, a)
 
 

@@ -38,6 +38,13 @@ nothing.  ``check-pde`` therefore prints the same residual, term for term,
 as the expanded operator gives.  ``_node_image`` is that action of one node
 operator on a table; ``node_residuals`` and ``solution_space`` both use it.
 
+``DiffOperator.apply``, which the rank-induction lift calls, works on the
+same table for any operator: d^k maps a^e/e! to a^(e-k)/(e-k)!, so each
+(operator term, polynomial term) pair costs one integer multiply-add, the
+exponent vectors are packed into guarded bit fields so that one ``&``
+decides e >= k, and each output term makes one ``Fraction``; its docstring
+gives the argument.
+
 Within homogeneous polynomials of the volume degree, the common kernel of
 these operators is one-dimensional and spanned by the volume polynomial; one
 degree higher it is zero.  ``solution_space`` computes that kernel exactly by
@@ -115,8 +122,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, lcm, perm, prod
-from operator import mul, sub
+from math import comb, factorial, lcm, prod
+from operator import mul
 from typing import Callable
 
 from .linalg import integer_nullspace
@@ -130,18 +137,35 @@ def _node_terms(
     """The u^q coefficient of prod_{j=l+1..r} (sum_p weight(m[l,j], p) u^p d_j^p).
 
     Returned as ``{exponents: int}`` in all r partials, zero weights dropped;
-    the exponents of d_1..d_l are zero.
+    the exponents of d_1..d_l are zero.  Each variable's weights for the
+    powers 0..q are built once, as a row, and every monomial reads its
+    factors from the rows.
     """
     r = m.rank
     if l == r:  # the empty product is 1
         return {(0,) * r: 1} if q == 0 else {}
-    row = [m.multiplicity(l, j) for j in range(l + 1, r + 1)]
+    rows = [[weight(m.multiplicity(l, j), p) for p in range(q + 1)] for j in range(l + 1, r + 1)]
     terms = {}
     for powers in homogeneous_monomials(r - l, q):
-        coeff = prod(map(weight, row, powers))
+        coeff = prod(map(list.__getitem__, rows, powers))
         if coeff:
             terms[(0,) * l + powers] = coeff
     return terms
+
+
+def _divided_power_table(
+    poly: MultiPoly, places: list[int], offset: int = 0
+) -> tuple[int, dict[int, int]]:
+    """S and poly's integer divided-power table {offset + sum_i e_i * places[i]: S * e! * c_e}.
+
+    S is the lcm of the coefficient denominators (module docstring).
+    """
+    scale = lcm(*(c.denominator for c in poly.terms.values()))
+    return scale, {
+        sum(map(mul, exps, places)) + offset:
+            c.numerator * (scale // c.denominator) * prod(map(factorial, exps))
+        for exps, c in poly.terms.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -173,18 +197,59 @@ class DiffOperator:
         return DiffOperator(self.poly * other)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
-        """Apply the operator to a polynomial, exactly."""
+        """Apply the operator to a polynomial, exactly, on packed divided powers.
+
+        p is written once as the integer table G(e) = S * e! * c_e over its
+        divided powers a^e/e!, S the lcm of its coefficient denominators, and
+        the operator as integer weights W_k = T * w_k, T the lcm of its
+        denominators.  On divided powers d^k is a pure shift: d^k a^e = perm(e, k)
+        a^(e-k) and perm(e, k) = e!/(e-k)!, so d^k maps a^e/e! to a^(e-k)/(e-k)!
+        when e >= k and to 0 otherwise.  So the image is
+        sum_f (sum_k W_k G(f+k)) a^f / (S T f!): one integer multiply-add per
+        (operator term, polynomial term) pair, and one ``Fraction`` per
+        output key, whose zero sums are dropped.  This is the rational
+        sum_k w_k c_(f+k) perm(f+k, k) that the term-by-term product gives.
+
+        Each e is packed into fixed-width bit fields, field i holding e_i + g
+        with the guard bit g = 2^bitlen(M), M the largest exponent of p; the
+        field is bitlen(M) + 1 bits wide, room for values up to 2g - 1.  An
+        operator term is packed the same way, as K, without the guard, and
+        skipped when some k_i is above M, since then no e_i reaches it.
+        Otherwise k_i <= M < g, so field i of key - K is e_i - k_i + g, which
+        lies in [0, 2g): no field borrows from the next, and its guard bit is
+        set exactly when e_i >= k_i.  So one ``&`` and one compare keep the
+        pairs with e >= k, and key - K is the packed form of f = e - k.
+        """
         if p.nvars != self.nvars:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {p.nvars}")
-        result: dict[tuple[int, ...], Fraction] = {}
-        # c d^k maps x^e to c prod_i perm(e_i, k_i) x^(e - k), and to 0 when some e_i < k_i
-        for dexps, dcoeff in self.poly.terms.items():
-            for pexps, pcoeff in p.terms.items():
-                exps = tuple(map(sub, pexps, dexps))
-                if min(exps) >= 0:
-                    coeff = dcoeff * pcoeff * prod(map(perm, pexps, dexps))
-                    result[exps] = result.get(exps, 0) + coeff
-        return MultiPoly._trusted(p.nvars, {e: c for e, c in result.items() if c})
+        if not p.terms:
+            return MultiPoly._trusted(p.nvars, {})
+        top = max(map(max, p.terms))
+        width = top.bit_length() + 1
+        guard = 1 << (width - 1)
+        shifts = range(width * (p.nvars - 1), -1, -width)
+        places = [1 << s for s in shifts]
+        guards = guard * sum(places)
+        scale, table = _divided_power_table(p, places, guards)
+        weights = lcm(*(w.denominator for w in self.poly.terms.values()))
+        out: dict[int, int] = {}
+        for dexps, w in self.poly.terms.items():
+            if max(dexps) > top:
+                continue
+            shift = sum(map(mul, dexps, places))
+            weight = w.numerator * (weights // w.denominator)
+            for key, g in table.items():
+                key -= shift
+                if key & guards == guards:
+                    old = out.get(key)
+                    out[key] = weight * g if old is None else old + weight * g
+        mask = 2 * guard - 1
+        result = {}
+        for key, total in out.items():
+            if total:
+                exps = tuple((key >> s & mask) - guard for s in shifts)
+                result[exps] = Fraction(total, scale * weights * prod(map(factorial, exps)))
+        return MultiPoly._trusted(p.nvars, result)
 
     def __str__(self) -> str:
         return self.poly.render(names="d")
@@ -274,11 +339,7 @@ def node_residuals(m: MultiplicityMatrix, poly: MultiPoly) -> list[tuple[int, Mu
     r = m.rank
     base = max(map(sum, poly.terms), default=0) + 1  # above every exponent
     places = [base ** (r - i) for i in range(1, r + 1)]
-    scale = lcm(*(c.denominator for c in poly.terms.values()))
-    table = {
-        sum(map(mul, exps, places)): c.numerator * (scale // c.denominator) * prod(map(factorial, exps))
-        for exps, c in poly.terms.items()
-    }
+    scale, table = _divided_power_table(poly, places)
     residuals = []
     for l in range(r, 0, -1):
         residual = {}

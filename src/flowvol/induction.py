@@ -33,7 +33,9 @@ restricted volume w (degree h, variables a_2..a_r) is
     v = sum_{n=0..h} a_1^(s-1+n) / (s-1+n)! * E_n w.
 
 ``lift_volume`` runs the recursion from u_0 = w and places each u_n at
-a_1^(s-1+n) / (s-1+n)!.
+a_1^(s-1+n) / (s-1+n)!.  Each D_j u_(n-j) is one ``DiffOperator.apply``, on
+the integer divided-power table of u_(n-j) (``diffop``), so a pair of terms
+costs one integer multiply-add.
 
 The ladder operators have a closed form.  With E(u) = sum_n E_n u^n and
 D(u) = 1 + sum_q D_q u^q, the recurrence says that for n >= 1 the u^n
@@ -47,6 +49,11 @@ d_2..d_r, each d_i^p weighted by C(m[1,i] - 1 + p, p).  ``operator_ladder``
 builds every E_n from that rule (``OperatorLadder.steps``), with no operator
 products.  Nothing in the package applies them: they exist for acceptance
 criterion 8 and for the ladder metrics of the benchmark in ``flowbench/``.
+
+The D_q and E_n come out of ``_node_terms`` in canonical form, with nonzero
+integer weights, and the lift's terms are distinct nonzero ``Fraction``
+products, so they are wrapped with ``MultiPoly._trusted`` rather than passed
+through the checking constructor again; inputs are checked where they enter.
 """
 
 from __future__ import annotations
@@ -57,15 +64,25 @@ from fractions import Fraction
 
 from .diffop import DiffOperator, _node_terms
 from .multiplicity import MultiplicityMatrix
-from .polynomial import MultiPoly, binomial_series_coeff
+from .polynomial import Exponents, MultiPoly, binomial_series_coeff
 from .residue import VolumePolynomial
+
+
+def _operator(r: int, terms: dict[Exponents, int]) -> DiffOperator:
+    """``_node_terms``' canonical nonzero integer weights as an operator, not re-checked.
+
+    The weights take few distinct values, so each makes one ``Fraction``,
+    shared by every term that carries it.
+    """
+    values = {c: Fraction(c) for c in set(terms.values())}
+    return DiffOperator(MultiPoly._trusted(r, {exps: values[c] for exps, c in terms.items()}))
 
 
 def lowering_operator(m: MultiplicityMatrix, q: int) -> DiffOperator:
     """Order-q lowering operator in d_2..d_r built from the first row of m."""
     if q < 1:
         raise ValueError(f"order must be >= 1, got {q}")
-    return DiffOperator(MultiPoly(m.rank, _node_terms(m, 1, q, math.comb)))
+    return _operator(m.rank, _node_terms(m, 1, q, math.comb))
 
 
 @dataclass(frozen=True)
@@ -95,8 +112,10 @@ def operator_ladder(m: MultiplicityMatrix) -> OperatorLadder:
     r = m.rank
     span = m.row_sum(1) - m.multiplicity(1, r + 1)  # orders beyond this vanish
     generators = tuple(lowering_operator(m, q) for q in range(1, span + 1))
-    steps = [_node_terms(m, 1, n, binomial_series_coeff) for n in range(m.restriction_degree + 1)]
-    return OperatorLadder(m, generators, tuple(DiffOperator(MultiPoly(r, e_n)) for e_n in steps))
+    steps = tuple(
+        _operator(r, _node_terms(m, 1, n, binomial_series_coeff)) for n in range(m.restriction_degree + 1)
+    )
+    return OperatorLadder(m, generators, steps)
 
 
 def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolynomial:
@@ -122,4 +141,4 @@ def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolyno
         scale = Fraction(1, math.factorial(base + n))
         for exps, coeff in image.terms.items():
             terms[(base + n,) + exps[1:]] = coeff * scale
-    return VolumePolynomial(m, MultiPoly(r, terms))
+    return VolumePolynomial(m, MultiPoly._trusted(r, terms))

@@ -95,6 +95,39 @@ class TestJsonFormat:
             parse_spec(json.dumps(data))
 
 
+class TestAsciiNumbers:
+    """Integers are [+-]?[0-9]+ and rationals plain ASCII, though int() and
+    Fraction() also read digit separators and non-ASCII digits."""
+
+    @pytest.mark.parametrize("spec", [
+        "r=\u0661; m[1,2]=\u0662",  # Arabic-Indic 1 and 2
+        "r=1; m[1,2]=\u0662",
+        "r=1; m[\u0661,2]=1",
+        "r=1; m[1,\uff12]=1",  # fullwidth 2
+        "r=1; m[1,2]=1_0",
+        "r=0_1; m[1,2]=1",
+        "r=1; m[1,2]=1; a=(1_0)",
+        "r=1; m[1,2]=1; a=(1/2_0)",
+        "r=1; m[1,2]=1; a=(\u0661/2)",
+        "r=1; m[1,2]=1; a=(1.\u0665)",
+        '{"r": 1, "m": [[1, 2, 1]], "a": ["1_0"]}',
+        '{"r": 1, "m": [[1, 2, 1]], "a": ["\u0663/2"]}',
+    ])
+    def test_separators_and_non_ascii_digits_exit_2(self, spec, capsys):
+        with pytest.raises(SpecError):
+            parse_spec(spec)
+        assert main(["corner", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_signs_leading_zeros_and_plain_rationals_still_parse(self):
+        spec = parse_spec("r=+02; m[1,2]=01; m[1,3]=+1; m[2,3]=1; a=(-3/4, 0.5)")
+        assert spec == ProblemSpec(2, (1, 1, 1), (Fraction(-3, 4), Fraction(1, 2)))
+        data = {"r": 1, "m": [[1, 2, 1]], "a": [" 3/2 "]}
+        assert parse_spec(json.dumps(data)).a == (Fraction(3, 2),)
+
+
 point_entries = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 specs = st.integers(1, 4).flatmap(lambda rank: st.builds(
     ProblemSpec,

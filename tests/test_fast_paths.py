@@ -5,7 +5,10 @@ loop against the plain paths.
 (term, depth vector) pair builds its own checked polynomial, multiplies it by
 a_k^s / s! and adds it into the accumulator; ``residue_sum`` writes a sum of
 ``{xpow: coeff}`` terms over one set of difference factors in the step's
-output form.  ``reference_lift_volume``
+output form.  ``reference_apply`` applies an operator pair by pair, one ``Fraction``
+product and one ``perm`` product per (operator term, polynomial term) pair,
+where ``DiffOperator.apply`` shifts packed keys of an integer divided-power
+table.  ``reference_lift_volume``
 applies every explicit ladder step E_n to the restricted volume, where
 ``lift_volume`` runs the recurrence u_n = sum_j (-1)^(j+1) D_j u_(n-j) from
 it.  ``_bounded_vectors`` and ``_weak_compositions`` enumerate what the
@@ -142,6 +145,18 @@ def reference_residue_at_zero(expr, var):
             previous = collected.get(key)
             collected[key] = coeff if previous is None else previous + coeff
     return residue_sum(expr.nvars, passive, collected)
+
+
+def reference_apply(op, p):
+    """The operator applied pair by pair: c d^k maps x^e to c prod_i perm(e_i, k_i) x^(e - k)."""
+    result = {}
+    for dexps, dcoeff in op.poly.terms.items():
+        for pexps, pcoeff in p.terms.items():
+            exps = tuple(map(sub, pexps, dexps))
+            if min(exps) >= 0:
+                coeff = dcoeff * pcoeff * math.prod(map(math.perm, pexps, dexps))
+                result[exps] = result.get(exps, 0) + coeff
+    return {e: c for e, c in result.items() if c}
 
 
 def reference_lift_volume(v_prev, m):
@@ -678,7 +693,9 @@ class TestRankInductionMatchesReference:
     def test_lift_on_every_small_matrix(self, rank):
         for m in every_matrix(rank, (1, 2, 3)):
             v_prev = iterated_residue(m.restriction())
-            assert lift_volume(v_prev, m) == reference_lift_volume(v_prev, m), m
+            lifted = lift_volume(v_prev, m)
+            assert lifted == reference_lift_volume(v_prev, m), m
+            assert_canonical(lifted.poly)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_lift_on_rank_four_samples(self, seed):
@@ -692,7 +709,9 @@ class TestRankInductionMatchesReference:
         rng = random.Random(5000 + seed)
         m = MultiplicityMatrix(5, tuple(rng.randint(1, 2) for _ in range(15)))
         v_prev = iterated_residue(m.restriction())
-        assert lift_volume(v_prev, m) == reference_lift_volume(v_prev, m), m
+        lifted = lift_volume(v_prev, m)
+        assert lifted == reference_lift_volume(v_prev, m), m
+        assert_canonical(lifted.poly)
 
     @pytest.mark.parametrize("entry", [0, 20])
     def test_lift_on_rank_six_with_one_entry_two(self, entry):
@@ -903,6 +922,110 @@ class TestNodeImageOnTaggedColumns:
             assert _node_image(m, l, tagged, places, base) == union, (m, degree, l)
 
 
+def assert_apply_matches_reference(op, p):
+    image = op.apply(p)
+    assert image.terms == reference_apply(op, p), (op, p)
+    assert image.nvars == p.nvars
+    assert_canonical(image)
+
+
+def operator_families_on_volumes(m):
+    """Every node operator, ladder generator and ladder step of m applied to the volume
+    of m, and the generators and steps also to the embedded restricted volume, as the
+    lift applies them."""
+    ladder = operator_ladder(m)
+    volumes = [iterated_residue(m).poly]
+    if m.rank > 1:
+        volumes.append(iterated_residue(m.restriction()).poly.embed(m.rank, offset=1))
+    for op in pde_system(m).ops:
+        assert_apply_matches_reference(op, volumes[0])
+        assert op.apply(volumes[0]).is_zero
+    for op in (*ladder.generators, *ladder.steps):
+        for poly in volumes:
+            assert_apply_matches_reference(op, poly)
+
+
+@st.composite
+def operators(draw, nvars=3):
+    """Operators with mixed-denominator and negative coefficients, some of order above
+    every exponent the drawn polynomials reach."""
+    return DiffOperator(draw(multipolys(nvars=nvars, max_terms=5, max_exp=draw(st.integers(0, 5)))))
+
+
+@st.composite
+def cancelling_sums(draw):
+    """(op, s, rest) with op = (d1 - d2) * op' and s a polynomial in a1 + a2 and a3.
+
+    d1 and d2 agree on s, so op kills it: op's pairs on s cancel on every key
+    they reach, and op(s + rest) = op(rest).
+    """
+    a1, a2, a3 = (MultiPoly.variable(i, 3) for i in (1, 2, 3))
+    s = MultiPoly.zero(3)
+    for (i, j), c in draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                                          nonzero_fractions, max_size=4)).items():
+        s = s + (a1 + a2) ** i * a3 ** j * c
+    op = DiffOperator(a1 - a2) * draw(operators())
+    return op, s, draw(multipolys(nvars=3))
+
+
+class TestPackedApplyMatchesPairwise:
+    """``DiffOperator.apply`` on packed divided powers against the pairwise product."""
+
+    @pytest.mark.parametrize("rank, entries", [(1, (1, 2, 3)), (2, (1, 2, 3)), (3, (1, 2, 3))])
+    def test_operator_families_on_their_volumes(self, rank, entries):
+        for m in every_matrix(rank, entries):
+            operator_families_on_volumes(m)
+
+    @given(small_families)
+    def test_drawn_rank_two_and_three_families(self, m):
+        operator_families_on_volumes(m)
+
+    @pytest.mark.parametrize("rank, entries", [(4, (1, 2, 3)), (5, (1, 2))])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_seeded_rank_four_and_five(self, rank, entries, seed):
+        rng = random.Random(7000 + 10 * rank + seed)
+        m = MultiplicityMatrix(rank, tuple(rng.choice(entries) for _ in range(rank * (rank + 1) // 2)))
+        operator_families_on_volumes(m)
+
+    @given(operators(), multipolys(nvars=3, max_terms=6, max_exp=4))
+    @example(DiffOperator(MultiPoly(3, {(0, 0, 0): Fraction(-1, 2), (1, 0, 0): Fraction(2, 3)})),
+             MultiPoly(3, {(2, 0, 1): Fraction(3, 5), (1, 0, 1): Fraction(-7, 4)}))
+    def test_any_rational_operator_and_polynomial(self, op, p):
+        assert_apply_matches_reference(op, p)
+        assert_apply_matches_reference(op * Fraction(2, 3), p)
+        assert (op * Fraction(2, 3)).apply(p) == op.apply(p) * Fraction(2, 3)
+
+    @given(cancelling_sums())
+    def test_cancelling_sums(self, drawn):
+        op, s, rest = drawn
+        assert_apply_matches_reference(op, s)
+        assert_apply_matches_reference(op, s + rest)
+        assert op.apply(s).is_zero
+        assert op.apply(s + rest) == op.apply(rest)
+
+    @given(operators(), st.one_of(st.just(0), nonzero_fractions))
+    def test_constant_and_zero_polynomials(self, op, c):
+        p = MultiPoly(3, {(0, 0, 0): c})
+        assert_apply_matches_reference(op, p)
+        assert op.apply(p) == MultiPoly(3, {(0, 0, 0): op.poly.coefficient((0, 0, 0)) * c})
+
+    @given(multipolys(nvars=3))
+    def test_zero_operator(self, p):
+        assert_apply_matches_reference(DiffOperator.zero(3), p)
+        assert DiffOperator.zero(3).apply(p).is_zero
+
+    @given(multipolys(nvars=3, max_exp=3), st.integers(0, 2), st.integers(1, 3))
+    def test_orders_above_the_polynomial_degree(self, p, index, excess):
+        # d_i^(top + excess) and a mixed term of order above the total degree kill p
+        top = max((max(exps) for exps in p.terms), default=0)
+        degree = max(map(sum, p.terms), default=0)
+        high = [0, 0, 0]
+        high[index] = top + excess
+        op = DiffOperator(MultiPoly(3, {tuple(high): Fraction(5, 7), (degree, excess, 0): -3, (0, 0, 1): 1}))
+        assert_apply_matches_reference(op, p)
+        assert op.apply(p) == p.partial(3)
+
+
 def operator_families_match_reference(m):
     r = m.rank
     for op, expected in zip(pde_system(m).ops, reference_pde_system(m), strict=True):
@@ -916,6 +1039,9 @@ def operator_families_match_reference(m):
         assert lowering_operator(m, q).poly.terms == reference_lowering_operator(m, q), (m, q)
     for op in (*pde_system(m).ops, *ladder.steps, *ladder.generators):
         assert_canonical(op.poly)
+    # the ladder and the lowering operators are wrapped without the constructor's checks
+    for op in (*ladder.steps, *ladder.generators, lowering_operator(m, span + 1)):
+        assert all(type(c) is Fraction and c != 0 for c in op.poly.terms.values()), m
 
 
 class TestOperatorsMatchReference:
@@ -933,7 +1059,7 @@ class TestOperatorsMatchReference:
         operator_families_match_reference(MultiplicityMatrix(6, tuple(mult)))
 
     @pytest.mark.parametrize("rank, entries", [(4, (1, 2, 3)), (5, (1, 2))])
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", range(6))
     def test_seeded_rank_four_and_five(self, rank, entries, seed):
         rng = random.Random(3000 + 10 * rank + seed)
         mult = tuple(rng.choice(entries) for _ in range(rank * (rank + 1) // 2))

@@ -13,9 +13,10 @@ Exit codes: 0 success, 1 property violation (an exact identity failed),
 2 input error, 141 (``EXIT_STDOUT_CLOSED``) when standard output is closed
 before the report is written in full.  A problem whose volume degree exceeds
 ``MAX_DEGREE``, or a ``kernel --degree`` or ``oracle-compare --dilations``
-above it, is an input error, and so is an evaluation point too large to
-print (``MAX_POINT_BITS``) or written in exponent notation, and an
-``oracle-compare`` whose largest dilated supply is above ``MAX_SUPPLY``.
+above it or not a plain ASCII integer, is an input error, and so is an
+evaluation point too large to print (``MAX_POINT_BITS``) or written in
+exponent notation, and an ``oracle-compare`` whose largest dilated supply is
+above ``MAX_SUPPLY``.
 """
 
 from __future__ import annotations
@@ -390,12 +391,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("volume", parents=[common], help="compute the volume polynomial")
     sub.add_parser("check-pde", parents=[common], help="verify the annihilating operators")
     kernel = sub.add_parser("kernel", parents=[common], help="solve the operator system in one degree")
-    kernel.add_argument("--degree", type=int, default=None, help="degree to solve in (default: volume degree)")
+    kernel.add_argument("--degree", default=None, help="degree to solve in (default: volume degree)")
     sub.add_parser("lift", parents=[common], help="lift the rank-(r-1) volume and compare")
     oracle = sub.add_parser("oracle-compare", parents=[common], help="compare against lattice counting")
-    oracle.add_argument("--dilations", type=int, default=None, help="tabulate counts up to this dilation")
+    oracle.add_argument("--dilations", default=None, help="tabulate counts up to this dilation")
     sub.add_parser("corner", parents=[common], help="check the distinguished corner coefficient")
     return parser
+
+
+def _option_int(args: argparse.Namespace, name: str) -> int | None:
+    """An integer option, read by the spec's ASCII rule; None when absent."""
+    text = getattr(args, name, None)
+    return None if text is None else _parse_int(text, f"--{name}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -406,8 +413,8 @@ def main(argv: list[str] | None = None) -> int:
             spec,
             args.command,
             latex=args.latex,
-            degree=getattr(args, "degree", None),
-            dilations=getattr(args, "dilations", None),
+            degree=_option_int(args, "degree"),
+            dilations=_option_int(args, "dilations"),
             order_check=args.order_check,
         )
     except SpecError as exc:

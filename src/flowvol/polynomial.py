@@ -3,8 +3,10 @@
 Everything downstream (residue computation, differential operators, lattice
 interpolation) runs on the two primitives defined here:
 
-* coefficients are ``fractions.Fraction``, so every result is an exact
-  rational identity rather than a floating-point approximation;
+* coefficients are nonzero rationals: ``fractions.Fraction``, or ``int``
+  where the residue step keeps its integer divided-power weights (see
+  ``residue``), so every result is an exact rational identity rather than a
+  floating-point approximation;
 * a polynomial is a sparse map from exponent vectors to nonzero
   coefficients, kept in canonical form (no stored zeros, fixed-width
   exponent tuples).
@@ -54,25 +56,8 @@ def homogeneous_monomials(nvars: int, degree: int, caps: Sequence[int] = ()) -> 
     return prepend(tails, degree) if nvars > 1 else tails[degree]
 
 
-def add_terms_into(total: dict[Exponents, Fraction], terms: Mapping[Exponents, Fraction]) -> None:
-    """Add canonical ``terms`` into the canonical dict ``total``, in place.
-
-    A key ``total`` does not hold yet takes its value as it is, with no
-    ``Fraction`` add against zero; only a key already present pays for an
-    add, and only such a key can cancel, in which case it is deleted.
-    """
-    for exps, coeff in terms.items():
-        old = total.get(exps)
-        if old is None:
-            total[exps] = coeff
-        elif new := old + coeff:
-            total[exps] = new
-        else:
-            del total[exps]
-
-
 class MultiPoly:
-    """Sparse polynomial in ``nvars`` variables with Fraction coefficients.
+    """Sparse polynomial in ``nvars`` variables with nonzero rational coefficients.
 
     Instances are treated as immutable: no method mutates ``terms`` after
     construction, so values can be shared freely (including across threads).
@@ -80,7 +65,7 @@ class MultiPoly:
     Validation happens once, at the boundary.  The public constructor and the
     ``zero``/``one``/``variable``/``monomial`` classmethods check
     exponent lengths and signs and coerce every coefficient to a nonzero
-    ``Fraction``.  Arithmetic, ``partial``, ``embed`` and operator
+    ``Fraction``.  Arithmetic, ``embed`` and operator
     application trust their canonical operands, drop cancelled zeros
     themselves and wrap their output with ``_trusted``, without checking it
     again.  ``+`` and ``*`` store the value for a key the result does not
@@ -113,11 +98,12 @@ class MultiPoly:
         self.terms = canonical
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "MultiPoly":
+    def _trusted(cls, nvars: int, terms: dict[Exponents, Scalar]) -> "MultiPoly":
         """Wrap ``terms`` as is; the caller guarantees canonical form.
 
         That is: tuple keys of length ``nvars`` with nonnegative entries, and
-        nonzero ``Fraction`` values.  The dict is not copied, so the caller
+        nonzero rational values: ``Fraction``, or ``int`` for the residue
+        step's integer weights.  The dict is not copied, so the caller
         must not keep mutating it.
         """
         poly = object.__new__(cls)
@@ -183,7 +169,14 @@ class MultiPoly:
             return NotImplemented
         self._require_same_shape(other)
         merged = dict(self.terms)
-        add_terms_into(merged, other.terms)
+        for exps, coeff in other.terms.items():
+            old = merged.get(exps)
+            if old is None:
+                merged[exps] = coeff
+            elif total := old + coeff:
+                merged[exps] = total
+            else:
+                del merged[exps]
         return MultiPoly._trusted(self.nvars, merged)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
@@ -235,20 +228,6 @@ class MultiPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def partial(self, index: int) -> "MultiPoly":
-        """Exact partial derivative with respect to variable ``index`` (1-based)."""
-        if not 1 <= index <= self.nvars:
-            raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
-        i = index - 1
-        # Lowering exponent i is injective on the terms it keeps, so no two
-        # terms merge and no coefficient cancels.
-        derived = {
-            exps[:i] + (exps[i] - 1,) + exps[i + 1:]: coeff * exps[i]
-            for exps, coeff in self.terms.items()
-            if exps[i]
-        }
-        return MultiPoly._trusted(self.nvars, derived)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Exact evaluation at a point of rationals, in integer arithmetic.

@@ -42,38 +42,29 @@ term: which factors run through x_k and, for each pole order p, the splits
 of p - 1 among their series depths and the exponential, each with its
 signed product of binomials and its change to the powers of x.
 
-A step builds its output once, in integer arithmetic.  For each monomial e
-of a_1..a_r let L_e be the lcm of the denominators of the coefficients
-c_(t,e) of a^e over every input term t, and write c_(t,e) = n_(t,e) / L_e
-with n_(t,e) an integer, converted once per term.  Each pair of a term t and
-a series depth vector contributes its signed binomial product s_t, an
-integer, and only the integers n_(t,e) * s_t are added into plain dicts,
-grouped first by the output's powers of x and then by the power s of a_k
-taken from exp(a_k x_k).  By distributivity
-sum_t c_(t,e) s_t = (sum_t n_(t,e) s_t) / L_e, so one division per output
-coefficient gives the exact rational sum for any rational input; no claim
-about the denominators is needed.  On the kernel route L_e divides e!, so
-the integers stay small: the kernel's coefficient is 1, the binomials are
-integers, and a_k^s / s! meets no a_k already present (see below), so
-(a^e / e!) * (a_k^s / s!) = a^(e + s u_k) / (e + s u_k)! keeps every
-coefficient an integer multiple of a^e / e!.
+A coefficient is kept as its divided-power transform: c(a) = sum_e c_e a^e
+is stored as T(c) = sum_e e! c_e a^e, a ``MultiPoly`` with ``int`` values.
+T is linear, and the kernel's coefficient is 1 = T(1).  a_k enters only
+through exp(a_k x_k), so before x_k is integrated out no coefficient depends
+on a_k, in any residue order.  For such a c every key e of c has e_k = 0, so
+(e + s u_k)! = e! s!, with u_k the k-th unit vector, and
 
-Only at the end is each group for the power s turned into rationals, and
-the 1/s! goes into the same division: each coefficient is built once, as
-``Fraction(sum, L_e * s!)``.  The group is then multiplied by the bare
-monomial a_k^s, with coefficient 1, which ``MultiPoly`` does as a shift of
-the keys that keeps every coefficient as it is.  That product stays a
-``MultiPoly`` product until ROADMAP item 1b moves the benchmark's traced
-counters off ``MultiPoly.__mul__``; item 3 then keeps each coefficient as
-integers on a^e / e!, where a_k^s / s! is a shift of one exponent.
-Grouping by s merely reorders an exact sum (distributivity), so adding the
-groups of one power of x gives the exact step for any input sum.  They are
-added into one dict, a coefficient on a shared monomial added and a
-cancelled one dropped, because groups can share monomials when the input's
-coefficients hold a_k.  From the kernel they never do: a_k enters only
-through exp(a_k x_k), so before x_k is integrated out no coefficient
-depends on a_k, in any residue order, and the group for s is exactly the
-a_k-degree-s part of the new coefficient.
+    T(c * a_k^s / s!) = T(c) * a_k^s.
+
+A step therefore takes the integers T(c)_e of each input term as they are,
+multiplies them by each split's signed product of binomials, also an
+integer, and adds them into plain dicts, grouped first by the output's
+powers of x and then by the power s of a_k.  Grouping by s merely reorders
+an exact sum (distributivity).  Each group is multiplied by the bare
+monomial a_k^s, which in the transform is a true product and which
+``MultiPoly`` does as a shift of the keys.  The group for s holds exactly
+the output keys with a_k-exponent s, so the groups of one power of x share
+no key and are joined with no merge.  No step divides: by induction every
+coefficient reached from the kernel is an integer table, and after the last
+step T(v)_e = e! v_e are the values of the Kostant partition function
+(Meszaros-Morales, Math. Z. 293, 2019, arXiv 1710.00701).
+``ResidueSum.polynomial`` undoes the transform, with one division by e! per
+output coefficient.
 """
 
 from __future__ import annotations
@@ -81,16 +72,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .multiplicity import MultiplicityMatrix
-from .polynomial import MultiPoly, add_terms_into, binomial_series_coeff, homogeneous_monomials
+from .polynomial import MultiPoly, binomial_series_coeff, homogeneous_monomials
 
 
 @dataclass(frozen=True)
 class ResidueTerm:
-    """One summand: coeff(a) * prod x_i^xpow[i-1], over its sum's difference factors."""
+    """One summand: coeff(a) * prod x_i^xpow[i-1], over its sum's difference factors.
+
+    ``coeff`` is the divided-power transform T(c) of the coefficient c(a),
+    with ``int`` values (see the module docstring).
+    """
 
     coeff: MultiPoly
     xpow: tuple[int, ...]
@@ -115,19 +111,25 @@ class ResidueSum:
     terms: tuple[ResidueTerm, ...]
 
     def polynomial(self) -> MultiPoly:
-        """Collapse a fully integrated sum to its polynomial coefficient."""
+        """Collapse a fully integrated sum to its polynomial: c_e = T(c)_e / e!."""
         if self.diff or any(any(term.xpow) for term in self.terms):
             raise ValueError("sum still depends on unintegrated x variables")
         total = MultiPoly.zero(self.nvars)
         for term in self.terms:
-            total = total + term.coeff
+            top = max(map(max, term.coeff.terms), default=0)
+            factorial = list(accumulate(range(1, top + 1), mul, initial=1))
+            total = total + MultiPoly._trusted(self.nvars, {
+                exps: Fraction(c, math.prod(map(factorial.__getitem__, exps)))
+                for exps, c in term.coeff.terms.items()
+            })
         return total
 
 
 def build_kernel(m: MultiplicityMatrix) -> ResidueSum:
     """The kernel as a one-term sum, every variable live and carrying its exponential.
 
-    Pole order m[i,r+1] at x_i = 0 and m[i,j] on x_i - x_j, coefficient 1.
+    Pole order m[i,r+1] at x_i = 0 and m[i,j] on x_i - x_j, coefficient
+    T(1) = 1.
     """
     r = m.rank
     xpow = tuple(-m.multiplicity(i, r + 1) for i in range(1, r + 1))
@@ -136,7 +138,7 @@ def build_kernel(m: MultiplicityMatrix) -> ResidueSum:
         for i in range(1, r)
         for j in range(i + 1, r + 1)
     )
-    return ResidueSum(r, diff, (ResidueTerm(MultiPoly.one(r), xpow),))
+    return ResidueSum(r, diff, (ResidueTerm(MultiPoly._trusted(r, {(0,) * r: 1}), xpow),))
 
 
 def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
@@ -144,22 +146,19 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
 
     x_var is trusted to be live: ``residue_in_order`` takes each variable
     once.  Every factor of every term is expandable around x_var = 0 by
-    construction.  A pole of order p contributes once for each split of p - 1
-    into series depths of the difference factors through x_var plus the
-    power s of a_var, the last coordinate of each ``homogeneous_monomials``
-    vector.  The factors through x_var and each pole order's splits, with
-    their binomial products, are worked out once per step, since every term
-    shares the factors.  Integer numerators over L_e are accumulated per
-    output power of x and per s, divided once per output coefficient by
-    L_e * s!, shifted by a_var^s, and the groups of one power of x are added
-    in place (see the module docstring for why that is exact).
+    construction.  Every coefficient is trusted to be an integer table T(c)
+    with no a_var, as every sum reached from the kernel is.  A pole of order
+    p contributes once for each split of p - 1 into series depths of the
+    difference factors through x_var plus the power s of a_var, the last
+    coordinate of each ``homogeneous_monomials`` vector.  The factors
+    through x_var and each pole order's splits, with their binomial
+    products, are worked out once per step, since every term shares the
+    factors.  The integers T(c)_e times those products are accumulated per
+    output power of x and per s, each group is shifted by a_var^s, and the
+    groups of one power of x are joined (see the module docstring for why
+    that is exact).
     """
     nvars = expr.nvars
-    common: dict[tuple[int, ...], int] = {}  # L_e: lcm of the denominators of a^e
-    for term in expr.terms:
-        for exps, c in term.coeff.terms.items():
-            common[exps] = math.lcm(common.get(exps, 1), c.denominator)
-
     # each factor through x_var: the index of its other variable, its pole
     # order q and the sign of its series
     involved, passive = [], []
@@ -185,39 +184,27 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
                     scalar *= sign * binomial_series_coeff(q, n)
                     delta[other] = -q - n
                 splits[budget].append((delta, exp_power, scalar))
-        numerators = [
-            (exps, c.numerator * (common[exps] // c.denominator))
-            for exps, c in term.coeff.terms.items()
-        ]
         for delta, exp_power, scalar in splits[budget]:
             xpow = tuple(map(add, term.xpow, delta))
             acc = groups.setdefault(xpow, {}).setdefault(exp_power, {})
-            for exps, num in numerators:
-                acc[exps] = acc.get(exps, 0) + num * scalar
+            for exps, c in term.coeff.terms.items():
+                acc[exps] = acc.get(exps, 0) + c * scalar
 
     shifts: dict[int, MultiPoly] = {}  # a_var^s with coefficient 1, one per power s
     terms = []
     for xpow, by_power in sorted(groups.items()):
-        merged: dict[tuple[int, ...], Fraction] = {}
+        joined: dict[tuple[int, ...], int] = {}
         for exp_power, acc in by_power.items():
-            scale = math.factorial(exp_power)
-            coeff = MultiPoly._trusted(
-                nvars, {e: Fraction(num, common[e] * scale) for e, num in acc.items() if num}
-            )
+            group = MultiPoly._trusted(nvars, {e: c for e, c in acc.items() if c})
             if exp_power:
                 shift = shifts.get(exp_power)
                 if shift is None:
                     exps = tuple(exp_power if i == var - 1 else 0 for i in range(nvars))
-                    shift = shifts[exp_power] = MultiPoly._trusted(nvars, {exps: Fraction(1)})
-                coeff = coeff * shift
-            if merged:
-                # the powers share monomials when the input's coefficients
-                # hold a_var, which no sum reached from the kernel does
-                add_terms_into(merged, coeff.terms)
-            else:
-                merged = coeff.terms
-        if merged:
-            terms.append(ResidueTerm(MultiPoly._trusted(nvars, merged), xpow))
+                    shift = shifts[exp_power] = MultiPoly._trusted(nvars, {exps: 1})
+                group = group * shift
+            joined.update(group.terms)
+        if joined:
+            terms.append(ResidueTerm(MultiPoly._trusted(nvars, joined), xpow))
     return ResidueSum(nvars, tuple(passive), tuple(terms))
 
 

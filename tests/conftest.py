@@ -37,6 +37,16 @@ def rational_points(draw, nvars):
     return tuple(draw(small_fractions) for _ in range(nvars))
 
 
+def partial(poly, index):
+    """Exact partial derivative of ``poly`` in a_index (1-based): the reference the shifts must match."""
+    i = index - 1
+    return MultiPoly(poly.nvars, {
+        exps[:i] + (exps[i] - 1,) + exps[i + 1:]: coeff * exps[i]
+        for exps, coeff in poly.terms.items()
+        if exps[i]
+    })
+
+
 def grlex_key(exponents):
     """Sort key putting monomials in descending graded-lex order: the order reference."""
     return (-sum(exponents), tuple(-e for e in exponents))

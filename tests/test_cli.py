@@ -121,6 +121,29 @@ class TestAsciiNumbers:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "r=1; m[1,2]=2", "--degree", "١"],
+        ["kernel", "r=1; m[1,2]=2", "--degree", "0_1"],
+        ["kernel", "r=1; m[1,2]=2", "--degree", "１"],
+        ["kernel", "r=1; m[1,2]=2", "--degree", "1.0"],
+        ["oracle-compare", "r=1; m[1,2]=2; a=(1)", "--dilations", "٢"],
+        ["oracle-compare", "r=1; m[1,2]=2; a=(1)", "--dilations", "1_0"],
+    ])
+    def test_option_separators_and_non_ascii_digits_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {argv[2]} must be an integer, got {argv[3]!r}\n"
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (["kernel", "r=1; m[1,2]=2", "--degree", "+01"], "solution space at degree 1: dimension 1"),
+        (["oracle-compare", "r=1; m[1,2]=2; a=(1)", "--dilations", "02"],
+         "volume polynomial value at a=(1): 1"),
+    ])
+    def test_option_signs_and_leading_zeros_still_parse(self, argv, first_line, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == first_line
+
     def test_signs_leading_zeros_and_plain_rationals_still_parse(self):
         spec = parse_spec("r=+02; m[1,2]=01; m[1,3]=+1; m[2,3]=1; a=(-3/4, 0.5)")
         assert spec == ProblemSpec(2, (1, 1, 1), (Fraction(-3, 4), Fraction(1, 2)))

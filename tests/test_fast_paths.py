@@ -1,10 +1,15 @@
 """The trusted polynomial core, the grouped residue step and the rank-induction
 loop against the plain paths.
 
-``reference_residue_at_zero`` is the plain form of one residue step: every
-(term, depth vector) pair builds its own checked polynomial, multiplies it by
-a_k^s / s! and adds it into the accumulator; ``residue_sum`` writes a sum of
-``{xpow: coeff}`` terms over one set of difference factors in the step's
+``reference_residue_at_zero`` is the plain form of one residue step on
+rational coefficients c: every (term, depth vector) pair builds its own
+checked polynomial, multiplies it by a_k^s / s! and adds it into the
+accumulator.  ``rational_residue_at_zero`` is the step as the package ran it
+on c before it kept T(c) = sum_e e! c_e a^e: integer numerators over the lcm
+L_e of the denominators of a^e, one ``Fraction`` per coefficient and a merge
+of the groups for each power s.  ``divided`` turns T(c) back into c, so the
+engine's step on T(c) is checked against both.  ``residue_sum`` writes a sum
+of ``{xpow: coeff}`` terms over one set of difference factors in the step's
 output form.  ``reference_apply`` applies an operator pair by pair, one ``Fraction``
 product and one ``perm`` product per (operator term, polynomial term) pair,
 where ``DiffOperator.apply`` shifts packed keys of an integer divided-power
@@ -29,7 +34,7 @@ multiplies out the node operators prod_j (d_l - d_j)^m[l,j] * d_l^m[l,r+1] and
 operator products, as the package did before both were read off their
 closed forms.  ``reference_node_residuals`` applies each expanded node
 operator of ``pde_system`` with ``op.apply``, and ``partial_node_residual``
-applies its linear factors one at a time with ``MultiPoly.partial``, where
+applies its linear factors one at a time with ``partial`` (conftest), where
 ``node_residuals`` shifts the keys of an integer divided-power table, and
 ``reference_count_lattice_points`` is
 the lattice-count DP with a full supply vector as state and a loop over every
@@ -51,7 +56,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
-from operator import mul, sub
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -81,6 +86,7 @@ from conftest import (
     multipolys,
     multiplicity_matrices,
     nonzero_fractions,
+    partial,
     rational_points,
     small_fractions,
     sparse_rows,
@@ -145,6 +151,75 @@ def reference_residue_at_zero(expr, var):
             previous = collected.get(key)
             collected[key] = coeff if previous is None else previous + coeff
     return residue_sum(expr.nvars, passive, collected)
+
+
+def rational_residue_at_zero(expr, var):
+    """One residue step on rational coefficients c, as the package ran it before T(c).
+
+    L_e is the lcm of the denominators of a^e over the input terms; integer
+    numerators over L_e are accumulated per output power of x and per s,
+    divided once by L_e * s!, shifted by a_var^s and merged into one dict.
+    """
+    nvars = expr.nvars
+    common = {}
+    for term in expr.terms:
+        for exps, c in term.coeff.terms.items():
+            common[exps] = math.lcm(common.get(exps, 1), c.denominator)
+    involved, passive = [], []
+    for (i, j), q in expr.diff:
+        if var in (i, j):
+            involved.append(((i if var == j else j) - 1, q, 1 if var == j else (-1) ** q))
+        else:
+            passive.append(((i, j), q))
+    groups = {}
+    for term in expr.terms:
+        budget = -term.xpow[var - 1] - 1
+        if budget < 0:
+            continue
+        numerators = [
+            (exps, c.numerator * (common[exps] // c.denominator))
+            for exps, c in term.coeff.terms.items()
+        ]
+        for *depths, exp_power in homogeneous_monomials(len(involved) + 1, budget):
+            scalar, delta = 1, [0] * nvars
+            delta[var - 1] = budget + 1
+            for (other, q, sign), n in zip(involved, depths):
+                scalar *= sign * binomial_series_coeff(q, n)
+                delta[other] = -q - n
+            xpow = tuple(map(add, term.xpow, delta))
+            acc = groups.setdefault(xpow, {}).setdefault(exp_power, {})
+            for exps, num in numerators:
+                acc[exps] = acc.get(exps, 0) + num * scalar
+    raw = {}
+    for xpow, by_power in groups.items():
+        merged = MultiPoly.zero(nvars)
+        for exp_power, acc in by_power.items():
+            exps = tuple(exp_power if i == var - 1 else 0 for i in range(nvars))
+            merged = merged + MultiPoly(nvars, {
+                tuple(map(add, e, exps)): Fraction(num, common[e] * math.factorial(exp_power))
+                for e, num in acc.items()
+            })
+        raw[xpow] = merged
+    return residue_sum(nvars, passive, raw)
+
+
+def divided(expr):
+    """The sum with each coefficient T(c) turned back into c: c_e = T(c)_e / e!."""
+    return ResidueSum(expr.nvars, expr.diff, tuple(
+        ResidueTerm(MultiPoly(expr.nvars, {e: Fraction(c, factorials(e)) for e, c in term.coeff.terms.items()}),
+                    term.xpow)
+        for term in expr.terms
+    ))
+
+
+def summed(expr):
+    """A fully integrated sum of rational coefficients as one polynomial."""
+    return sum((term.coeff for term in expr.terms), MultiPoly.zero(expr.nvars))
+
+
+def integer_poly(nvars, terms):
+    """A polynomial with ``int`` values, as the residue step keeps T(c); zeros dropped."""
+    return MultiPoly._trusted(nvars, {e: c for e, c in terms.items() if c})
 
 
 def reference_apply(op, p):
@@ -353,13 +428,13 @@ def reference_node_residuals(m, poly):
 
 
 def partial_node_residual(m, l, poly):
-    """The node-l operator applied with ``MultiPoly.partial``, one linear factor at a time."""
+    """The node-l operator applied with ``partial``, one linear factor at a time."""
     r = m.rank
     for _ in range(m.multiplicity(l, r + 1)):
-        poly = poly.partial(l)
+        poly = partial(poly, l)
     for j in range(l + 1, r + 1):
         for _ in range(m.multiplicity(l, j)):
-            poly = poly.partial(l) - poly.partial(j)
+            poly = partial(poly, l) - partial(poly, j)
     return poly
 
 
@@ -419,33 +494,37 @@ def naive_combine(p, q, op):
 
 @st.composite
 def residue_sums(draw):
-    """Hand-built sums with arbitrary rational coefficients on a^e, with their live variables.
+    """Hand-built sums of integer tables T(c) free of every live a_v, with their live variables.
 
     Drawn as (live, sum): a residue step may be taken at any live variable,
     and only there, as ``residue_in_order`` guarantees.  One set of
     difference factors among the live variables is drawn for the whole sum.
-    Coefficients come from ``multipolys``, so their denominators (up to 6)
-    need not divide e!, and they take either sign.  When drawn, a pair of
-    terms whose residues at one variable cancel in one output group is
-    added: for a factor (x_i - x_j)^q through x_v, with x_o its other
-    variable, the residue at x_v = 0 of c x_v^-1 x_o^-1 and the depth-1
-    part on that factor of that of -(c/q) x_v^-2 land on the same power of
-    x_o with opposite coefficients, whatever the other factors.
+    Every coefficient has ``int`` values of either sign on monomials in the
+    variables already taken, as every sum reached from the kernel has.  When
+    drawn, a pair of terms whose residues at one variable cancel in one
+    output group is added: for a factor (x_i - x_j)^q through x_v, with x_o
+    its other variable, the residue at x_v = 0 of q c x_v^-1 x_o^-1 and the
+    depth-1 part on that factor of that of -c x_v^-2 land on the same power
+    of x_o with opposite coefficients, whatever the other factors.
     """
     nvars = draw(st.integers(2, 3))
     live = sorted(draw(st.sets(st.integers(1, nvars), min_size=1)))
     pairs = [(i, j) for i in live for j in live if i < j]
     diff = tuple((pair, draw(st.integers(1, 2))) for pair in pairs if draw(st.booleans()))
+    exponents = st.tuples(*(st.just(0) if i in live else st.integers(0, 2) for i in range(1, nvars + 1)))
+    tables = st.dictionaries(exponents, st.integers(-40, 40), max_size=4)
     raw = {}
     for _ in range(draw(st.integers(0, 3))):
         xpow = tuple(draw(st.integers(-3, 0)) if i in live else 0 for i in range(1, nvars + 1))
-        raw[xpow] = draw(multipolys(nvars=nvars, max_exp=2))
+        raw[xpow] = integer_poly(nvars, draw(tables))
     if diff and draw(st.booleans()):
         pair, q = draw(st.sampled_from(diff))
         v = draw(st.sampled_from(pair))
-        coeff = draw(multipolys(nvars=nvars, max_exp=2))
-        raw[tuple(-1 if k in pair else 0 for k in range(1, nvars + 1))] = coeff
-        raw[tuple(-2 if k == v else 0 for k in range(1, nvars + 1))] = coeff * Fraction(-1, q)
+        coeff = draw(tables)
+        raw[tuple(-1 if k in pair else 0 for k in range(1, nvars + 1))] = integer_poly(
+            nvars, {e: q * c for e, c in coeff.items()})
+        raw[tuple(-2 if k == v else 0 for k in range(1, nvars + 1))] = integer_poly(
+            nvars, {e: -c for e, c in coeff.items()})
     return live, residue_sum(nvars, diff, raw)
 
 
@@ -475,51 +554,87 @@ def naive_evaluate(poly, point):
     return total
 
 
+def assert_integer_tables(expr, var=None):
+    """Every coefficient is an ``int`` table with no zero, and none holds a_var."""
+    for term in expr.terms:
+        assert term.coeff.terms
+        for exps, c in term.coeff.terms.items():
+            assert type(c) is int and c, (term.xpow, exps, c)
+            assert var is None or exps[var - 1] == 0, (var, term.xpow, exps)
+
+
+def assert_steps_match_rational(m, orders):
+    """Each step on T(c), divided by e!, equals the rational L_e step, in each order."""
+    start = build_kernel(m)
+    for order in orders:
+        fast = slow = start
+        for var in order:
+            fast = residue_at_zero(fast, var)
+            slow = rational_residue_at_zero(slow, var)
+            assert divided(fast) == slow, (m, order, var)
+        assert residue_in_order(m, order) == summed(slow)
+
+
 class TestResidueStepMatchesReference:
     @given(small_families)
     def test_every_order_every_step(self, m):
         start = build_kernel(m)
         for order in permutations(canonical_order(m.rank)):
-            fast = slow = start
+            fast, slow = start, divided(start)
             for var in order:
                 fast = residue_at_zero(fast, var)
                 slow = reference_residue_at_zero(slow, var)
-                assert fast == slow
-                for term in fast.terms:
-                    assert_canonical(term.coeff)
-            assert residue_in_order(m, order) == slow.polynomial()
+                assert divided(fast) == slow
+                assert_integer_tables(fast)
+            assert residue_in_order(m, order) == summed(slow)
+
+    @given(multiplicity_matrices(min_rank=1, max_rank=4, max_mult=3))
+    def test_every_step_takes_integer_tables_free_of_its_variable(self, m):
+        for order in permutations(canonical_order(m.rank)):
+            state = build_kernel(m)
+            for var in order:
+                assert_integer_tables(state, var)
+                state = residue_at_zero(state, var)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_every_order_of_every_small_matrix_against_the_rational_step(self, rank):
+        for m in every_matrix(rank, (1, 2, 3)):
+            assert_steps_match_rational(m, permutations(canonical_order(rank)))
+
+    @pytest.mark.parametrize("rank, entries, orders", [(4, (1, 2, 3), None), (5, (1, 2), 12)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_seeded_rank_four_and_five_against_the_rational_step(self, rank, entries, orders, seed):
+        # every order at rank 4; the canonical order and 11 seeded others at rank 5
+        rng = random.Random(7500 + 10 * rank + seed)
+        m = MultiplicityMatrix(rank, tuple(rng.choice(entries) for _ in range(rank * (rank + 1) // 2)))
+        every = list(permutations(canonical_order(rank)))
+        assert_steps_match_rational(m, every if orders is None else every[:1] + rng.sample(every[1:], orders - 1))
 
     def test_cancelling_contributions_leave_no_zero_terms(self):
         # over (x1 - x2)^-1: the residue at x2 = 0 of x1^-1 x2^-1 is x1^-2, and
         # that of -x2^-2 is -x1^-2 (depth 1) plus -a2 x1^-1 (s = 1), so the
         # group at x1^-2 cancels exactly and only x1^-1 is left.
-        one = MultiPoly.one(2)
+        one = integer_poly(2, {(0, 0): 1})
         expr = residue_sum(2, (((1, 2), 1),), {(-1, -1): one, (0, -2): -one})
         fast = residue_at_zero(expr, 2)
-        assert fast == reference_residue_at_zero(expr, 2)
-        assert fast == residue_sum(2, (), {(-1, 0): -MultiPoly.variable(2, 2)})
+        assert divided(fast) == reference_residue_at_zero(divided(expr), 2)
+        assert fast == residue_sum(2, (), {(-1, 0): integer_poly(2, {(0, 1): -1})})
+        assert_integer_tables(fast)
 
     @given(residue_sums())
-    @example(([2], residue_sum(2, (), {
-        # a2 x2^-2 and a2^2 x2^-1 both leave a2^2 at x2 = 0, from the groups for
-        # s = 1 and s = 0: the sum is 2 a2^2, so a merge that overwrites fails
-        (0, -2): MultiPoly(2, {(0, 1): 1}),
-        (0, -1): MultiPoly(2, {(0, 2): 1}),
+    @example(([1, 3], residue_sum(3, (((1, 3), 2),), {
+        # a2 was taken: its powers up to 2 and both signs, on both poles
+        (-1, 0, -3): integer_poly(3, {(0, 1, 0): -3, (0, 0, 0): 5}),
+        (-2, 0, -2): integer_poly(3, {(0, 2, 0): 7, (0, 1, 0): -1}),
     })))
-    @example(([1, 2], residue_sum(2, (((1, 2), 2),), {
-        (-1, -3): MultiPoly(2, {(1, 0): Fraction(-3, 7), (0, 0): Fraction(5, 11)}),
-        (0, -2): MultiPoly(2, {(1, 0): Fraction(2, 9), (0, 2): Fraction(-1, 5)}),
-    })))
-    def test_any_rational_coefficients(self, drawn):
-        # Denominators that do not divide e!, negative coefficients and exact
-        # cancellation: the step divides each integer sum by L_e once, which
-        # must give the same sum as the plain Fraction path.
+    def test_integer_tables_free_of_the_live_variables(self, drawn):
+        # negative values and exact cancellation: the step on T(c), divided
+        # by e!, must give the plain rational step on c
         live, expr = drawn
         for var in live:
             fast = residue_at_zero(expr, var)
-            assert fast == reference_residue_at_zero(expr, var)
-            for term in fast.terms:
-                assert_canonical(term.coeff)
+            assert divided(fast) == reference_residue_at_zero(divided(expr), var)
+            assert_integer_tables(fast)
 
 
 @st.composite
@@ -549,9 +664,8 @@ class TestArithmeticStaysCanonical:
             assert_canonical(result)
         assert (MultiPoly.zero(3) * t).is_zero and (t * MultiPoly.zero(3)).is_zero
 
-    @given(multipolys(nvars=3), st.integers(1, 3))
-    def test_partial_and_embed(self, p, index):
-        assert_canonical(p.partial(index))
+    @given(multipolys(nvars=3))
+    def test_embed(self, p):
         assert_canonical(p.embed(5, 1))
         assert p.embed(5, 1).nvars == 5
 
@@ -1023,7 +1137,7 @@ class TestPackedApplyMatchesPairwise:
         high[index] = top + excess
         op = DiffOperator(MultiPoly(3, {tuple(high): Fraction(5, 7), (degree, excess, 0): -3, (0, 0, 1): 1}))
         assert_apply_matches_reference(op, p)
-        assert op.apply(p) == p.partial(3)
+        assert op.apply(p) == partial(p, 3)
 
 
 def operator_families_match_reference(m):
@@ -1103,7 +1217,7 @@ class TestNodeResidualMatchesExpandedOperator:
 
 
 class TestDividedPowerResidualMatchesPartials:
-    """The divided-power residuals against ``MultiPoly.partial``, off the volumes too."""
+    """The divided-power residuals against ``partial``, off the volumes too."""
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_volumes_perturbed_by_coefficients_that_do_not_divide_e_factorial(self, rank):
@@ -1142,7 +1256,7 @@ class TestDividedPowerResidualMatchesPartials:
         m = MultiplicityMatrix(3, (2, 1, 2, 1, 1, 1))
         a1, a2, a3 = (MultiPoly.variable(i, 3) for i in (1, 2, 3))
         killed = (a1 + a2) ** power * Fraction(1, 7)
-        assert not killed.partial(1).partial(1).is_zero
+        assert not partial(partial(killed, 1), 1).is_zero
         assert dict(node_residuals(m, killed))[1].is_zero
         failing_nodes(m, killed)
         survivor = a1 ** (power + 2) + a3

@@ -1,28 +1,36 @@
-"""Exact null spaces of sparse integer matrices by fraction-free Gauss-Jordan.
+"""Exact null spaces of sparse integer matrices by fraction-free row insertion.
 
 Rows come in as mappings ``{column: int}`` and are copied, zeros dropped, into
-working dicts ``{column: nonzero int}``.  Pivots are taken in column order.
-A chosen pivot row is divided by the gcd of its entries, and its column is
-eliminated from every other row that contains it, pending rows and earlier
-pivot rows alike: ``row <- (p/g) row - (f/g) pivot_row`` with p the pivot,
-f the row's entry and g = gcd(p, f), after which the row's own content is
-removed.  Only rows that contain the pivot column are touched, and every
-entry stays an integer, so there is no rounding and, on the 2-4% dense
-operator matrices, little fill-in.
+working dicts ``{column: nonzero int}``.  They are inserted, shortest first,
+into a reduced echelon basis ``{pivot column: row}``.  An inserted row has
+each pivot column it holds cleared by that pivot's row:
+``row <- (p/g) row - (f/g) pivot_row`` with p the pivot, f the row's entry and
+g = gcd(p, f), after which the row's own content is removed.  One pass over
+those columns is enough, because a pivot row is zero on every other pivot
+column.  If anything is left, the row's lowest column becomes a new pivot:
+the row is divided by the gcd of its entries, and that column is cleared the
+same way from every earlier pivot row that holds it.  Only rows that hold
+the column are touched, and every entry stays an integer, so there is no
+rounding and, on the 2-4% dense operator matrices, little fill-in.
 
 Soundness.  Scaling a row by a nonzero integer, dividing it by the gcd of its
 entries and adding an integer multiple of another row all keep the row space,
-hence the null space.  The pivot columns are exactly the columns that are not
-in the span of the columns before them, a property of the matrix and not of
-the elimination order.  When elimination ends every pivot column has been
-cleared from all rows but its own, so the rows form a reduced echelon form:
-the row of pivot c reads p_c x_c + sum over free f of a_cf x_f = 0.  The
-basis vector for free column f has x_f = 1, zero on the other free columns
-and x_c = -a_cf / p_c on each pivot c, and it is the only null vector with
-those free coordinates.  The output is therefore the unique basis of null
-vectors that is the identity on the free columns, listed by free column:
-whatever pivot rows are chosen, and whichever exact method computes it, the
-vectors are the same, in the same order.
+hence the null space.  The basis stays in reduced echelon form: each row's
+lowest column is its pivot, and it is zero on every other pivot column.  An
+inserted row is zero on the pivot columns once they are cleared, so its
+lowest column c is not yet a pivot.  An earlier pivot row that holds c has
+its pivot p0 < c, and the new row has no entry below c, so clearing c keeps
+p0 as that row's lowest column.  At the end the rows therefore form the
+reduced echelon form of the matrix, and the pivot columns are exactly the
+columns that are not in the span of the columns before them, a property of
+the matrix and not of the row order.  The row of pivot c reads
+p_c x_c + sum over free f of a_cf x_f = 0.  The basis vector for free
+column f has x_f = 1, zero on the other free columns and x_c = -a_cf / p_c
+on each pivot c, and it is the only null vector with those free coordinates.
+The output is therefore the unique basis of null vectors that is the
+identity on the free columns, listed by free column: in whatever order the
+rows come, and whichever exact method computes it, the vectors are the same,
+in the same order.  Taking the shortest rows first changes only the cost.
 """
 
 from __future__ import annotations
@@ -42,12 +50,6 @@ def integer_nullspace(rows: Sequence[Mapping[int, int]], ncols: int) -> list[lis
     ``solution_space``, the one caller, builds them so.  The rows are
     copied, not modified.
     """
-    pending: list[dict[int, int]] = []
-    for row in rows:
-        entries = {col: value for col, value in row.items() if value}
-        if entries:
-            pending.append(entries)
-
     pivots: dict[int, dict[int, int]] = {}  # pivot column -> its row
 
     def remove_content(row: dict[int, int]) -> None:
@@ -72,20 +74,19 @@ def integer_nullspace(rows: Sequence[Mapping[int, int]], ncols: int) -> list[lis
                 del row[key]
         remove_content(row)
 
-    for col in range(ncols):
-        hits = [row for row in pending if col in row]
-        if not hits:
+    for source in sorted(rows, key=len):
+        row = {col: value for col, value in source.items() if value}
+        # a snapshot: clearing one pivot column adds no other (module docstring)
+        for col in [col for col in row if col in pivots]:
+            eliminate(row, col, pivots[col])
+        if not row:
             continue
-        pivot_row = min(hits, key=len)
-        remove_content(pivot_row)
-        for row in hits:
-            if row is not pivot_row:
-                eliminate(row, col, pivot_row)
-        for row in pivots.values():
-            if col in row:
-                eliminate(row, col, pivot_row)
-        pivots[col] = pivot_row
-        pending = [row for row in pending if row and row is not pivot_row]
+        col = min(row)
+        remove_content(row)
+        for pivot_row in pivots.values():
+            if col in pivot_row:
+                eliminate(pivot_row, col, row)
+        pivots[col] = row
 
     basis = {free: [Fraction(0)] * ncols for free in range(ncols) if free not in pivots}
     for free, x in basis.items():

@@ -4,12 +4,15 @@ A rank-r problem assigns a positive integer m[i,j] to every root e_i - e_j,
 1 <= i < j <= r+1.  Entries are stored flat in lexicographic pair order
 (1,2), (1,3), ..., (1,r+1), (2,3), ..., (r,r+1), which matches the tuple
 notation used throughout the tests, e.g. rank 3 with m=(1,1,2,1,2,2).
+Row l is the consecutive run m[l,l+1], ..., m[l,r+1]; each matrix keeps its
+rows and their sums, built once when it is made and left out of equality,
+hashing and repr.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -24,6 +27,8 @@ class MultiplicityMatrix:
 
     rank: int
     mult: tuple[int, ...]
+    _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    row_sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # type() rather than isinstance(), so that booleans are rejected.
@@ -40,13 +45,18 @@ class MultiplicityMatrix:
         for (i, j), value in zip(root_pairs(self.rank), self.mult):
             if type(value) is not int or value < 1:
                 raise ValueError(f"multiplicity m[{i},{j}] must be a positive integer")
+        rows, rest = [], self.mult
+        for length in range(self.rank, 0, -1):
+            rows.append(rest[:length])
+            rest = rest[length:]
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "row_sums", tuple(map(sum, rows)))
 
     def multiplicity(self, i: int, j: int) -> int:
         """m[i,j] for 1 <= i < j <= rank+1."""
         if not 1 <= i < j <= self.rank + 1:
             raise ValueError(f"pair ({i},{j}) out of range for rank {self.rank}")
-        offset = sum(self.rank + 1 - k for k in range(1, i)) + (j - i - 1)
-        return self.mult[offset]
+        return self._rows[i - 1][j - i - 1]
 
     # -- derived constants -------------------------------------------------
 
@@ -59,11 +69,7 @@ class MultiplicityMatrix:
         """Total multiplicity on roots leaving node l, sum of m[l,i] for i > l."""
         if not 1 <= l <= self.rank:
             raise ValueError(f"row {l} out of range 1..{self.rank}")
-        return sum(self.multiplicity(l, i) for i in range(l + 1, self.rank + 2))
-
-    @property
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(self.row_sum(l) for l in range(1, self.rank + 1))
+        return self.row_sums[l - 1]
 
     @property
     def degree(self) -> int:

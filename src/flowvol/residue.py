@@ -237,9 +237,18 @@ def residue_in_order(m: MultiplicityMatrix, order: Sequence[int]) -> MultiPoly:
     return state.polynomial()
 
 
+class _VolumeCheckError(ValueError):
+    """A computed polynomial that lacks a property every volume polynomial has."""
+
+
 @dataclass(frozen=True)
 class VolumePolynomial:
-    """Volume polynomial of the flow polytope on the all-positive chamber."""
+    """Volume polynomial of the flow polytope on the all-positive chamber.
+
+    A polynomial that is zero, not homogeneous of the volume degree or off
+    the corner value raises ``_VolumeCheckError``, a ``ValueError`` that
+    ``cli`` reports as a property violation.
+    """
 
     m: MultiplicityMatrix
     poly: MultiPoly
@@ -248,14 +257,14 @@ class VolumePolynomial:
         if self.poly.nvars != self.m.rank:
             raise ValueError("polynomial variable count does not match the rank")
         if self.poly.is_zero:
-            raise ValueError("volume polynomial cannot be identically zero")
+            raise _VolumeCheckError("volume polynomial cannot be identically zero")
         if not self.poly.is_homogeneous(self.m.degree):
-            raise ValueError(
+            raise _VolumeCheckError(
                 f"volume polynomial must be homogeneous of degree {self.m.degree}"
             )
         corner = self.poly.coefficient(self.m.corner_exponents)
         if corner != self.m.corner_value:
-            raise ValueError(
+            raise _VolumeCheckError(
                 f"corner coefficient {corner} differs from expected {self.m.corner_value}"
             )
 

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 import flowvol.cli
 import flowvol.oracle
+import flowvol.residue
 from flowvol import MultiPoly, iterated_residue, pde_system
 from flowvol.cli import ProblemSpec, SpecError, parse_spec, render_spec, run_command
 from flowvol.cli import EXIT_STDOUT_CLOSED, MAX_DEGREE, MAX_POINT_BITS, MAX_SUPPLY, main
@@ -321,6 +322,35 @@ class TestCommands:
         monkeypatch.setattr(flowvol.oracle, "count_lattice_points", divide)
         with pytest.raises(ZeroDivisionError):
             main(["oracle-compare", "r=1; m[1,2]=2; a=(1)"])
+
+    @pytest.mark.parametrize("command", ["volume", "check-pde", "lift", "oracle-compare", "corner"])
+    @pytest.mark.parametrize("extra, message", [
+        (lambda m: MultiPoly.monomial(m.corner_exponents),
+         "corner coefficient 3/2 differs from expected 1/2"),
+        (lambda m: MultiPoly.one(m.rank), "volume polynomial must be homogeneous of degree 2"),
+    ])
+    def test_failed_volume_check_is_a_violation_without_traceback(
+        self, monkeypatch, capsys, command, extra, message
+    ):
+        spec = "r=2; m[1,2]=2; m[1,3]=1; m[2,3]=1; a=(2,1)"
+        exact = flowvol.residue.residue_in_order
+        target = parse_spec(spec).matrix()
+        monkeypatch.setattr(
+            flowvol.residue, "residue_in_order",
+            lambda m, order: exact(m, order) + (extra(m) if m == target else MultiPoly.zero(m.rank)),
+        )
+        assert main([command, spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"property violation: {message}\n"
+        assert captured.err == ""
+
+    def test_other_value_errors_in_the_residue_are_not_relabelled(self, monkeypatch):
+        def fail(m, order):
+            raise ValueError("a fault in the residue code")
+
+        monkeypatch.setattr(flowvol.residue, "residue_in_order", fail)
+        with pytest.raises(ValueError, match="a fault in the residue code"):
+            main(["corner", "r=1; m[1,2]=2"])
 
     def test_corner(self):
         text, code = run_command(parse_spec(GOLDEN_TEXT), "corner")

@@ -20,6 +20,10 @@ it.  ``_bounded_vectors`` and ``_weak_compositions`` enumerate what the
 residue step and the lowering operators take from ``homogeneous_monomials``,
 directly.  ``reference_integer_nullspace`` is the dense Bareiss elimination
 with Fraction back-substitution that the sparse Gauss-Jordan solve replaced,
+and ``column_sweep_integer_nullspace`` is that sparse solve as it ran before
+rows were inserted shortest first into a reduced basis: for each column in
+turn, the shortest pending row that holds it becomes the pivot and clears
+it from every other row;
 ``reference_operator_rows`` builds the kernel matrix on every monomial from
 one ``op.apply`` per monomial, and ``reference_solution_space`` solves that
 full matrix, where ``solution_space`` keeps only the staircase monomials,
@@ -285,6 +289,54 @@ def reference_integer_nullspace(rows, ncols):
             x[col] = -acc / a[row][col]
         basis.append(x)
     return basis
+
+
+def column_sweep_integer_nullspace(rows, ncols):
+    """Sparse fraction-free Gauss-Jordan, one column at a time over the pending rows."""
+    pending = [{col: value for col, value in row.items() if value} for row in rows]
+    pending = [row for row in pending if row]
+    pivots = {}
+
+    def remove_content(row):
+        content = math.gcd(*row.values())
+        if content > 1:
+            for key in row:
+                row[key] //= content
+
+    def eliminate(row, col, pivot_row):
+        pivot, factor = pivot_row[col], row[col]
+        g = math.gcd(pivot, factor)
+        scale, factor = pivot // g, factor // g
+        for key in row:
+            row[key] *= scale
+        for key, value in pivot_row.items():
+            updated = row.get(key, 0) - factor * value
+            if updated:
+                row[key] = updated
+            else:
+                del row[key]
+        remove_content(row)
+
+    for col in range(ncols):
+        hits = [row for row in pending if col in row]
+        if not hits:
+            continue
+        pivot_row = min(hits, key=len)
+        remove_content(pivot_row)
+        for row in hits + list(pivots.values()):
+            if row is not pivot_row and col in row:
+                eliminate(row, col, pivot_row)
+        pivots[col] = pivot_row
+        pending = [row for row in pending if row and row is not pivot_row]
+
+    basis = {free: [Fraction(0)] * ncols for free in range(ncols) if free not in pivots}
+    for free, x in basis.items():
+        x[free] = Fraction(1)
+    for col, row in pivots.items():
+        for free, value in row.items():
+            if free != col:
+                basis[free][col] = Fraction(-value, row[col])
+    return list(basis.values())
 
 
 def reference_operator_rows(m, degree):
@@ -909,7 +961,16 @@ class TestKernelSolveMatchesReference:
         rows, ncols = matrix
         basis = integer_nullspace(sparse_rows(rows), ncols)
         assert basis == reference_integer_nullspace(rows, ncols)
+        assert basis == column_sweep_integer_nullspace(sparse_rows(rows), ncols)
         assert all(type(x) is Fraction for vector in basis for x in vector)
+
+    @settings(max_examples=200)
+    @given(integer_matrices(), st.data())
+    def test_any_row_order_gives_the_same_basis(self, matrix, data):
+        rows, ncols = matrix
+        shuffled = data.draw(st.permutations(rows))
+        expected = integer_nullspace(sparse_rows(rows), ncols)
+        assert integer_nullspace(sparse_rows(shuffled), ncols) == expected
 
     @pytest.mark.parametrize("rows, ncols", [
         ([], 0), ([], 3), ([[]], 0), ([[0, 0, 0]] * 3, 3), ([[2, 4, 6]] * 4, 3),
@@ -918,6 +979,7 @@ class TestKernelSolveMatchesReference:
     def test_edge_shapes(self, rows, ncols):
         expected = reference_integer_nullspace(rows, ncols)
         assert integer_nullspace(sparse_rows(rows), ncols) == expected
+        assert column_sweep_integer_nullspace(sparse_rows(rows), ncols) == expected
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_operator_matrices_at_every_degree(self, rank, monkeypatch):

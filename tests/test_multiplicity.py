@@ -49,6 +49,26 @@ def test_restriction_drops_node_one_entrywise(rank):
             assert restricted.multiplicity(i, j) == m.multiplicity(i + 1, j + 1)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_stored_rows_are_the_flat_entries_row_by_row(rank):
+    pairs = root_pairs(rank)
+    for mult in product((1, 2), repeat=len(pairs)):
+        m = MultiplicityMatrix(rank, mult)
+        assert [len(row) for row in m._rows] == list(range(rank, 0, -1))
+        for (i, j), value in zip(pairs, mult):
+            assert m._rows[i - 1][j - i - 1] == m.multiplicity(i, j) == value
+        for l in range(1, rank + 1):
+            expected = sum(value for (i, _), value in zip(pairs, mult) if i == l)
+            assert m.row_sum(l) == m.row_sums[l - 1] == expected
+
+
+def test_stored_rows_stay_out_of_equality_hash_and_repr():
+    same = MultiplicityMatrix(3, [1, 1, 2, 1, 2, 2])
+    assert same == GOLDEN and hash(same) == hash(GOLDEN)
+    assert same != MultiplicityMatrix(3, (1, 1, 2, 1, 2, 1))
+    assert repr(GOLDEN) == "MultiplicityMatrix(rank=3, mult=(1, 1, 2, 1, 2, 2))"
+
+
 @given(multiplicity_matrices())
 def test_row_sums_partition_total(m):
     assert sum(m.row_sums) == m.total

@@ -22,29 +22,45 @@ rank-induction operators of ``induction`` use it at node 1.
 
 To test a candidate, ``node_residuals`` never expands a node operator.  It
 writes the polynomial once in divided powers a^e/e!, as the integer table
-G(e) = S * e! * coeff_e, where S is the lcm of the coefficient denominators.
-For a volume S is far from 1 (75 bits at r=5 all m=2, 194 bits at r=7 all
-m=2): only e! * coeff_e is an integer, the Kostant partition function value
-of Meszaros-Morales.  On divided powers every partial derivative is a shift:
+G(e) = S * e! * coeff_e, where S is the least positive integer that makes
+every entry an integer (``_divided_power_table``).  S = 1 for every volume:
+e! * coeff_e is the Kostant partition function value of Meszaros-Morales, an
+integer.  On divided powers every partial derivative is a shift:
 d_i a^e = e_i a^(e-u_i) and e! = e_i (e-u_i)!, so d_i maps a^e/e! to
 a^(e-u_i)/(e-u_i)!, and to 0 when e_i = 0.  So for every node it applies
 d_l^m[l,r+1] as one filtered shift of the keys and each linear factor
 d_l - d_j, m[l,j] times, as two shifts and one subtraction, with no
 multiply, until the table is empty.  Only a nonzero residual is divided
-back by S * e!.  This is exact: a common nonzero scale commutes with every
-linear operator, and constant-coefficient operators commute, so applying
-the factors one after another gives the same polynomial as applying their
-expanded product; every factor maps 0 to 0, so stopping early changes
-nothing.  ``check-pde`` therefore prints the same residual, term for term,
-as the expanded operator gives.  ``_node_image`` is that action of one node
-operator on a table; ``node_residuals`` and ``solution_space`` both use it.
+back by S * e!, in one ``from_divided_powers``.  This is exact: a common
+nonzero scale commutes with every linear operator, and constant-coefficient
+operators commute, so applying the factors one after another gives the same
+polynomial as applying their expanded product; every factor maps 0 to 0, so
+stopping early changes nothing.  ``check-pde`` therefore prints the same
+residual, term for term, as the expanded operator gives.  ``_node_image`` is
+that action of one node operator on a table; ``node_residuals`` and
+``solution_space`` both use it.
 
 ``DiffOperator.apply``, which the rank-induction lift calls, works on the
 same table for any operator: d^k maps a^e/e! to a^(e-k)/(e-k)!, so each
-(operator term, polynomial term) pair costs one integer multiply-add, the
-exponent vectors are packed into guarded bit fields so that one ``&``
-decides e >= k, and each output term makes one ``Fraction``; its docstring
-gives the argument.
+(operator term, polynomial term) pair costs one integer multiply-add, and
+each output term makes one ``Fraction``.  S = 1 on every u_n and every
+image D_j u_n of the lift (``induction``) too: the volume is
+v = sum_n a_1^(s-1+n)/(s-1+n)! * u_n, so the entries e'! * coeff_e' of u_n
+are the values e! * v_e at e = (s-1+n, e'), and d^k on divided powers with
+the integer weights of D_j keeps a table integral.
+
+Every table is keyed on one layout of guarded bit fields.  With M the
+largest exponent or operator order in play, each field is w = bitlen(M) + 1
+bits wide, and e is packed as sum_i (e_i + g) * 2^(w(r-i)), the guard bit
+g = 2^(w-1) above M.  A field holds values up to 2g - 1, so e_i + g fits.
+Take a shift K = sum_i k_i * 2^(w(r-i)) with every k_i <= M < g.  Then
+field i of key - K is e_i - k_i + g, which lies in [1, 2g): no field
+borrows from the next, and its guard bit is set exactly when e_i >= k_i.
+So one ``&`` with the mask of all guard bits and one compare keep exactly
+the keys with e >= k, and key - K is the packed key of e - k.  A shift in
+one field need only test that field's guard bit, and a unit shift the bits
+below it, which are nonzero exactly when e_i is.  The bits above the top
+field are never touched.
 
 Within homogeneous polynomials of the volume degree, the common kernel of
 these operators is one-dimensional and spanned by the volume polynomial; one
@@ -95,10 +111,10 @@ same polynomials in the same order as from the full matrix.
 
 The matrix is built from the staircase columns in divided powers.  Column
 e is the one-entry table {key(e): 1}, and all columns go into one table,
-column col under the tag col * base^r, base = d + 1; ``_node_image``
-applies each node operator to that table once.  Each image key splits back
-as (col, target) = divmod(key, base^r), and its integer value is the entry
-of the row (l, target) at column col: the coefficient c_k of the
+column col under the tag col * t, t the place just above the top field;
+``_node_image`` applies each node operator to that table once.  Each image
+key splits back as (col, target) = divmod(key, t), and its integer value is
+the entry of the row (l, target) at column col: the coefficient c_k of the
 operator's term d^k, k = e - target, where the monomial rule on x^e gives
 c_k e!/target!.  This gives the same kernel, for three reasons:
 
@@ -110,10 +126,9 @@ c_k e!/target!.  This gives the same kernel, for three reasons:
     free column f, read back by x_e = y_e / e!, is the monomial one times
     1/f!, and the normalization of ``solution_space`` does not depend on
     the scale of a vector.
-(b) A shift subtracts a place value u <= base^(r-1), and only where that
-    digit is nonzero, so it never borrows from the tag; the filter
-    key % (u * base) ignores the tag, because u * base divides base^r.  So
-    two columns never merge, and each column's image is its image alone.
+(b) The tag lies above the top field, which no shift borrows from, and the
+    guard tests read only the fields.  So two columns never merge, and each
+    column's image is its image alone.
 (c) A target that no column reaches is a zero row, and a zero row does not
     change the null space; so only the rows that some column reaches are
     passed to the elimination.
@@ -124,13 +139,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import Callable
 
 from .linalg import integer_nullspace
 from .multiplicity import MultiplicityMatrix
-from .polynomial import Exponents, MultiPoly, homogeneous_monomials
+from .polynomial import Exponents, MultiPoly, from_divided_powers, homogeneous_monomials
 
 
 def _node_terms(
@@ -155,18 +170,36 @@ def _node_terms(
     return terms
 
 
-def _divided_power_table(
-    poly: MultiPoly, places: list[int], offset: int = 0
-) -> tuple[int, dict[int, int]]:
-    """S and poly's integer divided-power table {offset + sum_i e_i * places[i]: S * e! * c_e}.
+def _layout(nvars: int, top: int) -> tuple[range, list[int], int, int]:
+    """The guarded bit fields for exponents and orders up to ``top`` (module docstring).
 
-    S is the lcm of the coefficient denominators (module docstring).
+    Returns the bit offset of each field, a_1's the highest, the place value
+    2^offset of each, the guard bit g of a field at place 1, and the mask of
+    every field's guard bit, which is also the key of the zero vector.
     """
-    scale = lcm(*(c.denominator for c in poly.terms.values()))
+    width = top.bit_length() + 1
+    shifts = range(width * (nvars - 1), -1, -width)
+    places = [1 << s for s in shifts]
+    guard = 1 << (width - 1)
+    return shifts, places, guard, guard * sum(places)
+
+
+def _divided_power_table(
+    poly: MultiPoly, places: list[int], guards: int
+) -> tuple[int, dict[int, int]]:
+    """S and poly's integer divided-power table {guards + sum_i e_i * places[i]: S * e! * c_e}.
+
+    S is the least positive integer that makes every S * e! * c_e an
+    integer.  With c_e = p/q in lowest terms, e! * c_e has the denominator
+    q / gcd(q, e!) in lowest terms, so S is the lcm of those; S * e! is then
+    a multiple of q.  S = 1 on every volume and every lift image (module
+    docstring).
+    """
+    facts = [prod(map(factorial, exps)) for exps in poly.terms]
+    scale = lcm(*(c.denominator // gcd(c.denominator, f) for c, f in zip(poly.terms.values(), facts)))
     return scale, {
-        sum(map(mul, exps, places)) + offset:
-            c.numerator * (scale // c.denominator) * prod(map(factorial, exps))
-        for exps, c in poly.terms.items()
+        guards + sum(map(mul, exps, places)): c.numerator * (scale * f // c.denominator)
+        for (exps, c), f in zip(poly.terms.items(), facts)
     }
 
 
@@ -201,37 +234,27 @@ class DiffOperator:
     def apply(self, p: MultiPoly) -> MultiPoly:
         """Apply the operator to a polynomial, exactly, on packed divided powers.
 
-        p is written once as the integer table G(e) = S * e! * c_e over its
-        divided powers a^e/e!, S the lcm of its coefficient denominators, and
-        the operator as integer weights W_k = T * w_k, T the lcm of its
-        denominators.  On divided powers d^k is a pure shift: d^k a^e = perm(e, k)
-        a^(e-k) and perm(e, k) = e!/(e-k)!, so d^k maps a^e/e! to a^(e-k)/(e-k)!
-        when e >= k and to 0 otherwise.  So the image is
-        sum_f (sum_k W_k G(f+k)) a^f / (S T f!): one integer multiply-add per
-        (operator term, polynomial term) pair, and one ``Fraction`` per
-        output key, whose zero sums are dropped.  This is the rational
-        sum_k w_k c_(f+k) perm(f+k, k) that the term-by-term product gives.
+        p is written once as its integer divided-power table G(e) = S * e! * c_e
+        (``_divided_power_table``), and the operator as integer weights
+        W_k = T * w_k, T the lcm of its denominators.  On divided powers d^k is
+        a pure shift: d^k a^e = perm(e, k) a^(e-k) and perm(e, k) = e!/(e-k)!,
+        so d^k maps a^e/e! to a^(e-k)/(e-k)! when e >= k and to 0 otherwise.
+        So the image is sum_f (sum_k W_k G(f+k)) a^f / (S T f!): one integer
+        multiply-add per (operator term, polynomial term) pair, and one
+        ``from_divided_powers``, which drops the zero sums.  This is the
+        rational sum_k w_k c_(f+k) perm(f+k, k) that the term-by-term product
+        gives.
 
-        Each e is packed into fixed-width bit fields, field i holding e_i + g
-        with the guard bit g = 2^bitlen(M), M the largest exponent of p; the
-        field is bitlen(M) + 1 bits wide, room for values up to 2g - 1.  An
-        operator term is packed the same way, as K, without the guard, and
-        skipped when some k_i is above M, since then no e_i reaches it.
-        Otherwise k_i <= M < g, so field i of key - K is e_i - k_i + g, which
-        lies in [0, 2g): no field borrows from the next, and its guard bit is
-        set exactly when e_i >= k_i.  So one ``&`` and one compare keep the
-        pairs with e >= k, and key - K is the packed form of f = e - k.
+        The keys are the guarded fields for M, the largest exponent of p
+        (module docstring).  An operator term d^k is packed the same way, as
+        K, without the guard, and skipped when some k_i is above M, since then
+        no e_i reaches it.  Every other k_i is at most M, so one ``&`` and one
+        compare keep the pairs with e >= k, and key - K is the key of e - k.
         """
         if p.nvars != self.nvars:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {p.nvars}")
-        if not p.terms:
-            return MultiPoly._trusted(p.nvars, {})
-        top = max(map(max, p.terms))
-        width = top.bit_length() + 1
-        guard = 1 << (width - 1)
-        shifts = range(width * (p.nvars - 1), -1, -width)
-        places = [1 << s for s in shifts]
-        guards = guard * sum(places)
+        top = max(map(max, p.terms), default=0)
+        shifts, places, guard, guards = _layout(p.nvars, top)
         scale, table = _divided_power_table(p, places, guards)
         weights = lcm(*(w.denominator for w in self.poly.terms.values()))
         out: dict[int, int] = {}
@@ -246,12 +269,9 @@ class DiffOperator:
                     old = out.get(key)
                     out[key] = weight * g if old is None else old + weight * g
         mask = 2 * guard - 1
-        result = {}
-        for key, total in out.items():
-            if total:
-                exps = tuple((key >> s & mask) - guard for s in shifts)
-                result[exps] = Fraction(total, scale * weights * prod(map(factorial, exps)))
-        return MultiPoly._trusted(p.nvars, result)
+        return from_divided_powers(p.nvars, {
+            tuple((key >> s & mask) - guard for s in shifts): total for key, total in out.items()
+        }, scale * weights)
 
     def __str__(self) -> str:
         return self.poly.render(names="d")
@@ -286,70 +306,75 @@ def pde_system(m: MultiplicityMatrix) -> PdeSystem:
     return PdeSystem(m, tuple(ops))
 
 
-def _shift_difference(table: dict[int, int], u: int, v: int, base: int) -> dict[int, int]:
-    """(d_l - d_j) on a divided-power table with keys sum_i e_i * base^(r-i).
+def _shift_difference(table: dict[int, int], u: int, v: int, guard: int) -> dict[int, int]:
+    """(d_l - d_j) on a divided-power table keyed on guarded fields.
 
-    ``u`` and ``v`` are the place values of d_l and d_j; a digit of 0 is the
+    ``u`` and ``v`` are the place values of d_l and d_j, and ``guard`` is
+    the guard bit g of a field at place 1.  Field i holds e_i + g with
+    e_i < g, so e_i is nonzero exactly when a bit of the field below its
+    guard is set; only those keys are shifted, and the others are the
     e_i = 0 that the derivative kills.  Cancelled keys are dropped.
     """
     out: dict[int, int] = {}
-    u_next, v_next = u * base, v * base
+    low_u, low_v = (guard - 1) * u, (guard - 1) * v
     for key, c in table.items():
-        if key % u_next >= u:
-            old = out.get(key - u)
-            out[key - u] = c if old is None else old + c
-        if key % v_next >= v:
-            old = out.get(key - v)
-            out[key - v] = -c if old is None else old - c
+        if key & low_u:
+            down = key - u
+            old = out.get(down)
+            out[down] = c if old is None else old + c
+        if key & low_v:
+            down = key - v
+            old = out.get(down)
+            out[down] = -c if old is None else old - c
     return {key: c for key, c in out.items() if c}
 
 
 def _node_image(
-    m: MultiplicityMatrix, l: int, table: dict[int, int], places: list[int], base: int
+    m: MultiplicityMatrix, l: int, table: dict[int, int], places: list[int], guard: int
 ) -> dict[int, int]:
     """The node-l operator applied to a divided-power table, as key shifts.
 
-    ``places[i - 1]`` is the place value base^(r-i) of d_i, and every digit
-    of a key is below ``base``.  d_l^m[l,r+1] is one filtered shift, then
+    The keys are guarded fields wide enough for every operator order of m,
+    ``places[i - 1]`` is the place value of d_i and ``guard`` the guard bit
+    of a field at place 1 (module docstring); bits above the top field ride
+    along.  Each shift moves one field and tests only that field's guard:
+    d_l^m[l,r+1] is one shift, kept where field l keeps its guard bit, then
     each factor d_l - d_j, m[l,j] times, is ``_shift_difference``.
     """
     r = m.rank
     u = places[l - 1]
-    top = m.multiplicity(l, r + 1) * u
-    # key % (u * base) is e_l * u plus lower digits that sum to less than u
-    image = {key - top: c for key, c in table.items() if key % (u * base) >= top}
+    top, guard_l = m.multiplicity(l, r + 1) * u, guard * u
+    image = {down: c for key, c in table.items() if (down := key - top) & guard_l}
     for j in range(l + 1, r + 1):
         for _ in range(m.multiplicity(l, j)):
             if image:
-                image = _shift_difference(image, u, places[j - 1], base)
+                image = _shift_difference(image, u, places[j - 1], guard)
     return image
 
 
 def node_residuals(m: MultiplicityMatrix, poly: MultiPoly) -> list[tuple[int, MultiPoly]]:
     """Pairs (l, node-l operator applied to poly) for l = rank down to 1.
 
-    poly is converted once to its integer divided-power table (module
-    docstring), with each exponent vector e packed into the integer key
-    sum_i e_i * base^(r-i).  base is one above the largest total degree, so
-    above every exponent, and derivatives only lower exponents: the key
-    determines e, its digit at place base^(r-i) is e_i, and d_i is the
-    subtraction of that place value where the digit is nonzero.  Each
-    residual equals ``pde_system(m)``'s node-l operator applied to poly.
-    poly is trusted to have m.rank variables: ``annihilates`` checks it, and
+    poly is converted once to its integer divided-power table, keyed on the
+    guarded fields for its largest exponent or node order (module
+    docstring), where d_i subtracts the place value of field i from the keys
+    whose e_i is nonzero.  Each residual is unpacked with one shift and
+    mask per field and converted back by one ``from_divided_powers``, and
+    equals ``pde_system(m)``'s node-l operator applied to poly.  poly is
+    trusted to have m.rank variables: ``annihilates`` checks it, and
     ``check-pde`` passes a volume of m.
     """
     r = m.rank
-    base = max(map(sum, poly.terms), default=0) + 1  # above every exponent
-    places = [base ** (r - i) for i in range(1, r + 1)]
-    scale, table = _divided_power_table(poly, places)
-    residuals = []
-    for l in range(r, 0, -1):
-        residual = {}
-        for key, c in _node_image(m, l, table, places, base).items():
-            exps = tuple(key // place % base for place in places)
-            residual[exps] = Fraction(c, scale * prod(map(factorial, exps)))
-        residuals.append((l, MultiPoly._trusted(r, residual)))
-    return residuals
+    shifts, places, guard, guards = _layout(r, max(max(map(max, poly.terms), default=0), *m.row_sums))
+    scale, table = _divided_power_table(poly, places, guards)
+    mask = 2 * guard - 1
+    return [
+        (l, from_divided_powers(r, {
+            tuple((key >> s & mask) - guard for s in shifts): c
+            for key, c in _node_image(m, l, table, places, guard).items()
+        }, scale))
+        for l in range(r, 0, -1)
+    ]
 
 
 def annihilates(m: MultiplicityMatrix, poly: MultiPoly) -> bool:
@@ -370,16 +395,18 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     the degree-d staircase monomials, in the divided-power coordinates
     y_e = e! * x_e of ``node_residuals``, and extracts its null space by
     sparse fraction-free elimination.  The columns are tagged into one
-    table, keyed col * base^r + sum_i e_i * base^(r-i) with base = d + 1,
-    and ``_node_image`` applies each node operator to that table once; an
-    image key splits back as (col, target) = divmod(key, base^r), and its
-    value is the entry of the sparse row ``{column: int}`` of (l, target).
-    Arguments (a)-(c) of the module docstring show that this matrix has the
-    same null space, after x_e = y_e / e!, and the same basis up to the
-    scale of each vector, which the normalization removes.  At the volume
-    degree the basis is normalized to the expected corner coefficient; at
-    other degrees each basis element is made monic in its graded-lex
-    leading term.
+    table on the guarded fields for d and the node orders, column col under
+    the tag col * t, t the place above the top field, and ``_node_image``
+    applies each node operator to that table once; an image key splits back
+    as (col, target) = divmod(key, t), and its value is the entry of the
+    sparse row ``{column: int}`` of (l, target).  Arguments (a)-(c) of the
+    module docstring show that this matrix has the same null space, after
+    x_e = y_e / e!, and the same basis up to the scale of each vector, which
+    the normalization removes.  Each null vector y, rational as
+    ``integer_nullspace`` returns it, is scaled before its one
+    ``from_divided_powers``: at the volume degree to y_o = 1, so that the
+    corner coefficient is the expected 1/o!, and otherwise so that x is
+    monic in its graded-lex leading term, the first column y holds.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -387,27 +414,23 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     caps = list(accumulate(order - 1 for order in reversed(m.row_sums[1:])))  # D_(r-1), ..., D_1
     columns = homogeneous_monomials(r, degree, caps)
 
-    base = degree + 1
-    tag = base**r
-    places = [base ** (r - i) for i in range(1, r + 1)]
-    table = {col * tag + sum(map(mul, exps, places)): 1 for col, exps in enumerate(columns)}
+    _, places, guard, guards = _layout(r, max(degree, *m.row_sums))
+    tag = 2 * guard * places[0]
+    table = {col * tag + guards + sum(map(mul, exps, places)): 1 for col, exps in enumerate(columns)}
     rows: dict[tuple[int, int], dict[int, int]] = {}
     for l in range(r, 0, -1):
-        for key, c in _node_image(m, l, table, places, base).items():
+        for key, c in _node_image(m, l, table, places, guard).items():
             col, target = divmod(key, tag)
             rows.setdefault((l, target), {})[col] = c
 
+    corner = m.corner_exponents  # a staircase column at the volume degree
     basis = []
     for vector in integer_nullspace(list(rows.values()), len(columns)):
-        terms = {exps: y / prod(map(factorial, exps)) for exps, y in zip(columns, vector) if y}
-        basis.append(_normalize(m, degree, MultiPoly(r, terms)))
+        y = dict(zip(columns, vector))
+        if degree == m.degree and y[corner]:
+            factor = 1 / y[corner]  # y_o = 1, so x_o = 1/o!
+        else:
+            lead = next(exps for exps in columns if y[exps])
+            factor = prod(map(factorial, lead)) / y[lead]  # x_lead = 1
+        basis.append(from_divided_powers(r, {exps: v * factor for exps, v in y.items()}, 1))
     return basis
-
-
-def _normalize(m: MultiplicityMatrix, degree: int, poly: MultiPoly) -> MultiPoly:
-    if degree == m.degree:
-        corner = poly.coefficient(m.corner_exponents)
-        if corner:
-            return poly * (m.corner_value / corner)
-    lead = poly.sorted_terms()[0][1]
-    return poly * (1 / lead)

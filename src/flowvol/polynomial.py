@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -327,3 +328,21 @@ class MultiPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+
+def from_divided_powers(nvars: int, entries: Mapping[Exponents, Scalar], scale: int) -> MultiPoly:
+    """The polynomial sum_e F(e) a^e / (scale * e!) of a divided-power table F.
+
+    ``entries`` maps exponent vectors to the values F(e): integers, or the
+    rational coordinates of a kernel vector.  ``scale`` is a nonzero
+    integer.  The vectors are trusted as ``MultiPoly._trusted`` trusts its
+    keys.  Zero values are dropped, and every other value makes one
+    ``Fraction``, with e! read from one table of factorials.
+    """
+    top = max(map(max, entries), default=0)
+    factorial = list(accumulate(range(1, top + 1), mul, initial=1))
+    return MultiPoly._trusted(nvars, {
+        exps: Fraction(value, scale * math.prod(map(factorial.__getitem__, exps)))
+        for exps, value in entries.items()
+        if value
+    })

@@ -69,15 +69,13 @@ output coefficient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import add, mul
+from operator import add
 from typing import Mapping, Sequence
 
 from .multiplicity import MultiplicityMatrix
-from .polynomial import MultiPoly, binomial_series_coeff, homogeneous_monomials
+from .polynomial import MultiPoly, binomial_series_coeff, from_divided_powers, homogeneous_monomials
 
 
 @dataclass(frozen=True)
@@ -116,12 +114,7 @@ class ResidueSum:
             raise ValueError("sum still depends on unintegrated x variables")
         total = MultiPoly.zero(self.nvars)
         for term in self.terms:
-            top = max(map(max, term.coeff.terms), default=0)
-            factorial = list(accumulate(range(1, top + 1), mul, initial=1))
-            total = total + MultiPoly._trusted(self.nvars, {
-                exps: Fraction(c, math.prod(map(factorial.__getitem__, exps)))
-                for exps, c in term.coeff.terms.items()
-            })
+            total = total + from_divided_powers(self.nvars, term.coeff.terms, 1)
         return total
 
 

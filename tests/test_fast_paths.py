@@ -30,6 +30,8 @@ full matrix, where ``solution_space`` keeps only the staircase monomials,
 those ``on_staircase`` accepts; ``staircase_solution_space`` solves on the
 staircase in the monomial basis, where ``solution_space`` builds its matrix
 in divided powers from ``node_residuals``' key shifts (``_node_image``);
+both rescale each kernel vector with ``normalize``, on a checked polynomial,
+where ``solution_space`` scales the null vector before its one conversion;
 ``filtered_staircase`` filters every
 monomial with it, where ``homogeneous_monomials`` builds only the staircase
 from its suffix-sum caps.  ``reference_pde_system``
@@ -79,10 +81,10 @@ from flowvol import (
     residue_in_order,
     solution_space,
 )
-from flowvol.diffop import DiffOperator, _node_image, node_residuals
+from flowvol.diffop import DiffOperator, _divided_power_table, _layout, _node_image, node_residuals
 from flowvol.linalg import integer_nullspace
 from flowvol.oracle import count_lattice_points
-from flowvol.polynomial import binomial_series_coeff, homogeneous_monomials
+from flowvol.polynomial import binomial_series_coeff, from_divided_powers, homogeneous_monomials
 from flowvol.residue import ResidueSum, ResidueTerm, build_kernel, residue_at_zero
 
 from conftest import (
@@ -414,8 +416,20 @@ def monomial_solution_space(m, degree, caps=()):
     basis = []
     for vector in integer_nullspace(rows, len(columns)):
         poly = MultiPoly(r, {exps: c for exps, c in zip(columns, vector) if c})
-        basis.append(flowvol.diffop._normalize(m, degree, poly))
+        basis.append(normalize(m, degree, poly))
     return basis
+
+
+def normalize(m, degree, poly):
+    """A kernel vector rescaled as a checked polynomial: to the corner value at the
+    volume degree when its corner coefficient is nonzero, else monic in its graded-lex
+    leading term."""
+    if degree == m.degree:
+        corner = poly.coefficient(m.corner_exponents)
+        if corner:
+            return poly * (m.corner_value / corner)
+    lead = poly.sorted_terms()[0][1]
+    return poly * (1 / lead)
 
 
 def reference_solution_space(m, degree):
@@ -1074,18 +1088,18 @@ class TestDividedPowerKernelMatchesStaircaseKernel:
 class TestNodeImageOnTaggedColumns:
     @given(multiplicity_matrices(max_rank=3, max_mult=2), st.data())
     def test_tagged_table_is_the_union_of_column_images(self, m, data):
-        # the tag col * base^r keeps the columns apart: no shift reaches it
+        # the tag col * t, t the place above the top guarded field, keeps the
+        # columns apart: no shift borrows from it
         r = m.rank
         degree = data.draw(st.integers(min_value=0, max_value=m.degree + 1))
-        base = degree + 1
-        tag = base**r
-        places = [base ** (r - i) for i in range(1, r + 1)]
+        _, places, guard, guards = _layout(r, max(degree, *m.row_sums))
+        tag = 2 * guard * places[0]
         monomials = [exps for k in range(degree + 1) for exps in homogeneous_monomials(r, k)]
         entries = st.dictionaries(
             st.sampled_from(monomials), st.integers(min_value=-5, max_value=5).filter(bool), max_size=4
         )
         columns = [
-            {sum(map(mul, exps, places)): c for exps, c in column.items()}
+            {guards + sum(map(mul, exps, places)): c for exps, c in column.items()}
             for column in data.draw(st.lists(entries, min_size=1, max_size=4))
         ]
         tagged = {col * tag + key: c for col, column in enumerate(columns) for key, c in column.items()}
@@ -1093,9 +1107,64 @@ class TestNodeImageOnTaggedColumns:
             union = {
                 col * tag + key: c
                 for col, column in enumerate(columns)
-                for key, c in _node_image(m, l, column, places, base).items()
+                for key, c in _node_image(m, l, column, places, guard).items()
             }
-            assert _node_image(m, l, tagged, places, base) == union, (m, degree, l)
+            assert _node_image(m, l, tagged, places, guard) == union, (m, degree, l)
+
+
+def divided_power_round_trip(poly, top=0):
+    """poly's scale and table on the guarded fields for its largest exponent and ``top``,
+    after checking that ``from_divided_powers`` turns the table back into poly."""
+    shifts, places, guard, guards = _layout(poly.nvars, max(max(map(max, poly.terms), default=0), top))
+    scale, table = _divided_power_table(poly, places, guards)
+    mask = 2 * guard - 1
+    entries = {tuple((key >> s & mask) - guard for s in shifts): g for key, g in table.items()}
+    assert from_divided_powers(poly.nvars, entries, scale) == poly, poly
+    for exps, g in entries.items():
+        assert g == scale * factorials(exps) * poly.terms[exps], (poly, exps)
+    return scale, table
+
+
+class TestDividedPowerTable:
+    """``_divided_power_table`` and ``from_divided_powers``: one conversion each way."""
+
+    @given(st.integers(1, 3).flatmap(lambda n: multipolys(nvars=n, max_terms=6, max_exp=6)), st.integers(0, 9))
+    def test_from_divided_powers_inverts_the_table(self, poly, top):
+        scale, _ = divided_power_round_trip(poly, top)
+        # the least scale: the lcm of the reduced denominators of the e! * c_e
+        assert scale == math.lcm(*(Fraction(c * factorials(e)).denominator for e, c in poly.terms.items()))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_polynomials_with_large_denominators(self, seed):
+        rng = random.Random(8000 + seed)
+        for nvars in (1, 2, 3):
+            terms = {
+                tuple(rng.randint(0, 9) for _ in range(nvars)): Fraction(rng.randint(-99, 99), rng.randint(1, 10**6))
+                for _ in range(8)
+            }
+            divided_power_round_trip(MultiPoly(nvars, terms))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_scale_is_one_on_every_volume(self, rank):
+        for m in every_matrix(rank, (1, 2, 3)):
+            scale, _ = divided_power_round_trip(iterated_residue(m).poly, max(m.row_sums))
+            assert scale == 1, m
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_scale_is_one_on_every_lift_image(self, rank):
+        # the recursion of lift_volume: u_n = sum_j (-1)^(j+1) D_j u_(n-j)
+        for m in every_matrix(rank, (1, 2, 3)):
+            generators = operator_ladder(m).generators
+            images = [iterated_residue(m.restriction()).poly.embed(rank, offset=1)]
+            for n in range(1, m.restriction_degree + 1):
+                image = MultiPoly.zero(rank)
+                for j in range(1, min(n, len(generators)) + 1):
+                    term = generators[j - 1].apply(images[n - j])
+                    assert term.terms == reference_apply(generators[j - 1], images[n - j]), (m, n, j)
+                    assert divided_power_round_trip(term)[0] == 1, (m, n, j)
+                    image = image + term if j % 2 else image - term
+                assert divided_power_round_trip(image)[0] == 1, (m, n)
+                images.append(image)
 
 
 def assert_apply_matches_reference(op, p):
@@ -1296,6 +1365,16 @@ class TestDividedPowerResidualMatchesPartials:
     def test_any_polynomial(self, m, data):
         # non-homogeneous, any rational coefficients, the zero polynomial included
         failing_nodes(m, data.draw(multipolys(nvars=m.rank, max_terms=6, max_exp=5)))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_low_degree_polynomials_under_high_orders(self, rank):
+        # every exponent at most 1, below the node orders and most m[l,r+1],
+        # which must still fit under the guard bit
+        rng = random.Random(4500 + rank)
+        monomials = [exps for k in range(2) for exps in homogeneous_monomials(rank, k)]
+        for m in every_matrix(rank, (1, 2, 3)):
+            poly = MultiPoly(rank, {exps: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for exps in monomials})
+            failing_nodes(m, poly)
 
     @pytest.mark.parametrize("rank", [1, 2, 4])
     @pytest.mark.parametrize("value", [0, 1, Fraction(-5, 11)])

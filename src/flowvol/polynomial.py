@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul
+from operator import add, getitem, mul
 from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -77,7 +77,11 @@ class MultiPoly:
     other factor goes to e + f.  The shift is injective, so no two keys
     merge, and a product of nonzero rationals is nonzero, so nothing
     cancels: the result needs no lookup and no zero filter, and when c is 1
-    it keeps every coefficient as it is.
+    it keeps every coefficient as it is.  When f moves one variable, as the
+    residue step's a_k^s does, each key is rebuilt around that one entry,
+    e[:i] + (e[i] + f_i,) + e[i+1:], which costs about half of adding f
+    entry by entry; when f moves none, the keys are kept as they are.  A
+    sum with a zero operand is the other operand itself, with no copy.
     """
 
     __slots__ = ("nvars", "terms")
@@ -148,7 +152,10 @@ class MultiPoly:
         return self.terms.get(tuple(exps), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        # descending (total degree, exponents) is descending graded-lex order: the keys are distinct
+        # descending (total degree, exponents) is descending graded-lex order, and
+        # with one total degree it is descending exponents: the keys are distinct
+        if len(set(map(sum, self.terms))) <= 1:
+            return sorted(self.terms.items(), reverse=True)
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
 
     # -- arithmetic --------------------------------------------------------
@@ -169,6 +176,8 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same_shape(other)
+        if not self.terms or not other.terms:
+            return self if self.terms else other
         merged = dict(self.terms)
         for exps, coeff in other.terms.items():
             old = merged.get(exps)
@@ -189,23 +198,25 @@ class MultiPoly:
         return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other:
                 return MultiPoly._trusted(self.nvars, {})
             return MultiPoly._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
         self._require_same_shape(other)
         if len(other.terms) == 1 or len(self.terms) == 1:
             poly, one = (self, other) if len(other.terms) == 1 else (other, self)
             ((shift, scale),) = one.terms.items()
-            if scale == 1:
-                return MultiPoly._trusted(
-                    self.nvars, {tuple(map(add, e, shift)): c for e, c in poly.terms.items()}
-                )
-            return MultiPoly._trusted(
-                self.nvars, {tuple(map(add, e, shift)): c * scale for e, c in poly.terms.items()}
-            )
+            moved = [i for i, f in enumerate(shift) if f]
+            if len(moved) == 1:
+                i = moved[0]
+                f, j = shift[i], i + 1
+                keys = [e[:i] + (e[i] + f,) + e[j:] for e in poly.terms]
+            else:
+                keys = [tuple(map(add, e, shift)) for e in poly.terms] if moved else poly.terms
+            values = poly.terms.values() if scale == 1 else [c * scale for c in poly.terms.values()]
+            return MultiPoly._trusted(self.nvars, dict(zip(keys, values)))
         product: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -287,19 +298,22 @@ class MultiPoly:
         if not self.terms:
             return "0"
         tops = [max(column) for column in zip(*self.terms)]
-        tables = [[factor(i, e) for e in range(top + 1)] for i, top in enumerate(tops, start=1)]
+        # each a_i^e with the separator in front, and "" for e = 0
+        tables = [
+            [""] + [sep + factor(i, e) for e in range(1, top + 1)] for i, top in enumerate(tops, start=1)
+        ]
         pieces: list[str] = []
         for exps, coeff in self.sorted_terms():
-            monomial = sep.join([table[e] for table, e in zip(tables, exps) if e])
+            monomial = "".join(map(getitem, tables, exps))
             num, den = coeff.numerator, coeff.denominator
             magnitude = -num if num < 0 else num
             size = str(magnitude) if den == 1 else fraction.format(magnitude, den)
             if not monomial:
                 body = size
             elif size == "1":
-                body = monomial
+                body = monomial[len(sep):]
             else:
-                body = f"{size}{sep}{monomial}"
+                body = size + monomial
             if not pieces:
                 pieces.append(body if num > 0 else f"-{body}")
             else:

@@ -37,10 +37,23 @@ expands exactly the factors through x_k, whose series only lower the powers
 of the other variables, and leaves every other factor as it is, in every
 term; so the terms it writes share the untouched factors, in any residue
 order, and after each step the factors are exactly the pairs among the
-variables not yet taken.  A step therefore works out once, not once per
-term: which factors run through x_k and, for each pole order p, the splits
-of p - 1 among their series depths and the exponential, each with its
-signed product of binomials and its change to the powers of x.
+variables not yet taken.
+
+A step expands the factors through x_k one at a time.  A state is a term's
+powers of x with x_k's slot holding the budget b = p - 1 still to spread.
+One factor (x_i - x_k)^-q, or (x_k - x_j)^-q with sign (-1)^q, sends a
+state to b + 1 children: at depth n the weight is sign * C(q-1+n, n), the
+other variable's power drops by q + n and the budget by n.  The budget left
+after the last factor is the power s of a_k that the exponential's series
+supplies.  Expanding the series one after another takes the same Cauchy
+product as a joint split of p - 1 over all of them, bracketed differently;
+the product is associative, so the coefficient of x_k^(p-1) is the same.
+The parts of a state that several paths reach are summed once, when it is
+next expanded (distributivity), so no split is enumerated jointly.  A state
+reached by one path carries its part lazily, as (input table, integer
+scalar), and no entry of the table is touched until states merge or the
+exponential is applied.  No table is written to after it is built, so a
+step may share its input tables with its output.
 
 A coefficient is kept as its divided-power transform: c(a) = sum_e c_e a^e
 is stored as T(c) = sum_e e! c_e a^e, a ``MultiPoly`` with ``int`` values.
@@ -52,30 +65,27 @@ on a_k, in any residue order.  For such a c every key e of c has e_k = 0, so
     T(c * a_k^s / s!) = T(c) * a_k^s.
 
 A step therefore takes the integers T(c)_e of each input term as they are,
-multiplies them by each split's signed product of binomials, also an
-integer, and adds them into plain dicts, grouped first by the output's
-powers of x and then by the power s of a_k.  Grouping by s merely reorders
-an exact sum (distributivity).  Each group is multiplied by the bare
-monomial a_k^s, which in the transform is a true product and which
-``MultiPoly`` does as a shift of the keys.  The group for s holds exactly
-the output keys with a_k-exponent s, so the groups of one power of x share
-no key and are joined with no merge.  No step divides: by induction every
-coefficient reached from the kernel is an integer table, and after the last
-step T(v)_e = e! v_e are the values of the Kostant partition function
-(Meszaros-Morales, Math. Z. 293, 2019, arXiv 1710.00701).
-``ResidueSum.polynomial`` undoes the transform, with one division by e! per
-output coefficient.
+and each weight is an integer, so every state's parts sum to an integer
+table.  The final state for the power s of a_k is multiplied by the
+monomial a_k^s, with its scalar as coefficient, which in the transform is a
+true product and which ``MultiPoly`` does as a shift of one exponent.  That
+table holds exactly the output keys with a_k-exponent s, so the tables of
+one power of x share no key and are joined with no merge.  No step divides:
+by induction every coefficient reached from the kernel is an integer table,
+and after the last step T(v)_e = e! v_e are the values of the Kostant
+partition function (Meszaros-Morales, Math. Z. 293, 2019, arXiv
+1710.00701).  ``ResidueSum.polynomial`` undoes the transform, with one
+division by e! per output coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Mapping, Sequence
 
 from .multiplicity import MultiplicityMatrix
-from .polynomial import MultiPoly, binomial_series_coeff, from_divided_powers, homogeneous_monomials
+from .polynomial import MultiPoly, binomial_series_coeff, from_divided_powers
 
 
 @dataclass(frozen=True)
@@ -134,24 +144,38 @@ def build_kernel(m: MultiplicityMatrix) -> ResidueSum:
     return ResidueSum(r, diff, (ResidueTerm(MultiPoly._trusted(r, {(0,) * r: 1}), xpow),))
 
 
+def _collapsed(parts: list[tuple[dict, int]]) -> tuple[dict, int]:
+    """One (table, scalar) for a state's parts: its only part as it is, or their sum with scalar 1."""
+    if len(parts) == 1:
+        return parts[0]
+    (table, scalar), *rest = parts
+    total = {e: c * scalar for e, c in table.items()}
+    get = total.get
+    for table, scalar in rest:
+        for e, c in table.items():
+            total[e] = get(e, 0) + c * scalar
+    if 0 in total.values():  # some entries cancelled
+        total = {e: c for e, c in total.items() if c}
+    return total, 1
+
+
 def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
     """Residue at x_var = 0, treating the other live variables as generic.
 
     x_var is trusted to be live: ``residue_in_order`` takes each variable
     once.  Every factor of every term is expandable around x_var = 0 by
     construction.  Every coefficient is trusted to be an integer table T(c)
-    with no a_var, as every sum reached from the kernel is.  A pole of order
-    p contributes once for each split of p - 1 into series depths of the
-    difference factors through x_var plus the power s of a_var, the last
-    coordinate of each ``homogeneous_monomials`` vector.  The factors
-    through x_var and each pole order's splits, with their binomial
-    products, are worked out once per step, since every term shares the
-    factors.  The integers T(c)_e times those products are accumulated per
-    output power of x and per s, each group is shifted by a_var^s, and the
-    groups of one power of x are joined (see the module docstring for why
-    that is exact).
+    with no a_var, as every sum reached from the kernel is.  A state keys
+    the powers of x with x_var's slot holding the budget p - 1 still to
+    spread, and holds its parts, each an input table and an integer scalar.
+    The factors through x_var are expanded one at a time, each state's parts
+    summed only when it is expanded, and the budget left after the last is
+    the power s of a_var, applied with one product by the monomial a_var^s
+    whose coefficient is the scalar (see the module docstring for why this
+    is exact and why the shared tables are safe).  The output is merged on
+    the powers of x, sorted by them, with no zero entry.
     """
-    nvars = expr.nvars
+    nvars, slot = expr.nvars, var - 1
     # each factor through x_var: the index of its other variable, its pole
     # order q and the sign of its series
     involved, passive = [], []
@@ -160,44 +184,43 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
             involved.append(((i if var == j else j) - 1, q, 1 if var == j else (-1) ** q))
         else:
             passive.append(((i, j), q))
-    # budget -> (change to xpow, s, signed binomial product) for each split
-    splits: dict[int, list[tuple[list[int], int, int]]] = {}
-
-    groups: dict[tuple[int, ...], dict[int, dict[tuple[int, ...], int]]] = {}
+    # powers of x, budget in x_var's slot -> parts (input table, integer scalar)
+    states: dict[tuple[int, ...], list] = {}
     for term in expr.terms:
-        budget = -term.xpow[var - 1] - 1
-        if budget < 0:
-            continue  # analytic in x_var at 0, residue contribution is zero
-        if budget not in splits:
-            splits[budget] = []
-            for *depths, exp_power in homogeneous_monomials(len(involved) + 1, budget):
-                scalar, delta = 1, [0] * nvars
-                delta[var - 1] = budget + 1
-                for (other, q, sign), n in zip(involved, depths):
-                    scalar *= sign * binomial_series_coeff(q, n)
-                    delta[other] = -q - n
-                splits[budget].append((delta, exp_power, scalar))
-        for delta, exp_power, scalar in splits[budget]:
-            xpow = tuple(map(add, term.xpow, delta))
-            acc = groups.setdefault(xpow, {}).setdefault(exp_power, {})
-            for exps, c in term.coeff.terms.items():
-                acc[exps] = acc.get(exps, 0) + c * scalar
+        if term.xpow[slot] < 0:  # else analytic in x_var at 0, residue contribution is zero
+            key = term.xpow[:slot] + (-term.xpow[slot] - 1,) + term.xpow[var:]
+            states[key] = [(term.coeff.terms, 1)]
+    for other, q, sign in involved:
+        top = max((key[slot] for key in states), default=0)
+        weights = [sign * binomial_series_coeff(q, n) for n in range(top + 1)]
+        children: dict[tuple[int, ...], list] = {}
+        for key, parts in states.items():
+            table, scalar = _collapsed(parts)
+            if not table:
+                continue  # its parts cancelled
+            budget, child = key[slot], list(key)
+            for n in range(budget + 1):
+                child[other], child[slot] = key[other] - q - n, budget - n
+                children.setdefault(tuple(child), []).append((table, scalar * weights[n]))
+        states = children
 
-    shifts: dict[int, MultiPoly] = {}  # a_var^s with coefficient 1, one per power s
+    groups: dict[tuple[int, ...], list[dict[tuple[int, ...], int]]] = {}
+    for key, parts in states.items():
+        table, scalar = _collapsed(parts)
+        if not table:
+            continue
+        if key[slot] or scalar != 1:
+            exps = (0,) * slot + (key[slot],) + (0,) * (nvars - var)
+            table = (MultiPoly._trusted(nvars, table) * MultiPoly._trusted(nvars, {exps: scalar})).terms
+        groups.setdefault(key[:slot] + (0,) + key[var:], []).append(table)
     terms = []
-    for xpow, by_power in sorted(groups.items()):
-        joined: dict[tuple[int, ...], int] = {}
-        for exp_power, acc in by_power.items():
-            group = MultiPoly._trusted(nvars, {e: c for e, c in acc.items() if c})
-            if exp_power:
-                shift = shifts.get(exp_power)
-                if shift is None:
-                    exps = tuple(exp_power if i == var - 1 else 0 for i in range(nvars))
-                    shift = shifts[exp_power] = MultiPoly._trusted(nvars, {exps: 1})
-                group = group * shift
-            joined.update(group.terms)
-        if joined:
-            terms.append(ResidueTerm(MultiPoly._trusted(nvars, joined), xpow))
+    for xpow, tables in sorted(groups.items()):
+        joined = tables[0]
+        if len(tables) > 1:  # one table per power of a_var: no two share a key
+            joined = {}
+            for table in tables:
+                joined.update(table)
+        terms.append(ResidueTerm(MultiPoly._trusted(nvars, joined), xpow))
     return ResidueSum(nvars, tuple(passive), tuple(terms))
 
 

@@ -8,7 +8,11 @@ accumulator.  ``rational_residue_at_zero`` is the step as the package ran it
 on c before it kept T(c) = sum_e e! c_e a^e: integer numerators over the lcm
 L_e of the denominators of a^e, one ``Fraction`` per coefficient and a merge
 of the groups for each power s.  ``divided`` turns T(c) back into c, so the
-engine's step on T(c) is checked against both.  ``residue_sum`` writes a sum
+engine's step on T(c) is checked against both.  ``joint_split_residue_at_zero``
+is the step on T(c) as the package ran it before the factors through x_k
+were expanded one at a time: every joint split of the pole order over all
+of them, one accumulation per (term, split, entry), and the engine's output
+must equal it exactly, term order included.  ``residue_sum`` writes a sum
 of ``{xpow: coeff}`` terms over one set of difference factors in the step's
 output form.  ``reference_apply`` applies an operator pair by pair, one ``Fraction``
 product and one ``perm`` product per (operator term, polynomial term) pair,
@@ -52,8 +56,11 @@ and ``naive_evaluate`` sums one Fraction per term, where ``evaluate`` makes
 one Fraction in all.  ``reference_homogeneous_monomials`` enumerates the
 monomials through one recursive generator frame per variable, where
 ``homogeneous_monomials`` builds the list from tables of tails, and
-``MultiPoly.sorted_terms`` sorts on (total degree, exponents) descending
-where ``grlex_key`` (conftest) negates each entry.  All are kept here, outside the
+``MultiPoly.sorted_terms`` sorts on (total degree, exponents) descending,
+or on exponents alone when every term has one degree, where ``grlex_key``
+(conftest) negates each entry; ``reference_render`` joins each monomial
+from its nonzero factors, where ``render`` joins per-variable tables that
+carry the separator in front.  All are kept here, outside the
 package, as the references the engine must match exactly.
 """
 
@@ -207,6 +214,53 @@ def rational_residue_at_zero(expr, var):
             })
         raw[xpow] = merged
     return residue_sum(nvars, passive, raw)
+
+
+def joint_split_residue_at_zero(expr, var):
+    """One residue step on T(c) over every joint split of the pole order at once.
+
+    For each pole order p, every split of p - 1 among the series depths of
+    the factors through x_var and the power s of a_var is enumerated with its
+    signed product of binomials; each input term's integers are accumulated
+    per output power of x and per s, each group is shifted by a_var^s, and
+    the groups of one power of x are joined.
+    """
+    nvars = expr.nvars
+    involved, passive = [], []
+    for (i, j), q in expr.diff:
+        if var in (i, j):
+            involved.append(((i if var == j else j) - 1, q, 1 if var == j else (-1) ** q))
+        else:
+            passive.append(((i, j), q))
+    splits = {}
+    groups = {}
+    for term in expr.terms:
+        budget = -term.xpow[var - 1] - 1
+        if budget < 0:
+            continue
+        if budget not in splits:
+            splits[budget] = []
+            for *depths, exp_power in homogeneous_monomials(len(involved) + 1, budget):
+                scalar, delta = 1, [0] * nvars
+                delta[var - 1] = budget + 1
+                for (other, q, sign), n in zip(involved, depths):
+                    scalar *= sign * binomial_series_coeff(q, n)
+                    delta[other] = -q - n
+                splits[budget].append((delta, exp_power, scalar))
+        for delta, exp_power, scalar in splits[budget]:
+            xpow = tuple(map(add, term.xpow, delta))
+            acc = groups.setdefault(xpow, {}).setdefault(exp_power, {})
+            for exps, c in term.coeff.terms.items():
+                acc[exps] = acc.get(exps, 0) + c * scalar
+    terms = []
+    for xpow, by_power in sorted(groups.items()):
+        joined = {}
+        for exp_power, acc in by_power.items():
+            shift = tuple(exp_power if i == var - 1 else 0 for i in range(nvars))
+            joined.update({tuple(map(add, e, shift)): c for e, c in acc.items() if c})
+        if joined:
+            terms.append(ResidueTerm(MultiPoly._trusted(nvars, joined), xpow))
+    return ResidueSum(nvars, tuple(passive), tuple(terms))
 
 
 def divided(expr):
@@ -703,6 +757,82 @@ class TestResidueStepMatchesReference:
             assert_integer_tables(fast)
 
 
+def snapshot(expr):
+    """Each term's powers of x and a copy of its coefficient table."""
+    return [(term.xpow, dict(term.coeff.terms)) for term in expr.terms]
+
+
+class TestResidueStepMatchesJointSplits:
+    """The step factor by factor equals the step over joint splits, term order included."""
+
+    @given(small_families)
+    def test_every_order_every_step(self, m):
+        for order in permutations(canonical_order(m.rank)):
+            state = build_kernel(m)
+            for var in order:
+                expected = joint_split_residue_at_zero(state, var)
+                state = residue_at_zero(state, var)
+                assert state == expected, (m, order, var)
+
+    @pytest.mark.parametrize("rank, entries", [(4, (1, 2, 3)), (5, (1, 2))])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_seeded_rank_four_and_five(self, rank, entries, seed):
+        rng = random.Random(2500 + 10 * rank + seed)
+        m = MultiplicityMatrix(rank, tuple(rng.choice(entries) for _ in range(rank * (rank + 1) // 2)))
+        for order in [canonical_order(rank), tuple(rng.sample(range(1, rank + 1), rank))]:
+            state = build_kernel(m)
+            for var in order:
+                expected = joint_split_residue_at_zero(state, var)
+                state = residue_at_zero(state, var)
+                assert state == expected, (m, order, var)
+
+    @given(residue_sums())
+    def test_hand_built_sums(self, drawn):
+        live, expr = drawn
+        for var in live:
+            assert residue_at_zero(expr, var) == joint_split_residue_at_zero(expr, var)
+
+
+class TestResidueStepLeavesItsInputsUnchanged:
+    """A step shares its input tables with its output and never writes to one.
+
+    Every sum along every order is kept with a snapshot taken when it was
+    made; after the last step, and after the volume is read off, each still
+    equals its snapshot, so no later step wrote to a table it shared.
+    """
+
+    @given(multiplicity_matrices(min_rank=1, max_rank=3, max_mult=3))
+    def test_every_order_at_rank_up_to_three(self, m):
+        for order in permutations(canonical_order(m.rank)):
+            states = [build_kernel(m)]
+            for var in order:
+                states.append(residue_at_zero(states[-1], var))
+            snapshots = [snapshot(state) for state in states]
+            states[-1].polynomial()
+            for var in order:  # the same steps again, on the same inputs
+                residue_at_zero(states[order.index(var)], var)
+            assert [snapshot(state) for state in states] == snapshots, (m, order)
+
+    @given(residue_sums())
+    @example(([1, 2], residue_sum(2, (((1, 2), 1),), {
+        # at x2 = 0 both terms reach x1^-2, the first with s = 0 as its own
+        # unscaled table and the second with s = 1: one output joins the two
+        (-1, -1): integer_poly(2, {(0, 0): 3}),
+        (0, -3): integer_poly(2, {(0, 0): -2}),
+    })))
+    def test_hand_built_sums(self, drawn):
+        live, expr = drawn
+        before = snapshot(expr)
+        outputs = [residue_at_zero(expr, var) for var in live]
+        after = [snapshot(out) for out in outputs]
+        for var, out in zip(live, outputs):
+            for other in live:
+                if other != var:
+                    residue_at_zero(out, other)
+        assert snapshot(expr) == before
+        assert [snapshot(out) for out in outputs] == after
+
+
 @st.composite
 def one_term_polys(draw, nvars=3):
     """c * a^f with c = 1, -1 or a nonzero p/q: the factors ``*`` takes as a key shift."""
@@ -779,6 +909,32 @@ class TestArithmeticMatchesNaiveDicts:
             assert_canonical(result)
             assert result.terms == naive_combine(p, t, "*")
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("scale", [1, -1, 5, Fraction(-3, 2)])
+    @pytest.mark.parametrize("place", [0, 2, 4])
+    @given(p=multipolys(nvars=5, max_terms=6))
+    def test_one_term_factor_moving_one_variable(self, p, place, scale, side):
+        # the first, a middle and the last variable; keys rebuilt around the one that moves
+        shift = tuple(3 if i == place else 0 for i in range(5))
+        t = MultiPoly(5, {shift: scale})
+        result = p * t if side == "right" else t * p
+        assert_canonical(result)
+        assert result.terms == naive_combine(p, t, "*")
+
+    @pytest.mark.parametrize("scale", [1, 7, Fraction(2, 3)])
+    @given(p=multipolys(nvars=3))
+    def test_one_term_factor_moving_no_variable(self, p, scale):
+        t = MultiPoly(3, {(0, 0, 0): scale})
+        for result in (p * t, t * p):
+            assert_canonical(result)
+            assert result.terms == naive_combine(p, t, "*")
+
+    @given(multipolys(nvars=3))
+    def test_adding_zero_on_either_side(self, p):
+        zero = MultiPoly.zero(3)
+        assert zero + p == p + zero == p
+        assert (zero + zero).is_zero
+
     def test_cancelling_supports(self):
         a1, a2 = MultiPoly.variable(1, 2), MultiPoly.variable(2, 2)
         half = MultiPoly.one(2) * Fraction(1, 2)
@@ -787,9 +943,58 @@ class TestArithmeticMatchesNaiveDicts:
         assert ((a1 + a2) - (a1 + a2)).terms == {}
 
 
+def reference_render(poly, names="a", latex=False):
+    """The text form built term by term, each monomial joined from its nonzero factors."""
+    if latex:
+        factor = lambda i, e: f"{names}_{{{i}}}^{{{e}}}" if e > 1 else f"{names}_{{{i}}}"
+        fraction, sep = "\\frac{{{}}}{{{}}}", " "
+    else:
+        factor = lambda i, e: f"{names}{i}^{e}" if e > 1 else f"{names}{i}"
+        fraction, sep = "{}/{}", "*"
+    pieces = []
+    for exps, coeff in sorted(poly.terms.items(), key=lambda item: grlex_key(item[0])):
+        monomial = sep.join(factor(i, e) for i, e in enumerate(exps, start=1) if e)
+        size = str(abs(coeff.numerator)) if coeff.denominator == 1 else fraction.format(
+            abs(coeff.numerator), coeff.denominator)
+        if not monomial:
+            body = size
+        elif size == "1":
+            body = monomial
+        else:
+            body = f"{size}{sep}{monomial}"
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces) if pieces else "0"
+
+
+class TestRenderMatchesReference:
+    @given(multipolys(max_terms=8), st.sampled_from(["a", "d"]))
+    def test_random_polynomials(self, p, names):
+        assert p.render(names) == reference_render(p, names)
+        assert p.render_latex(names) == reference_render(p, names, latex=True)
+
+    @given(multipolys(nvars=3, max_terms=8, max_exp=4), st.integers(0, 3), nonzero_fractions)
+    def test_mixed_degrees(self, p, degree, c):
+        p = p + MultiPoly(3, {(degree, 0, 0): c})
+        assert p.render() == reference_render(p)
+        assert p.render_latex() == reference_render(p, latex=True)
+
+    def test_rank_four_volume(self):
+        p = iterated_residue(MultiplicityMatrix(4, (2, 1, 1, 2, 1, 2, 1, 1, 2, 1))).poly
+        assert p.render() == reference_render(p)
+        assert p.render_latex() == reference_render(p, latex=True)
+
+
 class TestSortedTermsMatchGrlexKey:
     @given(multipolys(max_terms=8))
     def test_property(self, p):
+        assert p.sorted_terms() == sorted(p.terms.items(), key=lambda item: grlex_key(item[0]))
+
+    @given(st.integers(0, 5), st.lists(nonzero_fractions, min_size=1, max_size=30))
+    def test_one_total_degree(self, degree, coeffs):
+        p = MultiPoly(3, dict(zip(homogeneous_monomials(3, degree)[::-1], coeffs)))
         assert p.sorted_terms() == sorted(p.terms.items(), key=lambda item: grlex_key(item[0]))
 
     def test_rank_four_volume(self):

@@ -40,20 +40,30 @@ order, and after each step the factors are exactly the pairs among the
 variables not yet taken.
 
 A step expands the factors through x_k one at a time.  A state is a term's
-powers of x with x_k's slot holding the budget b = p - 1 still to spread.
-One factor (x_i - x_k)^-q, or (x_k - x_j)^-q with sign (-1)^q, sends a
-state to b + 1 children: at depth n the weight is sign * C(q-1+n, n), the
-other variable's power drops by q + n and the budget by n.  The budget left
-after the last factor is the power s of a_k that the exponential's series
-supplies.  Expanding the series one after another takes the same Cauchy
-product as a joint split of p - 1 over all of them, bracketed differently;
-the product is associative, so the coefficient of x_k^(p-1) is the same.
-The parts of a state that several paths reach are summed once, when it is
-next expanded (distributivity), so no split is enumerated jointly.  A state
-reached by one path carries its part lazily, as (input table, integer
-scalar), and no entry of the table is touched until states merge or the
-exponential is applied.  No table is written to after it is built, so a
-step may share its input tables with its output.
+powers of x with x_k's slot holding the budget b = p - 1 still to spread,
+and holds one table.  A factor (x_i - x_k)^-q is read as
+x_i^-q (1 - x_k/x_i)^-q, and (x_k - x_j)^-q as (-1)^q x_j^-q (1 - x_k/x_j)^-q.
+With x_o the factor's other variable, one geometric series (1 - x_k/x_o)^-1
+sends a state to depths n = 0..b, each lowering x_o's power P and the
+budget B by n with weight 1, so its output G is a running sum
+
+    G(P, B) = F(P, B) + G(P + 1, B + 1)
+
+along each diagonal of P - B, from the top budget down to 0.  The q-fold
+running sum multiplies by (1 - t)^-q = sum_n C(q-1+n, n) t^n, so q passes
+give the factor's weights C(q-1+n, n) with no weight list and no scalar,
+and one shift of P by -q follows.  The (-1)^q of each (x_k - x_j) factor
+multiplies into one sign for the whole step; when it is -1 the step's input
+tables are negated once.  The budget left after the last factor is the
+power s of a_k that the exponential's series supplies.  Expanding the
+series one after another takes the same Cauchy product as a joint split of
+p - 1 over all of them, bracketed differently; the product is associative,
+so the coefficient of x_k^(p-1) is the same.  Where F has no state, G's
+state shares the table of G(P + 1, B + 1); where it has one, the new table
+is one copy of the larger table plus one add per entry of the smaller, with
+cancelled entries dropped.  No table is written to after it is built, so
+one table may be shared down a whole diagonal and a step may share its
+input tables with its output.
 
 A coefficient is kept as its divided-power transform: c(a) = sum_e c_e a^e
 is stored as T(c) = sum_e e! c_e a^e, a ``MultiPoly`` with ``int`` values.
@@ -65,17 +75,21 @@ on a_k, in any residue order.  For such a c every key e of c has e_k = 0, so
     T(c * a_k^s / s!) = T(c) * a_k^s.
 
 A step therefore takes the integers T(c)_e of each input term as they are,
-and each weight is an integer, so every state's parts sum to an integer
-table.  The final state for the power s of a_k is multiplied by the
-monomial a_k^s, with its scalar as coefficient, which in the transform is a
-true product and which ``MultiPoly`` does as a shift of one exponent.  That
-table holds exactly the output keys with a_k-exponent s, so the tables of
-one power of x share no key and are joined with no merge.  No step divides:
-by induction every coefficient reached from the kernel is an integer table,
-and after the last step T(v)_e = e! v_e are the values of the Kostant
-partition function (Meszaros-Morales, Math. Z. 293, 2019, arXiv
-1710.00701).  ``ResidueSum.polynomial`` undoes the transform, with one
-division by e! per output coefficient.
+and each pass only adds, so every state holds an integer table.  The states
+of one power of x differ only in s, and each is rekeyed with s in a_k's
+exponent, so the tables of one power of x share no key and are joined
+with no merge and no per-state product.  A power of x reached by one state
+with s > 0 is instead multiplied by the monomial a_k^s, a true product in
+the transform, which ``MultiPoly`` does as a shift of one exponent.  That
+product stays a ``MultiPoly`` product, rather than a rekey, because it is
+what the benchmark's traced run still counts as the polynomial layer's
+products (``polynomial.mul_calls``) until ROADMAP item 1 moves its
+contract to stages.  No step divides: by induction every coefficient
+reached from the kernel is an integer table, and after the last step
+T(v)_e = e! v_e are the values of the Kostant partition function
+(Meszaros-Morales, Math. Z. 293, 2019, arXiv 1710.00701).
+``ResidueSum.polynomial`` undoes the transform, with one division by e!
+per output coefficient.
 """
 
 from __future__ import annotations
@@ -85,7 +99,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .multiplicity import MultiplicityMatrix
-from .polynomial import MultiPoly, binomial_series_coeff, from_divided_powers
+from .polynomial import MultiPoly, from_divided_powers
 
 
 @dataclass(frozen=True)
@@ -144,19 +158,18 @@ def build_kernel(m: MultiplicityMatrix) -> ResidueSum:
     return ResidueSum(r, diff, (ResidueTerm(MultiPoly._trusted(r, {(0,) * r: 1}), xpow),))
 
 
-def _collapsed(parts: list[tuple[dict, int]]) -> tuple[dict, int]:
-    """One (table, scalar) for a state's parts: its only part as it is, or their sum with scalar 1."""
-    if len(parts) == 1:
-        return parts[0]
-    (table, scalar), *rest = parts
-    total = {e: c * scalar for e, c in table.items()}
+def _added(run: dict, table: dict) -> dict:
+    """A new table run + table: the larger copied in C, the smaller added, cancelled keys dropped."""
+    if len(run) < len(table):
+        run, table = table, run
+    total = dict(run)
     get = total.get
-    for table, scalar in rest:
-        for e, c in table.items():
-            total[e] = get(e, 0) + c * scalar
-    if 0 in total.values():  # some entries cancelled
-        total = {e: c for e, c in total.items() if c}
-    return total, 1
+    for e, c in table.items():
+        if c := c + get(e, 0):
+            total[e] = c
+        else:
+            del total[e]
+    return total
 
 
 def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
@@ -167,61 +180,77 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
     construction.  Every coefficient is trusted to be an integer table T(c)
     with no a_var, as every sum reached from the kernel is.  A state keys
     the powers of x with x_var's slot holding the budget p - 1 still to
-    spread, and holds its parts, each an input table and an integer scalar.
-    The factors through x_var are expanded one at a time, each state's parts
-    summed only when it is expanded, and the budget left after the last is
-    the power s of a_var, applied with one product by the monomial a_var^s
-    whose coefficient is the scalar (see the module docstring for why this
-    is exact and why the shared tables are safe).  The output is merged on
-    the powers of x, sorted by them, with no zero entry.
+    spread, and holds one table; states are kept by diagonal, so that a
+    pass reads each diagonal from its top budget down.  Each factor through
+    x_var is q running-sum passes G(P, B) = F(P, B) + G(P + 1, B + 1) along
+    the diagonals of its other variable's power P and the budget B, and one
+    shift of P by -q; the signs of all factors make one sign for the step,
+    applied to its input tables.  The budget left after the last factor is
+    the power s of a_var: the states of one power of x are rekeyed with s
+    in x_var's slot into one table, and a lone state is multiplied by
+    a_var^s with one ``MultiPoly`` product (see the module docstring for
+    why this is exact, why shared tables are safe and why the lone state
+    keeps its product).  The output is merged on the powers of x, sorted by
+    them, with no zero entry.
     """
     nvars, slot = expr.nvars, var - 1
-    # each factor through x_var: the index of its other variable, its pole
-    # order q and the sign of its series
-    involved, passive = [], []
-    for (i, j), q in expr.diff:
-        if var in (i, j):
-            involved.append(((i if var == j else j) - 1, q, 1 if var == j else (-1) ** q))
-        else:
-            passive.append(((i, j), q))
-    # powers of x, budget in x_var's slot -> parts (input table, integer scalar)
-    states: dict[tuple[int, ...], list] = {}
+    # diagonal -> budget -> table.  A diagonal is the powers of x with 0 in
+    # x_var's slot and, once a factor is expanded, the power of its other
+    # variable less the budget, so that each pass runs along one diagonal.
+    columns: dict[tuple[int, ...], dict[int, dict]] = {}
+    # the step's one sign is the product of (-1)^q over its factors (x_var - x_j)^q
+    negate = sum(q for (i, _), q in expr.diff if i == var) % 2
     for term in expr.terms:
         if term.xpow[slot] < 0:  # else analytic in x_var at 0, residue contribution is zero
-            key = term.xpow[:slot] + (-term.xpow[slot] - 1,) + term.xpow[var:]
-            states[key] = [(term.coeff.terms, 1)]
-    for other, q, sign in involved:
-        top = max((key[slot] for key in states), default=0)
-        weights = [sign * binomial_series_coeff(q, n) for n in range(top + 1)]
-        children: dict[tuple[int, ...], list] = {}
-        for key, parts in states.items():
-            table, scalar = _collapsed(parts)
-            if not table:
-                continue  # its parts cancelled
-            budget, child = key[slot], list(key)
-            for n in range(budget + 1):
-                child[other], child[slot] = key[other] - q - n, budget - n
-                children.setdefault(tuple(child), []).append((table, scalar * weights[n]))
-        states = children
-
-    groups: dict[tuple[int, ...], list[dict[tuple[int, ...], int]]] = {}
-    for key, parts in states.items():
-        table, scalar = _collapsed(parts)
-        if not table:
+            table = {e: -c for e, c in term.coeff.terms.items()} if negate else term.coeff.terms
+            columns.setdefault(term.xpow[:slot] + (0,) + term.xpow[var:], {})[-term.xpow[slot] - 1] = table
+    moved = None
+    for (i, j), q in expr.diff:
+        if var not in (i, j):
             continue
-        if key[slot] or scalar != 1:
-            exps = (0,) * slot + (key[slot],) + (0,) * (nvars - var)
-            table = (MultiPoly._trusted(nvars, table) * MultiPoly._trusted(nvars, {exps: scalar})).terms
-        groups.setdefault(key[:slot] + (0,) + key[var:], []).append(table)
+        other = (i if var == j else j) - 1
+        diagonals: dict[tuple[int, ...], dict[int, dict]] = {}
+        for diagonal, column in columns.items():
+            for budget, table in column.items():
+                key = list(diagonal)
+                if moved is not None:
+                    key[moved] += budget
+                key[other] -= budget + q
+                diagonals.setdefault(tuple(key), {})[budget] = table
+        columns, moved = {}, other
+        for diagonal, column in diagonals.items():
+            for _ in range(q):
+                run, summed = None, {}
+                for budget in range(max(column, default=-1), -1, -1):
+                    table = column.get(budget)
+                    if table:
+                        run = _added(run, table) if run else table
+                    if run:
+                        summed[budget] = run
+                column = summed
+            columns[diagonal] = column
+
+    groups: dict[tuple[int, ...], list[tuple[int, dict]]] = {}
+    for diagonal, column in columns.items():
+        for budget, table in column.items():
+            key = list(diagonal)
+            if moved is not None:
+                key[moved] += budget
+            groups.setdefault(tuple(key), []).append((budget, table))
     terms = []
-    for xpow, tables in sorted(groups.items()):
-        joined = tables[0]
-        if len(tables) > 1:  # one table per power of a_var: no two share a key
+    for xpow, parts in sorted(groups.items()):
+        if len(parts) == 1:
+            ((s, joined),) = parts
+            if s:
+                exps = (0,) * slot + (s,) + (0,) * (nvars - var)
+                joined = (MultiPoly._trusted(nvars, joined) * MultiPoly._trusted(nvars, {exps: 1})).terms
+        else:  # one table per power of a_var: no two share a key
             joined = {}
-            for table in tables:
-                joined.update(table)
+            for s, table in parts:
+                for e, c in table.items():
+                    joined[e[:slot] + (s,) + e[var:]] = c
         terms.append(ResidueTerm(MultiPoly._trusted(nvars, joined), xpow))
-    return ResidueSum(nvars, tuple(passive), tuple(terms))
+    return ResidueSum(nvars, tuple(f for f in expr.diff if var not in f[0]), tuple(terms))
 
 
 def laurent_residue(series: Mapping[int, Fraction | int]) -> Fraction:

@@ -12,7 +12,12 @@ engine's step on T(c) is checked against both.  ``joint_split_residue_at_zero``
 is the step on T(c) as the package ran it before the factors through x_k
 were expanded one at a time: every joint split of the pole order over all
 of them, one accumulation per (term, split, entry), and the engine's output
-must equal it exactly, term order included.  ``residue_sum`` writes a sum
+must equal it exactly, term order included.  ``lazy_factor_residue_at_zero``
+is the step as it ran before each factor became q running-sum passes: a
+factor sent each state to one child per depth n with weight
+sign * C(q-1+n, n), and a state reached by one path carried its input
+table with an integer scalar until states merged; the engine's output must
+equal it exactly too.  ``residue_sum`` writes a sum
 of ``{xpow: coeff}`` terms over one set of difference factors in the step's
 output form.  ``reference_apply`` applies an operator pair by pair, one ``Fraction``
 product and one ``perm`` product per (operator term, polynomial term) pair,
@@ -260,6 +265,71 @@ def joint_split_residue_at_zero(expr, var):
             joined.update({tuple(map(add, e, shift)): c for e, c in acc.items() if c})
         if joined:
             terms.append(ResidueTerm(MultiPoly._trusted(nvars, joined), xpow))
+    return ResidueSum(nvars, tuple(passive), tuple(terms))
+
+
+def _collapsed(parts):
+    """One (table, scalar) for a state's parts: its only part as it is, or their sum with scalar 1."""
+    if len(parts) == 1:
+        return parts[0]
+    (table, scalar), *rest = parts
+    total = {e: c * scalar for e, c in table.items()}
+    for table, scalar in rest:
+        for e, c in table.items():
+            total[e] = total.get(e, 0) + c * scalar
+    return {e: c for e, c in total.items() if c}, 1
+
+
+def lazy_factor_residue_at_zero(expr, var):
+    """One residue step on T(c), one factor at a time, each state's parts kept lazily.
+
+    A state keys the powers of x with x_var's slot holding the budget still
+    to spread and holds its parts, each an input table and an integer
+    scalar.  A factor of order q sends a state to one child per depth n with
+    weight sign * C(q-1+n, n); the parts of a state are summed only when it
+    is expanded, and the budget left after the last factor is applied as one
+    product by a_var^s carrying the scalar.
+    """
+    nvars, slot = expr.nvars, var - 1
+    involved, passive = [], []
+    for (i, j), q in expr.diff:
+        if var in (i, j):
+            involved.append(((i if var == j else j) - 1, q, 1 if var == j else (-1) ** q))
+        else:
+            passive.append(((i, j), q))
+    states = {}
+    for term in expr.terms:
+        if term.xpow[slot] < 0:
+            key = term.xpow[:slot] + (-term.xpow[slot] - 1,) + term.xpow[var:]
+            states[key] = [(term.coeff.terms, 1)]
+    for other, q, sign in involved:
+        top = max((key[slot] for key in states), default=0)
+        weights = [sign * binomial_series_coeff(q, n) for n in range(top + 1)]
+        children = {}
+        for key, parts in states.items():
+            table, scalar = _collapsed(parts)
+            if not table:
+                continue
+            budget, child = key[slot], list(key)
+            for n in range(budget + 1):
+                child[other], child[slot] = key[other] - q - n, budget - n
+                children.setdefault(tuple(child), []).append((table, scalar * weights[n]))
+        states = children
+    groups = {}
+    for key, parts in states.items():
+        table, scalar = _collapsed(parts)
+        if not table:
+            continue
+        if key[slot] or scalar != 1:
+            exps = (0,) * slot + (key[slot],) + (0,) * (nvars - var)
+            table = (MultiPoly._trusted(nvars, table) * MultiPoly._trusted(nvars, {exps: scalar})).terms
+        groups.setdefault(key[:slot] + (0,) + key[var:], []).append(table)
+    terms = []
+    for xpow, tables in sorted(groups.items()):
+        joined = {}
+        for table in tables:
+            joined.update(table)
+        terms.append(ResidueTerm(MultiPoly._trusted(nvars, joined), xpow))
     return ResidueSum(nvars, tuple(passive), tuple(terms))
 
 
@@ -793,25 +863,108 @@ class TestResidueStepMatchesJointSplits:
             assert residue_at_zero(expr, var) == joint_split_residue_at_zero(expr, var)
 
 
+def assert_steps_match(reference, m, orders):
+    """Every step along each order equals ``reference``'s step on the same input.
+
+    ``ResidueSum`` compares its terms as a tuple, so their order is checked too.
+    """
+    for order in orders:
+        state = build_kernel(m)
+        for var in order:
+            expected = reference(state, var)
+            state = residue_at_zero(state, var)
+            assert state == expected, (m, order, var)
+
+
+class TestResidueStepMatchesLazyFactorStep:
+    """The running-sum passes equal the step with one child per depth, term order included."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_every_order_of_every_small_matrix(self, rank):
+        for m in every_matrix(rank, (1, 2, 3)):
+            assert_steps_match(lazy_factor_residue_at_zero, m, permutations(canonical_order(rank)))
+
+    @pytest.mark.parametrize("rank, entries", [(4, (1, 2, 3)), (5, (1, 2))])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_rank_four_and_five(self, rank, entries, seed):
+        rng = random.Random(2600 + 10 * rank + seed)
+        m = MultiplicityMatrix(rank, tuple(rng.choice(entries) for _ in range(rank * (rank + 1) // 2)))
+        orders = [canonical_order(rank), tuple(rng.sample(range(1, rank + 1), rank))]
+        assert_steps_match(lazy_factor_residue_at_zero, m, orders)
+
+    @given(residue_sums())
+    def test_hand_built_sums(self, drawn):
+        live, expr = drawn
+        for var in live:
+            assert residue_at_zero(expr, var) == lazy_factor_residue_at_zero(expr, var)
+
+
+class TestResidueFactorPasses:
+    """q passes of the geometric series give one factor's weights sign * C(q-1+n, n)."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("budget", range(7))
+    @pytest.mark.parametrize("var", [1, 2])
+    def test_one_factor_one_term(self, q, budget, var):
+        # x_var^-(budget+1) over (x1 - x2)^q: at x2 = 0 the factor is
+        # x1^-q (1 - x2/x1)^-q, at x1 = 0 it is (-1)^q x2^-q (1 - x1/x2)^-q
+        other, sign = (1, 1) if var == 2 else (2, (-1) ** q)
+        xpow = tuple(-budget - 1 if k == var else 0 for k in (1, 2))
+        expr = residue_sum(2, (((1, 2), q),), {xpow: integer_poly(2, {(0, 0): 1})})
+        expected = {}
+        for n in range(budget + 1):
+            power = tuple(-q - n if k == other else 0 for k in (1, 2))
+            exps = tuple(budget - n if k == var else 0 for k in (1, 2))
+            expected[power] = integer_poly(2, {exps: sign * math.comb(q - 1 + n, n)})
+        assert residue_at_zero(expr, var) == residue_sum(2, (), expected)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_terms_on_one_diagonal(self, q):
+        # c1 x1^-1 x2^-3 and c2 x1^-2 x2^-2 lie on one diagonal of x1's
+        # power and the budget at x2 = 0, so the output at x1^-(q+1+n)
+        # sums c1's depth-n part and c2's depth-(n-1) part
+        c1, c2 = {(0, 0): 5}, {(0, 0): -3}
+        expr = residue_sum(2, (((1, 2), q),), {(-1, -3): integer_poly(2, c1), (-2, -2): integer_poly(2, c2)})
+        expected = {}
+        for n in range(3):
+            total = {(0, 2 - n): 5 * math.comb(q - 1 + n, n)}
+            if n:
+                total[(0, 2 - n)] -= 3 * math.comb(q - 2 + n, n - 1)
+            expected[(-q - 1 - n, 0)] = integer_poly(2, total)
+        assert residue_at_zero(expr, 2) == residue_sum(2, (), expected)
+
+
+def assert_inputs_unchanged(m):
+    """Every sum along every order still equals its snapshot after later steps and the read-off."""
+    for order in permutations(canonical_order(m.rank)):
+        states = [build_kernel(m)]
+        for var in order:
+            states.append(residue_at_zero(states[-1], var))
+        snapshots = [snapshot(state) for state in states]
+        states[-1].polynomial()
+        for var in order:  # the same steps again, on the same inputs
+            residue_at_zero(states[order.index(var)], var)
+        assert [snapshot(state) for state in states] == snapshots, (m, order)
+
+
 class TestResidueStepLeavesItsInputsUnchanged:
     """A step shares its input tables with its output and never writes to one.
 
-    Every sum along every order is kept with a snapshot taken when it was
-    made; after the last step, and after the volume is read off, each still
-    equals its snapshot, so no later step wrote to a table it shared.
+    A table is shared down a whole diagonal of a pass, and an input table
+    can reach the output unchanged.  Every sum along every order is kept
+    with a snapshot taken when it was made; after the last step, and after
+    the volume is read off, each still equals its snapshot, so no later
+    step wrote to a table it shared.
     """
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_every_order_of_every_small_matrix(self, rank):
+        for m in every_matrix(rank, (1, 2, 3)):
+            assert_inputs_unchanged(m)
 
     @given(multiplicity_matrices(min_rank=1, max_rank=3, max_mult=3))
     def test_every_order_at_rank_up_to_three(self, m):
-        for order in permutations(canonical_order(m.rank)):
-            states = [build_kernel(m)]
-            for var in order:
-                states.append(residue_at_zero(states[-1], var))
-            snapshots = [snapshot(state) for state in states]
-            states[-1].polynomial()
-            for var in order:  # the same steps again, on the same inputs
-                residue_at_zero(states[order.index(var)], var)
-            assert [snapshot(state) for state in states] == snapshots, (m, order)
+        assert_inputs_unchanged(m)
 
     @given(residue_sums())
     @example(([1, 2], residue_sum(2, (((1, 2), 1),), {

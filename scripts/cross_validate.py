@@ -1,7 +1,13 @@
 """Sweep small multiplicity families and cross-check every computation route.
 
 For each matrix the script verifies, all exactly:
-  * the annihilating operators kill the residue volume,
+  * the annihilating operators kill the residue volume, both as the
+    polynomial ``annihilates`` converts to divided powers and as the
+    residue's own integer table T(v)_e = e! v_e (``volume_table``), which
+    ``check-pde`` reads,
+  * that table equals the divided-power table of the volume polynomial at
+    scale 1, so the conversion the residue makes into a polynomial and the
+    one ``annihilates`` makes back are checked against each other,
   * the operator kernel at the volume degree is the volume line and the
     kernel one degree higher is empty,
   * lifting the restricted volume reproduces the direct residue,
@@ -27,6 +33,8 @@ from flowvol import (
     lift_volume,
     solution_space,
 )
+from flowvol.diffop import _divided_powers, node_residuals
+from flowvol.residue import volume_table
 
 
 def family(max_rank, max_mult):
@@ -49,6 +57,12 @@ def kernel_problems(m, v):
 def check_matrix(m):
     v = iterated_residue(m)
     problems = [] if annihilates(m, v.poly) else ["annihilation"]
+    table = volume_table(m)
+    scale, entries = _divided_powers(v.poly)
+    if scale != 1 or dict(entries) != table:
+        problems.append("table")
+    if any(residual for _, residual in node_residuals(m, table)):
+        problems.append("table-annihilation")
     problems += kernel_problems(m, v)
     if lift_volume(iterated_residue(m.restriction()), m).poly != v.poly:
         problems.append("lift")

@@ -10,7 +10,7 @@ A problem is given as one string, e.g.
 form @path reads either format from a file.
 
 Exit codes: 0 success, 1 property violation (an exact identity failed, or
-a computed volume failed a check of ``VolumePolynomial``), 2 input error,
+a computed volume failed the volume check of ``residue``), 2 input error,
 141 (``EXIT_STDOUT_CLOSED``) when standard output is closed before the
 report is written in full.  A problem whose volume degree exceeds
 ``MAX_DEGREE``, or a ``kernel --degree`` or ``oracle-compare --dilations``
@@ -35,11 +35,13 @@ from .induction import lift_volume
 from .multiplicity import MultiplicityMatrix, root_pairs
 from .oracle import OffFitError, compare_volume
 from .polynomial import MultiPoly
-from .residue import _VolumeCheckError, canonical_order, iterated_residue, residue_in_order
+from .residue import (
+    _VolumeCheckError, canonical_order, divided_coefficient, iterated_residue, residue_in_order, volume_table,
+)
 
 
-# About twice the volume degree of the largest problem run so far (r=7, all
-# m=2: degree 49), so that far larger inputs fail at once instead of running
+# About 1.3 times the volume degree of the largest problem CI runs (r=7, all
+# m=3: degree 77), so that far larger inputs fail at once instead of running
 # for hours or exhausting memory.
 MAX_DEGREE = 100
 
@@ -269,7 +271,8 @@ def run_command(
 ) -> tuple[str, int]:
     """Execute one command; returns (report text, exit code).
 
-    A computed volume that fails a check of ``VolumePolynomial`` raises
+    A computed volume or volume table that fails the volume check of
+    ``residue`` (``VolumePolynomial`` or ``volume_table``) raises
     ``_VolumeCheckError``, which ``main`` reports as a property violation.
     """
     m = spec.matrix()
@@ -284,9 +287,8 @@ def run_command(
             a_text = ",".join(str(x) for x in spec.a)
             lines.append(f"value at a=({a_text}): {v.poly.evaluate(spec.a)}")
     elif command == "check-pde":
-        v = iterated_residue(m)
         failures = 0
-        for l, residual in node_residuals(m, v.poly):
+        for l, residual in node_residuals(m, volume_table(m)):
             if residual.is_zero:
                 lines.append(f"operator l={l}: annihilates v")
             else:
@@ -352,12 +354,11 @@ def run_command(
             if not report.matches:
                 code = 1
     elif command == "corner":
-        v = iterated_residue(m)
         exps = m.corner_exponents
         monomial = MultiPoly.monomial(exps).render()
-        actual = v.poly.coefficient(exps)
+        actual = divided_coefficient(volume_table(m), exps)
         lines.append(f"corner monomial {monomial}: expected {m.corner_value}, computed {actual}")
-        lines.append("corner coefficient matches")  # VolumePolynomial has checked it
+        lines.append("corner coefficient matches")  # volume_table has checked it
     else:
         raise SpecError(f"unknown command {command!r}")
 

@@ -21,11 +21,12 @@ no two terms of the expansion merge, and every coefficient is an integer.
 rank-induction operators of ``induction`` use it at node 1.
 
 To test a candidate, ``node_residuals`` never expands a node operator.  It
-writes the polynomial once in divided powers a^e/e!, as the integer table
-G(e) = S * e! * coeff_e, where S is the least positive integer that makes
-every entry an integer (``_divided_power_table``).  S = 1 for every volume:
-e! * coeff_e is the Kostant partition function value of Meszaros-Morales, an
-integer.  On divided powers every partial derivative is a shift:
+takes the polynomial in divided powers a^e/e!, as the integer table
+G(e) = S * e! * coeff_e.  A volume's table is the residue's own T(v), the
+Kostant partition function values of Meszaros-Morales, with S = 1
+(``residue.volume_table``); only a bare candidate is converted, with S the
+least positive integer that makes every entry an integer
+(``_divided_powers``).  Either is packed once (``_packed``).  On divided powers every partial derivative is a shift:
 d_i a^e = e_i a^(e-u_i) and e! = e_i (e-u_i)!, so d_i maps a^e/e! to
 a^(e-u_i)/(e-u_i)!, and to 0 when e_i = 0.  So for every node it applies
 d_l^m[l,r+1] as one filtered shift of the keys and each linear factor
@@ -141,7 +142,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .linalg import integer_nullspace
 from .multiplicity import MultiplicityMatrix
@@ -184,23 +185,26 @@ def _layout(nvars: int, top: int) -> tuple[range, list[int], int, int]:
     return shifts, places, guard, guard * sum(places)
 
 
-def _divided_power_table(
-    poly: MultiPoly, places: list[int], guards: int
-) -> tuple[int, dict[int, int]]:
-    """S and poly's integer divided-power table {guards + sum_i e_i * places[i]: S * e! * c_e}.
+def _divided_powers(poly: MultiPoly) -> tuple[int, Iterator[tuple[Exponents, int]]]:
+    """S and the entries (e, S * e! * c_e) of poly's integer divided-power table.
 
     S is the least positive integer that makes every S * e! * c_e an
     integer.  With c_e = p/q in lowest terms, e! * c_e has the denominator
     q / gcd(q, e!) in lowest terms, so S is the lcm of those; S * e! is then
     a multiple of q.  S = 1 on every volume and every lift image (module
-    docstring).
+    docstring).  The entries come one at a time, so that ``_packed`` can
+    key them without a second table.
     """
     facts = [prod(map(factorial, exps)) for exps in poly.terms]
     scale = lcm(*(c.denominator // gcd(c.denominator, f) for c, f in zip(poly.terms.values(), facts)))
-    return scale, {
-        guards + sum(map(mul, exps, places)): c.numerator * (scale * f // c.denominator)
-        for (exps, c), f in zip(poly.terms.items(), facts)
-    }
+    return scale, (
+        (exps, c.numerator * (scale * f // c.denominator)) for (exps, c), f in zip(poly.terms.items(), facts)
+    )
+
+
+def _packed(entries: Iterable[tuple[Exponents, int]], places: list[int], guards: int) -> dict[int, int]:
+    """The entries keyed on guarded fields: e goes to guards + sum_i e_i * places[i]."""
+    return {guards + sum(map(mul, exps, places)): c for exps, c in entries}
 
 
 @dataclass(frozen=True)
@@ -235,10 +239,11 @@ class DiffOperator:
         """Apply the operator to a polynomial, exactly, on packed divided powers.
 
         p is written once as its integer divided-power table G(e) = S * e! * c_e
-        (``_divided_power_table``), and the operator as integer weights
-        W_k = T * w_k, T the lcm of its denominators.  On divided powers d^k is
-        a pure shift: d^k a^e = perm(e, k) a^(e-k) and perm(e, k) = e!/(e-k)!,
-        so d^k maps a^e/e! to a^(e-k)/(e-k)! when e >= k and to 0 otherwise.
+        (``_divided_powers``), packed as it is read (``_packed``), and the
+        operator as integer weights W_k = T * w_k, T the lcm of its
+        denominators.  On divided powers d^k is a pure shift:
+        d^k a^e = perm(e, k) a^(e-k) and perm(e, k) = e!/(e-k)!, so d^k maps
+        a^e/e! to a^(e-k)/(e-k)! when e >= k and to 0 otherwise.
         So the image is sum_f (sum_k W_k G(f+k)) a^f / (S T f!): one integer
         multiply-add per (operator term, polynomial term) pair, and one
         ``from_divided_powers``, which drops the zero sums.  This is the
@@ -255,7 +260,8 @@ class DiffOperator:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {p.nvars}")
         top = max(map(max, p.terms), default=0)
         shifts, places, guard, guards = _layout(p.nvars, top)
-        scale, table = _divided_power_table(p, places, guards)
+        scale, entries = _divided_powers(p)
+        table = _packed(entries, places, guards)
         weights = lcm(*(w.denominator for w in self.poly.terms.values()))
         out: dict[int, int] = {}
         for dexps, w in self.poly.terms.items():
@@ -352,26 +358,29 @@ def _node_image(
     return image
 
 
-def node_residuals(m: MultiplicityMatrix, poly: MultiPoly) -> list[tuple[int, MultiPoly]]:
-    """Pairs (l, node-l operator applied to poly) for l = rank down to 1.
+def node_residuals(
+    m: MultiplicityMatrix, table: Mapping[Exponents, int], scale: int = 1
+) -> list[tuple[int, MultiPoly]]:
+    """Pairs (l, node-l operator applied to p) for l = rank down to 1.
 
-    poly is converted once to its integer divided-power table, keyed on the
-    guarded fields for its largest exponent or node order (module
-    docstring), where d_i subtracts the place value of field i from the keys
-    whose e_i is nonzero.  Each residual is unpacked with one shift and
-    mask per field and converted back by one ``from_divided_powers``, and
-    equals ``pde_system(m)``'s node-l operator applied to poly.  poly is
-    trusted to have m.rank variables: ``annihilates`` checks it, and
-    ``check-pde`` passes a volume of m.
+    ``table`` is the integer divided-power table {e: scale * e! * p_e} of
+    the polynomial p, as ``residue.volume_table`` returns it for a volume
+    (scale 1) and ``annihilates`` writes it for any candidate.  It is packed
+    once on the guarded fields for its largest exponent or node order
+    (module docstring), where d_i subtracts the place value of field i from
+    the keys whose e_i is nonzero.  Each residual is unpacked with one shift
+    and mask per field and divided back by scale * e! in one
+    ``from_divided_powers``, and equals ``pde_system(m)``'s node-l operator
+    applied to p.  The keys are trusted to have m.rank entries.
     """
     r = m.rank
-    shifts, places, guard, guards = _layout(r, max(max(map(max, poly.terms), default=0), *m.row_sums))
-    scale, table = _divided_power_table(poly, places, guards)
+    shifts, places, guard, guards = _layout(r, max(max(map(max, table), default=0), *m.row_sums))
+    packed = _packed(table.items(), places, guards)
     mask = 2 * guard - 1
     return [
         (l, from_divided_powers(r, {
             tuple((key >> s & mask) - guard for s in shifts): c
-            for key, c in _node_image(m, l, table, places, guard).items()
+            for key, c in _node_image(m, l, packed, places, guard).items()
         }, scale))
         for l in range(r, 0, -1)
     ]
@@ -382,10 +391,13 @@ def annihilates(m: MultiplicityMatrix, poly: MultiPoly) -> bool:
 
     poly is any polynomial in m.rank variables, such as a volume's ``.poly``
     or a deliberately wrong candidate; the variable count is checked here.
+    poly is converted once to its table by the least scale S
+    (``_divided_powers``) and handed to ``node_residuals``.
     """
     if poly.nvars != m.rank:
         raise ValueError(f"variable-count mismatch: {m.rank} vs {poly.nvars}")
-    return all(residual.is_zero for _, residual in node_residuals(m, poly))
+    scale, entries = _divided_powers(poly)
+    return all(residual.is_zero for _, residual in node_residuals(m, dict(entries), scale))
 
 
 def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:

@@ -144,10 +144,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self, degree: int) -> bool:
-        """True when every term has total degree ``degree`` (zero counts)."""
-        return all(sum(e) == degree for e in self.terms)
-
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 

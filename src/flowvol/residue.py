@@ -89,17 +89,20 @@ reached from the kernel is an integer table, and after the last step
 T(v)_e = e! v_e are the values of the Kostant partition function
 (Meszaros-Morales, Math. Z. 293, 2019, arXiv 1710.00701).
 ``ResidueSum.polynomial`` undoes the transform, with one division by e!
-per output coefficient.
+per output coefficient; ``volume_table`` returns T(v) itself, for the
+commands that need no polynomial, checked by the same rule as
+``VolumePolynomial`` (``_check_volume``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import factorial, prod
+from typing import Collection, Mapping, Sequence
 
 from .multiplicity import MultiplicityMatrix
-from .polynomial import MultiPoly, from_divided_powers
+from .polynomial import Exponents, MultiPoly, from_divided_powers
 
 
 @dataclass(frozen=True)
@@ -272,18 +275,39 @@ def canonical_order(rank: int) -> tuple[int, ...]:
     return tuple(range(rank, 0, -1))
 
 
-def residue_in_order(m: MultiplicityMatrix, order: Sequence[int]) -> MultiPoly:
-    """Iterated residue of the kernel, taking variables in the given order."""
+def _iterated_sum(m: MultiplicityMatrix, order: Sequence[int]) -> ResidueSum:
+    """The kernel with every variable integrated out, in the given order."""
     if sorted(order) != list(range(1, m.rank + 1)):
         raise ValueError(f"order {order} is not a permutation of 1..{m.rank}")
     state = build_kernel(m)
     for var in order:
         state = residue_at_zero(state, var)
-    return state.polynomial()
+    return state
+
+
+def residue_in_order(m: MultiplicityMatrix, order: Sequence[int]) -> MultiPoly:
+    """Iterated residue of the kernel, taking variables in the given order."""
+    return _iterated_sum(m, order).polynomial()
+
+
+def divided_coefficient(table: Mapping[Exponents, int], exps: Exponents) -> Fraction:
+    """The coefficient T(c)_e / e! of a^e in the polynomial c of a divided-power table."""
+    return Fraction(table.get(exps, 0), prod(map(factorial, exps)))
 
 
 class _VolumeCheckError(ValueError):
     """A computed polynomial that lacks a property every volume polynomial has."""
+
+
+def _check_volume(m: MultiplicityMatrix, exponents: Collection[Exponents], corner: Fraction) -> None:
+    """Raise ``_VolumeCheckError`` unless the terms are nonzero and of degree m.degree
+    and the corner coefficient is m.corner_value, checked in that order."""
+    if not exponents:
+        raise _VolumeCheckError("volume polynomial cannot be identically zero")
+    if set(map(sum, exponents)) != {m.degree}:
+        raise _VolumeCheckError(f"volume polynomial must be homogeneous of degree {m.degree}")
+    if corner != m.corner_value:
+        raise _VolumeCheckError(f"corner coefficient {corner} differs from expected {m.corner_value}")
 
 
 @dataclass(frozen=True)
@@ -301,17 +325,7 @@ class VolumePolynomial:
     def __post_init__(self) -> None:
         if self.poly.nvars != self.m.rank:
             raise ValueError("polynomial variable count does not match the rank")
-        if self.poly.is_zero:
-            raise _VolumeCheckError("volume polynomial cannot be identically zero")
-        if not self.poly.is_homogeneous(self.m.degree):
-            raise _VolumeCheckError(
-                f"volume polynomial must be homogeneous of degree {self.m.degree}"
-            )
-        corner = self.poly.coefficient(self.m.corner_exponents)
-        if corner != self.m.corner_value:
-            raise _VolumeCheckError(
-                f"corner coefficient {corner} differs from expected {self.m.corner_value}"
-            )
+        _check_volume(self.m, self.poly.terms, self.poly.coefficient(self.m.corner_exponents))
 
     def value_at(self, point: Sequence[Fraction | int]) -> Fraction:
         return self.poly.evaluate(point)
@@ -324,3 +338,16 @@ def iterated_residue(m: MultiplicityMatrix) -> VolumePolynomial:
     """Exact volume polynomial, via residues innermost-first in x_r, ..., x_1."""
     poly = residue_in_order(m, canonical_order(m.rank))
     return VolumePolynomial(m, poly)
+
+
+def volume_table(m: MultiplicityMatrix) -> dict[Exponents, int]:
+    """The volume's integer divided-power table T(v)_e = e! v_e, from the same residues.
+
+    The table is checked as ``VolumePolynomial`` checks v, on the table
+    itself: its keys are v's exponents, and the corner coefficient is
+    T(v)_o / o!.  No ``Fraction`` polynomial is built.
+    """
+    terms = _iterated_sum(m, canonical_order(m.rank)).terms
+    table = terms[0].coeff.terms if terms else {}
+    _check_volume(m, table, divided_coefficient(table, m.corner_exponents))
+    return table

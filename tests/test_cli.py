@@ -5,16 +5,20 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 import flowvol.cli
+import flowvol.diffop
 import flowvol.oracle
+import flowvol.polynomial
 import flowvol.residue
 from flowvol import MultiPoly, iterated_residue, pde_system
+from flowvol.diffop import _divided_powers
+from flowvol.residue import ResidueTerm
 from flowvol.cli import ProblemSpec, SpecError, parse_spec, render_spec, run_command
 from flowvol.cli import EXIT_STDOUT_CLOSED, MAX_DEGREE, MAX_POINT_BITS, MAX_SUPPLY, main
 
@@ -234,7 +238,10 @@ class TestCommands:
         """Inject the golden volume plus one monomial; the report the expanded operators give."""
         m = parse_spec(GOLDEN_TEXT).matrix()
         wrong = iterated_residue(m).poly + MultiPoly.monomial((m.degree - 1, 1, 0))
-        monkeypatch.setattr(flowvol.cli, "iterated_residue", lambda _: SimpleNamespace(poly=wrong))
+        scale, entries = _divided_powers(wrong)
+        assert scale == 1
+        table = dict(entries)
+        monkeypatch.setattr(flowvol.cli, "volume_table", lambda _: table)
         expected, failures = [], 0
         for l, op in pde_system(m).labeled():
             residual = op.apply(wrong)
@@ -332,13 +339,23 @@ class TestCommands:
     def test_failed_volume_check_is_a_violation_without_traceback(
         self, monkeypatch, capsys, command, extra, message
     ):
+        # the fault enters the residue's integrated sum, which both the
+        # polynomial and the table of the volume are read from
         spec = "r=2; m[1,2]=2; m[1,3]=1; m[2,3]=1; a=(2,1)"
-        exact = flowvol.residue.residue_in_order
+        exact = flowvol.residue._iterated_sum
         target = parse_spec(spec).matrix()
-        monkeypatch.setattr(
-            flowvol.residue, "residue_in_order",
-            lambda m, order: exact(m, order) + (extra(m) if m == target else MultiPoly.zero(m.rank)),
-        )
+
+        def faulty(m, order):
+            state = exact(m, order)
+            if m != target:
+                return state
+            (term,) = state.terms
+            scale, entries = _divided_powers(extra(m))
+            assert scale == 1
+            coeff = term.coeff + MultiPoly._trusted(m.rank, dict(entries))
+            return replace(state, terms=(ResidueTerm(coeff, term.xpow),))
+
+        monkeypatch.setattr(flowvol.residue, "_iterated_sum", faulty)
         assert main([command, spec]) == 1
         captured = capsys.readouterr()
         assert captured.out == f"property violation: {message}\n"
@@ -348,9 +365,32 @@ class TestCommands:
         def fail(m, order):
             raise ValueError("a fault in the residue code")
 
-        monkeypatch.setattr(flowvol.residue, "residue_in_order", fail)
+        monkeypatch.setattr(flowvol.residue, "_iterated_sum", fail)
         with pytest.raises(ValueError, match="a fault in the residue code"):
             main(["corner", "r=1; m[1,2]=2"])
+
+    @pytest.mark.parametrize("command", ["check-pde", "corner"])
+    def test_check_pde_and_corner_build_no_fraction_polynomial(self, monkeypatch, command):
+        # both read the residue's integer table; a volume whose residuals are
+        # all zero leaves from_divided_powers no entry to turn into a Fraction
+        def refuse(self):
+            raise RuntimeError("a Fraction polynomial of the volume was built")
+
+        entries = []
+        exact = flowvol.polynomial.from_divided_powers
+
+        def recording(nvars, table, scale):
+            entries.extend(table)
+            return exact(nvars, table, scale)
+
+        monkeypatch.setattr(flowvol.residue.ResidueSum, "polynomial", refuse)
+        for module in (flowvol.polynomial, flowvol.residue, flowvol.diffop):
+            monkeypatch.setattr(module, "from_divided_powers", recording)
+        text, code = run_command(parse_spec(GOLDEN_TEXT), command)
+        assert code == 0
+        assert entries == []
+        with pytest.raises(RuntimeError, match="Fraction polynomial"):
+            run_command(parse_spec(GOLDEN_TEXT), "volume")
 
     def test_corner(self):
         text, code = run_command(parse_spec(GOLDEN_TEXT), "corner")

@@ -80,10 +80,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import flowvol.diffop
+import flowvol.residue
 from flowvol import (
     MultiPoly,
     MultiplicityMatrix,
     VolumePolynomial,
+    annihilates,
     canonical_order,
     iterated_residue,
     lift_volume,
@@ -93,11 +95,13 @@ from flowvol import (
     residue_in_order,
     solution_space,
 )
-from flowvol.diffop import DiffOperator, _divided_power_table, _layout, _node_image, node_residuals
+from flowvol.diffop import DiffOperator, _divided_powers, _layout, _node_image, _packed, node_residuals
 from flowvol.linalg import integer_nullspace
 from flowvol.oracle import count_lattice_points
 from flowvol.polynomial import binomial_series_coeff, from_divided_powers, homogeneous_monomials
-from flowvol.residue import ResidueSum, ResidueTerm, build_kernel, residue_at_zero
+from flowvol.residue import (
+    ResidueSum, ResidueTerm, _VolumeCheckError, build_kernel, residue_at_zero, volume_table,
+)
 
 from conftest import (
     grlex_key,
@@ -1461,13 +1465,20 @@ class TestNodeImageOnTaggedColumns:
             assert _node_image(m, l, tagged, places, guard) == union, (m, degree, l)
 
 
+def divided_table(poly):
+    """poly's least scale S and its table {e: S * e! * c_e}, from ``_divided_powers``."""
+    scale, entries = _divided_powers(poly)
+    return scale, dict(entries)
+
+
 def divided_power_round_trip(poly, top=0):
     """poly's scale and table on the guarded fields for its largest exponent and ``top``,
     after checking that ``from_divided_powers`` turns the table back into poly."""
     shifts, places, guard, guards = _layout(poly.nvars, max(max(map(max, poly.terms), default=0), top))
-    scale, table = _divided_power_table(poly, places, guards)
+    scale, entries = divided_table(poly)
+    table = _packed(entries.items(), places, guards)
     mask = 2 * guard - 1
-    entries = {tuple((key >> s & mask) - guard for s in shifts): g for key, g in table.items()}
+    assert {tuple((key >> s & mask) - guard for s in shifts): g for key, g in table.items()} == entries, poly
     assert from_divided_powers(poly.nvars, entries, scale) == poly, poly
     for exps, g in entries.items():
         assert g == scale * factorials(exps) * poly.terms[exps], (poly, exps)
@@ -1475,7 +1486,7 @@ def divided_power_round_trip(poly, top=0):
 
 
 class TestDividedPowerTable:
-    """``_divided_power_table`` and ``from_divided_powers``: one conversion each way."""
+    """``_divided_powers`` with ``_packed``, and ``from_divided_powers``: one conversion each way."""
 
     @given(st.integers(1, 3).flatmap(lambda n: multipolys(nvars=n, max_terms=6, max_exp=6)), st.integers(0, 9))
     def test_from_divided_powers_inverts_the_table(self, poly, top):
@@ -1660,9 +1671,15 @@ class TestOperatorsMatchReference:
         operator_families_match_reference(MultiplicityMatrix(rank, mult))
 
 
+def poly_node_residuals(m, poly):
+    """``node_residuals`` on poly's table at its least scale, as ``annihilates`` hands it over."""
+    scale, table = divided_table(poly)
+    return node_residuals(m, table, scale)
+
+
 def failing_nodes(m, poly):
     """Check ``node_residuals`` against the expanded operators and the partials; count the nonzero residuals."""
-    fast = dict(node_residuals(m, poly))
+    fast = dict(poly_node_residuals(m, poly))
     assert list(fast) == list(range(m.rank, 0, -1))
     assert fast == reference_node_residuals(m, poly), (m, poly)
     for l, residual in fast.items():
@@ -1747,11 +1764,131 @@ class TestDividedPowerResidualMatchesPartials:
         a1, a2, a3 = (MultiPoly.variable(i, 3) for i in (1, 2, 3))
         killed = (a1 + a2) ** power * Fraction(1, 7)
         assert not partial(partial(killed, 1), 1).is_zero
-        assert dict(node_residuals(m, killed))[1].is_zero
+        assert dict(poly_node_residuals(m, killed))[1].is_zero
         failing_nodes(m, killed)
         survivor = a1 ** (power + 2) + a3
-        assert not dict(node_residuals(m, survivor))[1].is_zero
+        assert not dict(poly_node_residuals(m, survivor))[1].is_zero
         failing_nodes(m, survivor)
+
+
+def polynomial_route_node_residuals(m, poly):
+    """[(l, residual)] as ``check-pde`` took them from a polynomial before it read the
+    residue's table: its own guarded fields, the least scale S and one packing pass
+    straight from the ``Fraction`` coefficients."""
+    r = m.rank
+    width = max(max(map(max, poly.terms), default=0), *m.row_sums).bit_length() + 1
+    shifts = range(width * (r - 1), -1, -width)
+    places = [1 << s for s in shifts]
+    guard = 1 << (width - 1)
+    guards = guard * sum(places)
+    scale = math.lcm(*(
+        c.denominator // math.gcd(c.denominator, factorials(e)) for e, c in poly.terms.items()
+    ))
+    table = {
+        guards + sum(map(mul, e, places)): c.numerator * (scale * factorials(e) // c.denominator)
+        for e, c in poly.terms.items()
+    }
+    mask = 2 * guard - 1
+    return [
+        (l, from_divided_powers(r, {
+            tuple((key >> s & mask) - guard for s in shifts): c
+            for key, c in _node_image(m, l, table, places, guard).items()
+        }, scale))
+        for l in range(r, 0, -1)
+    ]
+
+
+def rendered(residuals):
+    return [(l, residual.render()) for l, residual in residuals]
+
+
+def assert_table_route_matches(m, rng, monkeypatch):
+    """``volume_table`` against the divided powers of the volume polynomial, and
+    ``node_residuals`` on tables against the polynomial route, on the volume and
+    on two wrong candidates: the volume plus one monomial, and, through
+    ``annihilates``, the volume plus a monomial over a prime above the degree,
+    whose scale S is that prime."""
+    volume = iterated_residue(m).poly
+    table = volume_table(m)
+    assert table == {e: c * factorials(e) for e, c in volume.terms.items()}, m
+    assert all(type(c) is int for c in table.values()), m
+    assert all(residual.is_zero for _, residual in node_residuals(m, table)), m
+    assert rendered(node_residuals(m, table)) == rendered(polynomial_route_node_residuals(m, volume))
+
+    exps = rng.choice(homogeneous_monomials(m.rank, m.degree))
+    wrong = dict(table)
+    wrong[exps] = wrong.get(exps, 0) + factorials(exps)
+    wrong = {e: c for e, c in wrong.items() if c}
+    expected = polynomial_route_node_residuals(m, volume + MultiPoly.monomial(exps))
+    assert rendered(node_residuals(m, wrong)) == rendered(expected), (m, exps)
+
+    odd = volume + MultiPoly.monomial(exps, Fraction(1, 101))
+    seen = []
+    exact = flowvol.diffop.node_residuals
+
+    def recording(m, table, scale=1):
+        seen.append((scale, exact(m, table, scale)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(flowvol.diffop, "node_residuals", recording)
+    expected = polynomial_route_node_residuals(m, odd)
+    assert annihilates(m, odd) == all(residual.is_zero for _, residual in expected)
+    monkeypatch.undo()
+    ((scale, residuals),) = seen
+    assert scale == 101, (m, exps)
+    assert rendered(residuals) == rendered(expected), (m, exps)
+
+
+class TestResidueTableMatchesPolynomialRoute:
+    """``check-pde``'s table route against the polynomial it no longer builds."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_every_small_matrix(self, rank, monkeypatch):
+        rng = random.Random(2700 + rank)
+        for m in every_matrix(rank, (1, 2, 3)):
+            assert_table_route_matches(m, rng, monkeypatch)
+
+    @pytest.mark.parametrize("rank, entries", [(4, (1, 2, 3)), (5, (1, 2))])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_rank_four_and_five(self, rank, entries, seed, monkeypatch):
+        rng = random.Random(2710 + 10 * rank + seed)
+        m = MultiplicityMatrix(rank, tuple(rng.choice(entries) for _ in range(rank * (rank + 1) // 2)))
+        assert_table_route_matches(m, rng, monkeypatch)
+
+
+def volume_check_message(check):
+    with pytest.raises(_VolumeCheckError) as caught:
+        check()
+    return str(caught.value)
+
+
+class TestResidueTableCheck:
+    """The table is refused exactly where ``VolumePolynomial`` refuses its polynomial."""
+
+    @pytest.mark.parametrize("fault, message", [
+        ("zero", "volume polynomial cannot be identically zero"),
+        ("degree", "volume polynomial must be homogeneous of degree 6"),
+        ("corner", "corner coefficient 1/6 differs from expected 1/12"),
+        ("no corner", "corner coefficient 0 differs from expected 1/12"),
+        ("corner and degree", "volume polynomial must be homogeneous of degree 6"),
+    ])
+    def test_same_message_as_the_polynomial_check(self, fault, message, monkeypatch):
+        m = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 2))
+        table = dict(volume_table(m))
+        corner = m.corner_exponents
+        if fault == "zero":
+            table = {}
+        if "degree" in fault:
+            table[(0, 0, 0)] = 1
+        if fault.startswith("corner"):
+            table[corner] *= 2
+        if fault == "no corner":
+            del table[corner]
+        poly = from_divided_powers(3, table, 1)
+        assert volume_check_message(lambda: VolumePolynomial(m, poly)) == message
+        terms = (ResidueTerm(MultiPoly._trusted(3, table), (0, 0, 0)),) if table else ()
+        monkeypatch.setattr(flowvol.residue, "_iterated_sum", lambda m, order: ResidueSum(3, (), terms))
+        assert volume_check_message(lambda: volume_table(m)) == message
 
 
 class TestFoldedLatticeCountMatchesReference:

@@ -189,7 +189,9 @@ def _parse_plain(text: str) -> ProblemSpec:
 def _parse_json(text: str) -> ProblemSpec:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, or an integer past the limit on digits;
+        # RecursionError: arrays or objects nested past the recursion limit.
         raise SpecError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SpecError("JSON spec must be an object")

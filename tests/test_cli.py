@@ -550,9 +550,16 @@ class TestMainEntry:
         assert result.stderr.startswith("error: cannot read spec file:")
         assert "Traceback" not in result.stderr
 
-    def test_boolean_json_exits_2_without_traceback(self):
+    @pytest.mark.parametrize("spec", [
+        '{"r": true, "m": [[1, 2, true]]}',
+        '{"r": 1%s}' % ("0" * 4300),  # past the interpreter's limit on integer digits
+        '{"r": %s%s}' % ("[" * 100_000, "]" * 100_000),  # past the recursion limit
+    ], ids=["booleans", "4301-digit-rank", "nested-100000-deep"])
+    def test_bad_json_exits_2_without_traceback(self, spec, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(spec, encoding="utf-8")  # one argument holds at most 128 KiB
         result = subprocess.run(
-            [sys.executable, "-m", "flowvol", "volume", '{"r": true, "m": [[1, 2, true]]}'],
+            [sys.executable, "-m", "flowvol", "volume", f"@{path}"],
             capture_output=True,
             text=True,
         )

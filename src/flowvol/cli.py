@@ -94,6 +94,10 @@ class ProblemSpec:
 # ASCII, and an integer is an optional sign and the digits 0-9.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _PAIR_KEY = re.compile(r"m\[([0-9]+),([0-9]+)\]")
+# An entry of a is what Fraction(text) reads with no digit separator and no
+# exponent: optional whitespace at either end, an optional sign, and digits
+# with an optional /digits or .digits, at least one digit before any "/".
+_RATIONAL = re.compile(r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?\s*")
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -106,14 +110,28 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def _parse_rational(text: str) -> Fraction:
-    if not text.isascii() or "_" in text:
+    """An entry of a: the value Fraction(text) gives, on the strings ``_RATIONAL`` accepts.
+
+    Each run of digits goes through int() on its own, as in Fraction, so a
+    run past the interpreter's limit on digits is malformed in both.  The
+    grammar's whitespace class would also match non-ASCII spaces, so only
+    ASCII text is tried.  An exponent, which Fraction would expand
+    (1e10000000) before any size check, has a message of its own, unless
+    the text is also non-ASCII or has a digit separator.
+    """
+    match = _RATIONAL.fullmatch(text) if text.isascii() else None
+    if not match:
+        if text.isascii() and "_" not in text and re.search(r"[eE][-+]?[0-9]", text):
+            raise SpecError(f"exponent notation is not accepted, got {text!r}")
         raise SpecError(f"malformed rational {text!r}")
-    # Fraction would expand an exponent such as 1e10000000 before any size check.
-    if re.search(r"[eE][-+]?[0-9]", text):
-        raise SpecError(f"exponent notation is not accepted, got {text!r}")
+    sign, digits, denominator, decimals = match.groups()
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        numerator, scale = int(digits or 0), int(denominator or 1)
+        if decimals:
+            scale = 10 ** len(decimals)
+            numerator = numerator * scale + int(decimals)
+        return Fraction(-numerator if sign == "-" else numerator, scale)
+    except (ValueError, ZeroDivisionError) as exc:  # a run past the limit on digits, or p/0
         raise SpecError(f"malformed rational {text!r}") from exc
 
 
@@ -129,33 +147,32 @@ def _build(rank: int | None, entries: dict[tuple[int, int], int],
     if least > MAX_DEGREE:
         raise SpecError(f"rank {rank} has volume degree at least {least}, above the ceiling {MAX_DEGREE}")
     pairs = root_pairs(rank)
-    for pair in entries:
-        if pair not in pairs:
-            raise SpecError(f"pair m[{pair[0]},{pair[1]}] out of range for rank {rank}")
-    missing = [p for p in pairs if p not in entries]
-    if missing:
-        listed = ", ".join(f"m[{i},{j}]" for i, j in missing)
+    if not entries.keys() <= set(pairs):
+        i, j = next(pair for pair in entries if pair not in pairs)
+        raise SpecError(f"pair m[{i},{j}] out of range for rank {rank}")
+    if len(entries) < len(pairs):  # every entry is one of the pairs, so some pair is missing
+        listed = ", ".join(f"m[{i},{j}]" for i, j in pairs if (i, j) not in entries)
         raise SpecError(f"missing multiplicity entries: {listed}")
-    for (i, j), value in entries.items():
-        if value < 1:
-            raise SpecError(f"multiplicity m[{i},{j}] must be positive, got {value}")
+    if min(entries.values()) < 1:
+        (i, j), value = next(item for item in entries.items() if item[1] < 1)
+        raise SpecError(f"multiplicity m[{i},{j}] must be positive, got {value}")
     degree = sum(entries.values()) - rank
     if degree > MAX_DEGREE:
         raise SpecError(f"volume degree {degree} is above the ceiling {MAX_DEGREE}")
     if a is not None:
         if len(a) != rank:
             raise SpecError(f"a has {len(a)} entries, expected {rank}")
-        bits = max(n.bit_length() for x in a for n in (x.numerator, x.denominator))
+        bits = max(abs(x.numerator) | x.denominator for x in a).bit_length()
         if rank * max(degree, 1) * bits > MAX_POINT_BITS:
             raise SpecError(
                 f"evaluation point of {bits}-bit entries at rank {rank} and degree {degree} "
                 f"is above the ceiling rank * max(degree, 1) * bits <= {MAX_POINT_BITS}"
             )
-    return ProblemSpec(rank, tuple(entries[p] for p in pairs), a)
+    return ProblemSpec(rank, tuple(map(entries.__getitem__, pairs)), a)
 
 
 def _parse_plain(text: str) -> ProblemSpec:
-    compact = re.sub(r"\s+", "", text)
+    compact = "".join(text.split())  # str.split() splits on exactly the characters \s matches
     rank: int | None = None
     entries: dict[tuple[int, int], int] = {}
     a: tuple[Fraction, ...] | None = None
@@ -174,12 +191,12 @@ def _parse_plain(text: str) -> ProblemSpec:
                 raise SpecError("duplicate a entry")
             if not (value.startswith("(") and value.endswith(")")):
                 raise SpecError("a must be a parenthesized tuple, e.g. a=(1,2/3)")
-            a = tuple(_parse_rational(x) for x in value[1:-1].split(","))
+            a = tuple(map(_parse_rational, value[1:-1].split(",")))
         else:
             match = _PAIR_KEY.fullmatch(key)
             if not match:
                 raise SpecError(f"unknown entry key {key!r}")
-            pair = (int(match.group(1)), int(match.group(2)))
+            pair = (int(match[1]), int(match[2]))
             if pair in entries:
                 raise SpecError(f"duplicate entry m[{pair[0]},{pair[1]}]")
             entries[pair] = _parse_int(value, "multiplicity")

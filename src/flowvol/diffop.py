@@ -162,7 +162,7 @@ def _node_terms(
     r = m.rank
     if l == r:  # the empty product is 1
         return {(0,) * r: 1} if q == 0 else {}
-    rows = [[weight(m.multiplicity(l, j), p) for p in range(q + 1)] for j in range(l + 1, r + 1)]
+    rows = [[weight(mult, p) for p in range(q + 1)] for mult in m.rows[l - 1][:-1]]
     terms = {}
     for powers in homogeneous_monomials(r - l, q):
         coeff = prod(map(list.__getitem__, rows, powers))
@@ -347,14 +347,13 @@ def _node_image(
     d_l^m[l,r+1] is one shift, kept where field l keeps its guard bit, then
     each factor d_l - d_j, m[l,j] times, is ``_shift_difference``.
     """
-    r = m.rank
-    u = places[l - 1]
-    top, guard_l = m.multiplicity(l, r + 1) * u, guard * u
+    row, u = m.rows[l - 1], places[l - 1]
+    top, guard_l = row[-1] * u, guard * u
     image = {down: c for key, c in table.items() if (down := key - top) & guard_l}
-    for j in range(l + 1, r + 1):
-        for _ in range(m.multiplicity(l, j)):
+    for v, q in zip(places[l:], row):  # m[l,j] for j = l+1..r
+        for _ in range(q):
             if image:
-                image = _shift_difference(image, u, places[j - 1], guard)
+                image = _shift_difference(image, u, v, guard)
     return image
 
 
@@ -415,10 +414,13 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     module docstring show that this matrix has the same null space, after
     x_e = y_e / e!, and the same basis up to the scale of each vector, which
     the normalization removes.  Each null vector y, rational as
-    ``integer_nullspace`` returns it, is scaled before its one
-    ``from_divided_powers``: at the volume degree to y_o = 1, so that the
-    corner coefficient is the expected 1/o!, and otherwise so that x is
-    monic in its graded-lex leading term, the first column y holds.
+    ``integer_nullspace`` returns it, is scaled to integers Y by the lcm of
+    its denominators, and its one ``from_divided_powers`` divides by the
+    normalizing entry through ``scale``, so the only ``Fraction`` made is
+    one per output term: at the volume degree Y_e / (Y_o e!), so that
+    y_o = 1 and the corner coefficient is the expected 1/o!, and otherwise
+    Y_e f! / (Y_f e!), so that x is monic in its graded-lex leading term
+    f, the first column y holds.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -438,11 +440,12 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     corner = m.corner_exponents  # a staircase column at the volume degree
     basis = []
     for vector in integer_nullspace(list(rows.values()), len(columns)):
-        y = dict(zip(columns, vector))
-        if degree == m.degree and y[corner]:
-            factor = 1 / y[corner]  # y_o = 1, so x_o = 1/o!
+        common = lcm(*(v.denominator for v in vector))
+        y = {exps: v.numerator * (common // v.denominator) for exps, v in zip(columns, vector) if v}
+        if degree == m.degree and corner in y:
+            basis.append(from_divided_powers(r, y, y[corner]))  # y_o = 1, so x_o = 1/o!
         else:
-            lead = next(exps for exps in columns if y[exps])
-            factor = prod(map(factorial, lead)) / y[lead]  # x_lead = 1
-        basis.append(from_divided_powers(r, {exps: v * factor for exps, v in y.items()}, 1))
+            lead = next(iter(y))  # the first column y holds
+            weight = prod(map(factorial, lead))
+            basis.append(from_divided_powers(r, {exps: v * weight for exps, v in y.items()}, y[lead]))  # x_lead = 1
     return basis

@@ -4,9 +4,11 @@ A rank-r problem assigns a positive integer m[i,j] to every root e_i - e_j,
 1 <= i < j <= r+1.  Entries are stored flat in lexicographic pair order
 (1,2), (1,3), ..., (1,r+1), (2,3), ..., (r,r+1), which matches the tuple
 notation used throughout the tests, e.g. rank 3 with m=(1,1,2,1,2,2).
-Row l is the consecutive run m[l,l+1], ..., m[l,r+1]; each matrix keeps its
-rows and their sums, built once when it is made and left out of equality,
-hashing and repr.
+Row l is the consecutive run m[l,l+1], ..., m[l,r+1].  A matrix is checked
+once, when it is made, and then keeps its rows, their sums, the volume
+degree and the corner exponents, so that no later read checks or derives
+them again; the corner value is derived where it is read.  None of them
+takes part in equality, hashing or repr.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 
 def root_pairs(rank: int) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j <= rank+1, in lexicographic order."""
-    return [(i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 2)]
+    return list(combinations(range(1, rank + 2), 2))
 
 
 @dataclass(frozen=True)
@@ -27,36 +30,46 @@ class MultiplicityMatrix:
 
     rank: int
     mult: tuple[int, ...]
-    _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # derived, each left out of equality, hashing and repr:
+    # rows[l - 1] is row l, m[l,l+1], ..., m[l,r+1]; row_sums[l - 1] its sum
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     row_sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the volume polynomial's degree, total multiplicity minus rank
+    degree: int = field(init=False, repr=False, compare=False)
+    # exponents of the distinguished monomial: row_sum(l) - 1 per variable
+    corner_exponents: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        rank = self.rank
         # type() rather than isinstance(), so that booleans are rejected.
-        if type(self.rank) is not int:
-            raise ValueError(f"rank must be an integer, got {self.rank!r}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        expected = self.rank * (self.rank + 1) // 2
-        object.__setattr__(self, "mult", tuple(self.mult))
-        if len(self.mult) != expected:
-            raise ValueError(
-                f"rank {self.rank} needs {expected} multiplicities, got {len(self.mult)}"
+        if type(rank) is not int:
+            raise ValueError(f"rank must be an integer, got {rank!r}")
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        expected, mult = rank * (rank + 1) // 2, tuple(self.mult)
+        if len(mult) != expected:
+            raise ValueError(f"rank {rank} needs {expected} multiplicities, got {len(mult)}")
+        if set(map(type, mult)) != {int} or min(mult) < 1:
+            (i, j), _ = next(
+                item for item in zip(root_pairs(rank), mult) if type(item[1]) is not int or item[1] < 1
             )
-        for (i, j), value in zip(root_pairs(self.rank), self.mult):
-            if type(value) is not int or value < 1:
-                raise ValueError(f"multiplicity m[{i},{j}] must be a positive integer")
-        rows, rest = [], self.mult
-        for length in range(self.rank, 0, -1):
-            rows.append(rest[:length])
-            rest = rest[length:]
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "row_sums", tuple(map(sum, rows)))
+            raise ValueError(f"multiplicity m[{i},{j}] must be a positive integer")
+        rows, start = [], 0
+        for length in range(rank, 0, -1):
+            rows.append(mult[start:start + length])
+            start += length
+        row_sums = tuple(map(sum, rows))
+        # frozen: the fields set here go straight into the instance dict
+        vars(self).update(
+            mult=mult, rows=tuple(rows), row_sums=row_sums,
+            degree=sum(row_sums) - rank, corner_exponents=tuple(s - 1 for s in row_sums),
+        )
 
     def multiplicity(self, i: int, j: int) -> int:
         """m[i,j] for 1 <= i < j <= rank+1."""
         if not 1 <= i < j <= self.rank + 1:
             raise ValueError(f"pair ({i},{j}) out of range for rank {self.rank}")
-        return self._rows[i - 1][j - i - 1]
+        return self.rows[i - 1][j - i - 1]
 
     # -- derived constants -------------------------------------------------
 
@@ -72,14 +85,9 @@ class MultiplicityMatrix:
         return self.row_sums[l - 1]
 
     @property
-    def degree(self) -> int:
-        """Degree of the volume polynomial: total multiplicity minus rank."""
-        return self.total - self.rank
-
-    @property
     def restriction_degree(self) -> int:
         """Volume degree of the problem restricted to nodes 2..rank+1."""
-        return self.total - self.row_sum(1) - (self.rank - 1)
+        return self.degree - self.row_sums[0] + 1
 
     def restriction(self) -> "MultiplicityMatrix":
         """Drop node 1: the rank-(r-1) matrix m'[i,j] = m[i+1,j+1].
@@ -92,11 +100,6 @@ class MultiplicityMatrix:
         return MultiplicityMatrix(self.rank - 1, self.mult[self.rank:])
 
     # -- corner data -------------------------------------------------------
-
-    @property
-    def corner_exponents(self) -> tuple[int, ...]:
-        """Exponents of the distinguished monomial: row_sum(l) - 1 per variable."""
-        return tuple(s - 1 for s in self.row_sums)
 
     @property
     def corner_value(self) -> Fraction:

@@ -130,18 +130,18 @@ def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
 
     def forced(i: int) -> list[int]:
         """C(x + mu - 1, mu - 1) for the forced root (i, r+1), for every x node i can hold."""
-        mu = m.multiplicity(i, r + 1)
+        mu = m.rows[i - 1][-1]
         return [math.comb(x + mu - 1, mu - 1) for x in range(sum(point[:i]) + 1)]
 
     states = {point[1:]: [0] * point[0] + [1]}
-    for i in range(1, r):
-        for j in range(i + 1, r):
-            states = dict(move(states, j - i - 1, m.multiplicity(i, j)))
+    for i, row in enumerate(m.rows[:-1], 1):
+        for k, copies in enumerate(row[:-2]):  # roots (i, j) for j = i+1..r-1
+            states = dict(move(states, k, copies))
         # root (i, r), then node i drains over (i, r+1): each moved list is
         # contracted at once, and the total lands at node i+1's supply
         weight = forced(i)
         next_states: dict[tuple[int, ...], list[int]] = {}
-        for key, ways in move(states, r - i - 1, m.multiplicity(i, r)):
+        for key, ways in move(states, r - i - 1, row[-2]):
             if key[0] < 0:
                 continue
             column = next_states.setdefault(key[1:], [])

@@ -347,9 +347,13 @@ def from_divided_powers(nvars: int, entries: Mapping[Exponents, Scalar], scale: 
     rational coordinates of a kernel vector.  ``scale`` is a nonzero
     integer.  The vectors are trusted as ``MultiPoly._trusted`` trusts its
     keys.  Zero values are dropped, and every other value makes one
-    ``Fraction``, with e! read from one table of factorials.
+    ``Fraction``, with e! read from one table of factorials; an empty
+    table, such as the residual of an operator that annihilates its
+    polynomial, builds no factorials.
     """
-    top = max(map(max, entries), default=0)
+    if not entries:
+        return MultiPoly._trusted(nvars, {})
+    top = max(map(max, entries))
     factorial = list(accumulate(range(1, top + 1), mul, initial=1))
     return MultiPoly._trusted(nvars, {
         exps: Fraction(value, scale * math.prod(map(factorial.__getitem__, exps)))

@@ -148,16 +148,12 @@ class ResidueSum:
 def build_kernel(m: MultiplicityMatrix) -> ResidueSum:
     """The kernel as a one-term sum, every variable live and carrying its exponential.
 
-    Pole order m[i,r+1] at x_i = 0 and m[i,j] on x_i - x_j, coefficient
-    T(1) = 1.
+    Pole order m[i,r+1] at x_i = 0 and m[i,j] on x_i - x_j, read from
+    the matrix's rows, coefficient T(1) = 1.
     """
     r = m.rank
-    xpow = tuple(-m.multiplicity(i, r + 1) for i in range(1, r + 1))
-    diff = tuple(
-        ((i, j), m.multiplicity(i, j))
-        for i in range(1, r)
-        for j in range(i + 1, r + 1)
-    )
+    xpow = tuple(-row[-1] for row in m.rows)
+    diff = tuple(((i, j), q) for i, row in enumerate(m.rows, 1) for j, q in enumerate(row[:-1], i + 1))
     return ResidueSum(r, diff, (ResidueTerm(MultiPoly._trusted(r, {(0,) * r: 1}), xpow),))
 
 
@@ -179,7 +175,9 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
     """Residue at x_var = 0, treating the other live variables as generic.
 
     x_var is trusted to be live: ``residue_in_order`` takes each variable
-    once.  Every factor of every term is expandable around x_var = 0 by
+    once.  The difference factors are split once into those through x_var,
+    which the step expands, and the passive ones, which it passes on.
+    Every factor of every term is expandable around x_var = 0 by
     construction.  Every coefficient is trusted to be an integer table T(c)
     with no a_var, as every sum reached from the kernel is.  A state keys
     the powers of x with x_var's slot holding the budget p - 1 still to
@@ -197,20 +195,21 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
     them, with no zero entry.
     """
     nvars, slot = expr.nvars, var - 1
+    through, passive = [], []  # the factors through x_var, and the others
+    for factor in expr.diff:
+        (through if var in factor[0] else passive).append(factor)
     # diagonal -> budget -> table.  A diagonal is the powers of x with 0 in
     # x_var's slot and, once a factor is expanded, the power of its other
     # variable less the budget, so that each pass runs along one diagonal.
     columns: dict[tuple[int, ...], dict[int, dict]] = {}
     # the step's one sign is the product of (-1)^q over its factors (x_var - x_j)^q
-    negate = sum(q for (i, _), q in expr.diff if i == var) % 2
+    negate = sum(q for (i, _), q in through if i == var) % 2
     for term in expr.terms:
         if term.xpow[slot] < 0:  # else analytic in x_var at 0, residue contribution is zero
             table = {e: -c for e, c in term.coeff.terms.items()} if negate else term.coeff.terms
             columns.setdefault(term.xpow[:slot] + (0,) + term.xpow[var:], {})[-term.xpow[slot] - 1] = table
     moved = None
-    for (i, j), q in expr.diff:
-        if var not in (i, j):
-            continue
+    for (i, j), q in through:
         other = (i if var == j else j) - 1
         diagonals: dict[tuple[int, ...], dict[int, dict]] = {}
         for diagonal, column in columns.items():
@@ -241,7 +240,7 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
                 key[moved] += budget
             groups.setdefault(tuple(key), []).append((budget, table))
     terms = []
-    for xpow, parts in sorted(groups.items()):
+    for xpow, parts in sorted(groups.items()) if len(groups) > 1 else groups.items():
         if len(parts) == 1:
             ((s, joined),) = parts
             if s:
@@ -253,7 +252,7 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
                 for e, c in table.items():
                     joined[e[:slot] + (s,) + e[var:]] = c
         terms.append(ResidueTerm(MultiPoly._trusted(nvars, joined), xpow))
-    return ResidueSum(nvars, tuple(f for f in expr.diff if var not in f[0]), tuple(terms))
+    return ResidueSum(nvars, tuple(passive), tuple(terms))
 
 
 def laurent_residue(series: Mapping[int, Fraction | int]) -> Fraction:

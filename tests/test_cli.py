@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -19,7 +21,7 @@ import flowvol.residue
 from flowvol import MultiPoly, iterated_residue, pde_system
 from flowvol.diffop import _divided_powers
 from flowvol.residue import ResidueTerm
-from flowvol.cli import ProblemSpec, SpecError, parse_spec, render_spec, run_command
+from flowvol.cli import ProblemSpec, SpecError, _parse_rational, parse_spec, render_spec, run_command
 from flowvol.cli import EXIT_STDOUT_CLOSED, MAX_DEGREE, MAX_POINT_BITS, MAX_SUPPLY, main
 
 GOLDEN_TEXT = "r=3; m[1,2]=1; m[1,3]=1; m[1,4]=2; m[2,3]=1; m[2,4]=2; m[3,4]=2"
@@ -154,6 +156,88 @@ class TestAsciiNumbers:
         assert spec == ProblemSpec(2, (1, 1, 1), (Fraction(-3, 4), Fraction(1, 2)))
         data = {"r": 1, "m": [[1, 2, 1]], "a": [" 3/2 "]}
         assert parse_spec(json.dumps(data)).a == (Fraction(3, 2),)
+
+
+def gated_fraction(text):
+    """The entry reader the grammar replaced: Fraction(text) behind the ASCII,
+    digit-separator and exponent gates, with the same messages."""
+    if not text.isascii() or "_" in text:
+        raise SpecError(f"malformed rational {text!r}")
+    if re.search(r"[eE][-+]?[0-9]", text):
+        raise SpecError(f"exponent notation is not accepted, got {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecError(f"malformed rational {text!r}") from exc
+
+
+def read_with(reader, text):
+    """The value, with its exact type, or the message of the SpecError."""
+    try:
+        value = reader(text)
+    except SpecError as exc:
+        return "error: " + str(exc)
+    return type(value), value
+
+
+LIMIT = sys.get_int_max_str_digits() or 4300  # 0 means no limit; the strings stay valid then
+RATIONAL_CORPUS = [
+    # signs and leading zeros
+    "1", "+1", "-1", "-0", "+0", "--1", "+-1", "-+1", "007", "-007/008", "0/5", "00.50", "-.5", "+5.",
+    # p/q and the p/q that Fraction refuses
+    "3/4", "-6/8", "+6/8", "1/0", "0/0", "-1/0", "3/-4", "3/+4", "1/2.5", "1.5/2", "/2", "2/", "1//2", "1/2/3",
+    # a lone point, a lone sign, nothing
+    ".5", "5.", ".", "+", "-", "", " ", ".e", "5..", "..5",
+    # ASCII whitespace at either end (the information separators too) and inside
+    " 1 ", "\t2/3\n", "\x0b-4\x0c", "\x1c1\x1f", "1 /2", "1/ 2", "- 1", "1 2", "1. 5",
+    # non-ASCII space and digits, separators, letters
+    "\xa01", "1　", "١", "1.٥", "1_0", "1/2_0", "x", "0x10", "1j", "Infinity",
+    # digits past the interpreter's limit, in each run of digits
+    "1" * (LIMIT + 1), "0" * (LIMIT + 1), "0." + "1" * (LIMIT + 1), "1" * LIMIT + "." + "2" * LIMIT,
+    "1/" + "2" * (LIMIT + 1), "1" * LIMIT + "/" + "3" * LIMIT, "-" + "9" * LIMIT,
+    # the str() of JSON floats, and exponents Fraction would read
+    *map(str, [0.1, 1e-05, float("inf"), float("-inf"), float("nan"), 1e16, -0.0, 2.5, 1e300, 5e-324]),
+    "1e5", "1E5", "1e", "1e+", "e5", "1.5e-3", "1e1_0", "١e5",
+    # the 'd' Fraction's grammar lets through after the point (int() then refuses it)
+    "1.d", "1.D", "1.dd",
+]
+
+
+def seeded_rational_strings(count=4000, seed=20240):
+    """Short strings over the characters the grammar turns on, from a fixed seed."""
+    rng = random.Random(seed)
+    alphabet = "0123456789" * 3 + "+-./ \t_eEdx" + "\xa0١"
+    return ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7))) for _ in range(count)]
+
+
+class TestRationalReader:
+    """The grammar accepts exactly what the gated Fraction(text) accepted, with the
+    same value, and refuses the rest with the same message."""
+
+    @pytest.mark.parametrize("text", RATIONAL_CORPUS)
+    def test_corpus_matches_gated_fraction(self, text):
+        assert read_with(_parse_rational, text) == read_with(gated_fraction, text)
+
+    def test_seeded_strings_match_gated_fraction(self):
+        texts = seeded_rational_strings()
+        accepted = 0
+        for text in texts:
+            expected = read_with(gated_fraction, text)
+            assert read_with(_parse_rational, text) == expected, text
+            accepted += not isinstance(expected, str)
+        assert 0.1 * len(texts) < accepted < 0.9 * len(texts)  # both outcomes well covered
+
+    @pytest.mark.parametrize("text", [text for text in RATIONAL_CORPUS if len(text) < 50])
+    def test_json_entry_reports_the_same_error_line(self, text, capsys):
+        spec = json.dumps({"r": 1, "m": [[1, 2, 2]], "a": [text]})  # the volume is a1
+        expected = read_with(gated_fraction, text)
+        code = main(["volume", spec])
+        captured = capsys.readouterr()
+        if isinstance(expected, str):
+            assert (code, captured.out, captured.err) == (2, "", expected + "\n")
+        else:
+            assert code == 0 and captured.err == ""
+            assert captured.out.splitlines()[-1] == f"value at a=({expected[1]}): {expected[1]}"
 
 
 point_entries = st.fractions(min_value=-4, max_value=4, max_denominator=5)

@@ -1,3 +1,5 @@
+import re
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -54,9 +56,9 @@ def test_stored_rows_are_the_flat_entries_row_by_row(rank):
     pairs = root_pairs(rank)
     for mult in product((1, 2), repeat=len(pairs)):
         m = MultiplicityMatrix(rank, mult)
-        assert [len(row) for row in m._rows] == list(range(rank, 0, -1))
+        assert [len(row) for row in m.rows] == list(range(rank, 0, -1))
         for (i, j), value in zip(pairs, mult):
-            assert m._rows[i - 1][j - i - 1] == m.multiplicity(i, j) == value
+            assert m.rows[i - 1][j - i - 1] == m.multiplicity(i, j) == value
         for l in range(1, rank + 1):
             expected = sum(value for (i, _), value in zip(pairs, mult) if i == l)
             assert m.row_sum(l) == m.row_sums[l - 1] == expected
@@ -67,6 +69,16 @@ def test_stored_rows_stay_out_of_equality_hash_and_repr():
     assert same == GOLDEN and hash(same) == hash(GOLDEN)
     assert same != MultiplicityMatrix(3, (1, 1, 2, 1, 2, 1))
     assert repr(GOLDEN) == "MultiplicityMatrix(rank=3, mult=(1, 1, 2, 1, 2, 2))"
+
+
+def test_derived_fields_stay_out_of_equality_hash_and_repr():
+    shown = [f.name for f in fields(MultiplicityMatrix) if f.compare or f.repr]
+    assert shown == ["rank", "mult"]
+    same = MultiplicityMatrix(3, [1, 1, 2, 1, 2, 2])
+    assert same.corner_value == Fraction(1, 12)
+    assert same == GOLDEN and hash(same) == hash(GOLDEN) == hash((3, (1, 1, 2, 1, 2, 2)))
+    assert repr(same) == repr(GOLDEN) == "MultiplicityMatrix(rank=3, mult=(1, 1, 2, 1, 2, 2))"
+    assert (same.degree, same.corner_exponents) == (6, (3, 2, 1))
 
 
 @given(multiplicity_matrices())
@@ -111,3 +123,14 @@ def test_rejects_booleans():
         MultiplicityMatrix(2, (1, True, 1))
     with pytest.raises(ValueError):
         MultiplicityMatrix(True, (1,))
+
+
+@pytest.mark.parametrize("mult, pair", [
+    ((1, 0, -1), "m[1,3]"),
+    ((1, 1, 1.0), "m[2,3]"),
+    ((False, 1, 1), "m[1,2]"),
+    ((2, "1", 0), "m[1,3]"),
+])
+def test_rejection_names_the_first_bad_entry(mult, pair):
+    with pytest.raises(ValueError, match=rf"^multiplicity {re.escape(pair)} must be a positive integer$"):
+        MultiplicityMatrix(2, mult)

@@ -97,6 +97,8 @@ _PAIR_KEY = re.compile(r"m\[([0-9]+),([0-9]+)\]")
 # An entry of a is what Fraction(text) reads with no digit separator and no
 # exponent: optional whitespace at either end, an optional sign, and digits
 # with an optional /digits or .digits, at least one digit before any "/".
+# That is Fraction's grammar in Python 3.10 and 3.11; from 3.12 Fraction also
+# allows whitespace around the "/", which is refused here on every version.
 _RATIONAL = re.compile(r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?\s*")
 
 
@@ -168,7 +170,7 @@ def _build(rank: int | None, entries: dict[tuple[int, int], int],
                 f"evaluation point of {bits}-bit entries at rank {rank} and degree {degree} "
                 f"is above the ceiling rank * max(degree, 1) * bits <= {MAX_POINT_BITS}"
             )
-    return ProblemSpec(rank, tuple(map(entries.__getitem__, pairs)), a)
+    return ProblemSpec(rank, tuple(entries[p] for p in pairs), a)
 
 
 def _parse_plain(text: str) -> ProblemSpec:
@@ -191,12 +193,12 @@ def _parse_plain(text: str) -> ProblemSpec:
                 raise SpecError("duplicate a entry")
             if not (value.startswith("(") and value.endswith(")")):
                 raise SpecError("a must be a parenthesized tuple, e.g. a=(1,2/3)")
-            a = tuple(map(_parse_rational, value[1:-1].split(",")))
+            a = tuple(_parse_rational(x) for x in value[1:-1].split(","))
         else:
             match = _PAIR_KEY.fullmatch(key)
             if not match:
                 raise SpecError(f"unknown entry key {key!r}")
-            pair = (int(match[1]), int(match[2]))
+            pair = (int(match.group(1)), int(match.group(2)))
             if pair in entries:
                 raise SpecError(f"duplicate entry m[{pair[0]},{pair[1]}]")
             entries[pair] = _parse_int(value, "multiplicity")

@@ -350,7 +350,7 @@ def _node_image(
     row, u = m.rows[l - 1], places[l - 1]
     top, guard_l = row[-1] * u, guard * u
     image = {down: c for key, c in table.items() if (down := key - top) & guard_l}
-    for v, q in zip(places[l:], row):  # m[l,j] for j = l+1..r
+    for v, q in zip(places[l:], row[:-1]):  # m[l,j] for j = l+1..r
         for _ in range(q):
             if image:
                 image = _shift_difference(image, u, v, guard)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, attrgetter, getitem, mul
+from operator import add, getitem, mul
 from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -145,7 +145,7 @@ class MultiPoly:
         return not self.terms
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps)) or Fraction(0)
+        return self.terms.get(tuple(exps), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         # descending (total degree, exponents) is descending graded-lex order, and
@@ -247,15 +247,15 @@ class MultiPoly:
         value is (sum_q T_q * (L / q)) / (L * D): one exact division, one
         ``Fraction``, however many denominators the coefficients have.
         """
-        values = list(map(Fraction, point))
+        values = [Fraction(v) for v in point]
         if len(values) != self.nvars:
             raise ValueError(f"point has length {len(values)}, expected {self.nvars}")
         if not self.terms:
             return Fraction(0)
         tops = [max(column) for column in zip(*self.terms)]
         tables = [
-            [n ** e * d ** (top - e) for e in range(top + 1)]
-            for (n, d), top in zip(map(attrgetter("numerator", "denominator"), values), tops)
+            [v.numerator ** e * v.denominator ** (top - e) for e in range(top + 1)]
+            for v, top in zip(values, tops)
         ]
         by_denominator: dict[int, int] = {}
         for exps, coeff in self.terms.items():

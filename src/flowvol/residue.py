@@ -222,9 +222,9 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
         columns, moved = {}, other
         for diagonal, column in diagonals.items():
             for _ in range(q):
-                run, summed, get = None, {}, column.get
+                run, summed = None, {}
                 for budget in range(max(column, default=-1), -1, -1):
-                    table = get(budget)
+                    table = column.get(budget)
                     if table:
                         run = _added(run, table) if run else table
                     if run:

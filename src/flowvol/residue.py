@@ -240,7 +240,7 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
                 key[moved] += budget
             groups.setdefault(tuple(key), []).append((budget, table))
     terms = []
-    for xpow, parts in sorted(groups.items()) if len(groups) > 1 else groups.items():
+    for xpow, parts in sorted(groups.items()):
         if len(parts) == 1:
             ((s, joined),) = parts
             if s:

@@ -10,12 +10,18 @@ rationals; there is no floating point anywhere.
 ``__all__`` is the public API.  Everything else, such as ``DiffOperator``,
 ``count_lattice_points`` or the ``cli`` parsing helpers, is reached through
 its submodule and is internal.
+
+``import flowvol`` loads ``multiplicity``, ``polynomial`` and ``residue``,
+which every command uses.  The other certificates load on first use: the
+names of ``__all__`` that live in ``diffop``, ``induction`` or ``oracle``,
+and every submodule attribute (``flowvol.cli``, ``flowvol.linalg``, ...),
+resolve through the module ``__getattr__`` (PEP 562), so ``flowvol
+corner`` never compiles the operator system, the lift or the lattice count.
 """
 
-from .diffop import annihilates, pde_system, solution_space
-from .induction import lift_volume, lowering_operator, operator_ladder
+from importlib import import_module
+
 from .multiplicity import MultiplicityMatrix
-from .oracle import compare_volume
 from .polynomial import MultiPoly
 from .residue import (
     VolumePolynomial,
@@ -46,3 +52,18 @@ __all__ = [
     "solution_space",
     "__version__",
 ]
+
+_DEFERRED = {"annihilates": "diffop", "pde_system": "diffop", "solution_space": "diffop", "compare_volume": "oracle",
+             "lift_volume": "induction", "lowering_operator": "induction", "operator_ladder": "induction"}
+_SUBMODULES = {"cli", "diffop", "induction", "linalg", "multiplicity", "oracle", "polynomial", "residue"}
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULES and name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_DEFERRED.get(name, name)}")
+    return module if name in _SUBMODULES else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -18,22 +18,25 @@ above it or not a plain ASCII integer, is an input error, and so is an
 evaluation point too large to print (``MAX_POINT_BITS``) or written in
 exponent notation, and an ``oracle-compare`` whose largest dilated supply is
 above ``MAX_SUPPLY``.
+
+A start loads only its command's route.  ``multiplicity``, ``polynomial``
+and ``residue`` load with this module, which is all that ``volume`` and
+``corner`` run; ``check-pde`` and ``kernel`` import ``diffop`` (and with it
+``linalg``), ``lift`` imports ``induction`` (which imports ``diffop``),
+``oracle-compare`` imports ``oracle``, and a JSON spec imports ``json``, each
+in its own branch when it first runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import node_residuals, solution_space
-from .induction import lift_volume
 from .multiplicity import MultiplicityMatrix, root_pairs
-from .oracle import OffFitError, compare_volume
 from .polynomial import MultiPoly
 from .residue import (
     _VolumeCheckError, canonical_order, divided_coefficient, iterated_residue, residue_in_order, volume_table,
@@ -198,7 +201,10 @@ def _parse_plain(text: str) -> ProblemSpec:
             match = _PAIR_KEY.fullmatch(key)
             if not match:
                 raise SpecError(f"unknown entry key {key!r}")
-            pair = (int(match.group(1)), int(match.group(2)))
+            try:
+                pair = (int(match.group(1)), int(match.group(2)))
+            except ValueError as exc:  # an index past the interpreter's limit on digits
+                raise SpecError(f"pair indices must be integers, got {key!r}") from exc
             if pair in entries:
                 raise SpecError(f"duplicate entry m[{pair[0]},{pair[1]}]")
             entries[pair] = _parse_int(value, "multiplicity")
@@ -206,6 +212,8 @@ def _parse_plain(text: str) -> ProblemSpec:
 
 
 def _parse_json(text: str) -> ProblemSpec:
+    import json
+
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -308,6 +316,8 @@ def run_command(
             a_text = ",".join(str(x) for x in spec.a)
             lines.append(f"value at a=({a_text}): {v.poly.evaluate(spec.a)}")
     elif command == "check-pde":
+        from .diffop import node_residuals
+
         failures = 0
         for l, residual in node_residuals(m, volume_table(m)):
             if residual.is_zero:
@@ -326,6 +336,8 @@ def run_command(
             raise SpecError(f"degree must be nonnegative, got {d}")
         if d > MAX_DEGREE:
             raise SpecError(f"degree {d} is above the ceiling {MAX_DEGREE}")
+        from .diffop import solution_space
+
         basis = solution_space(m, d)
         lines.append(f"solution space at degree {d}: dimension {len(basis)}")
         for idx, poly in enumerate(basis):
@@ -333,6 +345,8 @@ def run_command(
     elif command == "lift":
         if m.rank < 2:
             raise SpecError("lift needs rank >= 2")
+        from .induction import lift_volume
+
         v_prev = iterated_residue(m.restriction())
         lifted = lift_volume(v_prev, m)
         direct = iterated_residue(m)
@@ -361,6 +375,8 @@ def run_command(
             raise SpecError(
                 f"largest dilated supply t_max * sum(a) = {supply} is above the ceiling {MAX_SUPPLY}"
             )
+        from .oracle import OffFitError, compare_volume
+
         try:
             report = compare_volume(m, point, t_max=dilations)
         except _VolumeCheckError:

@@ -656,6 +656,20 @@ class TestMainEntry:
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("key", [
+        "m[%s,2]" % ("1" * 5000),  # past the interpreter's limit on integer digits
+        "m[1,%s]" % ("2" * 5000),
+    ], ids=["first-index", "second-index"])
+    def test_pair_index_past_the_digit_limit_exits_2_without_traceback(self, key):
+        result = subprocess.run(
+            [sys.executable, "-m", "flowvol", "volume", f"r=1; {key}=1"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: pair indices must be integers, got {key!r}\n"
+
     @pytest.mark.parametrize("m", ["5", "null", "true"])
     def test_non_list_json_m_exits_2_without_traceback(self, m):
         spec = '{"r": 1, "m": %s}' % m

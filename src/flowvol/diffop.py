@@ -303,9 +303,9 @@ def pde_system(m: MultiplicityMatrix) -> PdeSystem:
     r = m.rank
     ops = []
     for l in range(r, 0, -1):
-        order = m.row_sum(l)
+        order = m.row_sums[l - 1]
         terms = {}
-        for q in range(order - m.multiplicity(l, r + 1) + 1):
+        for q in range(order - m.rows[l - 1][-1] + 1):
             for exps, coeff in _node_terms(m, l, q, comb).items():
                 terms[exps[: l - 1] + (order - q,) + exps[l:]] = (-1) ** q * coeff
         ops.append(DiffOperator(MultiPoly(r, terms)))

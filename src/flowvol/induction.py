@@ -110,7 +110,7 @@ class OperatorLadder:
 def operator_ladder(m: MultiplicityMatrix) -> OperatorLadder:
     """Build the ladder up to the restricted volume degree."""
     r = m.rank
-    span = m.row_sum(1) - m.multiplicity(1, r + 1)  # orders beyond this vanish
+    span = m.row_sums[0] - m.rows[0][-1]  # orders beyond this vanish
     generators = tuple(lowering_operator(m, q) for q in range(1, span + 1))
     steps = tuple(
         _operator(r, _node_terms(m, 1, n, binomial_series_coeff)) for n in range(m.restriction_degree + 1)
@@ -125,7 +125,7 @@ def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolyno
     if v_prev.m != m.restriction():
         raise ValueError("input volume does not belong to the restricted multiplicities")
     r = m.rank
-    base = m.row_sum(1) - 1  # the power of a_1 that carries u_0
+    base = m.row_sums[0] - 1  # the power of a_1 that carries u_0
     generators = operator_ladder(m).generators
     images = [v_prev.poly.embed(r, offset=1)]  # images[n] = u_n
     for n in range(1, m.restriction_degree + 1):

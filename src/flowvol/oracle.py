@@ -197,12 +197,9 @@ def dilation_counts(m: MultiplicityMatrix, a: tuple[int, ...], t_max: int | None
     trusted: ``compare_volume`` checks them.
     """
     degree = m.degree
-    r = m.rank
-    sink = sum(m.multiplicity(i, r + 1) for i in range(1, r + 1))
+    sink = sum(row[-1] for row in m.rows)
     first = -min(round(Fraction(degree * sum(a) + sink, 2 * sum(a))), degree)
-    shift = [
-        m.row_sum(i) - sum(m.multiplicity(k, i) for k in range(1, i)) for i in range(1, r + 1)
-    ]
+    shift = [s - sum(m.rows[k - 1][i - k - 1] for k in range(1, i)) for i, s in enumerate(m.row_sums, 1)]
     sign = (-1) ** degree
 
     def count(t: int) -> int:

@@ -71,17 +71,8 @@ class MultiPoly:
     themselves and wrap their output with ``_trusted``, without checking it
     again.  ``+`` and ``*`` store the value for a key the result does not
     hold yet as it is, with no ``Fraction`` add against zero; only a key
-    already present pays for an add, and only such a key can cancel.
-
-    A product with a one-term factor c * a^f is a shift: every key e of the
-    other factor goes to e + f.  The shift is injective, so no two keys
-    merge, and a product of nonzero rationals is nonzero, so nothing
-    cancels: the result needs no lookup and no zero filter, and when c is 1
-    it keeps every coefficient as it is.  When f moves one variable, as the
-    residue step's a_k^s does, each key is rebuilt around that one entry,
-    e[:i] + (e[i] + f_i,) + e[i+1:], which costs about half of adding f
-    entry by entry; when f moves none, the keys are kept as they are.  A
-    sum with a zero operand is the other operand itself, with no copy.
+    already present pays for an add, and only such a key can cancel.  A sum
+    with a zero operand is the other operand itself, with no copy.
     """
 
     __slots__ = ("nvars", "terms")
@@ -201,18 +192,6 @@ class MultiPoly:
                 return MultiPoly._trusted(self.nvars, {})
             return MultiPoly._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._require_same_shape(other)
-        if len(other.terms) == 1 or len(self.terms) == 1:
-            poly, one = (self, other) if len(other.terms) == 1 else (other, self)
-            ((shift, scale),) = one.terms.items()
-            moved = [i for i, f in enumerate(shift) if f]
-            if len(moved) == 1:
-                i = moved[0]
-                f, j = shift[i], i + 1
-                keys = [e[:i] + (e[i] + f,) + e[j:] for e in poly.terms]
-            else:
-                keys = [tuple(map(add, e, shift)) for e in poly.terms] if moved else poly.terms
-            values = poly.terms.values() if scale == 1 else [c * scale for c in poly.terms.values()]
-            return MultiPoly._trusted(self.nvars, dict(zip(keys, values)))
         product: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -80,18 +80,18 @@ of one power of x differ only in s, and each is rekeyed with s in a_k's
 exponent, so the tables of one power of x share no key and are joined
 with no merge and no per-state product.  A power of x reached by one state
 with s > 0 is instead multiplied by the monomial a_k^s, a true product in
-the transform, which ``MultiPoly`` does as a shift of one exponent.  That
-product stays a ``MultiPoly`` product, rather than a rekey, because it is
-what the benchmark's traced run still counts as the polynomial layer's
-products (``polynomial.mul_calls``) until ROADMAP item 1 moves its
-contract to stages.  No step divides: by induction every coefficient
-reached from the kernel is an integer table, and after the last step
-T(v)_e = e! v_e are the values of the Kostant partition function
-(Meszaros-Morales, Math. Z. 293, 2019, arXiv 1710.00701).
-``ResidueSum.polynomial`` undoes the transform, with one division by e!
-per output coefficient; ``volume_table`` returns T(v) itself, for the
-commands that need no polynomial, checked by the same rule as
-``VolumePolynomial`` (``_check_volume``).
+the transform, and ``MultiPoly`` makes it as one product, one pair per
+term of the table.  That product stays a ``MultiPoly`` product, rather
+than a rekey, because it is what the benchmark's traced run still counts
+as the polynomial layer's products (``polynomial.mul_calls``) until
+ROADMAP item 1 moves its contract to stages.  No step divides: by
+induction every coefficient reached from the kernel is an integer table,
+and after the last step T(v)_e = e! v_e are the values of the Kostant
+partition function (Meszaros-Morales, Math. Z. 293, 2019, arXiv
+1710.00701).  ``ResidueSum.polynomial`` undoes the transform, with one
+division by e! per output coefficient; ``volume_table`` returns T(v)
+itself, for the commands that need no polynomial, checked by the same
+rule as ``VolumePolynomial`` (``_check_volume``).
 """
 
 from __future__ import annotations
@@ -189,10 +189,10 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
     applied to its input tables.  The budget left after the last factor is
     the power s of a_var: the states of one power of x are rekeyed with s
     in x_var's slot into one table, and a lone state is multiplied by
-    a_var^s with one ``MultiPoly`` product (see the module docstring for
-    why this is exact, why shared tables are safe and why the lone state
-    keeps its product).  The output is merged on the powers of x, sorted by
-    them, with no zero entry.
+    a_var^s with one ``MultiPoly`` product, kept for the traced metrics
+    (see the module docstring for why this is exact, why shared tables are
+    safe and why the lone state keeps its product).  The output is merged
+    on the powers of x, sorted by them, with no zero entry.
     """
     nvars, slot = expr.nvars, var - 1
     through, passive = [], []  # the factors through x_var, and the others

@@ -18,6 +18,23 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} uses assert on lines {lines}; raise an exception instead"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_internal_readers_use_the_stored_rows(path):
+    # the range checks of row_sum() and multiplicity() guard callers outside
+    # the package; a module inside it reads m.rows and m.row_sums
+    if path.name == "multiplicity.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("row_sum", "multiplicity")
+    ]
+    assert not lines, f"{path.name} calls row_sum() or multiplicity() on lines {lines}; read the stored rows"
+
+
 def test_public_names_resolve_once():
     names = flowvol.__all__
     assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)

@@ -31,7 +31,7 @@ ROWS = [
     Row("kernel", 7, 1), Row("kernel", 7, 1, up=True),
     Row("corner", 7, 2), Row("corner", 7, 3),
     Row("check-pde", 7, 2), Row("check-pde", 6, 3),
-    Row("lift", 6, 2), Row("lift", 7, 1),
+    Row("lift", 6, 2), Row("lift", 7, 1), Row("lift", 7, 2),
     Row("volume", 8, 1, ONES), Row("volume", 8, 1, E1),
     Row("volume", 9, 1, ONES), Row("volume", 9, 1, E1),
     Row("oracle-compare", 5, 1, (16, 1, 1, 1, 1)),

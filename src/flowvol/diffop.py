@@ -150,25 +150,45 @@ from .polynomial import Exponents, MultiPoly, from_divided_powers, homogeneous_m
 
 
 def _node_terms(
-    m: MultiplicityMatrix, l: int, q: int, weight: Callable[[int, int], int]
-) -> dict[Exponents, int]:
-    """The u^q coefficient of prod_{j=l+1..r} (sum_p weight(m[l,j], p) u^p d_j^p).
+    m: MultiplicityMatrix, l: int, top: int, weight: Callable[[int, int], int]
+) -> Iterator[dict[Exponents, int]]:
+    """The u^q coefficients, q = 0..top, of prod_{j=l+1..r} (sum_p weight(m[l,j], p) u^p d_j^p).
 
-    Returned as ``{exponents: int}`` in all r partials, zero weights dropped;
-    the exponents of d_1..d_l are zero.  Each variable's weights for the
-    powers 0..q are built once, as a row, and every monomial reads its
-    factors from the rows.
+    Coefficient q is ``{exponents: int}`` in all r partials, zero weights
+    dropped; the exponents of d_1..d_l are zero, and the keys come in the
+    order of ``homogeneous_monomials(r - l, q)``.  Every degree comes from
+    one pass.  The trailing variables d_(l+1)..d_r are split in half, and
+    each half's weighted monomials of total at most top are listed once, in
+    descending lex order, one variable appended a step, its weights for the
+    powers 0..top read from one row; a zero weight is dropped where it is
+    met, since it zeroes every product that carries it.  A key of degree q
+    is a head of the first half, d_1..d_l's zeros in front, followed by a
+    tail of the second half of total q minus the head's, so taking the heads
+    in order and each head's tails in order keeps descending lex order.
+    Only the two halves are held, a small part of the output, and the
+    degrees are yielded one at a time, so that a caller can turn each into
+    its final form before the next is built.
     """
-    r = m.rank
-    if l == r:  # the empty product is 1
-        return {(0,) * r: 1} if q == 0 else {}
-    rows = [[weight(mult, p) for p in range(q + 1)] for mult in m.rows[l - 1][:-1]]
-    terms = {}
-    for powers in homogeneous_monomials(r - l, q):
-        coeff = prod(map(list.__getitem__, rows, powers))
-        if coeff:
-            terms[(0,) * l + powers] = coeff
-    return terms
+
+    def monomials(rows: list[list[int]], start: Exponents) -> list[tuple[Exponents, int, int]]:
+        """(key, weight, total) of start followed by each monomial of total <= top in the rows' variables."""
+        out = [(start, 1, 0)]
+        for row in rows:
+            out = [
+                (key + (e,), w * x, j + e) for key, w, j in out for e in range(top - j, -1, -1) if (x := row[e])
+            ]
+        return out
+
+    rows = [[weight(mult, p) for p in range(top + 1)] for mult in m.rows[l - 1][:-1]]
+    half = (len(rows) + 1) // 2
+    tails: list[list[tuple[Exponents, int]]] = [[] for _ in range(top + 1)]
+    for key, w, j in monomials(rows[half:], ()):
+        tails[j].append((key, w))
+    heads = monomials(rows[:half], (0,) * l)
+    return (
+        {head + tail: w * c for head, w, j in heads if j <= q for tail, c in tails[q - j]}
+        for q in range(top + 1)
+    )
 
 
 def _layout(nvars: int, top: int) -> tuple[range, list[int], int, int]:
@@ -305,8 +325,8 @@ def pde_system(m: MultiplicityMatrix) -> PdeSystem:
     for l in range(r, 0, -1):
         order = m.row_sums[l - 1]
         terms = {}
-        for q in range(order - m.rows[l - 1][-1] + 1):
-            for exps, coeff in _node_terms(m, l, q, comb).items():
+        for q, level in enumerate(_node_terms(m, l, order - m.rows[l - 1][-1], comb)):
+            for exps, coeff in level.items():
                 terms[exps[: l - 1] + (order - q,) + exps[l:]] = (-1) ** q * coeff
         ops.append(DiffOperator(MultiPoly(r, terms)))
     return PdeSystem(m, tuple(ops))

@@ -32,10 +32,17 @@ restricted volume w (degree h, variables a_2..a_r) is
 
     v = sum_{n=0..h} a_1^(s-1+n) / (s-1+n)! * E_n w.
 
-``lift_volume`` runs the recursion from u_0 = w and places each u_n at
-a_1^(s-1+n) / (s-1+n)!.  Each D_j u_(n-j) is one ``DiffOperator.apply``, on
-the integer divided-power table of u_(n-j) (``diffop``), so a pair of terms
-costs one integer multiply-add.
+``lift_volume`` runs the recursion from u_0 = w with one operator,
+S = D_1 - D_2 + D_3 - ..., applied once to each layer u_k, k = 0..h-1, and
+places each u_n at a_1^(s-1+n) / (s-1+n)!.  The degrees sort the image out:
+u_k is homogeneous of degree h - k and D_j of order j, so the part of S u_k
+of degree h - k - j is exactly (-1)^(j+1) D_j u_k, the term of u_(k+j), and
+terms of different degrees never cancel.  So each term of S u_k is added
+into u_n with n = h - (its degree).  Every contribution to u_k comes from a
+lower layer, so u_k is complete when the loop reaches it.  That is h
+applications in all, not one for each (n, j) with j <= min(n, span).  Each
+is one ``DiffOperator.apply``, on the integer divided-power table of u_k
+(``diffop``), so a pair of terms costs one integer multiply-add.
 
 The ladder operators have a closed form.  With E(u) = sum_n E_n u^n and
 D(u) = 1 + sum_q D_q u^q, the recurrence says that for n >= 1 the u^n
@@ -47,13 +54,15 @@ E(u) D(-u) = 1, so
 and E_n is the u^n coefficient: every way to spread n derivative orders over
 d_2..d_r, each d_i^p weighted by C(m[1,i] - 1 + p, p).  ``operator_ladder``
 builds every E_n from that rule (``OperatorLadder.steps``), with no operator
-products.  Nothing in the package applies them: they exist for acceptance
-criterion 8 and for the ladder metrics of the benchmark in ``flowbench/``.
+products, and the D_q from the binomial one, each set in one pass.  Nothing
+in the package applies the E_n: they exist for acceptance criterion 8 and
+for the ladder metrics of the benchmark in ``flowbench/``.
 
 The D_q and E_n come out of ``_node_terms`` in canonical form, with nonzero
-integer weights, and the lift's terms are distinct nonzero ``Fraction``
-products, so they are wrapped with ``MultiPoly._trusted`` rather than passed
-through the checking constructor again; inputs are checked where they enter.
+integer weights, every order from one call, and the lift's terms are
+distinct nonzero ``Fraction`` values, so they are wrapped with
+``MultiPoly._trusted`` rather than passed through the checking constructor
+again; inputs are checked where they enter.
 """
 
 from __future__ import annotations
@@ -72,17 +81,20 @@ def _operator(r: int, terms: dict[Exponents, int]) -> DiffOperator:
     """``_node_terms``' canonical nonzero integer weights as an operator, not re-checked.
 
     The weights take few distinct values, so each makes one ``Fraction``,
-    shared by every term that carries it.
+    shared by every term that carries it.  The dict is taken over and its
+    values replaced in place, so no second dict of the same size is built.
     """
     values = {c: Fraction(c) for c in set(terms.values())}
-    return DiffOperator(MultiPoly._trusted(r, {exps: values[c] for exps, c in terms.items()}))
+    for exps, c in terms.items():
+        terms[exps] = values[c]
+    return DiffOperator(MultiPoly._trusted(r, terms))
 
 
 def lowering_operator(m: MultiplicityMatrix, q: int) -> DiffOperator:
     """Order-q lowering operator in d_2..d_r built from the first row of m."""
     if q < 1:
         raise ValueError(f"order must be >= 1, got {q}")
-    return _operator(m.rank, _node_terms(m, 1, q, math.comb))
+    return _operator(m.rank, list(_node_terms(m, 1, q, math.comb))[q])
 
 
 @dataclass(frozen=True)
@@ -111,34 +123,49 @@ def operator_ladder(m: MultiplicityMatrix) -> OperatorLadder:
     """Build the ladder up to the restricted volume degree."""
     r = m.rank
     span = m.row_sums[0] - m.rows[0][-1]  # orders beyond this vanish
-    generators = tuple(lowering_operator(m, q) for q in range(1, span + 1))
-    steps = tuple(
-        _operator(r, _node_terms(m, 1, n, binomial_series_coeff)) for n in range(m.restriction_degree + 1)
-    )
+    generators = tuple(_operator(r, terms) for terms in _node_terms(m, 1, span, math.comb))[1:]
+    series = _node_terms(m, 1, m.restriction_degree, binomial_series_coeff)
+    steps = tuple(_operator(r, terms) for terms in series)
     return OperatorLadder(m, generators, steps)
 
 
 def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolynomial:
-    """Volume polynomial for m from the volume of its restriction to nodes 2..r+1."""
+    """Volume polynomial for m from the volume of its restriction to nodes 2..r+1.
+
+    The layers u_0..u_h are kept as dicts.  S = D_1 - D_2 + ... is applied
+    once to each u_k, and each term of the image is added into the layer
+    its degree names (module docstring): a key's first contribution is
+    stored as it is, and only a repeated key pays a ``Fraction`` add.  A
+    layer drops its cancelled keys when the loop reaches it, and each
+    volume coefficient is made as one ``Fraction``, c / (s-1+n)!.
+    """
     if m.rank < 2:
         raise ValueError("lifting needs rank >= 2")
     if v_prev.m != m.restriction():
         raise ValueError("input volume does not belong to the restricted multiplicities")
     r = m.rank
+    h = m.restriction_degree
     base = m.row_sums[0] - 1  # the power of a_1 that carries u_0
-    generators = operator_ladder(m).generators
-    images = [v_prev.poly.embed(r, offset=1)]  # images[n] = u_n
-    for n in range(1, m.restriction_degree + 1):
-        image = MultiPoly.zero(r)
-        for j in range(1, min(n, len(generators)) + 1):
-            term = generators[j - 1].apply(images[n - j])
-            image = image + term if j % 2 else image - term
-        images.append(image)
+    # S = D_1 - D_2 + D_3 - ...: the D_j have distinct orders, so no two terms meet
+    signed = {}
+    for j, generator in enumerate(operator_ladder(m).generators, start=1):
+        for exps, c in generator.poly.terms.items():
+            signed[exps] = c if j % 2 else -c
+    operator = DiffOperator(MultiPoly._trusted(r, signed))
+    layers = [v_prev.poly.embed(r, offset=1).terms] + [{} for _ in range(h)]  # layers[n] = u_n
+    for k in range(h):
+        # u_k is complete: every contribution to it came from a lower layer
+        layer = layers[k] = {exps: c for exps, c in layers[k].items() if c}
+        for exps, c in operator.apply(MultiPoly._trusted(r, layer)).terms.items():
+            target = layers[h - sum(exps)]
+            old = target.get(exps)
+            target[exps] = c if old is None else old + c
     # No u_n involves a_1 and each sits at its own power of it, so every term
-    # of every image becomes one term of the volume.
+    # of every layer becomes one term of the volume.
     terms = {}
-    for n, image in enumerate(images):
-        scale = Fraction(1, math.factorial(base + n))
-        for exps, coeff in image.terms.items():
-            terms[(base + n,) + exps[1:]] = coeff * scale
+    for n, layer in enumerate(layers):
+        scale = math.factorial(base + n)
+        for exps, c in layer.items():
+            if c:
+                terms[(base + n,) + exps[1:]] = Fraction(c.numerator, c.denominator * scale)
     return VolumePolynomial(m, MultiPoly._trusted(r, terms))

@@ -267,15 +267,15 @@ class MultiPoly:
         numerator and denominator of a positive non-integer coefficient, and
         ``sep`` joins the factors of a term and puts a coefficient other than 1
         in front of them.  Sign and magnitude come from the coefficient's
-        ``numerator`` and ``denominator`` ints, and each a_i^e is rendered
-        once per polynomial.
+        ``numerator`` and ``denominator`` ints, and each a_i^e that occurs is
+        rendered once per polynomial.
         """
         if not self.terms:
             return "0"
-        tops = [max(column) for column in zip(*self.terms)]
-        # each a_i^e with the separator in front, and "" for e = 0
+        # each a_i^e that occurs with the separator in front, and "" for e = 0
         tables = [
-            [""] + [sep + factor(i, e) for e in range(1, top + 1)] for i, top in enumerate(tops, start=1)
+            {e: sep + factor(i, e) if e else "" for e in set(column)}
+            for i, column in enumerate(zip(*self.terms), start=1)
         ]
         pieces: list[str] = []
         for exps, coeff in self.sorted_terms():

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb, prod
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,8 @@ from flowvol import (
     pde_system,
     solution_space,
 )
-from flowvol.diffop import DiffOperator
+from flowvol.diffop import DiffOperator, _node_terms
+from flowvol.polynomial import binomial_series_coeff, homogeneous_monomials
 
 from conftest import multipolys, multiplicity_matrices
 
@@ -47,6 +49,45 @@ class TestApply:
     def test_linear_in_the_argument(self, p, q):
         op = (d(1, 2) - d(2, 2)) * d(1, 2)
         assert op.apply(p + q) == op.apply(p) + op.apply(q)
+
+
+def reference_node_terms(m, l, q, weight):
+    """The u^q coefficient of the node-l product, one degree at a time.
+
+    Each monomial of ``homogeneous_monomials`` in the trailing variables
+    d_(l+1)..d_r takes its factors from the weight rows; zero products are
+    dropped.
+    """
+    r = m.rank
+    if l == r:
+        return {(0,) * r: 1} if q == 0 else {}
+    rows = [[weight(mult, p) for p in range(q + 1)] for mult in m.rows[l - 1][:-1]]
+    terms = {}
+    for powers in homogeneous_monomials(r - l, q):
+        coeff = prod(row[p] for row, p in zip(rows, powers))
+        if coeff:
+            terms[(0,) * l + powers] = coeff
+    return terms
+
+
+class TestNodeTerms:
+    @pytest.mark.parametrize("weight", [comb, binomial_series_coeff], ids=["comb", "series"])
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_every_degree_equals_the_enumeration(self, rank, weight):
+        # the all-ones matrix and two seeded ones; every node, up to one degree
+        # past the node's span (where the binomial weights vanish), at most 7
+        rng = random.Random(330 + rank)
+        size = rank * (rank + 1) // 2
+        matrices = [(1,) * size] + [tuple(rng.randint(1, 3) for _ in range(size)) for _ in range(2)]
+        for mult in matrices:
+            m = MultiplicityMatrix(rank, mult)
+            for l in range(1, rank + 1):
+                top = min(m.row_sums[l - 1] - m.rows[l - 1][-1] + 1, 7)
+                levels = list(_node_terms(m, l, top, weight))
+                assert len(levels) == top + 1
+                for q, level in enumerate(levels):
+                    expected = reference_node_terms(m, l, q, weight)
+                    assert list(level.items()) == list(expected.items()), (mult, l, q)
 
 
 class TestPdeSystem:

@@ -24,6 +24,34 @@ def d(i, n):
     return DiffOperator(MultiPoly.variable(i, n))
 
 
+def reference_lift(v_prev, m):
+    """The lift by the layer relation as written: u_n = sum_j (-1)^(j+1) D_j u_(n-j).
+
+    Each u_n is summed from its own D_j images, one ``apply`` per (n, j), and
+    placed at a_1^(s-1+n) / (s-1+n)!.
+    """
+    r, base = m.rank, m.row_sums[0] - 1
+    generators = operator_ladder(m).generators
+    images = [v_prev.poly.embed(r, offset=1)]
+    for n in range(1, m.restriction_degree + 1):
+        image = MultiPoly.zero(r)
+        for j in range(1, min(n, len(generators)) + 1):
+            term = generators[j - 1].apply(images[n - j])
+            image = image + term if j % 2 else image - term
+        images.append(image)
+    terms = {}
+    for n, image in enumerate(images):
+        for exps, coeff in image.terms.items():
+            terms[(base + n,) + exps[1:]] = coeff / math.factorial(base + n)
+    return MultiPoly(r, terms)
+
+
+def all_matrices(rank, first_row=None):
+    """Every rank-r matrix with entries in {1, 2, 3}, or those with the given first row."""
+    rest = product((1, 2, 3), repeat=rank * (rank + 1) // 2 - (0 if first_row is None else rank))
+    return [MultiplicityMatrix(rank, (first_row or ()) + tail) for tail in rest]
+
+
 class TestLoweringOperator:
     @given(multiplicity_matrices(min_rank=2, max_rank=4))
     def test_first_order_is_weighted_gradient(self, m):
@@ -157,6 +185,23 @@ class TestLiftVolume:
         m = MultiplicityMatrix(4, mult)
         lifted = lift_volume(iterated_residue(m.restriction()), m)
         assert lifted.poly == iterated_residue(m).poly
+
+    @pytest.mark.parametrize("first_row", [None] + list(product((1, 2, 3), repeat=3)))
+    def test_equals_the_layer_relation_on_ranks_two_and_three(self, first_row):
+        # rank 2 in one case, then rank 3 one first row a case
+        for m in all_matrices(2) if first_row is None else all_matrices(3, first_row):
+            v_prev = iterated_residue(m.restriction())
+            lifted = lift_volume(v_prev, m).poly
+            assert lifted == reference_lift(v_prev, m), m
+            assert {type(c) for c in lifted.terms.values()} == {Fraction}
+
+    @pytest.mark.parametrize("rank, seed", [(4, 0), (4, 1), (4, 2), (5, 0), (5, 1)])
+    def test_equals_the_layer_relation_on_seeded_matrices(self, rank, seed):
+        import random
+        rng = random.Random(3300 + 10 * rank + seed)
+        m = MultiplicityMatrix(rank, tuple(rng.randint(1, 3) for _ in range(rank * (rank + 1) // 2)))
+        v_prev = iterated_residue(m.restriction())
+        assert lift_volume(v_prev, m).poly == reference_lift(v_prev, m)
 
     def test_wrong_restriction_rejected(self):
         other = MultiplicityMatrix(2, (2, 2, 2))

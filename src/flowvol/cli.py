@@ -17,7 +17,8 @@ report is written in full.  A problem whose volume degree exceeds
 above it or not a plain ASCII integer, is an input error, and so is an
 evaluation point too large to print (``MAX_POINT_BITS``) or written in
 exponent notation, and an ``oracle-compare`` whose largest dilated supply is
-above ``MAX_SUPPLY``.
+above ``MAX_SUPPLY``, and an @path file longer than ``MAX_SPEC_CHARS``
+characters.
 
 A start loads only its command's route.  ``multiplicity``, ``polynomial``
 and ``residue`` load with this module, which is all that ``volume`` and
@@ -70,6 +71,13 @@ MAX_SUPPLY = 200
 # cover the volume coefficients (their denominators divide d!, 525 bits at
 # MAX_DEGREE) and the sum over the monomials.
 MAX_POINT_BITS = 10_000
+
+# Written without padding, a spec within every other ceiling is a few
+# kilobytes: r <= 14 by MAX_DEGREE, so at most 105 pairs, and a numerator or
+# denominator of the point has at most MAX_POINT_BITS bits, about 3,000
+# digits.  An @path file is read up to one character past this and refused
+# above it, so that @/dev/zero or a stray large file fails at once.
+MAX_SPEC_CHARS = 1 << 20
 
 # 128 + SIGPIPE: the status a shell reports for a writer that the signal ended,
 # so ``set -o pipefail`` sees ``flowvol ... | head`` as it sees ``yes | head``.
@@ -271,10 +279,6 @@ def render_spec(spec: ProblemSpec) -> str:
     return "; ".join(parts)
 
 
-def _render_poly(poly: MultiPoly, latex: bool) -> str:
-    return poly.render_latex() if latex else poly.render()
-
-
 def _order_regression_lines() -> tuple[list[str], int]:
     """Pinned check that the residue order is the innermost-first one."""
     pinned = MultiplicityMatrix(2, (1, 1, 1))
@@ -305,13 +309,14 @@ def run_command(
     ``_VolumeCheckError``, which ``main`` reports as a property violation.
     """
     m = spec.matrix()
+    render = MultiPoly.render_latex if latex else MultiPoly.render
     lines: list[str] = []
     code = 0
 
     if command == "volume":
         v = iterated_residue(m)
         lines.append(f"volume polynomial (rank {m.rank}, degree {m.degree}):")
-        lines.append(_render_poly(v.poly, latex))
+        lines.append(render(v.poly))
         if spec.a is not None:
             a_text = ",".join(str(x) for x in spec.a)
             lines.append(f"value at a=({a_text}): {v.poly.evaluate(spec.a)}")
@@ -324,7 +329,7 @@ def run_command(
                 lines.append(f"operator l={l}: annihilates v")
             else:
                 failures += 1
-                lines.append(f"operator l={l}: FAILS, residual {_render_poly(residual, latex)}")
+                lines.append(f"operator l={l}: FAILS, residual {render(residual)}")
         if failures == 0:
             lines.append(f"all {m.rank} operators annihilate v")
         else:
@@ -341,7 +346,7 @@ def run_command(
         basis = solution_space(m, d)
         lines.append(f"solution space at degree {d}: dimension {len(basis)}")
         for idx, poly in enumerate(basis):
-            lines.append(f"basis[{idx}] = {_render_poly(poly, latex)}")
+            lines.append(f"basis[{idx}] = {render(poly)}")
     elif command == "lift":
         if m.rank < 2:
             raise SpecError("lift needs rank >= 2")
@@ -350,13 +355,13 @@ def run_command(
         v_prev = iterated_residue(m.restriction())
         lifted = lift_volume(v_prev, m)
         direct = iterated_residue(m)
-        lines.append(f"rank-{m.rank - 1} volume: {_render_poly(v_prev.poly, latex)}")
-        lines.append(f"lifted rank-{m.rank} volume: {_render_poly(lifted.poly, latex)}")
+        lines.append(f"rank-{m.rank - 1} volume: {render(v_prev.poly)}")
+        lines.append(f"lifted rank-{m.rank} volume: {render(lifted.poly)}")
         if lifted.poly == direct.poly:
             lines.append("lift agrees with the direct residue computation")
         else:
             lines.append("property violation: lift differs from the direct residue")
-            lines.append(f"direct: {_render_poly(direct.poly, latex)}")
+            lines.append(f"direct: {render(direct.poly)}")
             code = 1
     elif command == "oracle-compare":
         if spec.a is None:
@@ -375,14 +380,13 @@ def run_command(
             raise SpecError(
                 f"largest dilated supply t_max * sum(a) = {supply} is above the ceiling {MAX_SUPPLY}"
             )
+        low = next((x for x in point if x < 1), None)  # compare_volume's check, as an input error
+        if low is not None:
+            raise SpecError(f"supply entry {low} below the required minimum 1")
         from .oracle import OffFitError, compare_volume
 
         try:
             report = compare_volume(m, point, t_max=dilations)
-        except _VolumeCheckError:
-            raise
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
         except OffFitError as exc:
             lines.append(f"property violation: {exc}")
             code = 1
@@ -410,9 +414,11 @@ def _load_spec_argument(arg: str) -> ProblemSpec:
     if arg.startswith("@"):
         try:
             with open(arg[1:], "r", encoding="utf-8") as handle:
-                arg = handle.read()
+                arg = handle.read(MAX_SPEC_CHARS + 1)
         except (OSError, UnicodeDecodeError) as exc:
             raise SpecError(f"cannot read spec file: {exc}") from exc
+        if len(arg) > MAX_SPEC_CHARS:
+            raise SpecError(f"spec file is longer than the ceiling of {MAX_SPEC_CHARS} characters")
     return parse_spec(arg)
 
 

@@ -21,34 +21,36 @@ no two terms of the expansion merge, and every coefficient is an integer.
 rank-induction operators of ``induction`` use it at node 1.
 
 To test a candidate, ``node_residuals`` never expands a node operator.  It
-takes the polynomial in divided powers a^e/e!, as the integer table
-G(e) = S * e! * coeff_e.  A volume's table is the residue's own T(v), the
-Kostant partition function values of Meszaros-Morales, with S = 1
+takes the polynomial in divided powers a^e/e!, as the integer table G(e) =
+S * e! * coeff_e.  A volume's table is the residue's own T(v), the Kostant
+partition function values of Meszaros-Morales, with S = 1
 (``residue.volume_table``); only a bare candidate is converted, with S the
 least positive integer that makes every entry an integer
-(``_divided_powers``).  Either is packed once (``_packed``).  On divided powers every partial derivative is a shift:
-d_i a^e = e_i a^(e-u_i) and e! = e_i (e-u_i)!, so d_i maps a^e/e! to
-a^(e-u_i)/(e-u_i)!, and to 0 when e_i = 0.  So for every node it applies
-d_l^m[l,r+1] as one filtered shift of the keys and each linear factor
-d_l - d_j, m[l,j] times, as two shifts and one subtraction, with no
-multiply, until the table is empty.  Only a nonzero residual is divided
-back by S * e!, in one ``from_divided_powers``.  This is exact: a common
-nonzero scale commutes with every linear operator, and constant-coefficient
-operators commute, so applying the factors one after another gives the same
-polynomial as applying their expanded product; every factor maps 0 to 0, so
-stopping early changes nothing.  ``check-pde`` therefore prints the same
-residual, term for term, as the expanded operator gives.  ``_node_image`` is
-that action of one node operator on a table; ``node_residuals`` and
-``solution_space`` both use it.
+(``_divided_powers``).  Either is packed once (``_packed``), and every
+image is read back by ``_unpacked``.  On divided powers every partial
+derivative is a shift: d_i a^e = e_i a^(e-u_i) and e! = e_i (e-u_i)!, so
+d_i maps a^e/e! to a^(e-u_i)/(e-u_i)!, and to 0 when e_i = 0.  So for every
+node it applies d_l^m[l,r+1] as one filtered shift of the keys and each
+linear factor d_l - d_j, m[l,j] times, as two shifts and one subtraction,
+with no multiply, until the table is empty.  Only a nonzero residual is
+divided back by S * e!, in one ``from_divided_powers``.  This is exact: a
+common nonzero scale commutes with every linear operator, and
+constant-coefficient operators commute, so applying the factors one after
+another gives the same polynomial as applying their expanded product; every
+factor maps 0 to 0, so stopping early changes nothing.  ``check-pde``
+therefore prints the same residual, term for term, as the expanded operator
+gives.  ``_node_image`` is that action of one node operator on a table;
+``node_residuals`` and ``solution_space`` both use it.
 
 ``DiffOperator.apply``, which the rank-induction lift calls, works on the
 same table for any operator: d^k maps a^e/e! to a^(e-k)/(e-k)!, so each
 (operator term, polynomial term) pair costs one integer multiply-add, and
-each output term makes one ``Fraction``.  S = 1 on every u_n and every
-image D_j u_n of the lift (``induction``) too: the volume is
-v = sum_n a_1^(s-1+n)/(s-1+n)! * u_n, so the entries e'! * coeff_e' of u_n
-are the values e! * v_e at e = (s-1+n, e'), and d^k on divided powers with
-the integer weights of D_j keeps a table integral.
+each output term makes one ``Fraction``.  S = 1 on every layer u_k of
+the lift (``induction``) and on its image under the lift's signed operator
+D_1 - D_2 + D_3 - ... too: the volume is
+v = sum_k a_1^(s-1+k)/(s-1+k)! * u_k, so the entries e'! * coeff_e' of u_k
+are the values e! * v_e at e = (s-1+k, e'), and a shift on divided powers
+with the integer weights of the D_j keeps a table integral.
 
 Every table is keyed on one layout of guarded bit fields.  With M the
 largest exponent or operator order in play, each field is w = bitlen(M) + 1
@@ -227,15 +229,17 @@ def _packed(entries: Iterable[tuple[Exponents, int]], places: list[int], guards:
     return {guards + sum(map(mul, exps, places)): c for exps, c in entries}
 
 
+def _unpacked(table: Mapping[int, int], shifts: range, guard: int) -> dict[Exponents, int]:
+    """The inverse of ``_packed``: each key read back field by field, with one shift and mask each."""
+    mask = 2 * guard - 1
+    return {tuple((key >> s & mask) - guard for s in shifts): c for key, c in table.items()}
+
+
 @dataclass(frozen=True)
 class DiffOperator:
     """Polynomial in the commuting partial-derivative symbols d_1..d_n."""
 
     poly: MultiPoly
-
-    @property
-    def nvars(self) -> int:
-        return self.poly.nvars
 
     @classmethod
     def zero(cls, nvars: int) -> "DiffOperator":
@@ -276,8 +280,8 @@ class DiffOperator:
         no e_i reaches it.  Every other k_i is at most M, so one ``&`` and one
         compare keep the pairs with e >= k, and key - K is the key of e - k.
         """
-        if p.nvars != self.nvars:
-            raise ValueError(f"variable-count mismatch: {self.nvars} vs {p.nvars}")
+        if p.nvars != self.poly.nvars:
+            raise ValueError(f"variable-count mismatch: {self.poly.nvars} vs {p.nvars}")
         top = max(map(max, p.terms), default=0)
         shifts, places, guard, guards = _layout(p.nvars, top)
         scale, entries = _divided_powers(p)
@@ -294,10 +298,7 @@ class DiffOperator:
                 if key & guards == guards:
                     old = out.get(key)
                     out[key] = weight * g if old is None else old + weight * g
-        mask = 2 * guard - 1
-        return from_divided_powers(p.nvars, {
-            tuple((key >> s & mask) - guard for s in shifts): total for key, total in out.items()
-        }, scale * weights)
+        return from_divided_powers(p.nvars, _unpacked(out, shifts, guard), scale * weights)
 
     def __str__(self) -> str:
         return self.poly.render(names="d")
@@ -387,20 +388,16 @@ def node_residuals(
     (scale 1) and ``annihilates`` writes it for any candidate.  It is packed
     once on the guarded fields for its largest exponent or node order
     (module docstring), where d_i subtracts the place value of field i from
-    the keys whose e_i is nonzero.  Each residual is unpacked with one shift
-    and mask per field and divided back by scale * e! in one
+    the keys whose e_i is nonzero.  Each residual is read back by
+    ``_unpacked`` and divided back by scale * e! in one
     ``from_divided_powers``, and equals ``pde_system(m)``'s node-l operator
     applied to p.  The keys are trusted to have m.rank entries.
     """
     r = m.rank
     shifts, places, guard, guards = _layout(r, max(max(map(max, table), default=0), *m.row_sums))
     packed = _packed(table.items(), places, guards)
-    mask = 2 * guard - 1
     return [
-        (l, from_divided_powers(r, {
-            tuple((key >> s & mask) - guard for s in shifts): c
-            for key, c in _node_image(m, l, packed, places, guard).items()
-        }, scale))
+        (l, from_divided_powers(r, _unpacked(_node_image(m, l, packed, places, guard), shifts, guard), scale))
         for l in range(r, 0, -1)
     ]
 

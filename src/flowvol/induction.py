@@ -111,12 +111,8 @@ class OperatorLadder:
     steps: tuple[DiffOperator, ...]
 
     def generator(self, q: int) -> DiffOperator:
-        """D_q, the zero operator beyond the stored range."""
-        if q < 1:
-            raise ValueError(f"order must be >= 1, got {q}")
-        if q <= len(self.generators):
-            return self.generators[q - 1]
-        return DiffOperator.zero(self.m.rank)
+        """D_q as ``lowering_operator`` builds it: q >= 1, the zero operator beyond the stored range."""
+        return lowering_operator(self.m, q)
 
 
 def operator_ladder(m: MultiplicityMatrix) -> OperatorLadder:
@@ -137,10 +133,9 @@ def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolyno
     its degree names (module docstring): a key's first contribution is
     stored as it is, and only a repeated key pays a ``Fraction`` add.  A
     layer drops its cancelled keys when the loop reaches it, and each
-    volume coefficient is made as one ``Fraction``, c / (s-1+n)!.
+    volume coefficient is made as one ``Fraction``, c / (s-1+n)!.  A rank-1
+    m is refused by its ``restriction()``, which has no rank-0 matrix.
     """
-    if m.rank < 2:
-        raise ValueError("lifting needs rank >= 2")
     if v_prev.m != m.restriction():
         raise ValueError("input volume does not belong to the restricted multiplicities")
     r = m.rank

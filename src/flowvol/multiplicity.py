@@ -73,11 +73,6 @@ class MultiplicityMatrix:
 
     # -- derived constants -------------------------------------------------
 
-    @property
-    def total(self) -> int:
-        """Total multiplicity over all positive roots."""
-        return sum(self.mult)
-
     def row_sum(self, l: int) -> int:
         """Total multiplicity on roots leaving node l, sum of m[l,i] for i > l."""
         if not 1 <= l <= self.rank:

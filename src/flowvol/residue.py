@@ -136,9 +136,12 @@ class ResidueSum:
     terms: tuple[ResidueTerm, ...]
 
     def polynomial(self) -> MultiPoly:
-        """Collapse a fully integrated sum to its polynomial: c_e = T(c)_e / e!."""
-        if self.diff or any(any(term.xpow) for term in self.terms):
-            raise ValueError("sum still depends on unintegrated x variables")
+        """Collapse a fully integrated sum to its polynomial: c_e = T(c)_e / e!.
+
+        The sum is trusted to be fully integrated, with no difference factor
+        and every x power zero: ``residue_in_order``, its one caller,
+        integrates every variable of a checked permutation.
+        """
         total = MultiPoly.zero(self.nvars)
         for term in self.terms:
             total = total + from_divided_powers(self.nvars, term.coeff.terms, 1)

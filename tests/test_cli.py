@@ -22,7 +22,7 @@ from flowvol import MultiPoly, iterated_residue, pde_system
 from flowvol.diffop import _divided_powers
 from flowvol.residue import ResidueTerm
 from flowvol.cli import ProblemSpec, SpecError, _parse_rational, parse_spec, render_spec, run_command
-from flowvol.cli import EXIT_STDOUT_CLOSED, MAX_DEGREE, MAX_POINT_BITS, MAX_SUPPLY, main
+from flowvol.cli import EXIT_STDOUT_CLOSED, MAX_DEGREE, MAX_POINT_BITS, MAX_SPEC_CHARS, MAX_SUPPLY, main
 
 GOLDEN_TEXT = "r=3; m[1,2]=1; m[1,3]=1; m[1,4]=2; m[2,3]=1; m[2,4]=2; m[3,4]=2"
 GOLDEN_RENDER = (
@@ -410,13 +410,29 @@ class TestCommands:
         )
         assert captured.err == ""
 
-    def test_other_arithmetic_errors_are_not_relabelled(self, monkeypatch):
-        def divide(m, point):
-            raise ZeroDivisionError("a fault in the counting code")
+    @pytest.mark.parametrize("error", [ZeroDivisionError, ValueError])
+    def test_other_arithmetic_errors_are_not_relabelled(self, monkeypatch, error):
+        def fail(m, point):
+            raise error("a fault in the counting code")
 
-        monkeypatch.setattr(flowvol.oracle, "count_lattice_points", divide)
-        with pytest.raises(ZeroDivisionError):
+        monkeypatch.setattr(flowvol.oracle, "count_lattice_points", fail)
+        with pytest.raises(error, match="a fault in the counting code"):
             main(["oracle-compare", "r=1; m[1,2]=2; a=(1)"])
+
+    @pytest.mark.parametrize("point, entry", [("0,1", 0), ("-1,1", -1), ("2,-3", -3)])
+    def test_oracle_compare_point_below_one_exits_2(self, point, entry, capsys):
+        spec = f"r=2; m[1,2]=1; m[1,3]=1; m[2,3]=1; a=({point})"
+        assert main(["oracle-compare", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: supply entry {entry} below the required minimum 1\n"
+
+    def test_oracle_compare_reports_the_dilations_before_the_point(self, capsys):
+        spec = "r=2; m[1,2]=1; m[1,3]=1; m[2,3]=1; a=(0,1)"
+        assert main(["oracle-compare", spec, "--dilations", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --dilations must be at least the degree 1\n"
 
     @pytest.mark.parametrize("command", ["volume", "check-pde", "lift", "oracle-compare", "corner"])
     @pytest.mark.parametrize("extra, message", [
@@ -624,6 +640,36 @@ class TestMainEntry:
 
     def test_missing_spec_file(self, capsys):
         assert main(["volume", "@/no/such/file"]) == 2
+
+    def test_spec_file_at_the_length_ceiling_runs(self, tmp_path, capsys):
+        path = tmp_path / "problem.txt"
+        path.write_text("r=1; m[1,2]=3".ljust(MAX_SPEC_CHARS), encoding="utf-8")
+        assert main(["volume", f"@{path}"]) == 0
+        assert "1/2*a1^2" in capsys.readouterr().out
+
+    def test_spec_file_above_the_length_ceiling_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "problem.txt"
+        path.write_text("r=1; m[1,2]=3".ljust(MAX_SPEC_CHARS + 1), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "flowvol", "volume", f"@{path}"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: spec file is longer than the ceiling of {MAX_SPEC_CHARS} characters\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_spec_file_exits_2_at_once(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "flowvol", "volume", "@/dev/zero"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: spec file is longer than the ceiling")
 
     def test_non_utf8_spec_file_exits_2_without_traceback(self, tmp_path):
         path = tmp_path / "problem.txt"

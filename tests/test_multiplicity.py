@@ -27,7 +27,7 @@ def test_entry_access():
 
 
 def test_derived_constants():
-    assert GOLDEN.total == 9
+    assert sum(GOLDEN.mult) == 9
     assert GOLDEN.row_sums == (4, 3, 2)
     assert GOLDEN.degree == 6
     assert GOLDEN.restriction_degree == 3
@@ -83,7 +83,7 @@ def test_derived_fields_stay_out_of_equality_hash_and_repr():
 
 @given(multiplicity_matrices())
 def test_row_sums_partition_total(m):
-    assert sum(m.row_sums) == m.total
+    assert sum(m.row_sums) == sum(m.mult)
 
 
 @given(multiplicity_matrices())

@@ -40,3 +40,13 @@ def test_volume_tables_latex():
     assert lines[-1] == (
         "m=(2, 2, 2) (degree 4): \\frac{1}{12} a_{1}^{4} + \\frac{1}{6} a_{1}^{3} a_{2}"
     )
+
+
+def test_code_lines_total_is_the_sum_of_the_modules():
+    result = run_script("code_lines.py")
+    assert result.returncode == 0, result.stderr
+    *rows, total = [line.split() for line in result.stdout.splitlines()]
+    names = [name for name, _ in rows]
+    assert names == sorted(path.name for path in (ROOT / "src" / "flowvol").glob("*.py"))
+    assert total[0] == "total"
+    assert int(total[1]) == sum(int(count) for _, count in rows) > 0

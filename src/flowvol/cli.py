@@ -4,9 +4,14 @@ A problem is given as one string, e.g.
 
     "r=3; m[1,2]=1; m[1,3]=1; m[1,4]=2; m[2,3]=1; m[2,4]=2; m[3,4]=2; a=(1,1,1)"
 
-(whitespace optional, entries separated by semicolons, the evaluation point
-``a`` optional).  A JSON object {"r": ..., "m": [[i, j, mult], ...],
-"a": [...]} is accepted with identical semantics, and an argument of the
+(entries separated by semicolons, the evaluation point ``a`` optional).
+Whitespace may stand between any two tokens and is dropped there, but it
+never joins two tokens into one: ``m[1,2]=1 1`` and ``a=(1 2)`` are input
+errors, not 11 and 12.  A JSON object {"r": ..., "m": [[i, j, mult], ...],
+"a": [...]} is accepted with identical semantics; a JSON number with a
+fraction or exponent part is read from its text as typed, never through a
+binary float, so ``0.30000000000000001`` is that decimal and ``1e3`` is
+refused as exponent notation, as in the plain form.  An argument of the
 form @path reads either format from a file.
 
 Exit codes: 0 success, 1 property violation (an exact identity failed, or
@@ -104,7 +109,7 @@ class ProblemSpec:
 # that 1_0 would be 10 and the Arabic-Indic 2 would be 2: numbers are plain
 # ASCII, and an integer is an optional sign and the digits 0-9.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_PAIR_KEY = re.compile(r"m\[([0-9]+),([0-9]+)\]")
+_PAIR_KEY = re.compile(r"m\s*\[\s*([0-9]+)\s*,\s*([0-9]+)\s*\]")
 # An entry of a is what Fraction(text) reads with no digit separator and no
 # exponent: optional whitespace at either end, an optional sign, and digits
 # with an optional /digits or .digits, at least one digit before any "/".
@@ -185,16 +190,18 @@ def _build(rank: int | None, entries: dict[tuple[int, int], int],
 
 
 def _parse_plain(text: str) -> ProblemSpec:
-    compact = "".join(text.split())  # str.split() splits on exactly the characters \s matches
     rank: int | None = None
     entries: dict[tuple[int, int], int] = {}
     a: tuple[Fraction, ...] | None = None
-    for part in compact.split(";"):
-        if not part:
-            continue
+    for part in text.split(";"):
         key, sep, value = part.partition("=")
+        # strip() removes exactly the characters \s matches: whitespace may
+        # stand between two tokens, and never joins two into one
+        key, value = key.strip(), value.strip()
         if not sep:
-            raise SpecError(f"entry {part!r} is not of the form key=value")
+            if key:
+                raise SpecError(f"entry {key!r} is not of the form key=value")
+            continue
         if key == "r":
             if rank is not None:
                 raise SpecError("duplicate rank entry")
@@ -204,7 +211,7 @@ def _parse_plain(text: str) -> ProblemSpec:
                 raise SpecError("duplicate a entry")
             if not (value.startswith("(") and value.endswith(")")):
                 raise SpecError("a must be a parenthesized tuple, e.g. a=(1,2/3)")
-            a = tuple(_parse_rational(x) for x in value[1:-1].split(","))
+            a = tuple(_parse_rational(x.strip()) for x in value[1:-1].split(","))
         else:
             match = _PAIR_KEY.fullmatch(key)
             if not match:
@@ -219,11 +226,17 @@ def _parse_plain(text: str) -> ProblemSpec:
     return _build(rank, entries, a)
 
 
+class _Literal(str):
+    """A JSON number with a fraction or exponent part, kept as typed; its repr is the text."""
+
+    __repr__ = str.__str__
+
+
 def _parse_json(text: str) -> ProblemSpec:
     import json
 
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=_Literal)
     except (ValueError, RecursionError) as exc:
         # ValueError: malformed JSON, or an integer past the limit on digits;
         # RecursionError: arrays or objects nested past the recursion limit.

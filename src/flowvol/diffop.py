@@ -241,10 +241,6 @@ class DiffOperator:
 
     poly: MultiPoly
 
-    @classmethod
-    def zero(cls, nvars: int) -> "DiffOperator":
-        return cls(MultiPoly.zero(nvars))
-
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
         return DiffOperator(self.poly + other.poly)
 

@@ -78,7 +78,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .multiplicity import MultiplicityMatrix
 from .residue import iterated_residue
@@ -95,8 +95,8 @@ def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
     if point[0] < 0:
         return 0
 
-    def one_copy(column: list[list[int]]) -> Iterator[list[int]]:
-        """One parallel copy of a root: yields out[y] = in[y] + out[y-1][1:], zero-padded."""
+    def one_copy(column: Iterable[list[int]]) -> Iterator[list[int]]:
+        """One parallel copy of a root, lazily: yields out[y] = in[y] + out[y-1][1:], zero-padded."""
         carry: list[int] = []
         for ways in column:
             shifted = carry[1:]
@@ -111,8 +111,11 @@ def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
     def move(states: dict, k: int, copies: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         """Send flow from the row's node to the node at key position k over every copy.
 
-        Yields the moved (key, ways) pairs as the last copy makes them and
-        empties ``states``, so that each group's lists are freed once moved.
+        Each copy is a ``one_copy`` pass wrapped around the previous one, so
+        a group's lists go through every copy in one sweep over y, and each
+        pass holds only its carried list.  Yields the moved (key, ways)
+        pairs as the last pass makes them and empties ``states``, so that
+        each group's lists are freed once moved.
         """
         columns: dict[tuple[int, ...], dict[int, list[int]]] = {}
         for key, ways in states.items():
@@ -122,9 +125,9 @@ def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
             rest, by_y = columns.popitem()
             low = min(by_y)
             column = [by_y.pop(y, []) for y in range(low, max(by_y) + 1)]
-            for _ in range(copies - 1):
-                column = list(one_copy(column))
-            for y, ways in enumerate(one_copy(column), low):
+            for _ in range(copies):
+                column = one_copy(column)
+            for y, ways in enumerate(column, low):
                 if ways:
                     yield rest[:k] + (y,) + rest[k:], ways
 
@@ -166,7 +169,6 @@ class CountTable:
     """Lattice counts L(t) of the dilates t*a from t = first on, with their exact polynomial fit."""
 
     m: MultiplicityMatrix
-    a: tuple[int, ...]
     counts: tuple[int, ...]  # L(first), L(first + 1), ...
     differences: tuple[int, ...]  # Newton coefficients of the fit, degree + 1 of them
     first: int
@@ -217,14 +219,13 @@ def dilation_counts(m: MultiplicityMatrix, a: tuple[int, ...], t_max: int | None
                 f"count {counts[k]} at dilation {first + k} does not fit a degree-{degree} "
                 "polynomial; the supply vector is degenerate or counting is wrong"
             )
-    return CountTable(m, a, counts, differences[: degree + 1], first)
+    return CountTable(m, counts, differences[: degree + 1], first)
 
 
 @dataclass(frozen=True)
 class VolumeComparison:
     """Side-by-side result of the residue route and the counting route."""
 
-    m: MultiplicityMatrix
     a: tuple[int, ...]
     residue_value: Fraction
     count_value: Fraction
@@ -264,4 +265,4 @@ def compare_volume(
         raise ValueError(f"need dilations up to {m.degree}, got bound {t_max}")
     residue_value = iterated_residue(m).value_at(point)
     count_value = dilation_counts(m, point, t_max).leading_coefficient
-    return VolumeComparison(m, point, residue_value, count_value)
+    return VolumeComparison(point, residue_value, count_value)

@@ -207,13 +207,8 @@ class MultiPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = MultiPoly.one(self.nvars)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(exponent):
+            result = result * self
         return result
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:

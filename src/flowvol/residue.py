@@ -60,7 +60,7 @@ series one after another takes the same Cauchy product as a joint split of
 p - 1 over all of them, bracketed differently; the product is associative,
 so the coefficient of x_k^(p-1) is the same.  Where F has no state, G's
 state shares the table of G(P + 1, B + 1); where it has one, the new table
-is one copy of the larger table plus one add per entry of the smaller, with
+is one copy of G(P + 1, B + 1)'s table plus one add per entry of F's, with
 cancelled entries dropped.  No table is written to after it is built, so
 one table may be shared down a whole diagonal and a step may share its
 input tables with its output.
@@ -161,9 +161,7 @@ def build_kernel(m: MultiplicityMatrix) -> ResidueSum:
 
 
 def _added(run: dict, table: dict) -> dict:
-    """A new table run + table: the larger copied in C, the smaller added, cancelled keys dropped."""
-    if len(run) < len(table):
-        run, table = table, run
+    """A new table run + table: run copied in C, table's entries added into it, cancelled keys dropped."""
     total = dict(run)
     get = total.get
     for e, c in table.items():

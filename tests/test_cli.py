@@ -43,6 +43,24 @@ class TestParsing:
         spec = parse_spec("  r = 2 ;m[1,2] =1; m[ 1,3]=1 ;m[2,3]= 1; a=( 1 , 2/3 )")
         assert spec == ProblemSpec(2, (1, 1, 1), (Fraction(1), Fraction(2, 3)))
 
+    @pytest.mark.parametrize("space", [" ", "\t", "\n", "\xa0", " \t\n\xa0"])
+    def test_whitespace_between_tokens_parses_as_compact_text(self, space):
+        spaced = " r = 2 ; m [ 1 , 2 ] = 1 ; m[1,3]=1 ; m[2,3]=1 ; a = ( 1/2 , 3 ) ".replace(" ", space)
+        compact = "r=2;m[1,2]=1;m[1,3]=1;m[2,3]=1;a=(1/2,3)"
+        assert parse_spec(spaced) == parse_spec(compact) == ProblemSpec(2, (1, 1, 1), (Fraction(1, 2), Fraction(3)))
+
+    @pytest.mark.parametrize("spec, error", [
+        ("r=1; m[1,2]=1 1", "multiplicity must be an integer, got '1 1'"),
+        ("r=1; m[1,2]=+ 1", "multiplicity must be an integer, got '+ 1'"),
+        ("r=1 0; m[1,2]=1", "rank must be an integer, got '1 0'"),
+        ("r=1; m[1,2]=2; a=(1 2)", "malformed rational '1 2'"),
+        ("r=1; m[1,2]=2; a=(1/2 0)", "malformed rational '1/2 0'"),
+        ("r=1; m[1,2]=2; a=(3 / 4)", "malformed rational '3 / 4'"),
+    ])
+    def test_whitespace_inside_a_number_exits_2(self, spec, error, capsys):
+        assert main(["volume", spec]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
     def test_zero_multiplicity_rejected(self):
         with pytest.raises(SpecError, match="positive"):
             parse_spec("r=2; m[1,2]=0; m[1,3]=1; m[2,3]=1")
@@ -242,6 +260,36 @@ class TestRationalReader:
         else:
             assert code == 0 and captured.err == ""
             assert captured.out.splitlines()[-1] == f"value at a=({expected[1]}): {expected[1]}"
+
+    # json refuses an integer past the digit limit itself, before a is read
+    @pytest.mark.parametrize("text", [
+        text for text in RATIONAL_CORPUS
+        if re.fullmatch(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?", text) and len(text) <= LIMIT
+    ])
+    def test_json_number_reads_as_the_plain_entry(self, text, capsys):
+        plain_code = main(["volume", f"r=1; m[1,2]=2; a=({text})"])
+        plain = capsys.readouterr()
+        assert main(["volume", '{"r": 1, "m": [[1, 2, 2]], "a": [%s]}' % text]) == plain_code
+        assert capsys.readouterr() == plain
+
+
+class TestJsonNumbersAsTyped:
+    """A JSON number with a fraction or exponent part is read from its text, not through a float."""
+
+    @pytest.mark.parametrize("spec, err, last_line", [
+        ('{"r": 1, "m": [[1, 2, 2]], "a": [0.30000000000000001]}', "",
+         "value at a=(30000000000000001/100000000000000000): 30000000000000001/100000000000000000"),
+        ('{"r": 1, "m": [[1, 2, 2]], "a": [12345678901234567890.5]}', "",
+         "value at a=(24691357802469135781/2): 24691357802469135781/2"),
+        ('{"r": 1, "m": [[1, 2, 2]], "a": [1e3]}', "error: exponent notation is not accepted, got '1e3'\n", ""),
+        ('{"r": 1, "m": [[1, 2, 1.5]]}', "error: non-integer multiplicity triple [1, 2, 1.5]\n", ""),
+        ('{"r": 1, "m": [[1, 2, 1.50]]}', "error: non-integer multiplicity triple [1, 2, 1.50]\n", ""),
+    ])
+    def test_literal_text_is_read(self, spec, err, last_line, capsys):
+        assert main(["volume", spec]) == (2 if err else 0)
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out.rstrip("\n").rpartition("\n")[2] == last_line
 
 
 point_entries = st.fractions(min_value=-4, max_value=4, max_denominator=5)

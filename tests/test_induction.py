@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 
+import flowvol.induction
 from flowvol import (
     MultiPoly,
     MultiplicityMatrix,
@@ -55,7 +56,7 @@ def all_matrices(rank, first_row=None):
 class TestLoweringOperator:
     @given(multiplicity_matrices(min_rank=2, max_rank=4))
     def test_first_order_is_weighted_gradient(self, m):
-        expected = DiffOperator.zero(m.rank)
+        expected = DiffOperator(MultiPoly.zero(m.rank))
         for i in range(2, m.rank + 1):
             expected = expected + m.multiplicity(1, i) * d(i, m.rank)
         assert lowering_operator(m, 1) == expected
@@ -71,6 +72,21 @@ class TestLoweringOperator:
         assert lowering_operator(m, span + 1).poly.is_zero
         if span >= 1:
             assert not lowering_operator(m, span).poly.is_zero
+
+    def test_orders_above_the_span_build_no_terms(self, monkeypatch):
+        tops = []
+        node_terms = flowvol.induction._node_terms
+
+        def recording(m, l, top, weight):
+            tops.append(top)
+            return node_terms(m, l, top, weight)
+
+        monkeypatch.setattr(flowvol.induction, "_node_terms", recording)
+        span = GOLDEN_M.row_sum(1) - GOLDEN_M.multiplicity(1, GOLDEN_M.rank + 1)
+        assert lowering_operator(GOLDEN_M, span + 5).poly.is_zero
+        assert lowering_operator(GOLDEN_M, 10**6) == DiffOperator(MultiPoly.zero(GOLDEN_M.rank))
+        lowering_operator(GOLDEN_M, span)
+        assert tops == [span]
 
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -188,7 +188,7 @@ class TestIntegerFit:
     def test_forward_differences_match_reference_fit(self, values, first):
         degree = len(values) - 1
         m = MultiplicityMatrix(1, (degree + 1,))
-        table = CountTable(m, (1,), tuple(values), _newton_fit(values), first)
+        table = CountTable(m, tuple(values), _newton_fit(values), first)
         assert_fit_matches_reference(table, values)
 
     def test_every_small_family_table_matches_reference_fit(self):

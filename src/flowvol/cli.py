@@ -11,8 +11,10 @@ errors, not 11 and 12.  A JSON object {"r": ..., "m": [[i, j, mult], ...],
 "a": [...]} is accepted with identical semantics; a JSON number with a
 fraction or exponent part is read from its text as typed, never through a
 binary float, so ``0.30000000000000001`` is that decimal and ``1e3`` is
-refused as exponent notation, as in the plain form.  An argument of the
-form @path reads either format from a file.
+refused as exponent notation, as in the plain form.  A key given twice in
+a JSON object is an input error, as a repeated plain entry is, and is never
+read as its last value.  An argument of the form @path reads either format
+from a file.
 
 Exit codes: 0 success, 1 property violation (an exact identity failed, or
 a computed volume failed the volume check of ``residue``), 2 input error,
@@ -45,7 +47,7 @@ from fractions import Fraction
 from .multiplicity import MultiplicityMatrix, root_pairs
 from .polynomial import MultiPoly
 from .residue import (
-    _VolumeCheckError, canonical_order, divided_coefficient, iterated_residue, residue_in_order, volume_table,
+    _PropertyViolation, canonical_order, divided_coefficient, iterated_residue, residue_in_order, volume_table,
 )
 
 
@@ -232,17 +234,28 @@ class _Literal(str):
     __repr__ = str.__str__
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A decoded JSON object; a key given twice is an input error, as a repeated plain entry is."""
+    data: dict[str, object] = {}
+    for key, value in pairs:
+        if key in data:
+            name = {"r": "rank", "a": "a"}.get(key)
+            raise SpecError(f"duplicate {name} entry" if name else f"duplicate JSON key {key!r}")
+        data[key] = value
+    return data
+
+
 def _parse_json(text: str) -> ProblemSpec:
     import json
 
     try:
-        data = json.loads(text, parse_float=_Literal)
+        data = json.loads(text, parse_float=_Literal, object_pairs_hook=_unique_keys)
+    except SpecError:  # a repeated key: a ValueError too, but not malformed JSON
+        raise
     except (ValueError, RecursionError) as exc:
         # ValueError: malformed JSON, or an integer past the limit on digits;
         # RecursionError: arrays or objects nested past the recursion limit.
         raise SpecError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SpecError("JSON spec must be an object")
     unknown = set(data) - {"r", "m", "a"}
     if unknown:
         raise SpecError(f"unknown JSON keys {sorted(unknown)}")
@@ -317,9 +330,12 @@ def run_command(
 ) -> tuple[str, int]:
     """Execute one command; returns (report text, exit code).
 
-    A computed volume or volume table that fails the volume check of
-    ``residue`` (``VolumePolynomial`` or ``volume_table``) raises
-    ``_VolumeCheckError``, which ``main`` reports as a property violation.
+    A failed certificate that ends the command at once raises a
+    ``residue._PropertyViolation``, which ``main`` reports as one
+    property-violation line with exit code 1 and no order check: a computed
+    volume or volume table that fails the volume check of ``residue``
+    (``VolumePolynomial`` or ``volume_table``), or a lattice count off the
+    fit (``oracle.OffFitError``).
     """
     m = spec.matrix()
     render = MultiPoly.render_latex if latex else MultiPoly.render
@@ -396,17 +412,12 @@ def run_command(
         low = next((x for x in point if x < 1), None)  # compare_volume's check, as an input error
         if low is not None:
             raise SpecError(f"supply entry {low} below the required minimum 1")
-        from .oracle import OffFitError, compare_volume
+        from .oracle import compare_volume
 
-        try:
-            report = compare_volume(m, point, t_max=dilations)
-        except OffFitError as exc:
-            lines.append(f"property violation: {exc}")
+        report = compare_volume(m, point, t_max=dilations)
+        lines.append(str(report))
+        if not report.matches:
             code = 1
-        else:
-            lines.append(str(report))
-            if not report.matches:
-                code = 1
     elif command == "corner":
         exps = m.corner_exponents
         monomial = MultiPoly.monomial(exps).render()
@@ -480,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _VolumeCheckError as exc:
+    except _PropertyViolation as exc:
         text, code = f"property violation: {exc}", 1
     try:
         print(text, flush=True)

@@ -18,7 +18,8 @@ prod_j C(m[l,j], p_j) d_j^p_j.  Distinct vectors give distinct monomials, so
 no two terms of the expansion merge, and every coefficient is an integer.
 ``_node_terms`` is that coefficient rule for any weight in place of C(m, p);
 ``pde_system`` uses it with the binomial coefficients, and the
-rank-induction operators of ``induction`` use it at node 1.
+rank-induction operators of ``induction`` use it at node 1.  Both wrap its
+canonical integer terms with ``_operator``, which does not check them again.
 
 To test a candidate, ``node_residuals`` never expands a node operator.  It
 takes the polynomial in divided powers a^e/e!, as the integer table G(e) =
@@ -193,6 +194,19 @@ def _node_terms(
     )
 
 
+def _operator(r: int, terms: dict[Exponents, int]) -> DiffOperator:
+    """Canonical nonzero integer weights, such as ``_node_terms`` makes, as an operator, not re-checked.
+
+    The weights take few distinct values, so each makes one ``Fraction``,
+    shared by every term that carries it.  The dict is taken over and its
+    values replaced in place, so no second dict of the same size is built.
+    """
+    values = {c: Fraction(c) for c in set(terms.values())}
+    for exps, c in terms.items():
+        terms[exps] = values[c]
+    return DiffOperator(MultiPoly._trusted(r, terms))
+
+
 def _layout(nvars: int, top: int) -> tuple[range, list[int], int, int]:
     """The guarded bit fields for exponents and orders up to ``top`` (module docstring).
 
@@ -325,7 +339,7 @@ def pde_system(m: MultiplicityMatrix) -> PdeSystem:
         for q, level in enumerate(_node_terms(m, l, order - m.rows[l - 1][-1], comb)):
             for exps, coeff in level.items():
                 terms[exps[: l - 1] + (order - q,) + exps[l:]] = (-1) ** q * coeff
-        ops.append(DiffOperator(MultiPoly(r, terms)))
+        ops.append(_operator(r, terms))
     return PdeSystem(m, tuple(ops))
 
 

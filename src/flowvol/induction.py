@@ -59,10 +59,11 @@ in the package applies the E_n: they exist for acceptance criterion 8 and
 for the ladder metrics of the benchmark in ``flowbench/``.
 
 The D_q and E_n come out of ``_node_terms`` in canonical form, with nonzero
-integer weights, every order from one call, and the lift's terms are
-distinct nonzero ``Fraction`` values, so they are wrapped with
-``MultiPoly._trusted`` rather than passed through the checking constructor
-again; inputs are checked where they enter.
+integer weights, every order from one call, so ``diffop._operator`` wraps
+them as it wraps ``pde_system``'s operators, and the lift's terms are
+distinct nonzero ``Fraction`` values, wrapped with ``MultiPoly._trusted``;
+neither goes through the checking constructor again, since inputs are
+checked where they enter.
 """
 
 from __future__ import annotations
@@ -71,23 +72,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import DiffOperator, _node_terms
+from .diffop import DiffOperator, _node_terms, _operator
 from .multiplicity import MultiplicityMatrix
-from .polynomial import Exponents, MultiPoly, binomial_series_coeff
+from .polynomial import MultiPoly, binomial_series_coeff
 from .residue import VolumePolynomial
-
-
-def _operator(r: int, terms: dict[Exponents, int]) -> DiffOperator:
-    """``_node_terms``' canonical nonzero integer weights as an operator, not re-checked.
-
-    The weights take few distinct values, so each makes one ``Fraction``,
-    shared by every term that carries it.  The dict is taken over and its
-    values replaced in place, so no second dict of the same size is built.
-    """
-    values = {c: Fraction(c) for c in set(terms.values())}
-    for exps, c in terms.items():
-        terms[exps] = values[c]
-    return DiffOperator(MultiPoly._trusted(r, terms))
 
 
 def lowering_operator(m: MultiplicityMatrix, q: int) -> DiffOperator:

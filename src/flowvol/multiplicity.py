@@ -98,8 +98,5 @@ class MultiplicityMatrix:
 
     @property
     def corner_value(self) -> Fraction:
-        """Expected coefficient on the corner monomial: 1 / prod (row_sum(l) - 1)!."""
-        denom = 1
-        for s in self.row_sums:
-            denom *= math.factorial(s - 1)
-        return Fraction(1, denom)
+        """Expected coefficient on the corner monomial: 1 / prod (row_sum(l) - 1)!, read off ``corner_exponents``."""
+        return Fraction(1, math.prod(map(math.factorial, self.corner_exponents)))

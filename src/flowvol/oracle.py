@@ -81,7 +81,7 @@ from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .multiplicity import MultiplicityMatrix
-from .residue import iterated_residue
+from .residue import _PropertyViolation, iterated_residue
 
 
 def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
@@ -182,7 +182,7 @@ class CountTable:
         return sum(d * math.comb(t - self.first, k) for k, d in enumerate(self.differences))
 
 
-class OffFitError(ArithmeticError):
+class OffFitError(_PropertyViolation, ArithmeticError):
     """A lattice count that the polynomial fit of the volume degree misses."""
 
 

@@ -57,6 +57,26 @@ def homogeneous_monomials(nvars: int, degree: int, caps: Sequence[int] = ()) -> 
     return prepend(tails, degree) if nvars > 1 else tails[degree]
 
 
+def table_sum(run: Mapping[Exponents, Scalar], table: Mapping[Exponents, Scalar]) -> dict[Exponents, Scalar]:
+    """A new table run + table: run copied, table's entries added into it, cancelled keys dropped.
+
+    A key new to the copy is stored as it is, with no add against zero, so
+    only a key both tables hold pays for an add, and only such a key can
+    cancel.  ``MultiPoly.__add__`` and the residue's running sums use it.
+    """
+    total = dict(run)
+    get = total.get
+    for exps, coeff in table.items():
+        old = get(exps)
+        if old is None:
+            total[exps] = coeff
+        elif coeff := old + coeff:
+            total[exps] = coeff
+        else:
+            del total[exps]
+    return total
+
+
 class MultiPoly:
     """Sparse polynomial in ``nvars`` variables with nonzero rational coefficients.
 
@@ -165,16 +185,7 @@ class MultiPoly:
         self._require_same_shape(other)
         if not self.terms or not other.terms:
             return self if self.terms else other
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            old = merged.get(exps)
-            if old is None:
-                merged[exps] = coeff
-            elif total := old + coeff:
-                merged[exps] = total
-            else:
-                del merged[exps]
-        return MultiPoly._trusted(self.nvars, merged)
+        return MultiPoly._trusted(self.nvars, table_sum(self.terms, other.terms))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):

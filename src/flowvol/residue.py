@@ -102,7 +102,7 @@ from math import factorial, prod
 from typing import Collection, Mapping, Sequence
 
 from .multiplicity import MultiplicityMatrix
-from .polynomial import Exponents, MultiPoly, from_divided_powers
+from .polynomial import Exponents, MultiPoly, from_divided_powers, table_sum
 
 
 @dataclass(frozen=True)
@@ -160,18 +160,6 @@ def build_kernel(m: MultiplicityMatrix) -> ResidueSum:
     return ResidueSum(r, diff, (ResidueTerm(MultiPoly._trusted(r, {(0,) * r: 1}), xpow),))
 
 
-def _added(run: dict, table: dict) -> dict:
-    """A new table run + table: run copied in C, table's entries added into it, cancelled keys dropped."""
-    total = dict(run)
-    get = total.get
-    for e, c in table.items():
-        if c := c + get(e, 0):
-            total[e] = c
-        else:
-            del total[e]
-    return total
-
-
 def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
     """Residue at x_var = 0, treating the other live variables as generic.
 
@@ -227,7 +215,7 @@ def residue_at_zero(expr: ResidueSum, var: int) -> ResidueSum:
                 for budget in range(max(column, default=-1), -1, -1):
                     table = column.get(budget)
                     if table:
-                        run = _added(run, table) if run else table
+                        run = table_sum(run, table) if run else table
                     if run:
                         summed[budget] = run
                 column = summed
@@ -295,7 +283,11 @@ def divided_coefficient(table: Mapping[Exponents, int], exps: Exponents) -> Frac
     return Fraction(table.get(exps, 0), prod(map(factorial, exps)))
 
 
-class _VolumeCheckError(ValueError):
+class _PropertyViolation(Exception):
+    """A failed certificate, which ``cli`` reports as one property-violation line with exit code 1."""
+
+
+class _VolumeCheckError(_PropertyViolation, ValueError):
     """A computed polynomial that lacks a property every volume polynomial has."""
 
 

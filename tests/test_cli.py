@@ -15,10 +15,11 @@ from hypothesis import given, strategies as st
 
 import flowvol.cli
 import flowvol.diffop
+import flowvol.induction
 import flowvol.oracle
 import flowvol.polynomial
 import flowvol.residue
-from flowvol import MultiPoly, iterated_residue, pde_system
+from flowvol import MultiPoly, VolumePolynomial, canonical_order, iterated_residue, pde_system
 from flowvol.diffop import _divided_powers
 from flowvol.residue import ResidueTerm
 from flowvol.cli import ProblemSpec, SpecError, _parse_rational, parse_spec, render_spec, run_command
@@ -92,6 +93,69 @@ class TestParsing:
     def test_empty_rejected(self):
         with pytest.raises(SpecError):
             parse_spec("   ")
+
+
+SMALL = "r=1; m[1,2]=2"  # degree 1
+
+
+ERROR_LINES = [
+    (["volume", "   "], "empty specification"),
+    (["volume", "m[1,2]=1"], "missing rank entry r=<int>"),
+    (["volume", "r=0"], "rank must be >= 1, got 0"),
+    (["volume", "r=x"], "rank must be an integer, got 'x'"),
+    (["volume", "r=1; r=1; m[1,2]=2"], "duplicate rank entry"),
+    (["volume", "r=15"], "rank 15 has volume degree at least 105, above the ceiling 100"),
+    (["volume", "r=1; m[1,2]=1; m[3,4]=1"], "pair m[3,4] out of range for rank 1"),
+    (["volume", "r=2; m[1,2]=1"], "missing multiplicity entries: m[1,3], m[2,3]"),
+    (["volume", "r=1; m[1,2]=0"], "multiplicity m[1,2] must be positive, got 0"),
+    (["volume", "r=1; m[1,2]=102"], "volume degree 101 is above the ceiling 100"),
+    (["volume", "r=1; m[1,2]=1; m[1,2]=1"], "duplicate entry m[1,2]"),
+    (["volume", "r=1; x=1"], "unknown entry key 'x'"),
+    (["volume", "r=1; x"], "entry 'x' is not of the form key=value"),
+    (["volume", SMALL + "; a=(1,2)"], "a has 2 entries, expected 1"),
+    (["volume", SMALL + "; a=1"], "a must be a parenthesized tuple, e.g. a=(1,2/3)"),
+    (["volume", SMALL + "; a=(1); a=(1)"], "duplicate a entry"),
+    (["volume", SMALL + "; a=(x)"], "malformed rational 'x'"),
+    (["volume", SMALL + "; a=(1e3)"], "exponent notation is not accepted, got '1e3'"),
+    (["volume", "r=1; m[1,2]=101; a=(%d)" % 2**101],
+     "evaluation point of 102-bit entries at rank 1 and degree 100"
+     " is above the ceiling rank * max(degree, 1) * bits <= 10000"),
+    (["volume", "@/no/such/file"], "cannot read spec file: [Errno 2] No such file or directory: '/no/such/file'"),
+    (["volume", "{not json"],
+     "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["volume", '{"x": 1}'], "unknown JSON keys ['x']"),
+    (["volume", '{"r": "1"}'], "JSON key 'r' must be an integer"),
+    (["volume", '{"r": 1, "m": [1]}'], "JSON key 'm' must be a list of [i, j, mult] triples"),
+    (["volume", '{"r": 1, "m": [[1, 2, "2"]]}'], "non-integer multiplicity triple [1, 2, '2']"),
+    (["volume", '{"r": 1, "m": [[1, 2, 2], [1, 2, 2]]}'], "duplicate entry m[1,2]"),
+    (["volume", '{"r": 1, "m": [[1, 2, 2]], "a": 1}'], "JSON key 'a' must be a list"),
+    # a key given twice is refused, as a repeated plain entry is, not read as its last value
+    (["volume", '{"r": 1, "r": 1, "m": [[1, 2, 2]]}'], "duplicate rank entry"),
+    (["volume", '{"r": 1, "m": [[1, 2, 2]], "a": [1], "a": [5]}'], "duplicate a entry"),
+    (["volume", '{"r": 1, "m": [[1, 2, 1]], "m": [[1, 2, 3]]}'], "duplicate JSON key 'm'"),
+    (["volume", '{"r": 1, "m": [[1, 2, 2]], "x": 1, "x": 1}'], "duplicate JSON key 'x'"),
+    (["volume", '{"r": 1, "m": [[1, 2, 2]], "a": [{"q": 1, "q": 2}]}'], "duplicate JSON key 'q'"),
+    (["kernel", SMALL, "--degree", "-1"], "degree must be nonnegative, got -1"),
+    (["kernel", SMALL, "--degree", "101"], "degree 101 is above the ceiling 100"),
+    (["kernel", SMALL, "--degree", "x"], "--degree must be an integer, got 'x'"),
+    (["lift", "r=1; m[1,2]=1"], "lift needs rank >= 2"),
+    (["oracle-compare", SMALL], "oracle-compare needs an evaluation point a=(...)"),
+    (["oracle-compare", SMALL + "; a=(1/2)"], "oracle-compare needs integer a, got 1/2"),
+    (["oracle-compare", SMALL + "; a=(0)"], "supply entry 0 below the required minimum 1"),
+    (["oracle-compare", SMALL + "; a=(201)"],
+     "largest dilated supply t_max * sum(a) = 201 is above the ceiling 200"),
+    (["oracle-compare", SMALL + "; a=(1)", "--dilations", "0"], "--dilations must be at least the degree 1"),
+    (["oracle-compare", SMALL + "; a=(1)", "--dilations", "101"], "--dilations 101 is above the ceiling 100"),
+]
+
+
+class TestInputErrorLines:
+    """Every input-error line main can print, through main: exit 2, nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, error", ERROR_LINES, ids=[error for _, error in ERROR_LINES])
+    def test_error_line(self, argv, error, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 class TestJsonFormat:
@@ -441,7 +505,9 @@ class TestCommands:
         with pytest.raises(SpecError, match="evaluation point"):
             run_command(parse_spec("r=1; m[1,2]=2"), "oracle-compare")
 
-    def test_count_off_the_fit_is_a_violation_without_traceback(self, monkeypatch, capsys):
+    @staticmethod
+    def miscount_at_five(monkeypatch):
+        """Make the count at dilation 5 one too many; the spec and the property-violation line it gives."""
         # degree 2 and the window -1..1, so --dilations 5 checks t = 2..5 against the fit
         spec = "r=2; m[1,2]=2; m[1,3]=1; m[2,3]=1; a=(2,1)"
         exact = flowvol.oracle.count_lattice_points
@@ -450,13 +516,59 @@ class TestCommands:
             flowvol.oracle, "count_lattice_points",
             lambda m, point: bad if point == (10, 5) else exact(m, point),
         )
-        assert main(["oracle-compare", spec, "--dilations", "5"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == (
+        return spec, (
             f"property violation: count {bad} at dilation 5 does not fit a degree-2 "
             "polynomial; the supply vector is degenerate or counting is wrong\n"
         )
-        assert captured.err == ""
+
+    def test_count_off_the_fit_is_a_violation_without_traceback(self, monkeypatch, capsys):
+        spec, line = self.miscount_at_five(monkeypatch)
+        assert main(["oracle-compare", spec, "--dilations", "5"]) == 1
+        assert capsys.readouterr() == (line, "")
+
+    def test_count_off_the_fit_ends_the_command_before_the_order_check(self, monkeypatch, capsys):
+        spec, line = self.miscount_at_five(monkeypatch)
+        assert main(["oracle-compare", spec, "--dilations", "5", "--order-check"]) == 1
+        assert capsys.readouterr() == (line, "")
+
+    @staticmethod
+    def golden_plus_a3_to_the_6(m):
+        """The golden volume plus a3^6: nonzero, homogeneous of the degree, the corner kept."""
+        return VolumePolynomial(m, iterated_residue(m).poly + MultiPoly.monomial((0, 0, 6)))
+
+    def test_lift_that_differs_from_the_direct_residue_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(flowvol.induction, "lift_volume", lambda v_prev, m: self.golden_plus_a3_to_the_6(m))
+        assert main(["lift", GOLDEN_TEXT]) == 1
+        assert capsys.readouterr() == ("\n".join([
+            "rank-2 volume: 1/6*a1^3 + 1/2*a1^2*a2",
+            f"lifted rank-3 volume: {GOLDEN_RENDER} + a3^6",
+            "property violation: lift differs from the direct residue",
+            f"direct: {GOLDEN_RENDER}",
+        ]) + "\n", "")
+
+    def test_oracle_compare_mismatch_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(flowvol.oracle, "iterated_residue", self.golden_plus_a3_to_the_6)
+        assert main(["oracle-compare", GOLDEN_TEXT + "; a=(1,1,2)"]) == 1
+        # the volume at (1,1,2) is 16/45, and a3^6 adds 64
+        assert capsys.readouterr() == (
+            "volume polynomial value at a=(1,1,2): 2896/45\n"
+            "lattice-count leading coefficient:  16/45\n"
+            "MISMATCH: difference 64\n",
+            "",
+        )
+
+    def test_failed_order_check_exits_1(self, monkeypatch, capsys):
+        exact = flowvol.cli.residue_in_order
+        monkeypatch.setattr(flowvol.cli, "residue_in_order", lambda m, order: exact(m, canonical_order(m.rank)))
+        assert main(["volume", "r=1; m[1,2]=1", "--order-check"]) == 1
+        assert capsys.readouterr() == (
+            "volume polynomial (rank 1, degree 0):\n"
+            "1\n"
+            "residue-order regression: FAILED\n"
+            "  canonical order gave a1\n"
+            "  reversed order gave  a1\n",
+            "",
+        )
 
     @pytest.mark.parametrize("error", [ZeroDivisionError, ValueError])
     def test_other_arithmetic_errors_are_not_relabelled(self, monkeypatch, error):
@@ -556,7 +668,8 @@ class TestCommands:
         assert "residue-order regression: ok" in text
 
     def test_unknown_command(self):
-        with pytest.raises(SpecError):
+        # main never passes one: argparse refuses it first
+        with pytest.raises(SpecError, match="^unknown command 'nonsense'$"):
             run_command(parse_spec("r=1; m[1,2]=1"), "nonsense")
 
     def test_output_is_deterministic(self):

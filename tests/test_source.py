@@ -77,3 +77,32 @@ PYTHON_FILES = sorted(
 def test_grammar_of_oldest_supported_python(path):
     # pyproject.toml declares requires-python >= 3.10.
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def spec_error_pieces():
+    """(line, longest literal piece) of each ``raise SpecError(...)`` message in cli.py."""
+    path = Path(flowvol.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "SpecError"
+        ):
+            pieces = [
+                piece.value for piece in ast.walk(node.exc.args[0])
+                if isinstance(piece, ast.Constant) and isinstance(piece.value, str)
+            ]
+            yield node.lineno, max(pieces, key=len, default="")
+
+
+def test_every_input_error_line_is_pinned():
+    # a new input-error line lands with a test of its text: the longest literal
+    # piece of its message occurs in tests/test_cli.py (a message with no
+    # literal text counts as unpinned)
+    tests = (REPO / "tests" / "test_cli.py").read_text(encoding="utf-8")
+    pieces = list(spec_error_pieces())
+    unpinned = [(line, piece) for line, piece in pieces if not piece or piece not in tests]
+    assert len(pieces) > 30, pieces
+    assert not unpinned, f"cli.py raises SpecError with text no test in tests/test_cli.py checks: {unpinned}"

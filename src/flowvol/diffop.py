@@ -111,7 +111,12 @@ conversely.  The free columns are the same, in the same order,
 because the kept columns keep the order of ``homogeneous_monomials``, and
 ``integer_nullspace`` returns the unique null basis that is the identity on
 the free columns (``linalg`` docstring).  So the kernel comes out as the
-same polynomials in the same order as from the full matrix.
+same polynomials in the same order as from the full matrix.  Each null
+vector comes back sparse, and ``solution_space`` reads only its stored
+entries: below the volume degree the kernel has one vector per box
+monomial of that degree, those with every e_l < row_sum(l), and each
+holds a small share of the columns.  At r=6 with every multiplicity 2
+the 3,210 vectors of degree 18 hold 49 of its 6,845 columns on average.
 
 The matrix is built from the staircase columns in divided powers.  Column
 e is the one-entry table {key(e): 1}, and all columns go into one table,
@@ -440,14 +445,16 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     sparse row ``{column: int}`` of (l, target).  Arguments (a)-(c) of the
     module docstring show that this matrix has the same null space, after
     x_e = y_e / e!, and the same basis up to the scale of each vector, which
-    the normalization removes.  Each null vector y, rational as
-    ``integer_nullspace`` returns it, is scaled to integers Y by the lcm of
-    its denominators, and its one ``from_divided_powers`` divides by the
-    normalizing entry through ``scale``, so the only ``Fraction`` made is
-    one per output term: at the volume degree Y_e / (Y_o e!), so that
-    y_o = 1 and the corner coefficient is the expected 1/o!, and otherwise
-    Y_e f! / (Y_f e!), so that x is monic in its graded-lex leading term
-    f, the first column y holds.
+    the normalization removes.  Each null vector y, the sparse
+    ``{column: nonzero Fraction}`` that ``integer_nullspace`` returns, is
+    read by its stored entries alone: it is scaled to integers Y by the lcm
+    of their denominators and keyed by the columns' exponent vectors, and
+    its one ``from_divided_powers`` divides by the normalizing entry through
+    ``scale``, so the only ``Fraction`` made is one per output term: at the
+    volume degree Y_e / (Y_o e!), so that y_o = 1 and the corner
+    coefficient is the expected 1/o!, and otherwise Y_e f! / (Y_f e!), so
+    that x is monic in its graded-lex leading term f, the lowest column y
+    holds.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -467,12 +474,12 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     corner = m.corner_exponents  # a staircase column at the volume degree
     basis = []
     for vector in integer_nullspace(list(rows.values()), len(columns)):
-        common = lcm(*(v.denominator for v in vector))
-        y = {exps: v.numerator * (common // v.denominator) for exps, v in zip(columns, vector) if v}
+        common = lcm(*(v.denominator for v in vector.values()))
+        y = {columns[col]: v.numerator * (common // v.denominator) for col, v in vector.items()}
         if degree == m.degree and corner in y:
             basis.append(from_divided_powers(r, y, y[corner]))  # y_o = 1, so x_o = 1/o!
         else:
-            lead = next(iter(y))  # the first column y holds
+            lead = columns[min(vector)]  # the lowest column y holds
             weight = prod(map(factorial, lead))
             basis.append(from_divided_powers(r, {exps: v * weight for exps, v in y.items()}, y[lead]))  # x_lead = 1
     return basis

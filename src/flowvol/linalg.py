@@ -31,6 +31,13 @@ The output is therefore the unique basis of null vectors that is the
 identity on the free columns, listed by free column: in whatever order the
 rows come, and whichever exact method computes it, the vectors are the same,
 in the same order.  Taking the shortest rows first changes only the cost.
+
+Each vector is returned sparse, as ``{column: nonzero Fraction}``: 1 on its
+own free column f, its first key, and -a_cf / p_c on each pivot column c
+whose row holds f.  Such a c is below f, since a pivot row's lowest column
+is its pivot, so f is also the vector's highest key.  Every other
+coordinate is zero and is not stored: no vector of length ``ncols`` is
+built, and each pivot row is read once for all the vectors.
 """
 
 from __future__ import annotations
@@ -40,10 +47,12 @@ from math import gcd
 from typing import Mapping, Sequence
 
 
-def integer_nullspace(rows: Sequence[Mapping[int, int]], ncols: int) -> list[list[Fraction]]:
+def integer_nullspace(rows: Sequence[Mapping[int, int]], ncols: int) -> list[dict[int, Fraction]]:
     """Basis of {x : A x = 0} for the integer matrix A, one vector per free column.
 
     Each row of A is a mapping ``{column: entry}``; absent columns are zero.
+    Each vector comes back the same way, as ``{column: nonzero Fraction}``
+    with its free column first (module docstring).
     ``ncols`` is required because A may have no rows at all, in which case
     the null space is the whole coordinate space.  The rows are trusted to
     hold ``int`` columns in ``range(ncols)`` and ``int`` entries:
@@ -88,9 +97,7 @@ def integer_nullspace(rows: Sequence[Mapping[int, int]], ncols: int) -> list[lis
                 eliminate(pivot_row, col, row)
         pivots[col] = row
 
-    basis = {free: [Fraction(0)] * ncols for free in range(ncols) if free not in pivots}
-    for free, x in basis.items():
-        x[free] = Fraction(1)
+    basis = {free: {free: Fraction(1)} for free in range(ncols) if free not in pivots}
     for col, row in pivots.items():
         pivot = row[col]
         for free, value in row.items():

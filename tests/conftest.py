@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 
 from hypothesis import settings, strategies as st
 
@@ -59,3 +60,25 @@ def sparse_rows(rows):
     own checks and zero dropping see them.
     """
     return [dict(enumerate(row)) for row in rows]
+
+
+def dense(vector, ncols):
+    """A sparse null vector ``{column: value}`` of ``integer_nullspace`` as the list of its
+    ``ncols`` coordinates, absent ones 0: the form the dense references return."""
+    return [vector.get(col, Fraction(0)) for col in range(ncols)]
+
+
+def assert_sparse_basis(basis, ncols):
+    """``integer_nullspace``'s stored form: nonzero ``Fraction`` values on keys in
+    ``range(ncols)``, and each vector holds exactly one free column, its own, with value 1.
+
+    The free column of a vector is its highest key, since every other key is a pivot
+    column below it (``linalg`` docstring); the free columns are those of all vectors.
+    """
+    free = {max(vector) for vector in basis}
+    assert len(free) == len(basis), basis
+    for vector in basis:
+        assert all(type(x) is Fraction and x for x in vector.values()), vector
+        assert all(col in range(ncols) for col in vector), (vector, ncols)
+        assert [col for col in vector if col in free] == [max(vector)], (vector, free)
+        assert vector[max(vector)] == 1, vector

@@ -7,6 +7,7 @@ from math import comb, prod
 import pytest
 from hypothesis import given
 
+import flowvol.diffop
 from flowvol import (
     MultiPoly,
     MultiplicityMatrix,
@@ -222,6 +223,35 @@ class TestSolutionSpace:
             box = Counter(map(sum, product(*map(range, m.row_sums))))
             for degree in range(m.degree + 2):
                 assert len(solution_space(m, degree)) == box[degree], (m, degree)
+
+    @pytest.mark.parametrize("rank, degree, dimension", [(5, 6, 125), (5, 12, 340), (5, 18, 169), (6, 12, 1919)])
+    def test_dimension_in_middle_degrees(self, rank, degree, dimension):
+        # the same box count at every multiplicity 2, in degrees where each of the
+        # many basis vectors holds a small share of the staircase columns
+        m = MultiplicityMatrix(rank, (2,) * (rank * (rank + 1) // 2))
+        box = Counter(map(sum, product(*map(range, m.row_sums))))
+        assert len(solution_space(m, degree)) == box[degree] == dimension
+
+    @pytest.mark.parametrize("degree, vector, expected", [
+        # columns (2,0), (1,1), (0,2): monic in the lowest column held, 0
+        (2, {1: Fraction(1, 3), 0: Fraction(-1, 2)}, {(2, 0): 1, (1, 1): Fraction(-4, 3)}),
+        # columns (3,0), (2,1), (1,2): the corner (1,2) is column 2, its coefficient 1/o!
+        (3, {2: Fraction(1, 3), 0: Fraction(-1, 2)}, {(1, 2): Fraction(1, 2), (3, 0): Fraction(-1, 4)}),
+    ])
+    def test_rational_null_vectors_are_read_by_their_entries(self, degree, vector, expected, monkeypatch):
+        # the operator matrices' own null vectors have come out integral on every
+        # input tried, so a stand-in solve gives entries with unlike denominators:
+        # x_e = y_e / e!, scaled by the normalizing entry
+        monkeypatch.setattr(flowvol.diffop, "integer_nullspace", lambda rows, ncols: [dict(vector)])
+        assert solution_space(MultiplicityMatrix(2, (1, 1, 3)), degree) == [MultiPoly(2, expected)]
+
+    def test_middle_degree_basis_annihilates_and_is_monic(self):
+        m = MultiplicityMatrix(5, (2,) * 15)
+        basis = solution_space(m, 12)
+        assert len(basis) == 340
+        for poly in basis:
+            assert annihilates(m, poly), poly
+            assert poly.sorted_terms()[0][1] == 1, poly  # monic in its graded-lex leading term
 
     @pytest.mark.parametrize("mult", list(product((1, 2), repeat=3)))
     def test_rank_two_sweep(self, mult):

@@ -19,7 +19,8 @@ applies every explicit ladder step E_n to the restricted volume, where
 it.  ``_bounded_vectors`` and ``_weak_compositions`` enumerate what the
 residue step and the lowering operators take from ``homogeneous_monomials``,
 directly.  ``reference_integer_nullspace`` is the dense Bareiss elimination
-with Fraction back-substitution that the sparse Gauss-Jordan solve replaced;
+with Fraction back-substitution that the sparse Gauss-Jordan solve replaced,
+its vectors compared with the solve's sparse ones through ``dense``;
 ``reference_operator_rows`` builds the kernel matrix on every monomial from
 one ``op.apply`` per monomial, and ``reference_solution_space`` solves that
 full matrix, where ``solution_space`` keeps only the staircase monomials,
@@ -91,6 +92,8 @@ from flowvol.residue import (
 )
 
 from conftest import (
+    assert_sparse_basis,
+    dense,
     grlex_key,
     multipolys,
     multiplicity_matrices,
@@ -370,7 +373,7 @@ def monomial_solution_space(m, degree, caps=()):
         rows.extend(block)
     basis = []
     for vector in integer_nullspace(rows, len(columns)):
-        poly = MultiPoly(r, {exps: c for exps, c in zip(columns, vector) if c})
+        poly = MultiPoly(r, {exps: c for exps, c in zip(columns, dense(vector, len(columns))) if c})
         basis.append(normalize(m, degree, poly))
     return basis
 
@@ -1110,8 +1113,8 @@ class TestKernelSolveMatchesReference:
     def test_sparse_solve_equals_bareiss(self, matrix):
         rows, ncols = matrix
         basis = integer_nullspace(sparse_rows(rows), ncols)
-        assert basis == reference_integer_nullspace(rows, ncols)
-        assert all(type(x) is Fraction for vector in basis for x in vector)
+        assert [dense(vector, ncols) for vector in basis] == reference_integer_nullspace(rows, ncols)
+        assert_sparse_basis(basis, ncols)
 
     @settings(max_examples=200)
     @given(integer_matrices(), st.data())
@@ -1126,8 +1129,9 @@ class TestKernelSolveMatchesReference:
         ([[0, 3], [0, 6]], 2), ([[1, 0, 0, 0]], 4), ([[4], [6]], 1),
     ])
     def test_edge_shapes(self, rows, ncols):
-        expected = reference_integer_nullspace(rows, ncols)
-        assert integer_nullspace(sparse_rows(rows), ncols) == expected
+        basis = integer_nullspace(sparse_rows(rows), ncols)
+        assert [dense(vector, ncols) for vector in basis] == reference_integer_nullspace(rows, ncols)
+        assert_sparse_basis(basis, ncols)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_operator_matrices_at_every_degree(self, rank, monkeypatch):
@@ -1144,7 +1148,7 @@ class TestKernelSolveMatchesReference:
                 solution_space(m, degree)
                 [(rows, ncols)] = seen
                 assert all(row and all(row.values()) for row in rows), (m, degree)
-                dense = [[row.get(col, 0) for col in range(ncols)] for row in rows]
+                matrix = [[row.get(col, 0) for col in range(ncols)] for row in rows]
                 # the nonzero staircase rows of the full matrix on the staircase
                 # columns, in divided powers: entry (t, e) times t!/e!; and nothing
                 # else of the full matrix on the staircase columns
@@ -1157,10 +1161,12 @@ class TestKernelSolveMatchesReference:
                 ]
                 dropped = [row for l, target, row in labeled if not on_staircase(m, target)]
                 nonzero = Counter(row for row in kept if any(row))
-                assert Counter(map(tuple, dense)) == nonzero and ncols == len(kept_columns), (m, degree)
+                assert Counter(map(tuple, matrix)) == nonzero and ncols == len(kept_columns), (m, degree)
                 assert not any(row[k] for row in dropped for k in kept_columns), (m, degree)
-                expected = reference_integer_nullspace(dense, ncols)
-                assert integer_nullspace(rows, ncols) == expected, (m, degree)
+                basis = integer_nullspace(rows, ncols)
+                expected = reference_integer_nullspace(matrix, ncols)
+                assert [dense(vector, ncols) for vector in basis] == expected, (m, degree)
+                assert_sparse_basis(basis, ncols)
 
 
 class TestStaircaseKernelMatchesFullKernel:

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from flowvol.linalg import integer_nullspace
 
-from conftest import sparse_rows
+from conftest import assert_sparse_basis, dense, sparse_rows
 
 
 def rank_by_fraction_elimination(rows, ncols):
@@ -27,8 +27,10 @@ def rank_by_fraction_elimination(rows, ncols):
 def test_single_row():
     basis = integer_nullspace(sparse_rows([[1, 2, 3]]), 3)
     assert len(basis) == 2
+    assert_sparse_basis(basis, 3)
     for vec in basis:
-        assert vec[0] + 2 * vec[1] + 3 * vec[2] == 0
+        x = dense(vec, 3)
+        assert x[0] + 2 * x[1] + 3 * x[2] == 0
 
 
 def test_identity_has_trivial_nullspace():
@@ -47,11 +49,12 @@ def test_zero_matrix():
 def test_dependent_rows():
     basis = integer_nullspace(sparse_rows([[2, 4], [1, 2]]), 2)
     assert len(basis) == 1
-    assert 2 * basis[0][0] + 4 * basis[0][1] == 0
+    x = dense(basis[0], 2)
+    assert 2 * x[0] + 4 * x[1] == 0
 
 
 def test_zero_entries_are_dropped():
-    assert integer_nullspace([{0: 0, 1: 3}], 2) == [[Fraction(1), Fraction(0)]]
+    assert integer_nullspace([{0: 0, 1: 3}], 2) == [{0: Fraction(1)}]
 
 
 def test_rows_are_not_modified():
@@ -72,7 +75,8 @@ matrices = st.lists(
 def test_vectors_solve_and_dimension_matches_rank(rows):
     ncols = 4
     basis = integer_nullspace(sparse_rows(rows), ncols)
+    assert_sparse_basis(basis, ncols)
     for vec in basis:
         for row in rows:
-            assert sum(c * x for c, x in zip(row, vec)) == 0
+            assert sum(c * x for c, x in zip(row, dense(vec, ncols))) == 0
     assert len(basis) == ncols - rank_by_fraction_elimination(rows, ncols)

@@ -29,10 +29,11 @@ characters.
 
 A start loads only its command's route.  ``multiplicity``, ``polynomial``
 and ``residue`` load with this module, which is all that ``volume`` and
-``corner`` run; ``check-pde`` and ``kernel`` import ``diffop`` (and with it
-``linalg``), ``lift`` imports ``induction`` (which imports ``diffop``),
-``oracle-compare`` imports ``oracle``, and a JSON spec imports ``json``, each
-in its own branch when it first runs.
+``corner`` run; ``check-pde`` and ``kernel`` import ``diffop``, ``lift``
+imports ``induction`` (which imports ``diffop``), ``oracle-compare`` imports
+``oracle``, and a JSON spec imports ``json``, each in its own branch when it
+first runs.  Only ``kernel`` loads ``linalg``: ``solution_space`` imports it
+in its own body.
 """
 
 from __future__ import annotations
@@ -280,7 +281,8 @@ def _parse_json(text: str) -> ProblemSpec:
     if data.get("a") is not None:
         if not isinstance(data["a"], list):
             raise SpecError("JSON key 'a' must be a list")
-        a = tuple(_parse_rational(str(x)) for x in data["a"])
+        # a JSON string or number as typed; any other value in JSON, never as Python spells it
+        a = tuple(_parse_rational(str(x) if type(x) in (int, str, _Literal) else json.dumps(x)) for x in data["a"])
     return _build(rank, entries, a)
 
 

@@ -110,10 +110,11 @@ so k is kept and the same vector shows k free in the smaller matrix, and
 conversely.  The free columns are the same, in the same order,
 because the kept columns keep the order of ``homogeneous_monomials``, and
 ``integer_nullspace`` returns the unique null basis that is the identity on
-the free columns (``linalg`` docstring).  So the kernel comes out as the
-same polynomials in the same order as from the full matrix.  Each null
-vector comes back sparse, and ``solution_space`` reads only its stored
-entries: below the volume degree the kernel has one vector per box
+the free columns, times one common integer scale (``linalg`` docstring),
+which the normalization removes.  So the kernel comes out as the same
+polynomials in the same order as from the full matrix.  Each null vector
+comes back sparse, with integer entries, and ``solution_space`` reads only
+its stored entries: below the volume degree the kernel has one vector per box
 monomial of that degree, those with every e_l < row_sum(l), and each
 holds a small share of the columns.  At r=6 with every multiplicity 2
 the 3,210 vectors of degree 18 hold 49 of its 6,845 columns on average.
@@ -133,8 +134,9 @@ c_k e!/target!.  This gives the same kernel, for three reasons:
     keeps every column in or out of the span of the columns before it.  A
     null vector is fixed by its free coordinates, so the basis vector for
     free column f, read back by x_e = y_e / e!, is the monomial one times
-    1/f!, and the normalization of ``solution_space`` does not depend on
-    the scale of a vector.
+    1/f! and the ratio of the two solves' common scales, and the
+    normalization of ``solution_space`` does not depend on the scale of a
+    vector.
 (b) The tag lies above the top field, which no shift borrows from, and the
     guard tests read only the fields.  So two columns never merge, and each
     column's image is its image alone.
@@ -152,7 +154,6 @@ from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .linalg import integer_nullspace
 from .multiplicity import MultiplicityMatrix
 from .polynomial import Exponents, MultiPoly, from_divided_powers, homogeneous_monomials
 
@@ -446,16 +447,26 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     module docstring show that this matrix has the same null space, after
     x_e = y_e / e!, and the same basis up to the scale of each vector, which
     the normalization removes.  Each null vector y, the sparse
-    ``{column: nonzero Fraction}`` that ``integer_nullspace`` returns, is
-    read by its stored entries alone: it is scaled to integers Y by the lcm
-    of their denominators and keyed by the columns' exponent vectors, and
-    its one ``from_divided_powers`` divides by the normalizing entry through
-    ``scale``, so the only ``Fraction`` made is one per output term: at the
-    volume degree Y_e / (Y_o e!), so that y_o = 1 and the corner
-    coefficient is the expected 1/o!, and otherwise Y_e f! / (Y_f e!), so
-    that x is monic in its graded-lex leading term f, the lowest column y
-    holds.
+    ``{column: nonzero int}`` that ``integer_nullspace`` returns, is read by
+    its stored entries alone, keyed by the columns' exponent vectors as it
+    comes, and normalized on one path: a lead column with a weight w, and
+    one ``from_divided_powers`` that divides by y_lead through ``scale``, so
+    the only ``Fraction`` made is one per output term, w y_e / (y_lead e!).
+    The lead is the corner o when y holds it, with w = 1, so that y_o = 1
+    and the corner coefficient is the expected 1/o!; o has the volume
+    degree, so only a vector of that degree can hold it.  Otherwise the
+    lead is the lowest column f that y holds, with w = f!, so that x is
+    monic in its graded-lex leading term f.  Dividing by the lead makes
+    the result independent of the vector's scale, so nothing here relies
+    on what the tests pin: that the common scale P of ``integer_nullspace``
+    is 1 on these matrices, so that each vector below the volume degree
+    holds 1 on its free column, and that the one vector of the volume
+    degree is the residue's integer table T(v) itself.  The operator
+    recurrence of ROADMAP item 3b, which is to write these integer tables
+    with no elimination, will rely on both.
     """
+    from .linalg import integer_nullspace
+
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     r = m.rank
@@ -471,15 +482,11 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
             col, target = divmod(key, tag)
             rows.setdefault((l, target), {})[col] = c
 
-    corner = m.corner_exponents  # a staircase column at the volume degree
+    corner = m.corner_exponents  # held only by a vector of the volume degree
     basis = []
     for vector in integer_nullspace(list(rows.values()), len(columns)):
-        common = lcm(*(v.denominator for v in vector.values()))
-        y = {columns[col]: v.numerator * (common // v.denominator) for col, v in vector.items()}
-        if degree == m.degree and corner in y:
-            basis.append(from_divided_powers(r, y, y[corner]))  # y_o = 1, so x_o = 1/o!
-        else:
-            lead = columns[min(vector)]  # the lowest column y holds
-            weight = prod(map(factorial, lead))
-            basis.append(from_divided_powers(r, {exps: v * weight for exps, v in y.items()}, y[lead]))  # x_lead = 1
+        y = {columns[col]: v for col, v in vector.items()}
+        lead = corner if corner in y else columns[min(vector)]  # o, else the lowest column y holds
+        weight = 1 if lead == corner else prod(map(factorial, lead))  # x_o = 1/o!, else x_lead = 1
+        basis.append(from_divided_powers(r, {exps: v * weight for exps, v in y.items()}, y[lead]))
     return basis

@@ -328,8 +328,8 @@ class MultiPoly:
 def from_divided_powers(nvars: int, entries: Mapping[Exponents, Scalar], scale: int) -> MultiPoly:
     """The polynomial sum_e F(e) a^e / (scale * e!) of a divided-power table F.
 
-    ``entries`` maps exponent vectors to the values F(e): integers, or the
-    rational coordinates of a kernel vector.  ``scale`` is a nonzero
+    ``entries`` maps exponent vectors to the values F(e): integers, such as
+    the coordinates of a kernel vector, or rationals.  ``scale`` is a nonzero
     integer.  The vectors are trusted as ``MultiPoly._trusted`` trusts its
     keys.  Zero values are dropped, and every other value makes one
     ``Fraction``, with e! read from one table of factorials; an empty

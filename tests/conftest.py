@@ -1,5 +1,4 @@
 import os
-from fractions import Fraction
 
 from hypothesis import settings, strategies as st
 
@@ -65,20 +64,23 @@ def sparse_rows(rows):
 def dense(vector, ncols):
     """A sparse null vector ``{column: value}`` of ``integer_nullspace`` as the list of its
     ``ncols`` coordinates, absent ones 0: the form the dense references return."""
-    return [vector.get(col, Fraction(0)) for col in range(ncols)]
+    return [vector.get(col, 0) for col in range(ncols)]
 
 
 def assert_sparse_basis(basis, ncols):
-    """``integer_nullspace``'s stored form: nonzero ``Fraction`` values on keys in
-    ``range(ncols)``, and each vector holds exactly one free column, its own, with value 1.
+    """``integer_nullspace``'s stored form, and its common scale P (1 for an empty basis).
 
+    Every value is a nonzero ``int`` on a key in ``range(ncols)``; each vector holds
+    exactly one free column, its own, and every vector holds the same positive P there.
     The free column of a vector is its highest key, since every other key is a pivot
     column below it (``linalg`` docstring); the free columns are those of all vectors.
     """
     free = {max(vector) for vector in basis}
     assert len(free) == len(basis), basis
+    scales = {vector[max(vector)] for vector in basis} or {1}
+    assert len(scales) == 1 and min(scales) > 0, basis
     for vector in basis:
-        assert all(type(x) is Fraction and x for x in vector.values()), vector
+        assert all(type(x) is int and x for x in vector.values()), vector
         assert all(col in range(ncols) for col in vector), (vector, ncols)
         assert [col for col in vector if col in free] == [max(vector)], (vector, free)
-        assert vector[max(vector)] == 1, vector
+    return scales.pop()

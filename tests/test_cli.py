@@ -129,6 +129,10 @@ ERROR_LINES = [
     (["volume", '{"r": 1, "m": [[1, 2, "2"]]}'], "non-integer multiplicity triple [1, 2, '2']"),
     (["volume", '{"r": 1, "m": [[1, 2, 2], [1, 2, 2]]}'], "duplicate entry m[1,2]"),
     (["volume", '{"r": 1, "m": [[1, 2, 2]], "a": 1}'], "JSON key 'a' must be a list"),
+    # an entry of a that is no JSON string or number is echoed in JSON, as typed
+    (["volume", '{"r": 1, "m": [[1, 2, 2]], "a": [true]}'], "malformed rational 'true'"),
+    (["volume", '{"r": 1, "m": [[1, 2, 2]], "a": [null]}'], "malformed rational 'null'"),
+    (["volume", '{"r": 1, "m": [[1, 2, 2]], "a": [{"q": 1}]}'], "malformed rational '{\"q\": 1}'"),
     # a key given twice is refused, as a repeated plain entry is, not read as its last value
     (["volume", '{"r": 1, "r": 1, "m": [[1, 2, 2]]}'], "duplicate rank entry"),
     (["volume", '{"r": 1, "m": [[1, 2, 2]], "a": [1], "a": [5]}'], "duplicate a entry"),

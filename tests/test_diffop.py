@@ -7,7 +7,7 @@ from math import comb, prod
 import pytest
 from hypothesis import given
 
-import flowvol.diffop
+import flowvol.linalg
 from flowvol import (
     MultiPoly,
     MultiplicityMatrix,
@@ -17,7 +17,9 @@ from flowvol import (
     solution_space,
 )
 from flowvol.diffop import DiffOperator, _node_terms
+from flowvol.linalg import integer_nullspace
 from flowvol.polynomial import binomial_series_coeff, homogeneous_monomials
+from flowvol.residue import volume_table
 
 from conftest import multipolys, multiplicity_matrices
 
@@ -234,16 +236,61 @@ class TestSolutionSpace:
 
     @pytest.mark.parametrize("degree, vector, expected", [
         # columns (2,0), (1,1), (0,2): monic in the lowest column held, 0
-        (2, {1: Fraction(1, 3), 0: Fraction(-1, 2)}, {(2, 0): 1, (1, 1): Fraction(-4, 3)}),
+        (2, {1: 2, 0: -3}, {(2, 0): 1, (1, 1): Fraction(-4, 3)}),
         # columns (3,0), (2,1), (1,2): the corner (1,2) is column 2, its coefficient 1/o!
-        (3, {2: Fraction(1, 3), 0: Fraction(-1, 2)}, {(1, 2): Fraction(1, 2), (3, 0): Fraction(-1, 4)}),
+        (3, {2: 2, 0: -3}, {(1, 2): Fraction(1, 2), (3, 0): Fraction(-1, 4)}),
+        # a corner entry of -3, which the normalization divides out, and a lower column held
+        (3, {2: -3, 1: 4, 0: 6}, {(1, 2): Fraction(1, 2), (2, 1): Fraction(-2, 3), (3, 0): Fraction(-1, 3)}),
+        # a vector of the volume degree without the corner: monic in the lowest column held
+        (3, {1: 4, 0: -2}, {(3, 0): 1, (2, 1): -6}),
     ])
     def test_rational_null_vectors_are_read_by_their_entries(self, degree, vector, expected, monkeypatch):
-        # the operator matrices' own null vectors have come out integral on every
-        # input tried, so a stand-in solve gives entries with unlike denominators:
-        # x_e = y_e / e!, scaled by the normalizing entry
-        monkeypatch.setattr(flowvol.diffop, "integer_nullspace", lambda rows, ncols: [dict(vector)])
+        # the operator matrices' own null vectors have come out with the common scale
+        # P = 1 on every input tried (test below), so a stand-in solve gives integer
+        # entries with other scales: x_e = y_e / e!, divided by the normalizing entry
+        monkeypatch.setattr(flowvol.linalg, "integer_nullspace", lambda rows, ncols: [dict(vector)])
         assert solution_space(MultiplicityMatrix(2, (1, 1, 3)), degree) == [MultiPoly(2, expected)]
+
+    @staticmethod
+    def assert_null_vectors_are_integer_tables(m, solves):
+        # the staircase columns, capped by D_i = sum_(l>i) (row_sum(l) - 1) (diffop docstring)
+        caps = [sum(order - 1 for order in m.row_sums[i:]) for i in range(m.rank - 1, 0, -1)]
+        for degree in range(m.degree + 2):
+            solves.clear()
+            solution_space(m, degree)
+            [basis] = solves
+            if degree == m.degree:
+                columns = homogeneous_monomials(m.rank, degree, caps)
+                [vector] = basis
+                assert {columns[col]: v for col, v in vector.items()} == volume_table(m), m
+            else:
+                assert all(vector[max(vector)] == 1 for vector in basis), (m, degree)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The bases ``integer_nullspace`` returns, recorded as ``solution_space`` receives them."""
+        recorded = []
+
+        def record(rows, ncols):
+            recorded.append(integer_nullspace(rows, ncols))
+            return recorded[-1]
+
+        monkeypatch.setattr(flowvol.linalg, "integer_nullspace", record)
+        return recorded
+
+    @pytest.mark.parametrize("rank, entries", [(1, (1, 2, 3)), (2, (1, 2, 3)), (3, (1, 2, 3)), (4, (1, 2))])
+    def test_null_vectors_are_the_integer_tables(self, rank, entries, solves):
+        # the kernel solve yields the residue's own integer table T(v) at the volume
+        # degree, and a free coordinate of 1, so the common scale P = 1, at every other
+        # degree; solution_space does not rely on either (its docstring)
+        for mult in product(entries, repeat=rank * (rank + 1) // 2):
+            self.assert_null_vectors_are_integer_tables(MultiplicityMatrix(rank, mult), solves)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_null_vectors_are_the_integer_tables_at_rank_five(self, seed, solves):
+        rng = random.Random(5200 + seed)
+        m = MultiplicityMatrix(5, tuple(rng.choice((1, 2)) for _ in range(15)))
+        self.assert_null_vectors_are_integer_tables(m, solves)
 
     def test_middle_degree_basis_annihilates_and_is_monic(self):
         m = MultiplicityMatrix(5, (2,) * 15)

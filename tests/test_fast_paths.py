@@ -20,7 +20,8 @@ it.  ``_bounded_vectors`` and ``_weak_compositions`` enumerate what the
 residue step and the lowering operators take from ``homogeneous_monomials``,
 directly.  ``reference_integer_nullspace`` is the dense Bareiss elimination
 with Fraction back-substitution that the sparse Gauss-Jordan solve replaced,
-its vectors compared with the solve's sparse ones through ``dense``;
+its vectors times the solve's common scale P compared with the solve's
+sparse integer ones through ``dense`` (``assert_reference_basis``);
 ``reference_operator_rows`` builds the kernel matrix on every monomial from
 one ``op.apply`` per monomial, and ``reference_solution_space`` solves that
 full matrix, where ``solution_space`` keeps only the staircase monomials,
@@ -68,6 +69,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import flowvol.diffop
+import flowvol.linalg
 import flowvol.residue
 from flowvol import (
     MultiPoly,
@@ -297,6 +299,15 @@ def reference_integer_nullspace(rows, ncols):
             x[col] = -acc / a[row][col]
         basis.append(x)
     return basis
+
+
+def assert_reference_basis(basis, rows, ncols):
+    """``integer_nullspace``'s basis in its stored form and exactly P times the Bareiss
+    reference's, P the least common denominator of the reference's entries."""
+    expected = reference_integer_nullspace(rows, ncols)
+    scale = assert_sparse_basis(basis, ncols)
+    assert scale == math.lcm(*(x.denominator for vector in expected for x in vector)), (scale, expected)
+    assert [dense(vector, ncols) for vector in basis] == [[scale * x for x in vector] for vector in expected]
 
 
 def reference_operator_rows(m, degree):
@@ -1112,9 +1123,7 @@ class TestKernelSolveMatchesReference:
     @given(integer_matrices())
     def test_sparse_solve_equals_bareiss(self, matrix):
         rows, ncols = matrix
-        basis = integer_nullspace(sparse_rows(rows), ncols)
-        assert [dense(vector, ncols) for vector in basis] == reference_integer_nullspace(rows, ncols)
-        assert_sparse_basis(basis, ncols)
+        assert_reference_basis(integer_nullspace(sparse_rows(rows), ncols), rows, ncols)
 
     @settings(max_examples=200)
     @given(integer_matrices(), st.data())
@@ -1129,9 +1138,7 @@ class TestKernelSolveMatchesReference:
         ([[0, 3], [0, 6]], 2), ([[1, 0, 0, 0]], 4), ([[4], [6]], 1),
     ])
     def test_edge_shapes(self, rows, ncols):
-        basis = integer_nullspace(sparse_rows(rows), ncols)
-        assert [dense(vector, ncols) for vector in basis] == reference_integer_nullspace(rows, ncols)
-        assert_sparse_basis(basis, ncols)
+        assert_reference_basis(integer_nullspace(sparse_rows(rows), ncols), rows, ncols)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_operator_matrices_at_every_degree(self, rank, monkeypatch):
@@ -1141,7 +1148,7 @@ class TestKernelSolveMatchesReference:
             seen.append((rows, ncols))
             return integer_nullspace(rows, ncols)
 
-        monkeypatch.setattr(flowvol.diffop, "integer_nullspace", record)
+        monkeypatch.setattr(flowvol.linalg, "integer_nullspace", record)
         for m in every_matrix(rank, (1, 2)):
             for degree in range(m.degree + 2):
                 seen.clear()
@@ -1163,10 +1170,7 @@ class TestKernelSolveMatchesReference:
                 nonzero = Counter(row for row in kept if any(row))
                 assert Counter(map(tuple, matrix)) == nonzero and ncols == len(kept_columns), (m, degree)
                 assert not any(row[k] for row in dropped for k in kept_columns), (m, degree)
-                basis = integer_nullspace(rows, ncols)
-                expected = reference_integer_nullspace(matrix, ncols)
-                assert [dense(vector, ncols) for vector in basis] == expected, (m, degree)
-                assert_sparse_basis(basis, ncols)
+                assert_reference_basis(integer_nullspace(rows, ncols), matrix, ncols)
 
 
 class TestStaircaseKernelMatchesFullKernel:

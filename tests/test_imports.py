@@ -39,9 +39,9 @@ def run_fresh(code: str):
 @pytest.mark.parametrize("command, spec, loaded", [
     ("corner", SPEC, []),
     ("volume", SPEC, []),
-    ("check-pde", SPEC, ["flowvol.diffop", "flowvol.linalg"]),
+    ("check-pde", SPEC, ["flowvol.diffop"]),
     ("kernel", SPEC, ["flowvol.diffop", "flowvol.linalg"]),
-    ("lift", SPEC, ["flowvol.diffop", "flowvol.induction", "flowvol.linalg"]),
+    ("lift", SPEC, ["flowvol.diffop", "flowvol.induction"]),
     ("oracle-compare", SPEC, ["flowvol.oracle"]),
     ("corner", '{"r": 1, "m": [[1, 2, 1]]}', ["json"]),
 ], ids=["corner", "volume", "check-pde", "kernel", "lift", "oracle-compare", "corner-json"])

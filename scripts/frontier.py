@@ -3,14 +3,18 @@
 Each row's spec is ``cli.render_spec`` of its problem and its expected line
 is derived from the row.  Each row runs as a fresh ``python -m flowvol`` child
 under a 120 s limit and passes on exit 0 with the expected line printed; one
-ok/FAIL line with the time is printed per row, and the script exits 1 if any
+ok/FAIL line with the time and the child's peak RSS (its own ``ru_maxrss``,
+read when it is reaped) is printed per row, and the script exits 1 if any
 row fails.
 
 Usage: PYTHONPATH=src python scripts/frontier.py
 """
 
+import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -84,19 +88,32 @@ def check(row):
     return row.command, render_spec(spec), extra, expected
 
 
+def run(args):
+    """(exit status, stdout, peak RSS in MiB) of one child, killed after LIMIT_S.
+
+    The child is reaped with ``os.wait4``, so the peak is its own
+    ``ru_maxrss`` (KiB on Linux), not the largest of every child so far.
+    """
+    with subprocess.Popen(args, stdout=subprocess.PIPE, text=True) as child:
+        timer = threading.Timer(LIMIT_S, os.kill, (child.pid, signal.SIGKILL))
+        timer.start()
+        out = child.stdout.read()  # to the end: the child has exited or been killed
+        timer.cancel()
+        timer.join()  # so no kill can reach the pid once it is reaped
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, out, usage.ru_maxrss / 1024
+
+
 def main(rows=ROWS):
     failed = 0
     for row in rows:
         command, spec, extra, expected = check(row)
         started = time.perf_counter()
-        try:
-            result = subprocess.run([sys.executable, "-m", "flowvol", command, spec, *extra],
-                                    stdout=subprocess.PIPE, text=True, timeout=LIMIT_S)
-            ok = result.returncode == 0 and expected in result.stdout.splitlines()
-        except subprocess.TimeoutExpired:
-            ok = False
+        status, out, peak = run([sys.executable, "-m", "flowvol", command, spec, *extra])
+        ok = status == 0 and expected in out.splitlines()
         failed += not ok
-        print(f"{'ok' if ok else 'FAIL':4} {time.perf_counter() - started:6.1f}s  "
+        print(f"{'ok' if ok else 'FAIL':4} {time.perf_counter() - started:6.1f}s {peak:6.0f} MiB  "
               f"{command} at rank {row.rank}, all m={row.k}: {expected}", flush=True)
     return 1 if failed else 0
 

@@ -19,7 +19,8 @@ no two terms of the expansion merge, and every coefficient is an integer.
 ``_node_terms`` is that coefficient rule for any weight in place of C(m, p);
 ``pde_system`` uses it with the binomial coefficients, and the
 rank-induction operators of ``induction`` use it at node 1.  Both wrap its
-canonical integer terms with ``_operator``, which does not check them again.
+canonical integer terms with ``_operator``, which does not check them again,
+so every operator built here holds ``int`` weights, not ``Fraction`` ones.
 
 To test a candidate, ``node_residuals`` never expands a node operator.  It
 takes the polynomial in divided powers a^e/e!, as the integer table G(e) =
@@ -148,14 +149,13 @@ c_k e!/target!.  This gives the same kernel, for three reasons:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .multiplicity import MultiplicityMatrix
-from .polynomial import Exponents, MultiPoly, from_divided_powers, homogeneous_monomials
+from .polynomial import Exponents, MultiPoly, Scalar, from_divided_powers, homogeneous_monomials
 
 
 def _node_terms(
@@ -203,13 +203,9 @@ def _node_terms(
 def _operator(r: int, terms: dict[Exponents, int]) -> DiffOperator:
     """Canonical nonzero integer weights, such as ``_node_terms`` makes, as an operator, not re-checked.
 
-    The weights take few distinct values, so each makes one ``Fraction``,
-    shared by every term that carries it.  The dict is taken over and its
-    values replaced in place, so no second dict of the same size is built.
+    The weights stay ``int``, which ``MultiPoly._trusted`` allows, and the
+    dict is taken over as it is.
     """
-    values = {c: Fraction(c) for c in set(terms.values())}
-    for exps, c in terms.items():
-        terms[exps] = values[c]
     return DiffOperator(MultiPoly._trusted(r, terms))
 
 
@@ -267,12 +263,12 @@ class DiffOperator:
     def __sub__(self, other: "DiffOperator") -> "DiffOperator":
         return DiffOperator(self.poly - other.poly)
 
-    def __mul__(self, other: "DiffOperator | int | Fraction") -> "DiffOperator":
+    def __mul__(self, other: "DiffOperator | Scalar") -> "DiffOperator":
         if isinstance(other, DiffOperator):
             return DiffOperator(self.poly * other.poly)
         return DiffOperator(self.poly * other)
 
-    def __rmul__(self, other: "int | Fraction") -> "DiffOperator":
+    def __rmul__(self, other: Scalar) -> "DiffOperator":
         return DiffOperator(self.poly * other)
 
     def apply(self, p: MultiPoly) -> MultiPoly:

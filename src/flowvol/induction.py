@@ -53,17 +53,20 @@ E(u) D(-u) = 1, so
 
 and E_n is the u^n coefficient: every way to spread n derivative orders over
 d_2..d_r, each d_i^p weighted by C(m[1,i] - 1 + p, p).  ``operator_ladder``
-builds every E_n from that rule (``OperatorLadder.steps``), with no operator
-products, and the D_q from the binomial one, each set in one pass.  Nothing
-in the package applies the E_n: they exist for acceptance criterion 8 and
-for the ladder metrics of the benchmark in ``flowbench/``.
+builds the D_q from the binomial rule in one pass, and nothing else:
+``OperatorLadder.steps`` builds every E_n from the series rule, with no
+operator products, the first time it is read.  Nothing in the package
+reads the E_n: they exist for acceptance criterion 8 and for the ladder
+metrics of the benchmark in ``flowbench/``, so neither ``operator_ladder``
+nor a lift builds one.
 
 The D_q and E_n come out of ``_node_terms`` in canonical form, with nonzero
 integer weights, every order from one call, so ``diffop._operator`` wraps
-them as it wraps ``pde_system``'s operators, and the lift's terms are
-distinct nonzero ``Fraction`` values, wrapped with ``MultiPoly._trusted``;
-neither goes through the checking constructor again, since inputs are
-checked where they enter.
+them as it wraps ``pde_system``'s operators, ``int`` weights and all.  The
+lift's S is summed from the D_j with ``DiffOperator``'s own ``+`` and scalar
+``*``, and its terms are distinct nonzero ``Fraction`` values, wrapped with
+``MultiPoly._trusted``; neither goes through the checking constructor
+again, since inputs are checked where they enter.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .diffop import DiffOperator, _node_terms, _operator
 from .multiplicity import MultiplicityMatrix
@@ -89,16 +93,22 @@ def lowering_operator(m: MultiplicityMatrix, q: int) -> DiffOperator:
 
 @dataclass(frozen=True)
 class OperatorLadder:
-    """Lowering operators D_1..D_J and their signed combinations E_0..E_h.
+    """Lowering operators D_1..D_J and, on first read, their signed combinations E_0..E_h.
 
     ``generators[q-1]`` is the order-q lowering operator; ``steps[n]`` is the
     explicit operator E_n, the u^n coefficient of prod_i (1 - u d_i)^(-m[1,i]),
-    kept for acceptance criterion 8 and the benchmark.
+    built the first time ``steps`` is read and kept from then on.  Only
+    acceptance criterion 8 and the benchmark read it.
     """
 
     m: MultiplicityMatrix
     generators: tuple[DiffOperator, ...]
-    steps: tuple[DiffOperator, ...]
+
+    @cached_property
+    def steps(self) -> tuple[DiffOperator, ...]:
+        """E_0..E_h, read off the series rule in one pass (module docstring)."""
+        series = _node_terms(self.m, 1, self.m.restriction_degree, binomial_series_coeff)
+        return tuple(_operator(self.m.rank, terms) for terms in series)
 
     def generator(self, q: int) -> DiffOperator:
         """D_q as ``lowering_operator`` builds it: q >= 1, the zero operator beyond the stored range."""
@@ -106,21 +116,18 @@ class OperatorLadder:
 
 
 def operator_ladder(m: MultiplicityMatrix) -> OperatorLadder:
-    """Build the ladder up to the restricted volume degree."""
-    r = m.rank
+    """The generators up to the span; the steps up to the restricted volume degree wait for a read."""
     span = m.row_sums[0] - m.rows[0][-1]  # orders beyond this vanish
-    generators = tuple(_operator(r, terms) for terms in _node_terms(m, 1, span, math.comb))[1:]
-    series = _node_terms(m, 1, m.restriction_degree, binomial_series_coeff)
-    steps = tuple(_operator(r, terms) for terms in series)
-    return OperatorLadder(m, generators, steps)
+    return OperatorLadder(m, tuple(_operator(m.rank, terms) for terms in _node_terms(m, 1, span, math.comb))[1:])
 
 
 def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolynomial:
     """Volume polynomial for m from the volume of its restriction to nodes 2..r+1.
 
-    The layers u_0..u_h are kept as dicts.  S = D_1 - D_2 + ... is applied
-    once to each u_k, and each term of the image is added into the layer
-    its degree names (module docstring): a key's first contribution is
+    S = D_1 - D_2 + ... is summed from the ladder's generators with the
+    operator algebra, and the layers u_0..u_h are kept as dicts.  S is
+    applied once to each u_k, and each term of the image is added into the
+    layer its degree names (module docstring): a key's first contribution is
     stored as it is, and only a repeated key pays a ``Fraction`` add.  A
     layer drops its cancelled keys when the loop reaches it, and each
     volume coefficient is made as one ``Fraction``, c / (s-1+n)!.  A rank-1
@@ -131,12 +138,9 @@ def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolyno
     r = m.rank
     h = m.restriction_degree
     base = m.row_sums[0] - 1  # the power of a_1 that carries u_0
-    # S = D_1 - D_2 + D_3 - ...: the D_j have distinct orders, so no two terms meet
-    signed = {}
+    operator = DiffOperator(MultiPoly._trusted(r, {}))  # S = D_1 - D_2 + D_3 - ...
     for j, generator in enumerate(operator_ladder(m).generators, start=1):
-        for exps, c in generator.poly.terms.items():
-            signed[exps] = c if j % 2 else -c
-    operator = DiffOperator(MultiPoly._trusted(r, signed))
+        operator = operator + (-1) ** (j + 1) * generator
     layers = [v_prev.poly.embed(r, offset=1).terms] + [{} for _ in range(h)]  # layers[n] = u_n
     for k in range(h):
         # u_k is complete: every contribution to it came from a lower layer

@@ -25,9 +25,9 @@ single-copy move from node i to node j, with y node j's supply,
 out(x, y) = sum_{s>=0} in(x + s, y - s), and that sum satisfies
 out(x, y) = in(x, y) + out(x + 1, y - 1).  So with the lists grouped by the
 key without y, one copy is one pass over y ascending from the group's
-smallest y, out[y] = in[y] + out[y-1][1:] (the shorter list padded with
-zeros), kept going while the carried list has more than one entry; root
-(i, j) is m[i,j] such passes.  After root (i, r) the forced root (i, r+1)
+smallest y, out[y] = in[y] + out[y-1][1:] (two lists of one length, as
+``count_lattice_points`` shows), kept going while the carried list has
+more than one entry; root (i, j) is m[i,j] such passes.  After root (i, r) the forced root (i, r+1)
 takes all of x: each list is contracted with its weights
 C(x + mu - 1, mu - 1), and the total is added to row i+1's list for the
 supplies of nodes i+2..r, at the index given by node i+1's supply.  No later
@@ -89,6 +89,28 @@ def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
 
     a is trusted to hold m.rank integers: ``compare_volume`` checks the point,
     and ``dilation_counts`` builds every supply from it.
+
+    A pass only ever adds two lists of one length, and a group's y values
+    have no gap.  Let C = a_1 + ... + a_r + 1; every multiplicity is at
+    least 1, so flow can go over any root.
+
+    * Lengths.  Row 1's one list has length a_1 + 1 = C - sum(key) and last
+      entry 1.  If a group's lists have length C - sum(key) and a positive
+      last entry, so do a pass's: out[y-1][1:] is one shorter than
+      out[y-1], as in[y] is than in[y-1], their last entries add, and the
+      carried tail runs down to length 1.  So some flow reaches every held
+      key.  A contracted list for rest ends at the largest y node i+1 can
+      hold beside it, C - 1 - sum(rest): send every unit drained so far
+      over (l, i+1) in place of (l, r+1), and node i's remainder over
+      (i, i+1).
+    * No gap.  A move sends flow from node i to a node j whose root (i, j)
+      has carried none yet, so a group's y - a_j units came over roots
+      (l, j) with l < i.  Sending part of them over (l, i) instead reaches
+      the same rest with any smaller y down to a_j, and the table holds
+      every key some flow reaches.
+
+    So in[y] and out[y-1][1:] always have one length, no y of a group is
+    missing from its column, and no list is empty.
     """
     point = tuple(a)  # its tails key the states
     r = m.rank
@@ -96,13 +118,10 @@ def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
         return 0
 
     def one_copy(column: Iterable[list[int]]) -> Iterator[list[int]]:
-        """One parallel copy of a root, lazily: yields out[y] = in[y] + out[y-1][1:], zero-padded."""
+        """One parallel copy of a root, lazily: yields out[y] = in[y] + out[y-1][1:], both one length."""
         carry: list[int] = []
         for ways in column:
-            shifted = carry[1:]
-            if len(ways) < len(shifted):
-                ways, shifted = shifted, ways
-            carry = [*map(add, ways, shifted), *ways[len(shifted):]] if shifted else ways
+            carry = list(map(add, ways, carry[1:])) if carry else ways
             yield carry
         while len(carry) > 1:
             carry = carry[1:]
@@ -124,12 +143,11 @@ def count_lattice_points(m: MultiplicityMatrix, a: Sequence[int]) -> int:
         while columns:
             rest, by_y = columns.popitem()
             low = min(by_y)
-            column = [by_y.pop(y, []) for y in range(low, max(by_y) + 1)]
+            column = [by_y.pop(y) for y in range(low, low + len(by_y))]  # no gap (docstring)
             for _ in range(copies):
                 column = one_copy(column)
             for y, ways in enumerate(column, low):
-                if ways:
-                    yield rest[:k] + (y,) + rest[k:], ways
+                yield rest[:k] + (y,) + rest[k:], ways
 
     def forced(i: int) -> list[int]:
         """C(x + mu - 1, mu - 1) for the forced root (i, r+1), for every x node i can hold."""

@@ -4,9 +4,9 @@ Everything downstream (residue computation, differential operators, lattice
 interpolation) runs on the two primitives defined here:
 
 * coefficients are nonzero rationals: ``fractions.Fraction``, or ``int``
-  where the residue step keeps its integer divided-power weights (see
-  ``residue``), so every result is an exact rational identity rather than a
-  floating-point approximation;
+  for the integer weights of the residue step and of every operator (see
+  ``residue`` and ``diffop``), so every result is an exact rational
+  identity rather than a floating-point approximation;
 * a polynomial is a sparse map from exponent vectors to nonzero
   coefficients, kept in canonical form (no stored zeros, fixed-width
   exponent tuples).
@@ -84,9 +84,11 @@ class MultiPoly:
     construction, so values can be shared freely (including across threads).
 
     Validation happens once, at the boundary.  The public constructor and the
-    ``zero``/``one``/``variable``/``monomial`` classmethods check
-    exponent lengths and signs and coerce every coefficient to a nonzero
-    ``Fraction``.  Arithmetic, ``embed`` and operator
+    ``zero``/``one``/``variable``/``monomial`` classmethods take an ``int``
+    count, ``int`` exponents of the right length and sign, and ``int`` or
+    ``Fraction`` coefficients (no ``bool``), stored as nonzero
+    ``Fraction``; ``evaluate`` takes ``int`` or ``Fraction`` entries.
+    Anything else is a ``ValueError``.  Arithmetic, ``embed`` and operator
     application trust their canonical operands, drop cancelled zeros
     themselves and wrap their output with ``_trusted``, without checking it
     again.  ``+`` and ``*`` store the value for a key the result does not
@@ -98,15 +100,17 @@ class MultiPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Scalar] | None = None):
-        if nvars < 1:
-            raise ValueError("polynomial needs at least one variable")
+        if type(nvars) is not int or nvars < 1:
+            raise ValueError(f"variable count {nvars!r} is not an int >= 1")
         canonical: dict[Exponents, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} does not have length {nvars}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+            if any(type(e) is not int or e < 0 for e in exps):
+                raise ValueError(f"exponent vector {exps} is not of ints >= 0")
+            if type(coeff) is not int and not isinstance(coeff, Fraction):
+                raise ValueError(f"coefficient {coeff!r} is not an int or Fraction")
             value = Fraction(coeff)
             if value:
                 canonical[exps] = value
@@ -118,8 +122,8 @@ class MultiPoly:
         """Wrap ``terms`` as is; the caller guarantees canonical form.
 
         That is: tuple keys of length ``nvars`` with nonnegative entries, and
-        nonzero rational values: ``Fraction``, or ``int`` for the residue
-        step's integer weights.  The dict is not copied, so the caller
+        nonzero rational values: ``Fraction``, or ``int`` for the integer
+        weights of the residue step and of every operator.  The dict is not copied, so the caller
         must not keep mutating it.
         """
         poly = object.__new__(cls)
@@ -232,6 +236,8 @@ class MultiPoly:
         value is (sum_q T_q * (L / q)) / (L * D): one exact division, one
         ``Fraction``, however many denominators the coefficients have.
         """
+        if not all(type(v) is int or isinstance(v, Fraction) for v in point):
+            raise ValueError(f"point {tuple(point)} is not of ints or Fractions")
         values = [Fraction(v) for v in point]
         if len(values) != self.nvars:
             raise ValueError(f"point has length {len(values)}, expected {self.nvars}")

@@ -570,12 +570,14 @@ def every_matrix(rank, entries):
     ]
 
 
-def assert_canonical(poly):
+def assert_canonical(poly, kind=Fraction):
+    """Canonical form with nonzero values of exactly the type ``kind``: a polynomial's
+    ``Fraction``, or the ``int`` weights of an operator."""
     assert isinstance(poly.terms, dict)
     for exps, coeff in poly.terms.items():
         assert type(exps) is tuple and len(exps) == poly.nvars, exps
         assert all(type(e) is int and e >= 0 for e in exps), exps
-        assert type(coeff) is Fraction, (exps, coeff)
+        assert type(coeff) is kind, (exps, coeff)
         assert coeff != 0, exps
 
 
@@ -1009,10 +1011,24 @@ class TestPublicConstructorStillChecks:
         (2, {(1, 0, 0): 1}),
         (2, {(1, -1): 1}),
         (1, {(1,): "not a number"}),
+        (True, {(1,): 1}),
+        (1.0, {(1,): 1}),
+        (1, {(1.0,): 1}),
+        (1, {(1.5,): 1}),
+        (1, {(0.5,): 1}),
+        (1, {(True,): 1}),
+        (1, {(2,): 0.1}),
+        (1, {(1,): "1/2"}),
+        (1, {(1,): True}),
     ])
     def test_bad_input_raises(self, nvars, terms):
         with pytest.raises(ValueError):
             MultiPoly(nvars, terms)
+
+    @pytest.mark.parametrize("point", [(0.5,), ("1/2",), (None,), (True,)])
+    def test_point_that_is_not_exact_raises(self, point):
+        with pytest.raises(ValueError, match="is not of ints or Fractions"):
+            MultiPoly(1, {(1,): 1}).evaluate(point)
 
     def test_integer_coefficients_become_fractions(self):
         assert_canonical(MultiPoly(2, {(1, 0): 3, (0, 1): 0, (0, 0): Fraction(1, 2)}))
@@ -1433,11 +1449,10 @@ def operator_families_match_reference(m):
     assert len(ladder.generators) == span
     for q in range(1, span + 2):
         assert lowering_operator(m, q).poly.terms == reference_lowering_operator(m, q), (m, q)
-    for op in (*pde_system(m).ops, *ladder.steps, *ladder.generators):
-        assert_canonical(op.poly)
-    # the ladder and the lowering operators are wrapped without the constructor's checks
-    for op in (*ladder.steps, *ladder.generators, lowering_operator(m, span + 1)):
-        assert all(type(c) is Fraction and c != 0 for c in op.poly.terms.values()), m
+    # every operator is wrapped without the constructor's checks and keeps its int weights
+    lowering = (lowering_operator(m, q) for q in range(1, span + 2))
+    for op in (*pde_system(m).ops, *ladder.steps, *ladder.generators, *lowering):
+        assert_canonical(op.poly, int)
 
 
 class TestOperatorsMatchReference:

@@ -1,6 +1,7 @@
 """``scripts/frontier.py``: each row's shape at rank 3, the closed products, and CI's one step."""
 
 import importlib.util
+import sys
 from math import comb
 from pathlib import Path
 
@@ -35,6 +36,20 @@ def test_a_failing_row_fails_the_run(capsys):
     assert frontier.main([frontier.Row("corner", 2, 1), frontier.Row("lift", 1, 1)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["ok", "FAIL"], lines
+
+
+def test_each_row_line_carries_its_time_and_peak_rss(capsys):
+    assert frontier.main([frontier.Row("corner", 2, 1)]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    status, seconds, peak, unit = line.split()[:4]
+    assert (status, unit) == ("ok", "MiB") and seconds.endswith("s"), line
+    assert 1 <= int(peak) < 1024, line  # a rank-2 child's own peak, in MiB
+
+
+def test_a_child_over_the_limit_is_killed(monkeypatch):
+    monkeypatch.setattr(frontier, "LIMIT_S", 0.5)
+    status, out, peak = frontier.run([sys.executable, "-c", "import time; print('up', flush=True); time.sleep(30)"])
+    assert status < 0 and out == "up\n" and peak > 0
 
 
 def test_ci_runs_the_table_in_one_step():

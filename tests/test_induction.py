@@ -122,6 +122,13 @@ class TestOperatorLadder:
         assert ladder.steps[2] == d1 * d1 - d2
         assert ladder.steps[3] == d1 * d1 * d1 - 2 * (d1 * d2) + d3
 
+    def test_steps_are_built_on_first_read_only(self):
+        ladder = operator_ladder(GOLDEN_M)
+        assert "steps" not in vars(ladder)
+        steps = ladder.steps
+        assert vars(ladder)["steps"] is steps
+        assert ladder.steps is steps
+
     def test_generator_beyond_span_is_zero(self):
         ladder = operator_ladder(GOLDEN_M)
         assert len(ladder.generators) == 2  # m[1,2] + m[1,3]
@@ -218,6 +225,18 @@ class TestLiftVolume:
         m = MultiplicityMatrix(rank, tuple(rng.randint(1, 3) for _ in range(rank * (rank + 1) // 2)))
         v_prev = iterated_residue(m.restriction())
         assert lift_volume(v_prev, m).poly == reference_lift(v_prev, m)
+
+    def test_lift_builds_no_steps(self, monkeypatch):
+        ladders = []
+
+        def recording(m):
+            ladders.append(ladder := operator_ladder(m))
+            return ladder
+
+        monkeypatch.setattr(flowvol.induction, "operator_ladder", recording)
+        lifted = lift_volume(iterated_residue(GOLDEN_M.restriction()), GOLDEN_M)
+        assert lifted.poly == iterated_residue(GOLDEN_M).poly
+        assert len(ladders) == 1 and "steps" not in vars(ladders[0])
 
     def test_wrong_restriction_rejected(self):
         other = MultiplicityMatrix(2, (2, 2, 2))

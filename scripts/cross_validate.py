@@ -3,10 +3,10 @@
 For each matrix the script verifies, all exactly:
   * the annihilating operators kill the residue volume, both as the
     polynomial ``annihilates`` converts to divided powers and as the
-    residue's own integer table T(v)_e = e! v_e (``volume_table``), which
-    ``check-pde`` reads,
+    residue's own integer table T(v)_e = e! v_e (the ``table`` of
+    ``iterated_residue(m)``), which ``check-pde`` reads,
   * that table equals the divided-power table of the volume polynomial at
-    scale 1, so the conversion the residue makes into a polynomial and the
+    scale 1, so the conversion the volume makes into a polynomial and the
     one ``annihilates`` makes back are checked against each other,
   * the operator kernel at the volume degree is the volume line and the
     kernel one degree higher is empty,
@@ -35,7 +35,6 @@ from flowvol import (
     solution_space,
 )
 from flowvol.diffop import _divided_powers, node_residuals
-from flowvol.residue import volume_table
 
 
 def family(max_rank, max_mult):
@@ -58,7 +57,7 @@ def kernel_problems(m, v):
 def check_matrix(m):
     v = iterated_residue(m)
     problems = [] if annihilates(m, v.poly) else ["annihilation"]
-    table = volume_table(m)
+    table = v.table.terms
     scale, entries = _divided_powers(v.poly)
     if scale != 1 or dict(entries) != table:
         problems.append("table")

@@ -1,5 +1,8 @@
 """Print volume polynomials for small multiplicity families.
 
+Each volume is printed from the residue's integer table (``str(v)``, or its
+LaTeX render with ``divided=True``), so no ``Fraction`` polynomial is built.
+
 Usage: python scripts/volume_tables.py [--rank 2] [--max-mult 2] [--latex]
 """
 
@@ -20,7 +23,7 @@ def main(argv=None):
     for mult in product(range(1, args.max_mult + 1), repeat=count):
         m = MultiplicityMatrix(args.rank, mult)
         v = iterated_residue(m)
-        body = v.poly.render_latex() if args.latex else v.poly.render()
+        body = v.table.render_latex(divided=True) if args.latex else str(v)
         print(f"m={mult} (degree {m.degree}): {body}")
 
 

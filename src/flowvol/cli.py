@@ -47,9 +47,7 @@ from fractions import Fraction
 
 from .multiplicity import MultiplicityMatrix, root_pairs
 from .polynomial import MultiPoly
-from .residue import (
-    _PropertyViolation, canonical_order, divided_coefficient, iterated_residue, residue_in_order, volume_table,
-)
+from .residue import _PropertyViolation, canonical_order, divided_coefficient, iterated_residue, residue_in_order
 
 
 # About 1.3 times the volume degree of the largest problem CI runs (r=7, all
@@ -335,9 +333,11 @@ def run_command(
     A failed certificate that ends the command at once raises a
     ``residue._PropertyViolation``, which ``main`` reports as one
     property-violation line with exit code 1 and no order check: a computed
-    volume or volume table that fails the volume check of ``residue``
-    (``VolumePolynomial`` or ``volume_table``), or a lattice count off the
-    fit (``oracle.OffFitError``).
+    volume that fails the volume check of ``residue.VolumePolynomial``, or
+    a lattice count off the fit (``oracle.OffFitError``).  ``volume``,
+    ``check-pde``, ``corner`` and the residue value of ``oracle-compare``
+    read the volume's integer table T(v) (``VolumePolynomial.table``) and
+    build no ``Fraction`` polynomial of it; ``lift`` compares polynomials.
     """
     m = spec.matrix()
     render = MultiPoly.render_latex if latex else MultiPoly.render
@@ -347,15 +347,15 @@ def run_command(
     if command == "volume":
         v = iterated_residue(m)
         lines.append(f"volume polynomial (rank {m.rank}, degree {m.degree}):")
-        lines.append(render(v.poly))
+        lines.append(render(v.table, divided=True))
         if spec.a is not None:
             a_text = ",".join(str(x) for x in spec.a)
-            lines.append(f"value at a=({a_text}): {v.poly.evaluate(spec.a)}")
+            lines.append(f"value at a=({a_text}): {v.value_at(spec.a)}")
     elif command == "check-pde":
         from .diffop import node_residuals
 
         failures = 0
-        for l, residual in node_residuals(m, volume_table(m)):
+        for l, residual in node_residuals(m, iterated_residue(m).table.terms):
             if residual.is_zero:
                 lines.append(f"operator l={l}: annihilates v")
             else:
@@ -423,9 +423,9 @@ def run_command(
     elif command == "corner":
         exps = m.corner_exponents
         monomial = MultiPoly.monomial(exps).render()
-        actual = divided_coefficient(volume_table(m), exps)
+        actual = divided_coefficient(iterated_residue(m).table.terms, exps)
         lines.append(f"corner monomial {monomial}: expected {m.corner_value}, computed {actual}")
-        lines.append("corner coefficient matches")  # volume_table has checked it
+        lines.append("corner coefficient matches")  # VolumePolynomial has checked it
     else:
         raise SpecError(f"unknown command {command!r}")
 

@@ -25,9 +25,9 @@ so every operator built here holds ``int`` weights, not ``Fraction`` ones.
 To test a candidate, ``node_residuals`` never expands a node operator.  It
 takes the polynomial in divided powers a^e/e!, as the integer table G(e) =
 S * e! * coeff_e.  A volume's table is the residue's own T(v), the Kostant
-partition function values of Meszaros-Morales, with S = 1
-(``residue.volume_table``); only a bare candidate is converted, with S the
-least positive integer that makes every entry an integer
+partition function values of Meszaros-Morales, with S = 1 (the ``table``
+of ``residue.iterated_residue``); only a bare candidate is converted, with
+S the least positive integer that makes every entry an integer
 (``_divided_powers``).  Either is packed once (``_packed``), and every
 image is read back by ``_unpacked``.  On divided powers every partial
 derivative is a shift: d_i a^e = e_i a^(e-u_i) and e! = e_i (e-u_i)!, so
@@ -396,14 +396,14 @@ def node_residuals(
     """Pairs (l, node-l operator applied to p) for l = rank down to 1.
 
     ``table`` is the integer divided-power table {e: scale * e! * p_e} of
-    the polynomial p, as ``residue.volume_table`` returns it for a volume
-    (scale 1) and ``annihilates`` writes it for any candidate.  It is packed
-    once on the guarded fields for its largest exponent or node order
-    (module docstring), where d_i subtracts the place value of field i from
-    the keys whose e_i is nonzero.  Each residual is read back by
-    ``_unpacked`` and divided back by scale * e! in one
-    ``from_divided_powers``, and equals ``pde_system(m)``'s node-l operator
-    applied to p.  The keys are trusted to have m.rank entries.
+    the polynomial p, as the ``table`` of ``residue.iterated_residue`` holds
+    it for a volume (scale 1) and ``annihilates`` writes it for any
+    candidate.  It is packed once on the guarded fields for its largest
+    exponent or node order (module docstring), where d_i subtracts the
+    place value of field i from the keys whose e_i is nonzero.  Each
+    residual is read back by ``_unpacked`` and divided back by scale * e!
+    in one ``from_divided_powers``, and equals ``pde_system(m)``'s node-l
+    operator applied to p.  The keys are trusted to have m.rank entries.
     """
     r = m.rank
     shifts, places, guard, guards = _layout(r, max(max(map(max, table), default=0), *m.row_sums))

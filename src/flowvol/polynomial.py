@@ -226,7 +226,7 @@ class MultiPoly:
             result = result * self
         return result
 
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
+    def evaluate(self, point: Sequence[Scalar], divided: bool = False) -> Fraction:
         """Exact evaluation at a point of rationals, in integer arithmetic.
 
         With a_i = n_i/d_i and top_i the largest exponent of a_i, every term
@@ -235,6 +235,12 @@ class MultiPoly:
         coefficient denominator q into T_q, and with L the lcm of those q the
         value is (sum_q T_q * (L / q)) / (L * D): one exact division, one
         ``Fraction``, however many denominators the coefficients have.
+
+        With ``divided``, each value c is read as T(p)_e = e! p_e, the
+        divided-power table of the polynomial p that is evaluated (see
+        ``from_divided_powers``).  top_i! / e_i! is folded into the power
+        table of a_i and prod top_i! into D, so p is evaluated on the same
+        path, with no division by e! per term.
         """
         if not all(type(v) is int or isinstance(v, Fraction) for v in point):
             raise ValueError(f"point {tuple(point)} is not of ints or Fractions")
@@ -245,7 +251,8 @@ class MultiPoly:
             return Fraction(0)
         tops = [max(column) for column in zip(*self.terms)]
         tables = [
-            [v.numerator ** e * v.denominator ** (top - e) for e in range(top + 1)]
+            [v.numerator ** e * v.denominator ** (top - e) * (math.perm(top, top - e) if divided else 1)
+             for e in range(top + 1)]
             for v, top in zip(values, tops)
         ]
         by_denominator: dict[int, int] = {}
@@ -255,7 +262,8 @@ class MultiPoly:
                 product *= table[e]
             q = coeff.denominator
             by_denominator[q] = by_denominator.get(q, 0) + product
-        common = math.prod(v.denominator ** top for v, top in zip(values, tops))
+        common = math.prod(v.denominator ** top * (math.factorial(top) if divided else 1)
+                           for v, top in zip(values, tops))
         lcm = math.lcm(*by_denominator)
         numerator = sum(total * (lcm // q) for q, total in by_denominator.items())
         return Fraction(numerator, lcm * common)
@@ -272,7 +280,7 @@ class MultiPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def _render(self, factor: Callable[[int, int], str], fraction: str, sep: str) -> str:
+    def _render(self, factor: Callable[[int, int], str], fraction: str, sep: str, divided: bool) -> str:
         """Signed terms in canonical order, built from the given pieces.
 
         ``factor(i, e)`` renders a_i^e for e >= 1, ``fraction`` formats the
@@ -280,7 +288,9 @@ class MultiPoly:
         ``sep`` joins the factors of a term and puts a coefficient other than 1
         in front of them.  Sign and magnitude come from the coefficient's
         ``numerator`` and ``denominator`` ints, and each a_i^e that occurs is
-        rendered once per polynomial.
+        rendered once per polynomial.  With ``divided``, each value c is read
+        as T(p)_e = e! p_e (see ``evaluate``), and p_e = c / e! is reduced
+        with one gcd of c's numerator and e!.
         """
         if not self.terms:
             return "0"
@@ -289,10 +299,15 @@ class MultiPoly:
             {e: sep + factor(i, e) if e else "" for e in set(column)}
             for i, column in enumerate(zip(*self.terms), start=1)
         ]
+        factorial = list(accumulate(range(1, max(map(max, self.terms)) + 1), mul, initial=1)) if divided else []
         pieces: list[str] = []
         for exps, coeff in self.sorted_terms():
             monomial = "".join(map(getitem, tables, exps))
             num, den = coeff.numerator, coeff.denominator
+            if divided:
+                weight = math.prod(map(factorial.__getitem__, exps))
+                common = math.gcd(num, weight)
+                num, den = num // common, den * (weight // common)
             magnitude = -num if num < 0 else num
             size = str(magnitude) if den == 1 else fraction.format(magnitude, den)
             if not monomial:
@@ -307,18 +322,22 @@ class MultiPoly:
                 pieces.append(f"+ {body}" if num > 0 else f"- {body}")
         return " ".join(pieces)
 
-    def render(self, names: str = "a") -> str:
-        """Canonical text form: graded-lex order, explicit rational coefficients."""
+    def render(self, names: str = "a", divided: bool = False) -> str:
+        """Canonical text form: graded-lex order, explicit rational coefficients.
+
+        With ``divided``, the values are read as a divided-power table (``_render``).
+        """
         return self._render(
-            lambda i, e: f"{names}{i}^{e}" if e > 1 else f"{names}{i}", "{}/{}", "*"
+            lambda i, e: f"{names}{i}^{e}" if e > 1 else f"{names}{i}", "{}/{}", "*", divided
         )
 
-    def render_latex(self, names: str = "a") -> str:
-        """LaTeX rendering in the same canonical term order."""
+    def render_latex(self, names: str = "a", divided: bool = False) -> str:
+        """LaTeX rendering in the same canonical term order, ``divided`` as in ``render``."""
         return self._render(
             lambda i, e: f"{names}_{{{i}}}^{{{e}}}" if e > 1 else f"{names}_{{{i}}}",
             "\\frac{{{}}}{{{}}}",
             " ",
+            divided,
         )
 
     def __str__(self) -> str:

@@ -88,10 +88,13 @@ ROADMAP item 1 moves its contract to stages.  No step divides: by
 induction every coefficient reached from the kernel is an integer table,
 and after the last step T(v)_e = e! v_e are the values of the Kostant
 partition function (Meszaros-Morales, Math. Z. 293, 2019, arXiv
-1710.00701).  ``ResidueSum.polynomial`` undoes the transform, with one
-division by e! per output coefficient; ``volume_table`` returns T(v)
-itself, for the commands that need no polynomial, checked by the same
-rule as ``VolumePolynomial`` (``_check_volume``).
+1710.00701).  ``ResidueSum.table`` collapses the integrated sum to T(v),
+and ``iterated_residue`` returns it as the table of a ``VolumePolynomial``,
+checked once there.  Every command reads that table: ``MultiPoly``'s
+``render`` and ``evaluate`` read it with ``divided=True``, the operator
+residuals of ``check-pde`` are shifts of it, and ``corner`` reads T(v)_o.
+Only a read of the volume's ``poly`` undoes the transform, with one
+division by e! per output coefficient.
 """
 
 from __future__ import annotations
@@ -99,10 +102,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .multiplicity import MultiplicityMatrix
-from .polynomial import Exponents, MultiPoly, from_divided_powers, table_sum
+from .polynomial import Exponents, MultiPoly, Scalar, from_divided_powers, table_sum
 
 
 @dataclass(frozen=True)
@@ -135,17 +138,14 @@ class ResidueSum:
     diff: tuple[tuple[tuple[int, int], int], ...]
     terms: tuple[ResidueTerm, ...]
 
-    def polynomial(self) -> MultiPoly:
-        """Collapse a fully integrated sum to its polynomial: c_e = T(c)_e / e!.
+    def table(self) -> MultiPoly:
+        """Collapse a fully integrated sum to the integer table T(v) of its polynomial v.
 
         The sum is trusted to be fully integrated, with no difference factor
-        and every x power zero: ``residue_in_order``, its one caller,
-        integrates every variable of a checked permutation.
+        and every x power zero: ``_iterated_sum`` integrates every variable
+        of a checked permutation.
         """
-        total = MultiPoly.zero(self.nvars)
-        for term in self.terms:
-            total = total + from_divided_powers(self.nvars, term.coeff.terms, 1)
-        return total
+        return sum((term.coeff for term in self.terms), MultiPoly.zero(self.nvars))
 
 
 def build_kernel(m: MultiplicityMatrix) -> ResidueSum:
@@ -275,10 +275,10 @@ def _iterated_sum(m: MultiplicityMatrix, order: Sequence[int]) -> ResidueSum:
 
 def residue_in_order(m: MultiplicityMatrix, order: Sequence[int]) -> MultiPoly:
     """Iterated residue of the kernel, taking variables in the given order."""
-    return _iterated_sum(m, order).polynomial()
+    return from_divided_powers(m.rank, _iterated_sum(m, order).table().terms, 1)
 
 
-def divided_coefficient(table: Mapping[Exponents, int], exps: Exponents) -> Fraction:
+def divided_coefficient(table: Mapping[Exponents, Scalar], exps: Exponents) -> Fraction:
     """The coefficient T(c)_e / e! of a^e in the polynomial c of a divided-power table."""
     return Fraction(table.get(exps, 0), prod(map(factorial, exps)))
 
@@ -291,55 +291,76 @@ class _VolumeCheckError(_PropertyViolation, ValueError):
     """A computed polynomial that lacks a property every volume polynomial has."""
 
 
-def _check_volume(m: MultiplicityMatrix, exponents: Collection[Exponents], corner: Fraction) -> None:
-    """Raise ``_VolumeCheckError`` unless the terms are nonzero and of degree m.degree
-    and the corner coefficient is m.corner_value, checked in that order."""
-    if not exponents:
-        raise _VolumeCheckError("volume polynomial cannot be identically zero")
-    if set(map(sum, exponents)) != {m.degree}:
-        raise _VolumeCheckError(f"volume polynomial must be homogeneous of degree {m.degree}")
-    if corner != m.corner_value:
-        raise _VolumeCheckError(f"corner coefficient {corner} differs from expected {m.corner_value}")
-
-
-@dataclass(frozen=True)
 class VolumePolynomial:
-    """Volume polynomial of the flow polytope on the all-positive chamber.
+    """Volume polynomial v of the flow polytope on the all-positive chamber.
 
-    A polynomial that is zero, not homogeneous of the volume degree or off
-    the corner value raises ``_VolumeCheckError``, a ``ValueError`` that
-    ``cli`` reports as a property violation.
+    v is held in one of two forms, and the other is built on its first
+    read.  ``table`` is the divided-power table T(v) = sum_e e! v_e a^e as
+    a ``MultiPoly``: ``iterated_residue`` hands over the residue's own
+    table, with ``int`` values, and builds no polynomial.  ``poly`` is v:
+    ``VolumePolynomial(m, poly)`` takes it, and its table holds the values
+    e! * poly_e; from a table it is built by one ``from_divided_powers``.
+    ``str(v)`` and ``value_at`` read the table with ``divided=True``, and
+    two volumes are equal when their matrices and tables are.
+
+    The held form is checked once, when v is made.  One that is zero, not
+    homogeneous of the volume degree or with a corner coefficient (T(v)_o
+    / o! on a table) off the corner value, checked in that order, raises
+    ``_VolumeCheckError``, a ``ValueError`` that ``cli`` reports as a
+    property violation.
     """
 
-    m: MultiplicityMatrix
-    poly: MultiPoly
+    __slots__ = ("m", "_table", "_poly")
 
-    def __post_init__(self) -> None:
-        if self.poly.nvars != self.m.rank:
+    def __init__(self, m: MultiplicityMatrix, poly: MultiPoly) -> None:
+        if poly.nvars != m.rank:
             raise ValueError("polynomial variable count does not match the rank")
-        _check_volume(self.m, self.poly.terms, self.poly.coefficient(self.m.corner_exponents))
+        self._hold(m, None, poly, poly.coefficient(m.corner_exponents))
+
+    @classmethod
+    def _of_table(cls, m: MultiplicityMatrix, table: MultiPoly) -> "VolumePolynomial":
+        """The volume of the divided-power table ``table`` of m.rank variables, checked."""
+        volume = object.__new__(cls)
+        volume._hold(m, table, None, divided_coefficient(table.terms, m.corner_exponents))
+        return volume
+
+    def _hold(self, m: MultiplicityMatrix, table: MultiPoly | None, poly: MultiPoly | None, corner: Fraction) -> None:
+        """Check the form held, table or poly, with its corner coefficient; then keep it."""
+        exponents = (poly if table is None else table).terms
+        if not exponents:
+            raise _VolumeCheckError("volume polynomial cannot be identically zero")
+        if set(map(sum, exponents)) != {m.degree}:
+            raise _VolumeCheckError(f"volume polynomial must be homogeneous of degree {m.degree}")
+        if corner != m.corner_value:
+            raise _VolumeCheckError(f"corner coefficient {corner} differs from expected {m.corner_value}")
+        self.m, self._table, self._poly = m, table, poly
+
+    @property
+    def table(self) -> MultiPoly:
+        if self._table is None:
+            table = {exps: c * prod(map(factorial, exps)) for exps, c in self._poly.terms.items()}
+            self._table = MultiPoly._trusted(self.m.rank, table)
+        return self._table
+
+    @property
+    def poly(self) -> MultiPoly:
+        if self._poly is None:
+            self._poly = from_divided_powers(self.m.rank, self._table.terms, 1)
+        return self._poly
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, VolumePolynomial) and self.m == other.m and self.table == other.table
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.table))
 
     def value_at(self, point: Sequence[Fraction | int]) -> Fraction:
-        return self.poly.evaluate(point)
+        return self.table.evaluate(point, divided=True)
 
     def __str__(self) -> str:
-        return self.poly.render()
+        return self.table.render(divided=True)
 
 
 def iterated_residue(m: MultiplicityMatrix) -> VolumePolynomial:
-    """Exact volume polynomial, via residues innermost-first in x_r, ..., x_1."""
-    poly = residue_in_order(m, canonical_order(m.rank))
-    return VolumePolynomial(m, poly)
-
-
-def volume_table(m: MultiplicityMatrix) -> dict[Exponents, int]:
-    """The volume's integer divided-power table T(v)_e = e! v_e, from the same residues.
-
-    The table is checked as ``VolumePolynomial`` checks v, on the table
-    itself: its keys are v's exponents, and the corner coefficient is
-    T(v)_o / o!.  No ``Fraction`` polynomial is built.
-    """
-    terms = _iterated_sum(m, canonical_order(m.rank)).terms
-    table = terms[0].coeff.terms if terms else {}
-    _check_volume(m, table, divided_coefficient(table, m.corner_exponents))
-    return table
+    """Exact volume polynomial, via residues innermost-first in x_r, ..., x_1, as its integer table."""
+    return VolumePolynomial._of_table(m, _iterated_sum(m, canonical_order(m.rank)).table())

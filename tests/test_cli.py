@@ -21,7 +21,7 @@ import flowvol.polynomial
 import flowvol.residue
 from flowvol import MultiPoly, VolumePolynomial, canonical_order, iterated_residue, pde_system
 from flowvol.diffop import _divided_powers
-from flowvol.residue import ResidueTerm
+from flowvol.residue import ResidueSum, ResidueTerm
 from flowvol.cli import ProblemSpec, SpecError, _parse_rational, parse_spec, render_spec, run_command
 from flowvol.cli import EXIT_STDOUT_CLOSED, MAX_DEGREE, MAX_POINT_BITS, MAX_SPEC_CHARS, MAX_SUPPLY, main
 
@@ -439,13 +439,14 @@ class TestCommands:
 
     @staticmethod
     def wrong_volume_report(monkeypatch, render):
-        """Inject the golden volume plus one monomial; the report the expanded operators give."""
+        """Inject the golden volume plus one monomial as the residue's integrated table;
+        the report the expanded operators give."""
         m = parse_spec(GOLDEN_TEXT).matrix()
         wrong = iterated_residue(m).poly + MultiPoly.monomial((m.degree - 1, 1, 0))
         scale, entries = _divided_powers(wrong)
         assert scale == 1
-        table = dict(entries)
-        monkeypatch.setattr(flowvol.cli, "volume_table", lambda _: table)
+        term = ResidueTerm(MultiPoly._trusted(m.rank, dict(entries)), (0,) * m.rank)
+        monkeypatch.setattr(flowvol.residue, "_iterated_sum", lambda m, order: ResidueSum(m.rank, (), (term,)))
         expected, failures = [], 0
         for l, op in pde_system(m).labeled():
             residual = op.apply(wrong)
@@ -637,9 +638,9 @@ class TestCommands:
         with pytest.raises(ValueError, match="a fault in the residue code"):
             main(["corner", "r=1; m[1,2]=2"])
 
-    @pytest.mark.parametrize("command", ["check-pde", "corner"])
-    def test_check_pde_and_corner_build_no_fraction_polynomial(self, monkeypatch, command):
-        # both read the residue's integer table; a volume whose residuals are
+    @pytest.mark.parametrize("command", ["volume", "check-pde", "corner", "oracle-compare"])
+    def test_table_commands_build_no_fraction_polynomial(self, monkeypatch, command):
+        # these read the residue's integer table; a volume whose residuals are
         # all zero leaves from_divided_powers no entry to turn into a Fraction
         def refuse(self):
             raise RuntimeError("a Fraction polynomial of the volume was built")
@@ -651,14 +652,15 @@ class TestCommands:
             entries.extend(table)
             return exact(nvars, table, scale)
 
-        monkeypatch.setattr(flowvol.residue.ResidueSum, "polynomial", refuse)
+        monkeypatch.setattr(flowvol.residue.VolumePolynomial, "poly", property(refuse))
         for module in (flowvol.polynomial, flowvol.residue, flowvol.diffop):
             monkeypatch.setattr(module, "from_divided_powers", recording)
-        text, code = run_command(parse_spec(GOLDEN_TEXT), command)
+        point = {"volume": "; a=(1,1/2,-3)", "oracle-compare": "; a=(1,1,2)"}.get(command, "")
+        text, code = run_command(parse_spec(GOLDEN_TEXT + point), command)
         assert code == 0
         assert entries == []
         with pytest.raises(RuntimeError, match="Fraction polynomial"):
-            run_command(parse_spec(GOLDEN_TEXT), "volume")
+            run_command(parse_spec(GOLDEN_TEXT), "lift")
 
     def test_corner(self):
         text, code = run_command(parse_spec(GOLDEN_TEXT), "corner")

@@ -19,7 +19,6 @@ from flowvol import (
 from flowvol.diffop import DiffOperator, _node_terms
 from flowvol.linalg import integer_nullspace
 from flowvol.polynomial import binomial_series_coeff, homogeneous_monomials
-from flowvol.residue import volume_table
 
 from conftest import multipolys, multiplicity_matrices
 
@@ -262,7 +261,7 @@ class TestSolutionSpace:
             if degree == m.degree:
                 columns = homogeneous_monomials(m.rank, degree, caps)
                 [vector] = basis
-                assert {columns[col]: v for col, v in vector.items()} == volume_table(m), m
+                assert {columns[col]: v for col, v in vector.items()} == iterated_residue(m).table.terms, m
             else:
                 assert all(vector[max(vector)] == 1 for vector in basis), (m, degree)
 

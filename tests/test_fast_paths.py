@@ -50,6 +50,9 @@ where ``evaluate`` makes one Fraction in all.
 ``reference_homogeneous_monomials`` enumerates the monomials through one
 recursive generator frame per variable, where
 ``homogeneous_monomials`` builds the list from tables of tails, and
+``from_divided_powers`` turns a divided-power table back into its polynomial
+before ``render`` and ``evaluate`` read it, where the same methods with
+``divided=True`` read the table itself.
 ``MultiPoly.sorted_terms`` sorts on (total degree, exponents) descending,
 or on exponents alone when every term has one degree, where ``grlex_key``
 (conftest) negates each entry; ``reference_render`` joins each monomial
@@ -89,9 +92,7 @@ from flowvol.diffop import DiffOperator, _divided_powers, _layout, _node_image, 
 from flowvol.linalg import integer_nullspace
 from flowvol.oracle import count_lattice_points
 from flowvol.polynomial import binomial_series_coeff, from_divided_powers, homogeneous_monomials
-from flowvol.residue import (
-    ResidueSum, ResidueTerm, _VolumeCheckError, build_kernel, residue_at_zero, volume_table,
-)
+from flowvol.residue import ResidueSum, ResidueTerm, _VolumeCheckError, build_kernel, residue_at_zero
 
 from conftest import (
     assert_sparse_basis,
@@ -730,7 +731,7 @@ def assert_inputs_unchanged(m):
         for var in order:
             states.append(residue_at_zero(states[-1], var))
         snapshots = [snapshot(state) for state in states]
-        states[-1].polynomial()
+        states[-1].table()
         for var in order:  # the same steps again, on the same inputs
             residue_at_zero(states[order.index(var)], var)
         assert [snapshot(state) for state in states] == snapshots, (m, order)
@@ -1002,6 +1003,65 @@ class TestIntegerEvaluation:
     def test_zero_polynomial(self):
         value = MultiPoly.zero(2).evaluate((Fraction(3, 4), -1))
         assert type(value) is Fraction and value == 0
+
+
+def assert_divided_reads_match(table, points):
+    """``render``, ``render_latex`` and ``evaluate`` of a divided-power table with
+    ``divided=True`` against the same methods on the polynomial ``from_divided_powers``
+    makes of it."""
+    poly = from_divided_powers(table.nvars, table.terms, 1)
+    assert table.render(divided=True) == poly.render(), table
+    assert table.render_latex(divided=True) == poly.render_latex(), table
+    for point in points:
+        value = table.evaluate(point, divided=True)
+        assert type(value) is Fraction and value == poly.evaluate(point), (table, point)
+
+
+def divided_read_points(rank):
+    """An integer point, a p/q point, one with negative p/q entries, one with zero
+    and negative entries, and zero."""
+    return [
+        tuple(range(1, rank + 1)),
+        tuple(Fraction(i + 2, 2 * i + 3) for i in range(rank)),
+        tuple(Fraction((-1) ** i * (i + 1), i + 2) for i in range(rank)),
+        tuple(0 if i % 2 else -(i + 3) for i in range(rank)),
+        (0,) * rank,
+    ]
+
+
+class TestDividedReadsMatchPolynomial:
+    """The reads of a divided-power table T(p)_e = e! p_e with ``divided=True``, against
+    the polynomial p: on the residue's integer tables T(v), on the ``Fraction`` tables
+    of a ``VolumePolynomial`` made from a polynomial, and on any ``Fraction`` table."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_every_small_matrix(self, rank):
+        for m in every_matrix(rank, (1, 2, 3)):
+            v = iterated_residue(m)
+            assert all(type(c) is int for c in v.table.terms.values()), m
+            assert_divided_reads_match(v.table, divided_read_points(rank))
+
+    @pytest.mark.parametrize("rank, entries", [(4, (1, 2, 3)), (5, (1, 2))])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_rank_four_and_five(self, rank, entries, seed):
+        rng = random.Random(4200 + 10 * rank + seed)
+        m = MultiplicityMatrix(rank, tuple(rng.choice(entries) for _ in range(rank * (rank + 1) // 2)))
+        assert_divided_reads_match(iterated_residue(m).table, divided_read_points(rank))
+
+    @given(multiplicity_matrices(max_rank=3, max_mult=3), st.data())
+    def test_volume_tables_at_random_points(self, m, data):
+        point = data.draw(rational_points(m.rank))
+        v = iterated_residue(m)
+        made = VolumePolynomial(m, v.poly)
+        assert all(isinstance(c, Fraction) for c in made.table.terms.values()), m
+        assert made.table == v.table and str(made) == str(v) == v.poly.render(), m
+        assert made.value_at(point) == v.value_at(point) == v.poly.evaluate(point), (m, point)
+        for table in (v.table, made.table):
+            assert_divided_reads_match(table, [point])
+
+    @given(st.integers(1, 3).flatmap(lambda n: multipolys(nvars=n, max_terms=6, max_exp=6)), st.data())
+    def test_fraction_tables(self, table, data):
+        assert_divided_reads_match(table, [data.draw(rational_points(table.nvars))])
 
 
 class TestPublicConstructorStillChecks:
@@ -1609,13 +1669,13 @@ def rendered(residuals):
 
 
 def assert_table_route_matches(m, rng, monkeypatch):
-    """``volume_table`` against the divided powers of the volume polynomial, and
-    ``node_residuals`` on tables against the polynomial route, on the volume and
-    on two wrong candidates: the volume plus one monomial, and, through
-    ``annihilates``, the volume plus a monomial over a prime above the degree,
-    whose scale S is that prime."""
-    volume = iterated_residue(m).poly
-    table = volume_table(m)
+    """The table of ``iterated_residue`` against the divided powers of its
+    polynomial, and ``node_residuals`` on tables against the polynomial route,
+    on the volume and on two wrong candidates: the volume plus one monomial,
+    and, through ``annihilates``, the volume plus a monomial over a prime above
+    the degree, whose scale S is that prime."""
+    v = iterated_residue(m)
+    volume, table = v.poly, v.table.terms
     assert table == {e: c * factorials(e) for e, c in volume.terms.items()}, m
     assert all(type(c) is int for c in table.values()), m
     assert all(residual.is_zero for _, residual in node_residuals(m, table)), m
@@ -1680,7 +1740,7 @@ class TestResidueTableCheck:
     ])
     def test_same_message_as_the_polynomial_check(self, fault, message, monkeypatch):
         m = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 2))
-        table = dict(volume_table(m))
+        table = dict(iterated_residue(m).table.terms)
         corner = m.corner_exponents
         if fault == "zero":
             table = {}
@@ -1694,7 +1754,7 @@ class TestResidueTableCheck:
         assert volume_check_message(lambda: VolumePolynomial(m, poly)) == message
         terms = (ResidueTerm(MultiPoly._trusted(3, table), (0, 0, 0)),) if table else ()
         monkeypatch.setattr(flowvol.residue, "_iterated_sum", lambda m, order: ResidueSum(3, (), terms))
-        assert volume_check_message(lambda: volume_table(m)) == message
+        assert volume_check_message(lambda: iterated_residue(m)) == message
 
 
 class TestFoldedLatticeCountMatchesReference:

@@ -1,11 +1,13 @@
 """Run the frontier checks CI runs, one table row per check.
 
 Each row's spec is ``cli.render_spec`` of its problem and its expected line
-is derived from the row.  Each row runs as a fresh ``python -m flowvol`` child
+is derived from the row.  Each row runs the CLI in a fresh Python child
 under a 120 s limit and passes on exit 0 with the expected line printed; one
-ok/FAIL line with the time and the child's peak RSS (its own ``ru_maxrss``,
-read when it is reaped) is printed per row, and the script exits 1 if any
-row fails.
+ok/FAIL line with the time and the child's peak RSS is printed per row, and
+the script exits 1 if any row fails.  The peak is the child's own VmHWM,
+which ``PEAK`` prints as its last line when the CLI returns: the
+``ru_maxrss`` of a reaped child also counts this process's memory, which
+the child carried until its exec, so it would grow with the rows before.
 
 Usage: PYTHONPATH=src python scripts/frontier.py
 """
@@ -24,6 +26,21 @@ from math import comb, factorial, prod
 from flowvol.cli import ProblemSpec, render_spec
 
 LIMIT_S = 120
+
+# The CLI's ``main`` on the child's arguments, then the child's own peak RSS,
+# its "VmHWM: <KiB> kB" status line, as its last line of stdout.
+PEAK = """import sys
+from flowvol.cli import main
+try:
+    code = main()
+finally:
+    try:
+        with open("/proc/self/status") as status:
+            print(next(line for line in status if line.startswith("VmHWM:")), end="", flush=True)
+    except OSError:  # no /proc: run() falls back to ru_maxrss
+        pass
+sys.exit(code)
+"""
 ONES, E1 = "(1,...,1)", "(1,0,...,0)"
 
 # command, rank, multiplicity k on every root, point (ONES, E1, explicit or
@@ -91,8 +108,11 @@ def check(row):
 def run(args):
     """(exit status, stdout, peak RSS in MiB) of one child, killed after LIMIT_S.
 
-    The child is reaped with ``os.wait4``, so the peak is its own
-    ``ru_maxrss`` (KiB on Linux), not the largest of every child so far.
+    A last stdout line "VmHWM: <KiB> kB", as ``PEAK`` prints it, is taken
+    off the output as the child's own peak; the CLI never prints "VmHWM:".
+    A child that prints none, such as one killed first, reports the
+    ``ru_maxrss`` (KiB on Linux) that ``os.wait4`` reads when it is reaped,
+    which may count this process's memory too.
     """
     with subprocess.Popen(args, stdout=subprocess.PIPE, text=True) as child:
         timer = threading.Timer(LIMIT_S, os.kill, (child.pid, signal.SIGKILL))
@@ -102,6 +122,9 @@ def run(args):
         timer.join()  # so no kill can reach the pid once it is reaped
         _, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)
+    head, found, kib = out.rpartition("VmHWM:")
+    if found:
+        return child.returncode, head, int(kib.split()[0]) / 1024
     return child.returncode, out, usage.ru_maxrss / 1024
 
 
@@ -110,7 +133,7 @@ def main(rows=ROWS):
     for row in rows:
         command, spec, extra, expected = check(row)
         started = time.perf_counter()
-        status, out, peak = run([sys.executable, "-m", "flowvol", command, spec, *extra])
+        status, out, peak = run([sys.executable, "-c", PEAK, command, spec, *extra])
         ok = status == 0 and expected in out.splitlines()
         failed += not ok
         print(f"{'ok' if ok else 'FAIL':4} {time.perf_counter() - started:6.1f}s {peak:6.0f} MiB  "

@@ -334,10 +334,12 @@ def run_command(
     ``residue._PropertyViolation``, which ``main`` reports as one
     property-violation line with exit code 1 and no order check: a computed
     volume that fails the volume check of ``residue.VolumePolynomial``, or
-    a lattice count off the fit (``oracle.OffFitError``).  ``volume``,
-    ``check-pde``, ``corner`` and the residue value of ``oracle-compare``
-    read the volume's integer table T(v) (``VolumePolynomial.table``) and
-    build no ``Fraction`` polynomial of it; ``lift`` compares polynomials.
+    a lattice count off the fit (``oracle.OffFitError``).  Every command
+    that reads a volume, ``volume``, ``check-pde``, ``lift``, ``corner``
+    and the residue value of ``oracle-compare``, reads its integer table
+    T(v) (``VolumePolynomial.table``) and builds no ``Fraction`` polynomial
+    of it: ``lift`` renders the restricted, the lifted and the direct
+    volume's tables and compares the last two.
     """
     m = spec.matrix()
     render = MultiPoly.render_latex if latex else MultiPoly.render
@@ -385,14 +387,14 @@ def run_command(
 
         v_prev = iterated_residue(m.restriction())
         lifted = lift_volume(v_prev, m)
-        direct = iterated_residue(m)
-        lines.append(f"rank-{m.rank - 1} volume: {render(v_prev.poly)}")
-        lines.append(f"lifted rank-{m.rank} volume: {render(lifted.poly)}")
-        if lifted.poly == direct.poly:
+        lines.append(f"rank-{m.rank - 1} volume: {render(v_prev.table, divided=True)}")
+        lines.append(f"lifted rank-{m.rank} volume: {render(lifted.table, divided=True)}")
+        direct = iterated_residue(m)  # after the renders, so that the residue's peak does not meet theirs
+        if lifted == direct:
             lines.append("lift agrees with the direct residue computation")
         else:
             lines.append("property violation: lift differs from the direct residue")
-            lines.append(f"direct: {render(direct.poly)}")
+            lines.append(f"direct: {render(direct.table, divided=True)}")
             code = 1
     elif command == "oracle-compare":
         if spec.a is None:

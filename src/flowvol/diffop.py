@@ -44,15 +44,17 @@ therefore prints the same residual, term for term, as the expanded operator
 gives.  ``_node_image`` is that action of one node operator on a table;
 ``node_residuals`` and ``solution_space`` both use it.
 
-``DiffOperator.apply``, which the rank-induction lift calls, works on the
-same table for any operator: d^k maps a^e/e! to a^(e-k)/(e-k)!, so each
-(operator term, polynomial term) pair costs one integer multiply-add, and
-each output term makes one ``Fraction``.  S = 1 on every layer u_k of
-the lift (``induction``) and on its image under the lift's signed operator
-D_1 - D_2 + D_3 - ... too: the volume is
+``DiffOperator.apply`` works on the same table for any operator: d^k maps
+a^e/e! to a^(e-k)/(e-k)!, so each (operator term, polynomial term) pair
+costs one integer multiply-add.  On a polynomial, each output term makes
+one ``Fraction``; with ``divided=True`` it reads a table T(p) as it is and
+returns the table of the image, ``int`` valued when the operator's weights
+are integers, with no e! and no ``Fraction`` at all.  The rank-induction
+lift (``induction``) calls it that way on every layer u_k: the volume is
 v = sum_k a_1^(s-1+k)/(s-1+k)! * u_k, so the entries e'! * coeff_e' of u_k
-are the values e! * v_e at e = (s-1+k, e'), and a shift on divided powers
-with the integer weights of the D_j keeps a table integral.
+are the values e! * v_e at e = (s-1+k, e'), integers, and a shift on
+divided powers with the integer weights of the lift's signed operator
+D_1 - D_2 + D_3 - ... keeps a table integral.
 
 Every table is keyed on one layout of guarded bit fields.  With M the
 largest exponent or operator order in play, each field is w = bitlen(M) + 1
@@ -149,9 +151,10 @@ c_k e!/target!.  This gives the same kernel, for three reasons:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul
+from operator import gt, mul
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .multiplicity import MultiplicityMatrix
@@ -229,9 +232,9 @@ def _divided_powers(poly: MultiPoly) -> tuple[int, Iterator[tuple[Exponents, int
     S is the least positive integer that makes every S * e! * c_e an
     integer.  With c_e = p/q in lowest terms, e! * c_e has the denominator
     q / gcd(q, e!) in lowest terms, so S is the lcm of those; S * e! is then
-    a multiple of q.  S = 1 on every volume and every lift image (module
-    docstring).  The entries come one at a time, so that ``_packed`` can
-    key them without a second table.
+    a multiple of q.  S = 1 on every volume (module docstring).  The entries
+    come one at a time, so that ``_packed`` can key them without a second
+    table.
     """
     facts = [prod(map(factorial, exps)) for exps in poly.terms]
     scale = lcm(*(c.denominator // gcd(c.denominator, f) for c, f in zip(poly.terms.values(), facts)))
@@ -271,7 +274,7 @@ class DiffOperator:
     def __rmul__(self, other: Scalar) -> "DiffOperator":
         return DiffOperator(self.poly * other)
 
-    def apply(self, p: MultiPoly) -> MultiPoly:
+    def apply(self, p: MultiPoly, divided: bool = False) -> MultiPoly:
         """Apply the operator to a polynomial, exactly, on packed divided powers.
 
         p is written once as its integer divided-power table G(e) = S * e! * c_e
@@ -286,22 +289,29 @@ class DiffOperator:
         rational sum_k w_k c_(f+k) perm(f+k, k) that the term-by-term product
         gives.
 
+        With ``divided``, p's values are read as its table T(p)_e = e! p_e,
+        as they are (S = 1), and the image's table T(Dp)_f = sum_k w_k T(p)_(f+k)
+        is returned with its zero sums dropped: ``int`` values when T = 1, as
+        for every operator built in this package, and otherwise the exact
+        ``Fraction(sum, T)``.  No e! is multiplied or divided on this path.
+
         The keys are the guarded fields for M, the largest exponent of p
         (module docstring).  An operator term d^k is packed the same way, as
-        K, without the guard, and skipped when some k_i is above M, since then
-        no e_i reaches it.  Every other k_i is at most M, so one ``&`` and one
-        compare keep the pairs with e >= k, and key - K is the key of e - k.
+        K, without the guard, and skipped when some k_i is above top_i, the
+        largest e_i of p, since then no key reaches e_i >= k_i and the term
+        maps every key to 0.  Every other k_i is at most M, so one ``&`` and
+        one compare keep the pairs with e >= k, and key - K is the key of e - k.
         """
         if p.nvars != self.poly.nvars:
             raise ValueError(f"variable-count mismatch: {self.poly.nvars} vs {p.nvars}")
-        top = max(map(max, p.terms), default=0)
-        shifts, places, guard, guards = _layout(p.nvars, top)
-        scale, entries = _divided_powers(p)
+        tops = [max(column) for column in zip(*p.terms)]
+        shifts, places, guard, guards = _layout(p.nvars, max(tops, default=0))
+        scale, entries = (1, p.terms.items()) if divided else _divided_powers(p)
         table = _packed(entries, places, guards)
         weights = lcm(*(w.denominator for w in self.poly.terms.values()))
         out: dict[int, int] = {}
         for dexps, w in self.poly.terms.items():
-            if max(dexps) > top:
+            if any(map(gt, dexps, tops)):
                 continue
             shift = sum(map(mul, dexps, places))
             weight = w.numerator * (weights // w.denominator)
@@ -310,7 +320,10 @@ class DiffOperator:
                 if key & guards == guards:
                     old = out.get(key)
                     out[key] = weight * g if old is None else old + weight * g
-        return from_divided_powers(p.nvars, _unpacked(out, shifts, guard), scale * weights)
+        if not divided:
+            return from_divided_powers(p.nvars, _unpacked(out, shifts, guard), scale * weights)
+        image = {key: c if weights == 1 else Fraction(c, weights) for key, c in out.items() if c}
+        return MultiPoly._trusted(p.nvars, _unpacked(image, shifts, guard))
 
     def __str__(self) -> str:
         return self.poly.render(names="d")

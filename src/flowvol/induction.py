@@ -44,6 +44,18 @@ applications in all, not one for each (n, j) with j <= min(n, span).  Each
 is one ``DiffOperator.apply``, on the integer divided-power table of u_k
 (``diffop``), so a pair of terms costs one integer multiply-add.
 
+The layers are kept as those tables, T(u_n)_f = f! (u_n)_f, from start to
+finish, and the lift needs no division.  T is linear, so T(u_n) is the sum
+of the images T(S u_k) that ``apply`` returns with ``divided=True``; T(u_0)
+is the restricted volume's own table, embedded; and because a_1 enters
+only through a_1^(s-1+n)/(s-1+n)!, the factorials cancel:
+
+    T(v)_(s-1+n, f) = (s-1+n)! f! v_(s-1+n, f) = f! (u_n)_f = T(u_n)_f.
+
+So each layer's entries are the volume's table entries, with a_1's
+exponent put in front, and on the residue's integer table of the
+restricted volume every value stays an ``int``.
+
 The ladder operators have a closed form.  With E(u) = sum_n E_n u^n and
 D(u) = 1 + sum_q D_q u^q, the recurrence says that for n >= 1 the u^n
 coefficient of sum_{j>=0} (-1)^j D_j u^j * E(u) vanishes, that is
@@ -64,16 +76,16 @@ The D_q and E_n come out of ``_node_terms`` in canonical form, with nonzero
 integer weights, every order from one call, so ``diffop._operator`` wraps
 them as it wraps ``pde_system``'s operators, ``int`` weights and all.  The
 lift's S is summed from the D_j with ``DiffOperator``'s own ``+`` and scalar
-``*``, and its terms are distinct nonzero ``Fraction`` values, wrapped with
-``MultiPoly._trusted``; neither goes through the checking constructor
-again, since inputs are checked where they enter.
+``*``, which keep integer weights ``int``, so its terms are distinct nonzero
+``int`` values too, and ``apply`` returns ``int`` tables from it; neither
+goes through the checking constructor again, since inputs are checked where
+they enter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .diffop import DiffOperator, _node_terms, _operator
@@ -125,13 +137,15 @@ def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolyno
     """Volume polynomial for m from the volume of its restriction to nodes 2..r+1.
 
     S = D_1 - D_2 + ... is summed from the ladder's generators with the
-    operator algebra, and the layers u_0..u_h are kept as dicts.  S is
-    applied once to each u_k, and each term of the image is added into the
-    layer its degree names (module docstring): a key's first contribution is
-    stored as it is, and only a repeated key pays a ``Fraction`` add.  A
-    layer drops its cancelled keys when the loop reaches it, and each
-    volume coefficient is made as one ``Fraction``, c / (s-1+n)!.  A rank-1
-    m is refused by its ``restriction()``, which has no rank-0 matrix.
+    operator algebra, and the layers u_0..u_h are kept as divided-power
+    tables T(u_n), starting from v_prev's table.  S is applied once to each
+    T(u_k) with ``divided=True``, and each term of the image is added into
+    the layer its degree names (module docstring): a key's first
+    contribution is stored as it is, and only a repeated key pays an add.  A
+    layer drops its cancelled keys when the loop reaches it, and T(v) at
+    (s-1+n, f) is T(u_n) at f, so every term of every layer is one entry of
+    the volume's table, with no division.  A rank-1 m is refused by its
+    ``restriction()``, which has no rank-0 matrix.
     """
     if v_prev.m != m.restriction():
         raise ValueError("input volume does not belong to the restricted multiplicities")
@@ -141,20 +155,15 @@ def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolyno
     operator = DiffOperator(MultiPoly._trusted(r, {}))  # S = D_1 - D_2 + D_3 - ...
     for j, generator in enumerate(operator_ladder(m).generators, start=1):
         operator = operator + (-1) ** (j + 1) * generator
-    layers = [v_prev.poly.embed(r, offset=1).terms] + [{} for _ in range(h)]  # layers[n] = u_n
+    layers = [v_prev.table.embed(r, offset=1).terms] + [{} for _ in range(h)]  # layers[n] = T(u_n)
     for k in range(h):
         # u_k is complete: every contribution to it came from a lower layer
         layer = layers[k] = {exps: c for exps, c in layers[k].items() if c}
-        for exps, c in operator.apply(MultiPoly._trusted(r, layer)).terms.items():
+        for exps, c in operator.apply(MultiPoly._trusted(r, layer), divided=True).terms.items():
             target = layers[h - sum(exps)]
             old = target.get(exps)
             target[exps] = c if old is None else old + c
     # No u_n involves a_1 and each sits at its own power of it, so every term
-    # of every layer becomes one term of the volume.
-    terms = {}
-    for n, layer in enumerate(layers):
-        scale = math.factorial(base + n)
-        for exps, c in layer.items():
-            if c:
-                terms[(base + n,) + exps[1:]] = Fraction(c.numerator, c.denominator * scale)
-    return VolumePolynomial(m, MultiPoly._trusted(r, terms))
+    # of every layer becomes one term of the volume's table.
+    table = {(base + n,) + exps[1:]: c for n, layer in enumerate(layers) for exps, c in layer.items() if c}
+    return VolumePolynomial._of_table(m, MultiPoly._trusted(r, table))

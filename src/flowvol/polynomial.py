@@ -288,9 +288,12 @@ class MultiPoly:
         ``sep`` joins the factors of a term and puts a coefficient other than 1
         in front of them.  Sign and magnitude come from the coefficient's
         ``numerator`` and ``denominator`` ints, and each a_i^e that occurs is
-        rendered once per polynomial.  With ``divided``, each value c is read
-        as T(p)_e = e! p_e (see ``evaluate``), and p_e = c / e! is reduced
-        with one gcd of c's numerator and e!.
+        rendered once per polynomial.  Each term is one format of its sign,
+        as " + " or " - ", its size and its monomial, and the first term's
+        sign is cut to "" or "-" before the join.  With ``divided``, each
+        value c is read as T(p)_e = e! p_e (see ``evaluate``), and
+        p_e = c / e! is reduced with one gcd of c's numerator and e!; when
+        the gcd is e! itself the denominator is left as it is.
         """
         if not self.terms:
             return "0"
@@ -307,20 +310,22 @@ class MultiPoly:
             if divided:
                 weight = math.prod(map(factorial.__getitem__, exps))
                 common = math.gcd(num, weight)
-                num, den = num // common, den * (weight // common)
-            magnitude = -num if num < 0 else num
-            size = str(magnitude) if den == 1 else fraction.format(magnitude, den)
-            if not monomial:
-                body = size
-            elif size == "1":
-                body = monomial[len(sep):]
+                if common == weight:
+                    num //= weight
+                else:
+                    num, den = num // common, den * (weight // common)
+            sign, num = (" - ", -num) if num < 0 else (" + ", num)
+            if den != 1:
+                size = fraction.format(num, den)
+            elif num != 1 or not monomial:
+                size = str(num)
             else:
-                body = size + monomial
-            if not pieces:
-                pieces.append(body if num > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if num > 0 else f"- {body}")
-        return " ".join(pieces)
+                size, monomial = "", monomial[len(sep):]
+            pieces.append(f"{sign}{size}{monomial}")
+        # every term is led by its sign as a separator, and the first by its sign alone
+        first = pieces[0]
+        pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+        return "".join(pieces)
 
     def render(self, names: str = "a", divided: bool = False) -> str:
         """Canonical text form: graded-lex order, explicit rational coefficients.

@@ -52,7 +52,10 @@ recursive generator frame per variable, where
 ``homogeneous_monomials`` builds the list from tables of tails, and
 ``from_divided_powers`` turns a divided-power table back into its polynomial
 before ``render`` and ``evaluate`` read it, where the same methods with
-``divided=True`` read the table itself.
+``divided=True`` read the table itself; ``table_of`` multiplies each
+coefficient of an image by e!, where ``DiffOperator.apply`` with
+``divided=True`` reads a table and returns one, and ``lift_operator`` sums
+the lift's S = D_1 - D_2 + ... as ``lift_volume`` does, to apply it alone.
 ``MultiPoly.sorted_terms`` sorts on (total degree, exponents) descending,
 or on exponents alone when every term has one degree, where ``grlex_key``
 (conftest) negates each entry; ``reference_render`` joins each monomial
@@ -1496,6 +1499,112 @@ class TestPackedApplyMatchesPairwise:
         op = DiffOperator(MultiPoly(3, {tuple(high): Fraction(5, 7), (degree, excess, 0): -3, (0, 0, 1): 1}))
         assert_apply_matches_reference(op, p)
         assert op.apply(p) == partial(p, 3)
+
+
+def table_of(poly):
+    """The divided-power table T(p)_e = e! p_e of a polynomial, with ``Fraction`` values."""
+    return MultiPoly._trusted(poly.nvars, {e: c * math.prod(map(math.factorial, e)) for e, c in poly.terms.items()})
+
+
+def lift_operator(m):
+    """The lift's S = D_1 - D_2 + D_3 - ..., summed as ``lift_volume`` sums it."""
+    operator = DiffOperator(MultiPoly.zero(m.rank))
+    for j, generator in enumerate(operator_ladder(m).generators, start=1):
+        operator = operator + (-1) ** (j + 1) * generator
+    return operator
+
+
+def assert_divided_apply_matches(op, table):
+    """``op.apply(table, divided=True)`` against the table of ``op.apply`` on the polynomial
+    of ``table``: the same entries, none zero, each an ``int`` when the table's values
+    and the operator's weights are integers and a ``Fraction`` otherwise."""
+    image = op.apply(table, divided=True)
+    assert image.nvars == table.nvars
+    assert image.terms == table_of(op.apply(from_divided_powers(table.nvars, table.terms, 1))).terms, (op, table)
+    integral = all(type(c) is int for c in table.terms.values()) and all(
+        w.denominator == 1 for w in op.poly.terms.values())
+    assert_canonical(image, int if integral else Fraction)
+    return image
+
+
+def divided_apply_families(m):
+    """Every node operator, ladder generator and step, lowering operator and the lift's S
+    of m on the table T(v) of m and on the embedded table of its restriction's volume."""
+    ladder = operator_ladder(m)
+    tables = [iterated_residue(m).table]
+    if m.rank > 1:
+        tables.append(iterated_residue(m.restriction()).table.embed(m.rank, offset=1))
+    span = m.row_sums[0] - m.rows[0][-1]
+    lowering = [lowering_operator(m, q) for q in range(1, span + 2)]
+    for op in pde_system(m).ops:
+        assert not assert_divided_apply_matches(op, tables[0]).terms, m  # T(v) is annihilated
+        for table in tables[1:]:
+            assert_divided_apply_matches(op, table)
+    for op in (*ladder.generators, *ladder.steps, *lowering, lift_operator(m)):
+        for table in tables:
+            assert_divided_apply_matches(op, table)
+
+
+def seeded_matrix(rank, entries, seed):
+    rng = random.Random(4300 + 10 * rank + seed)
+    return MultiplicityMatrix(rank, tuple(rng.choice(entries) for _ in range(rank * (rank + 1) // 2)))
+
+
+def assert_lift_table_is_residue_table(m):
+    """The lift's table equals the residue's, with ``int`` values from a residue-built
+    input, and from the ``Fraction`` table of a volume made from a polynomial too."""
+    v_prev, direct = iterated_residue(m.restriction()), iterated_residue(m)
+    lifted = lift_volume(v_prev, m)
+    assert lifted.table == direct.table, m
+    assert_canonical(lifted.table, int)
+    assert lift_volume(VolumePolynomial(m.restriction(), v_prev.poly), m).table == direct.table, m
+
+
+class TestDividedApply:
+    """``DiffOperator.apply`` with ``divided=True`` on tables T(p)_e = e! p_e against the
+    table of the image of p, and the lift that runs on it against the residue's table."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_operator_families_on_every_small_matrix(self, rank):
+        for m in every_matrix(rank, (1, 2, 3)):
+            divided_apply_families(m)
+
+    @pytest.mark.parametrize("rank, entries", [(4, (1, 2, 3)), (5, (1, 2))])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_operator_families_on_seeded_rank_four_and_five(self, rank, entries, seed):
+        divided_apply_families(seeded_matrix(rank, entries, seed))
+
+    @given(operators(), multipolys(nvars=3, max_terms=6, max_exp=4))
+    @example(DiffOperator(MultiPoly(3, {(0, 0, 0): Fraction(-1, 2), (1, 0, 0): Fraction(2, 3)})),
+             MultiPoly(3, {(2, 0, 1): Fraction(3, 5), (1, 0, 1): Fraction(-7, 4)}))
+    def test_rational_operators_on_integer_and_fraction_tables(self, op, p):
+        assert_divided_apply_matches(op, p)  # p's Fraction values read as a table
+        assert_divided_apply_matches(op, MultiPoly._trusted(3, {e: c.numerator for e, c in p.terms.items()}))
+        assert_divided_apply_matches(op * Fraction(2, 3), p)
+
+    @given(cancelling_sums())
+    def test_annihilated_image_is_empty(self, drawn):
+        op, s, rest = drawn
+        assert op.apply(table_of(s), divided=True).terms == {}
+        image = assert_divided_apply_matches(op, table_of(s + rest))
+        assert image == op.apply(table_of(rest), divided=True)
+
+    def test_a_term_is_skipped_only_above_the_largest_exponent(self):
+        cube = MultiPoly._trusted(2, {(3, 0): 6})  # the table of a1^3
+        d2, d1_cubed = (DiffOperator(MultiPoly(2, {k: 1})) for k in ((0, 1), (3, 0)))
+        assert d2.apply(cube, divided=True).terms == {} and d2.apply(MultiPoly(2, {(3, 0): 1})).is_zero
+        assert d1_cubed.apply(cube, divided=True).terms == {(0, 0): 6}
+        assert d1_cubed.apply(MultiPoly(2, {(3, 0): 1})) == MultiPoly(2, {(0, 0): 6})
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_lift_table_on_every_small_matrix(self, rank):
+        for m in every_matrix(rank, (1, 2, 3)):
+            assert_lift_table_is_residue_table(m)
+
+    @pytest.mark.parametrize("rank, entries", [(4, (1, 2, 3)), (5, (1, 2))])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_lift_table_on_seeded_rank_four_and_five(self, rank, entries, seed):
+        assert_lift_table_is_residue_table(seeded_matrix(rank, entries, seed))
 
 
 def operator_families_match_reference(m):

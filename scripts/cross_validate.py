@@ -5,9 +5,9 @@ For each matrix the script verifies, all exactly:
     polynomial ``annihilates`` converts to divided powers and as the
     residue's own integer table T(v)_e = e! v_e (the ``table`` of
     ``iterated_residue(m)``), which ``check-pde`` reads,
-  * that table equals the divided-power table of the volume polynomial at
-    scale 1, so the conversion the volume makes into a polynomial and the
-    one ``annihilates`` makes back are checked against each other,
+  * that table equals ``polynomial.divided_powers`` of the volume
+    polynomial, so the conversion the volume makes into a polynomial and
+    the one ``annihilates`` makes back are checked against each other,
   * the operator kernel at the volume degree is the volume line and the
     kernel one degree higher is empty,
   * lifting the restricted volume reproduces the direct residue,
@@ -34,7 +34,8 @@ from flowvol import (
     lift_volume,
     solution_space,
 )
-from flowvol.diffop import _divided_powers, node_residuals
+from flowvol.diffop import node_residuals
+from flowvol.polynomial import divided_powers
 
 
 def family(max_rank, max_mult):
@@ -58,8 +59,7 @@ def check_matrix(m):
     v = iterated_residue(m)
     problems = [] if annihilates(m, v.poly) else ["annihilation"]
     table = v.table.terms
-    scale, entries = _divided_powers(v.poly)
-    if scale != 1 or dict(entries) != table:
+    if divided_powers(v.poly) != table:
         problems.append("table")
     if any(residual for _, residual in node_residuals(m, table)):
         problems.append("table-annihilation")

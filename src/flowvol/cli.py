@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .multiplicity import MultiplicityMatrix, root_pairs
-from .polynomial import MultiPoly
-from .residue import _PropertyViolation, canonical_order, divided_coefficient, iterated_residue, residue_in_order
+from .polynomial import MultiPoly, divided_coefficient
+from .residue import _PropertyViolation, canonical_order, iterated_residue, residue_in_order
 
 
 # About 1.3 times the volume degree of the largest problem CI runs (r=7, all

@@ -23,20 +23,18 @@ canonical integer terms with ``_operator``, which does not check them again,
 so every operator built here holds ``int`` weights, not ``Fraction`` ones.
 
 To test a candidate, ``node_residuals`` never expands a node operator.  It
-takes the polynomial in divided powers a^e/e!, as the integer table G(e) =
-S * e! * coeff_e.  A volume's table is the residue's own T(v), the Kostant
-partition function values of Meszaros-Morales, with S = 1 (the ``table``
-of ``residue.iterated_residue``); only a bare candidate is converted, with
-S the least positive integer that makes every entry an integer
-(``_divided_powers``).  Either is packed once (``_packed``), and every
-image is read back by ``_unpacked``.  On divided powers every partial
+takes the polynomial in divided powers a^e/e!, as its table T(p)_e =
+e! p_e.  A volume's table is the residue's own T(v), the Kostant partition
+function values of Meszaros-Morales, with ``int`` values (the ``table`` of
+``residue.iterated_residue``); a bare candidate is converted by
+``polynomial.divided_powers``.  Either is packed once (``_packed``), and
+every image is read back by ``_unpacked``.  On divided powers every partial
 derivative is a shift: d_i a^e = e_i a^(e-u_i) and e! = e_i (e-u_i)!, so
 d_i maps a^e/e! to a^(e-u_i)/(e-u_i)!, and to 0 when e_i = 0.  So for every
 node it applies d_l^m[l,r+1] as one filtered shift of the keys and each
 linear factor d_l - d_j, m[l,j] times, as two shifts and one subtraction,
 with no multiply, until the table is empty.  Only a nonzero residual is
-divided back by S * e!, in one ``from_divided_powers``.  This is exact: a
-common nonzero scale commutes with every linear operator, and
+divided back by e!, in one ``from_divided_powers``.  This is exact:
 constant-coefficient operators commute, so applying the factors one after
 another gives the same polynomial as applying their expanded product; every
 factor maps 0 to 0, so stopping early changes nothing.  ``check-pde``
@@ -46,10 +44,11 @@ gives.  ``_node_image`` is that action of one node operator on a table;
 
 ``DiffOperator.apply`` works on the same table for any operator: d^k maps
 a^e/e! to a^(e-k)/(e-k)!, so each (operator term, polynomial term) pair
-costs one integer multiply-add.  On a polynomial, each output term makes
-one ``Fraction``; with ``divided=True`` it reads a table T(p) as it is and
-returns the table of the image, ``int`` valued when the operator's weights
-are integers, with no e! and no ``Fraction`` at all.  The rank-induction
+costs one multiply-add of an operator weight and a table value.  On a
+polynomial, each output term makes one ``Fraction``; with ``divided=True``
+it reads a table T(p) as it is and returns the table of the image, ``int``
+valued when the operator's weights and the table's values are, with no e!
+and no ``Fraction`` at all.  The rank-induction
 lift (``induction``) calls it that way on every layer u_k: the volume is
 v = sum_k a_1^(s-1+k)/(s-1+k)! * u_k, so the entries e'! * coeff_e' of u_k
 are the values e! * v_e at e = (s-1+k, e'), integers, and a shift on
@@ -151,14 +150,13 @@ c_k e!/target!.  This gives the same kernel, for three reasons:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, prod
 from operator import gt, mul
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .multiplicity import MultiplicityMatrix
-from .polynomial import Exponents, MultiPoly, Scalar, from_divided_powers, homogeneous_monomials
+from .polynomial import Exponents, MultiPoly, Scalar, divided_powers, from_divided_powers, homogeneous_monomials
 
 
 def _node_terms(
@@ -226,29 +224,12 @@ def _layout(nvars: int, top: int) -> tuple[range, list[int], int, int]:
     return shifts, places, guard, guard * sum(places)
 
 
-def _divided_powers(poly: MultiPoly) -> tuple[int, Iterator[tuple[Exponents, int]]]:
-    """S and the entries (e, S * e! * c_e) of poly's integer divided-power table.
-
-    S is the least positive integer that makes every S * e! * c_e an
-    integer.  With c_e = p/q in lowest terms, e! * c_e has the denominator
-    q / gcd(q, e!) in lowest terms, so S is the lcm of those; S * e! is then
-    a multiple of q.  S = 1 on every volume (module docstring).  The entries
-    come one at a time, so that ``_packed`` can key them without a second
-    table.
-    """
-    facts = [prod(map(factorial, exps)) for exps in poly.terms]
-    scale = lcm(*(c.denominator // gcd(c.denominator, f) for c, f in zip(poly.terms.values(), facts)))
-    return scale, (
-        (exps, c.numerator * (scale * f // c.denominator)) for (exps, c), f in zip(poly.terms.items(), facts)
-    )
-
-
-def _packed(entries: Iterable[tuple[Exponents, int]], places: list[int], guards: int) -> dict[int, int]:
+def _packed(entries: Iterable[tuple[Exponents, Scalar]], places: list[int], guards: int) -> dict[int, Scalar]:
     """The entries keyed on guarded fields: e goes to guards + sum_i e_i * places[i]."""
     return {guards + sum(map(mul, exps, places)): c for exps, c in entries}
 
 
-def _unpacked(table: Mapping[int, int], shifts: range, guard: int) -> dict[Exponents, int]:
+def _unpacked(table: Mapping[int, Scalar], shifts: range, guard: int) -> dict[Exponents, Scalar]:
     """The inverse of ``_packed``: each key read back field by field, with one shift and mask each."""
     mask = 2 * guard - 1
     return {tuple((key >> s & mask) - guard for s in shifts): c for key, c in table.items()}
@@ -277,23 +258,23 @@ class DiffOperator:
     def apply(self, p: MultiPoly, divided: bool = False) -> MultiPoly:
         """Apply the operator to a polynomial, exactly, on packed divided powers.
 
-        p is written once as its integer divided-power table G(e) = S * e! * c_e
-        (``_divided_powers``), packed as it is read (``_packed``), and the
-        operator as integer weights W_k = T * w_k, T the lcm of its
-        denominators.  On divided powers d^k is a pure shift:
-        d^k a^e = perm(e, k) a^(e-k) and perm(e, k) = e!/(e-k)!, so d^k maps
-        a^e/e! to a^(e-k)/(e-k)! when e >= k and to 0 otherwise.
-        So the image is sum_f (sum_k W_k G(f+k)) a^f / (S T f!): one integer
-        multiply-add per (operator term, polynomial term) pair, and one
+        p is written once as its divided-power table T(p)_e = e! p_e
+        (``polynomial.divided_powers``) and packed (``_packed``); the
+        operator's weights w_k are used as they are.  On divided powers d^k
+        is a pure shift: d^k a^e = perm(e, k) a^(e-k) and perm(e, k) =
+        e!/(e-k)!, so d^k maps a^e/e! to a^(e-k)/(e-k)! when e >= k and to 0
+        otherwise.  So the image is sum_f (sum_k w_k T(p)_(f+k)) a^f / f!:
+        one multiply-add per (operator term, polynomial term) pair, and one
         ``from_divided_powers``, which drops the zero sums.  This is the
         rational sum_k w_k c_(f+k) perm(f+k, k) that the term-by-term product
         gives.
 
-        With ``divided``, p's values are read as its table T(p)_e = e! p_e,
-        as they are (S = 1), and the image's table T(Dp)_f = sum_k w_k T(p)_(f+k)
-        is returned with its zero sums dropped: ``int`` values when T = 1, as
-        for every operator built in this package, and otherwise the exact
-        ``Fraction(sum, T)``.  No e! is multiplied or divided on this path.
+        With ``divided``, p's values are read as its table T(p) as they are,
+        and the image's table T(Dp)_f = sum_k w_k T(p)_(f+k) is returned with
+        its zero sums dropped: ``int`` values when the weights and p's values
+        are ``int``, as for every operator built in this package on an
+        integer table, and ``Fraction`` ones otherwise.  No e! is multiplied
+        or divided on this path.
 
         The keys are the guarded fields for M, the largest exponent of p
         (module docstring).  An operator term d^k is packed the same way, as
@@ -306,24 +287,20 @@ class DiffOperator:
             raise ValueError(f"variable-count mismatch: {self.poly.nvars} vs {p.nvars}")
         tops = [max(column) for column in zip(*p.terms)]
         shifts, places, guard, guards = _layout(p.nvars, max(tops, default=0))
-        scale, entries = (1, p.terms.items()) if divided else _divided_powers(p)
-        table = _packed(entries, places, guards)
-        weights = lcm(*(w.denominator for w in self.poly.terms.values()))
-        out: dict[int, int] = {}
+        table = _packed((p.terms if divided else divided_powers(p)).items(), places, guards)
+        out: dict[int, Scalar] = {}
         for dexps, w in self.poly.terms.items():
             if any(map(gt, dexps, tops)):
                 continue
             shift = sum(map(mul, dexps, places))
-            weight = w.numerator * (weights // w.denominator)
             for key, g in table.items():
                 key -= shift
                 if key & guards == guards:
                     old = out.get(key)
-                    out[key] = weight * g if old is None else old + weight * g
+                    out[key] = w * g if old is None else old + w * g
         if not divided:
-            return from_divided_powers(p.nvars, _unpacked(out, shifts, guard), scale * weights)
-        image = {key: c if weights == 1 else Fraction(c, weights) for key, c in out.items() if c}
-        return MultiPoly._trusted(p.nvars, _unpacked(image, shifts, guard))
+            return from_divided_powers(p.nvars, _unpacked(out, shifts, guard), 1)
+        return MultiPoly._trusted(p.nvars, _unpacked({key: c for key, c in out.items() if c}, shifts, guard))
 
     def __str__(self) -> str:
         return self.poly.render(names="d")
@@ -403,26 +380,25 @@ def _node_image(
     return image
 
 
-def node_residuals(
-    m: MultiplicityMatrix, table: Mapping[Exponents, int], scale: int = 1
-) -> list[tuple[int, MultiPoly]]:
+def node_residuals(m: MultiplicityMatrix, table: Mapping[Exponents, Scalar]) -> list[tuple[int, MultiPoly]]:
     """Pairs (l, node-l operator applied to p) for l = rank down to 1.
 
-    ``table`` is the integer divided-power table {e: scale * e! * p_e} of
-    the polynomial p, as the ``table`` of ``residue.iterated_residue`` holds
-    it for a volume (scale 1) and ``annihilates`` writes it for any
-    candidate.  It is packed once on the guarded fields for its largest
-    exponent or node order (module docstring), where d_i subtracts the
-    place value of field i from the keys whose e_i is nonzero.  Each
-    residual is read back by ``_unpacked`` and divided back by scale * e!
-    in one ``from_divided_powers``, and equals ``pde_system(m)``'s node-l
-    operator applied to p.  The keys are trusted to have m.rank entries.
+    ``table`` is the divided-power table {e: e! * p_e} of the polynomial p,
+    as the ``table`` of ``residue.iterated_residue`` holds it for a volume,
+    with ``int`` values, and as ``annihilates`` writes it for any candidate
+    with ``polynomial.divided_powers``.  It is packed once on the guarded
+    fields for its largest exponent or node order (module docstring), where
+    d_i subtracts the place value of field i from the keys whose e_i is
+    nonzero.  Each residual is read back by ``_unpacked`` and divided back
+    by e! in one ``from_divided_powers``, and equals ``pde_system(m)``'s
+    node-l operator applied to p.  The keys are trusted to have m.rank
+    entries.
     """
     r = m.rank
     shifts, places, guard, guards = _layout(r, max(max(map(max, table), default=0), *m.row_sums))
     packed = _packed(table.items(), places, guards)
     return [
-        (l, from_divided_powers(r, _unpacked(_node_image(m, l, packed, places, guard), shifts, guard), scale))
+        (l, from_divided_powers(r, _unpacked(_node_image(m, l, packed, places, guard), shifts, guard), 1))
         for l in range(r, 0, -1)
     ]
 
@@ -432,13 +408,12 @@ def annihilates(m: MultiplicityMatrix, poly: MultiPoly) -> bool:
 
     poly is any polynomial in m.rank variables, such as a volume's ``.poly``
     or a deliberately wrong candidate; the variable count is checked here.
-    poly is converted once to its table by the least scale S
-    (``_divided_powers``) and handed to ``node_residuals``.
+    poly is converted once to its table T(poly)
+    (``polynomial.divided_powers``) and handed to ``node_residuals``.
     """
     if poly.nvars != m.rank:
         raise ValueError(f"variable-count mismatch: {m.rank} vs {poly.nvars}")
-    scale, entries = _divided_powers(poly)
-    return all(residual.is_zero for _, residual in node_residuals(m, dict(entries), scale))
+    return all(residual.is_zero for _, residual in node_residuals(m, divided_powers(poly)))
 
 
 def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
@@ -476,7 +451,7 @@ def solution_space(m: MultiplicityMatrix, degree: int) -> list[MultiPoly]:
     """
     from .linalg import integer_nullspace
 
-    if degree < 0:
+    if type(degree) is not int or degree < 0:
         raise ValueError("degree must be nonnegative")
     r = m.rank
     caps = list(accumulate(order - 1 for order in reversed(m.row_sums[1:])))  # D_(r-1), ..., D_1

@@ -96,8 +96,8 @@ from .residue import VolumePolynomial
 
 def lowering_operator(m: MultiplicityMatrix, q: int) -> DiffOperator:
     """Order-q lowering operator in d_2..d_r built from the first row of m; zero above its span."""
-    if q < 1:
-        raise ValueError(f"order must be >= 1, got {q}")
+    if type(q) is not int or q < 1:
+        raise ValueError(f"order must be >= 1, got {q!r}")
     if q > m.row_sums[0] - m.rows[0][-1]:  # above the span m[1,2] + ... + m[1,r] every order vanishes
         return _operator(m.rank, {})
     return _operator(m.rank, list(_node_terms(m, 1, q, math.comb))[q])

@@ -269,7 +269,8 @@ def compare_volume(
     """Evaluate both routes at an interior integer point and compare exactly.
 
     The one place the point and t_max are checked: a has m.rank integer
-    entries, each at least 1, and t_max, when given, is at least the degree.
+    entries, each at least 1, and t_max, when given, is an integer at least
+    the degree; ``bool`` is refused as an integer in both.
     """
     point = tuple(a)
     if len(point) != m.rank:
@@ -279,8 +280,8 @@ def compare_volume(
             raise ValueError(f"supply entries must be integers, got {value!r}")
         if value < 1:
             raise ValueError(f"supply entry {value} below the required minimum 1")
-    if t_max is not None and t_max < m.degree:
-        raise ValueError(f"need dilations up to {m.degree}, got bound {t_max}")
+    if t_max is not None and (type(t_max) is not int or t_max < m.degree):
+        raise ValueError(f"need dilations up to {m.degree}, got bound {t_max!r}")
     residue_value = iterated_residue(m).value_at(point)
     count_value = dilation_counts(m, point, t_max).leading_coefficient
     return VolumeComparison(point, residue_value, count_value)

@@ -15,6 +15,14 @@ Terms are ordered graded-lexicographically with a1 > a2 > ... > an: higher
 total degree first, ties broken by comparing exponents left to right.  The
 ``render`` output in that order is the canonical text form frozen by the
 golden tests.
+
+The divided-power transform is kept here, one function each way.  On
+divided powers a^e/e! every constant-coefficient partial derivative is a
+shift of the keys, so the residue, the operator system and the lift all work
+on the table T(p)_e = e! p_e of a polynomial p.  ``divided_powers`` writes
+T(p), ``from_divided_powers`` reads a table back as its polynomial, and
+``divided_coefficient`` reads one coefficient p_e off T(p); ``evaluate`` and
+``render`` read a table in place with ``divided=True``.
 """
 
 from __future__ import annotations
@@ -87,8 +95,10 @@ class MultiPoly:
     ``zero``/``one``/``variable``/``monomial`` classmethods take an ``int``
     count, ``int`` exponents of the right length and sign, and ``int`` or
     ``Fraction`` coefficients (no ``bool``), stored as nonzero
-    ``Fraction``; ``evaluate`` takes ``int`` or ``Fraction`` entries.
-    Anything else is a ``ValueError``.  Arithmetic, ``embed`` and operator
+    ``Fraction``; ``evaluate`` takes ``int`` or ``Fraction`` entries, and
+    ``variable``'s index, the exponent of ``**`` and ``embed``'s count and
+    offset are ``int`` (no ``bool``) in range.  Anything else is a
+    ``ValueError``.  Arithmetic, ``embed`` and operator
     application trust their canonical operands, drop cancelled zeros
     themselves and wrap their output with ``_trusted``, without checking it
     again.  ``+`` and ``*`` store the value for a key the result does not
@@ -144,8 +154,8 @@ class MultiPoly:
     @classmethod
     def variable(cls, index: int, nvars: int) -> "MultiPoly":
         """The variable a_index (1-based), as a polynomial."""
-        if not 1 <= index <= nvars:
-            raise ValueError(f"variable index {index} out of range 1..{nvars}")
+        if type(index) is not int or not 1 <= index <= nvars:
+            raise ValueError(f"variable index {index!r} out of range 1..{nvars}")
         exps = tuple(1 if i == index - 1 else 0 for i in range(nvars))
         return cls(nvars, {exps: 1})
 
@@ -219,7 +229,7 @@ class MultiPoly:
         return self * other
 
     def __pow__(self, exponent: int) -> "MultiPoly":
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = MultiPoly.one(self.nvars)
         for _ in range(exponent):
@@ -270,7 +280,7 @@ class MultiPoly:
 
     def embed(self, nvars: int, offset: int) -> "MultiPoly":
         """Reindex into a larger variable frame, shifting variables right by ``offset``."""
-        if offset < 0 or self.nvars + offset > nvars:
+        if type(nvars) is not int or type(offset) is not int or not 0 <= offset <= nvars - self.nvars:
             raise ValueError("embedding does not fit the target variable count")
         shifted = {
             (0,) * offset + exps + (0,) * (nvars - offset - self.nvars): coeff
@@ -355,6 +365,11 @@ class MultiPoly:
         return bool(self.terms)
 
 
+def divided_powers(poly: MultiPoly) -> dict[Exponents, Scalar]:
+    """The divided-power table T(p) = {e: e! * p_e} of p, with p's value types; ``from_divided_powers`` inverts it."""
+    return {exps: c * math.prod(map(math.factorial, exps)) for exps, c in poly.terms.items()}
+
+
 def from_divided_powers(nvars: int, entries: Mapping[Exponents, Scalar], scale: int) -> MultiPoly:
     """The polynomial sum_e F(e) a^e / (scale * e!) of a divided-power table F.
 
@@ -375,3 +390,8 @@ def from_divided_powers(nvars: int, entries: Mapping[Exponents, Scalar], scale: 
         for exps, value in entries.items()
         if value
     })
+
+
+def divided_coefficient(table: Mapping[Exponents, Scalar], exps: Exponents) -> Fraction:
+    """The coefficient T(c)_e / e! of a^e in the polynomial c of a divided-power table."""
+    return Fraction(table.get(exps, 0), math.prod(map(math.factorial, exps)))

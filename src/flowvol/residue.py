@@ -89,23 +89,23 @@ induction every coefficient reached from the kernel is an integer table,
 and after the last step T(v)_e = e! v_e are the values of the Kostant
 partition function (Meszaros-Morales, Math. Z. 293, 2019, arXiv
 1710.00701).  ``ResidueSum.table`` collapses the integrated sum to T(v),
-and ``iterated_residue`` returns it as the table of a ``VolumePolynomial``,
-checked once there.  Every command reads that table: ``MultiPoly``'s
-``render`` and ``evaluate`` read it with ``divided=True``, the operator
-residuals of ``check-pde`` are shifts of it, and ``corner`` reads T(v)_o.
-Only a read of the volume's ``poly`` undoes the transform, with one
-division by e! per output coefficient.
+and ``iterated_residue`` returns it as the ``table`` of a
+``VolumePolynomial``, checked once there.  Every command reads that table:
+``MultiPoly``'s ``render`` and ``evaluate`` read it with ``divided=True``,
+the operator residuals of ``check-pde`` are shifts of it, and ``corner``
+reads T(v)_o through ``polynomial.divided_coefficient``.  The transform
+itself, each way, belongs to ``polynomial``: only a read of the volume's
+``poly`` undoes it, with one ``from_divided_powers``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .multiplicity import MultiplicityMatrix
-from .polynomial import Exponents, MultiPoly, Scalar, from_divided_powers, table_sum
+from .polynomial import MultiPoly, divided_coefficient, divided_powers, from_divided_powers, table_sum
 
 
 @dataclass(frozen=True)
@@ -278,11 +278,6 @@ def residue_in_order(m: MultiplicityMatrix, order: Sequence[int]) -> MultiPoly:
     return from_divided_powers(m.rank, _iterated_sum(m, order).table().terms, 1)
 
 
-def divided_coefficient(table: Mapping[Exponents, Scalar], exps: Exponents) -> Fraction:
-    """The coefficient T(c)_e / e! of a^e in the polynomial c of a divided-power table."""
-    return Fraction(table.get(exps, 0), prod(map(factorial, exps)))
-
-
 class _PropertyViolation(Exception):
     """A failed certificate, which ``cli`` reports as one property-violation line with exit code 1."""
 
@@ -294,58 +289,52 @@ class _VolumeCheckError(_PropertyViolation, ValueError):
 class VolumePolynomial:
     """Volume polynomial v of the flow polytope on the all-positive chamber.
 
-    v is held in one of two forms, and the other is built on its first
-    read.  ``table`` is the divided-power table T(v) = sum_e e! v_e a^e as
-    a ``MultiPoly``: ``iterated_residue`` hands over the residue's own
-    table, with ``int`` values, and builds no polynomial.  ``poly`` is v:
-    ``VolumePolynomial(m, poly)`` takes it, and its table holds the values
-    e! * poly_e; from a table it is built by one ``from_divided_powers``.
-    ``str(v)`` and ``value_at`` read the table with ``divided=True``, and
-    two volumes are equal when their matrices and tables are.
+    v is held as its divided-power table T(v) = sum_e e! v_e a^e, a
+    ``MultiPoly`` in ``table``.  ``iterated_residue`` and the lift hand
+    over their own integer tables and build no polynomial;
+    ``VolumePolynomial(m, poly)`` takes v itself and writes its table at
+    once, with ``polynomial.divided_powers``.  ``poly`` is built from the
+    table by one ``from_divided_powers`` on its first read, or is the
+    polynomial the volume was made from.  ``str(v)`` and ``value_at`` read
+    the table with ``divided=True``, and two volumes are equal when their
+    matrices and tables are.
 
-    The held form is checked once, when v is made.  One that is zero, not
-    homogeneous of the volume degree or with a corner coefficient (T(v)_o
-    / o! on a table) off the corner value, checked in that order, raises
+    The table is checked once, when v is made.  One that is zero, not
+    homogeneous of the volume degree or with a corner coefficient T(v)_o /
+    o! off the corner value, checked in that order, raises
     ``_VolumeCheckError``, a ``ValueError`` that ``cli`` reports as a
     property violation.
     """
 
-    __slots__ = ("m", "_table", "_poly")
+    __slots__ = ("m", "table", "_poly")
 
     def __init__(self, m: MultiplicityMatrix, poly: MultiPoly) -> None:
         if poly.nvars != m.rank:
             raise ValueError("polynomial variable count does not match the rank")
-        self._hold(m, None, poly, poly.coefficient(m.corner_exponents))
+        self._hold(m, MultiPoly._trusted(m.rank, divided_powers(poly)), poly)
 
     @classmethod
     def _of_table(cls, m: MultiplicityMatrix, table: MultiPoly) -> "VolumePolynomial":
         """The volume of the divided-power table ``table`` of m.rank variables, checked."""
         volume = object.__new__(cls)
-        volume._hold(m, table, None, divided_coefficient(table.terms, m.corner_exponents))
+        volume._hold(m, table, None)
         return volume
 
-    def _hold(self, m: MultiplicityMatrix, table: MultiPoly | None, poly: MultiPoly | None, corner: Fraction) -> None:
-        """Check the form held, table or poly, with its corner coefficient; then keep it."""
-        exponents = (poly if table is None else table).terms
-        if not exponents:
+    def _hold(self, m: MultiplicityMatrix, table: MultiPoly, poly: MultiPoly | None) -> None:
+        """Check the table, then keep it and the polynomial, if one is given."""
+        if not table.terms:
             raise _VolumeCheckError("volume polynomial cannot be identically zero")
-        if set(map(sum, exponents)) != {m.degree}:
+        if set(map(sum, table.terms)) != {m.degree}:
             raise _VolumeCheckError(f"volume polynomial must be homogeneous of degree {m.degree}")
+        corner = divided_coefficient(table.terms, m.corner_exponents)
         if corner != m.corner_value:
             raise _VolumeCheckError(f"corner coefficient {corner} differs from expected {m.corner_value}")
-        self.m, self._table, self._poly = m, table, poly
-
-    @property
-    def table(self) -> MultiPoly:
-        if self._table is None:
-            table = {exps: c * prod(map(factorial, exps)) for exps, c in self._poly.terms.items()}
-            self._table = MultiPoly._trusted(self.m.rank, table)
-        return self._table
+        self.m, self.table, self._poly = m, table, poly
 
     @property
     def poly(self) -> MultiPoly:
         if self._poly is None:
-            self._poly = from_divided_powers(self.m.rank, self._table.terms, 1)
+            self._poly = from_divided_powers(self.m.rank, self.table.terms, 1)
         return self._poly
 
     def __eq__(self, other: object) -> bool:

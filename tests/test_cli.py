@@ -20,8 +20,8 @@ import flowvol.oracle
 import flowvol.polynomial
 import flowvol.residue
 from flowvol import MultiPoly, VolumePolynomial, canonical_order, iterated_residue, pde_system
-from flowvol.diffop import _divided_powers
 from flowvol.residue import ResidueSum, ResidueTerm
+from flowvol.polynomial import divided_powers
 from flowvol.cli import ProblemSpec, SpecError, _parse_rational, parse_spec, render_spec, run_command
 from flowvol.cli import EXIT_STDOUT_CLOSED, MAX_DEGREE, MAX_POINT_BITS, MAX_SPEC_CHARS, MAX_SUPPLY, main
 
@@ -443,9 +443,9 @@ class TestCommands:
         the report the expanded operators give."""
         m = parse_spec(GOLDEN_TEXT).matrix()
         wrong = iterated_residue(m).poly + MultiPoly.monomial((m.degree - 1, 1, 0))
-        scale, entries = _divided_powers(wrong)
-        assert scale == 1
-        term = ResidueTerm(MultiPoly._trusted(m.rank, dict(entries)), (0,) * m.rank)
+        entries = divided_powers(wrong)
+        assert all(c.denominator == 1 for c in entries.values())
+        term = ResidueTerm(MultiPoly._trusted(m.rank, entries), (0,) * m.rank)
         monkeypatch.setattr(flowvol.residue, "_iterated_sum", lambda m, order: ResidueSum(m.rank, (), (term,)))
         expected, failures = [], 0
         for l, op in pde_system(m).labeled():
@@ -619,9 +619,9 @@ class TestCommands:
             if m != target:
                 return state
             (term,) = state.terms
-            scale, entries = _divided_powers(extra(m))
-            assert scale == 1
-            coeff = term.coeff + MultiPoly._trusted(m.rank, dict(entries))
+            entries = divided_powers(extra(m))
+            assert all(c.denominator == 1 for c in entries.values())
+            coeff = term.coeff + MultiPoly._trusted(m.rank, entries)
             return replace(state, terms=(ResidueTerm(coeff, term.xpow),))
 
         monkeypatch.setattr(flowvol.residue, "_iterated_sum", faulty)

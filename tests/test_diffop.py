@@ -176,6 +176,11 @@ class TestSolutionSpace:
         with pytest.raises(ValueError):
             solution_space(GOLDEN_M, -1)
 
+    @pytest.mark.parametrize("degree", [1.0, True, Fraction(6)])
+    def test_non_int_degree_rejected(self, degree):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            solution_space(GOLDEN_M, degree)
+
     def test_reference_case_unique_and_normalized(self):
         basis = solution_space(GOLDEN_M, GOLDEN_M.degree)
         assert len(basis) == 1

@@ -91,10 +91,10 @@ from flowvol import (
     residue_in_order,
     solution_space,
 )
-from flowvol.diffop import DiffOperator, _divided_powers, _layout, _node_image, _packed, node_residuals
+from flowvol.diffop import DiffOperator, _layout, _node_image, _packed, node_residuals
 from flowvol.linalg import integer_nullspace
 from flowvol.oracle import count_lattice_points
-from flowvol.polynomial import binomial_series_coeff, from_divided_powers, homogeneous_monomials
+from flowvol.polynomial import binomial_series_coeff, divided_powers, from_divided_powers, homogeneous_monomials
 from flowvol.residue import ResidueSum, ResidueTerm, _VolumeCheckError, build_kernel, residue_at_zero
 
 from conftest import (
@@ -1335,34 +1335,32 @@ class TestNodeImageOnTaggedColumns:
             assert _node_image(m, l, tagged, places, guard) == union, (m, degree, l)
 
 
-def divided_table(poly):
-    """poly's least scale S and its table {e: S * e! * c_e}, from ``_divided_powers``."""
-    scale, entries = _divided_powers(poly)
-    return scale, dict(entries)
-
-
 def divided_power_round_trip(poly, top=0):
-    """poly's scale and table on the guarded fields for its largest exponent and ``top``,
-    after checking that ``from_divided_powers`` turns the table back into poly."""
+    """poly's table from ``divided_powers``, after checking each entry against e! * c_e,
+    its packing on the guarded fields for its largest exponent and ``top``, and that
+    ``from_divided_powers`` turns the table back into poly."""
     shifts, places, guard, guards = _layout(poly.nvars, max(max(map(max, poly.terms), default=0), top))
-    scale, entries = divided_table(poly)
+    entries = divided_powers(poly)
+    for exps, g in entries.items():
+        assert g == factorials(exps) * poly.terms[exps], (poly, exps)
     table = _packed(entries.items(), places, guards)
     mask = 2 * guard - 1
     assert {tuple((key >> s & mask) - guard for s in shifts): g for key, g in table.items()} == entries, poly
-    assert from_divided_powers(poly.nvars, entries, scale) == poly, poly
-    for exps, g in entries.items():
-        assert g == scale * factorials(exps) * poly.terms[exps], (poly, exps)
-    return scale, table
+    assert from_divided_powers(poly.nvars, entries, 1) == poly, poly
+    return entries
+
+
+def integral(entries):
+    return all(g.denominator == 1 for g in entries.values())
 
 
 class TestDividedPowerTable:
-    """``_divided_powers`` with ``_packed``, and ``from_divided_powers``: one conversion each way."""
+    """``divided_powers`` with ``_packed``, and ``from_divided_powers``: one conversion each way."""
 
     @given(st.integers(1, 3).flatmap(lambda n: multipolys(nvars=n, max_terms=6, max_exp=6)), st.integers(0, 9))
     def test_from_divided_powers_inverts_the_table(self, poly, top):
-        scale, _ = divided_power_round_trip(poly, top)
-        # the least scale: the lcm of the reduced denominators of the e! * c_e
-        assert scale == math.lcm(*(Fraction(c * factorials(e)).denominator for e, c in poly.terms.items()))
+        # a polynomial's Fraction coefficients give Fraction entries
+        assert all(type(g) is Fraction for g in divided_power_round_trip(poly, top).values()), poly
 
     @pytest.mark.parametrize("seed", range(3))
     def test_seeded_polynomials_with_large_denominators(self, seed):
@@ -1375,13 +1373,15 @@ class TestDividedPowerTable:
             divided_power_round_trip(MultiPoly(nvars, terms))
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
-    def test_scale_is_one_on_every_volume(self, rank):
+    def test_every_volume_table_is_integral_and_the_residue_table(self, rank):
         for m in every_matrix(rank, (1, 2, 3)):
-            scale, _ = divided_power_round_trip(iterated_residue(m).poly, max(m.row_sums))
-            assert scale == 1, m
+            v = iterated_residue(m)
+            entries = divided_power_round_trip(v.poly, max(m.row_sums))
+            assert integral(entries), m
+            assert entries == v.table.terms, m
 
     @pytest.mark.parametrize("rank", [2, 3])
-    def test_scale_is_one_on_every_lift_image(self, rank):
+    def test_every_lift_image_table_is_integral(self, rank):
         # the recursion of lift_volume: u_n = sum_j (-1)^(j+1) D_j u_(n-j)
         for m in every_matrix(rank, (1, 2, 3)):
             generators = operator_ladder(m).generators
@@ -1391,9 +1391,9 @@ class TestDividedPowerTable:
                 for j in range(1, min(n, len(generators)) + 1):
                     term = generators[j - 1].apply(images[n - j])
                     assert term.terms == reference_apply(generators[j - 1], images[n - j]), (m, n, j)
-                    assert divided_power_round_trip(term)[0] == 1, (m, n, j)
+                    assert integral(divided_power_round_trip(term)), (m, n, j)
                     image = image + term if j % 2 else image - term
-                assert divided_power_round_trip(image)[0] == 1, (m, n)
+                assert integral(divided_power_round_trip(image)), (m, n)
                 images.append(image)
 
 
@@ -1521,9 +1521,8 @@ def assert_divided_apply_matches(op, table):
     image = op.apply(table, divided=True)
     assert image.nvars == table.nvars
     assert image.terms == table_of(op.apply(from_divided_powers(table.nvars, table.terms, 1))).terms, (op, table)
-    integral = all(type(c) is int for c in table.terms.values()) and all(
-        w.denominator == 1 for w in op.poly.terms.values())
-    assert_canonical(image, int if integral else Fraction)
+    ints = all(type(c) is int for c in (*table.terms.values(), *op.poly.terms.values()))
+    assert_canonical(image, int if ints else Fraction)
     return image
 
 
@@ -1578,9 +1577,13 @@ class TestDividedApply:
     @example(DiffOperator(MultiPoly(3, {(0, 0, 0): Fraction(-1, 2), (1, 0, 0): Fraction(2, 3)})),
              MultiPoly(3, {(2, 0, 1): Fraction(3, 5), (1, 0, 1): Fraction(-7, 4)}))
     def test_rational_operators_on_integer_and_fraction_tables(self, op, p):
+        integers = MultiPoly._trusted(3, {e: c.numerator for e, c in p.terms.items()})
+        int_op = DiffOperator(MultiPoly._trusted(3, {k: w.numerator for k, w in op.poly.terms.items()}))
         assert_divided_apply_matches(op, p)  # p's Fraction values read as a table
-        assert_divided_apply_matches(op, MultiPoly._trusted(3, {e: c.numerator for e, c in p.terms.items()}))
+        assert_divided_apply_matches(op, integers)  # Fraction weights, even with denominator 1
         assert_divided_apply_matches(op * Fraction(2, 3), p)
+        assert_divided_apply_matches(int_op, p)
+        assert_divided_apply_matches(int_op, integers)  # int weights on an int table
 
     @given(cancelling_sums())
     def test_annihilated_image_is_empty(self, drawn):
@@ -1647,9 +1650,8 @@ class TestOperatorsMatchReference:
 
 
 def poly_node_residuals(m, poly):
-    """``node_residuals`` on poly's table at its least scale, as ``annihilates`` hands it over."""
-    scale, table = divided_table(poly)
-    return node_residuals(m, table, scale)
+    """``node_residuals`` on poly's table from ``divided_powers``, as ``annihilates`` hands it over."""
+    return node_residuals(m, divided_powers(poly))
 
 
 def failing_nodes(m, poly):
@@ -1782,7 +1784,7 @@ def assert_table_route_matches(m, rng, monkeypatch):
     polynomial, and ``node_residuals`` on tables against the polynomial route,
     on the volume and on two wrong candidates: the volume plus one monomial,
     and, through ``annihilates``, the volume plus a monomial over a prime above
-    the degree, whose scale S is that prime."""
+    the degree, whose table is not integral, against the expanded operators."""
     v = iterated_residue(m)
     volume, table = v.poly, v.table.terms
     assert table == {e: c * factorials(e) for e, c in volume.terms.items()}, m
@@ -1801,17 +1803,18 @@ def assert_table_route_matches(m, rng, monkeypatch):
     seen = []
     exact = flowvol.diffop.node_residuals
 
-    def recording(m, table, scale=1):
-        seen.append((scale, exact(m, table, scale)))
-        return seen[-1][1]
+    def recording(m, table):
+        seen.append(exact(m, table))
+        return seen[-1]
 
     monkeypatch.setattr(flowvol.diffop, "node_residuals", recording)
-    expected = polynomial_route_node_residuals(m, odd)
-    assert annihilates(m, odd) == all(residual.is_zero for _, residual in expected)
+    verdict = annihilates(m, odd)
     monkeypatch.undo()
-    ((scale, residuals),) = seen
-    assert scale == 101, (m, exps)
-    assert rendered(residuals) == rendered(expected), (m, exps)
+    (residuals,) = seen
+    expected = reference_node_residuals(m, odd)
+    assert verdict == all(residual.is_zero for residual in expected.values()), (m, exps)
+    assert dict(residuals) == expected, (m, exps)
+    assert rendered(residuals) == rendered(polynomial_route_node_residuals(m, odd)), (m, exps)
 
 
 class TestResidueTableMatchesPolynomialRoute:

@@ -140,6 +140,12 @@ class TestOperatorLadder:
         with pytest.raises(ValueError, match="order must be >= 1"):
             operator_ladder(GOLDEN_M).generator(q)
 
+    @pytest.mark.parametrize("q", [1.5, 1.0, True, Fraction(1)])
+    def test_lowering_order_must_be_an_int(self, q):
+        # 1.5 once gave the zero operator and True gave D_1
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            lowering_operator(GOLDEN_M, q)
+
     @given(multiplicity_matrices(min_rank=2, max_rank=3))
     def test_steps_are_order_homogeneous(self, m):
         ladder = operator_ladder(m)

@@ -332,6 +332,9 @@ class TestCompareVolume:
             (MultiplicityMatrix(2, (1, 1, 1)), (1, 0), None),  # on the boundary
             (MultiplicityMatrix(2, (1, 1, 1)), (2, -1), None),
             (GOLDEN_M, (1, 1, 1), 2),  # fewer dilations than the degree 6
+            (MultiplicityMatrix(2, (1, 1, 1)), (1, 1), 2.5),  # the bound is not an int
+            (MultiplicityMatrix(2, (1, 1, 1)), (1, 1), 2.0),
+            (MultiplicityMatrix(2, (1, 1, 1)), (1, 1), True),  # at the degree 1, but a bool
         ],
     )
     def test_rejects_bad_point_or_bound(self, m, a, t_max):

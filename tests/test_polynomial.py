@@ -62,7 +62,7 @@ class TestPower:
         assert p ** 0 == MultiPoly.one(2)
         assert p ** 3 == p * p * p
 
-    @pytest.mark.parametrize("exponent", [-1, 2.0, Fraction(1, 2)])
+    @pytest.mark.parametrize("exponent", [-1, 2.0, Fraction(1, 2), True])
     def test_rejects_non_natural_exponent(self, exponent):
         with pytest.raises(ValueError, match="nonnegative integer"):
             A1 ** exponent
@@ -71,6 +71,11 @@ class TestPower:
 class TestVariable:
     @pytest.mark.parametrize("index", [0, 3])
     def test_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match="out of range"):
+            MultiPoly.variable(index, 2)
+
+    @pytest.mark.parametrize("index", [1.0, True, Fraction(1)])
+    def test_index_must_be_an_int(self, index):
         with pytest.raises(ValueError, match="out of range"):
             MultiPoly.variable(index, 2)
 
@@ -219,3 +224,8 @@ class TestEmbed:
     def test_bad_fit(self):
         with pytest.raises(ValueError):
             MultiPoly.one(3).embed(3, 1)
+
+    @pytest.mark.parametrize("nvars, offset", [(3, 0.5), (3, 1.0), (3, True), (3.0, 1), (True, 0)])
+    def test_count_and_offset_must_be_ints(self, nvars, offset):
+        with pytest.raises(ValueError, match="does not fit"):
+            MultiPoly.one(1).embed(nvars, offset)

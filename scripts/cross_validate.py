@@ -15,7 +15,7 @@ For each matrix the script verifies, all exactly:
 and for a few interior points it compares the volume value against the
 lattice-count leading coefficient.  Past the sweep, the kernel checks also
 run on fixed larger cases (rank 6, all m=1).  Every check always runs: the
-whole run at rank <= 3 and m <= 3 (756 matrices) takes about 1.0-1.5 s on a
+whole run at rank <= 3 and m <= 3 (756 matrices) takes about 0.6-1.0 s on a
 shared 2-core VM.
 
 Usage: python scripts/cross_validate.py [--max-rank 3] [--max-mult 2]

@@ -339,7 +339,9 @@ def run_command(
     and the residue value of ``oracle-compare``, reads its integer table
     T(v) (``VolumePolynomial.table``) and builds no ``Fraction`` polynomial
     of it: ``lift`` renders the restricted, the lifted and the direct
-    volume's tables and compares the last two.
+    volume's tables and compares the last two.  Every report line is written
+    here, ``oracle-compare``'s three from the two values of
+    ``oracle.compare_volume``.
     """
     m = spec.matrix()
     render = MultiPoly.render_latex if latex else MultiPoly.render
@@ -419,8 +421,12 @@ def run_command(
         from .oracle import compare_volume
 
         report = compare_volume(m, point, t_max=dilations)
-        lines.append(str(report))
-        if not report.matches:
+        lines.append(f"volume polynomial value at a=({','.join(map(str, point))}): {report.residue_value}")
+        lines.append(f"lattice-count leading coefficient:  {report.count_value}")
+        if report.matches:
+            lines.append("exact match")
+        else:
+            lines.append(f"MISMATCH: difference {report.residue_value - report.count_value}")
             code = 1
     elif command == "corner":
         exps = m.corner_exponents

@@ -259,8 +259,9 @@ class DiffOperator:
         """Apply the operator to a polynomial, exactly, on packed divided powers.
 
         p is written once as its divided-power table T(p)_e = e! p_e
-        (``polynomial.divided_powers``) and packed (``_packed``); the
-        operator's weights w_k are used as they are.  On divided powers d^k
+        (``polynomial.divided_powers``, an ``int`` wherever it is integral)
+        and packed (``_packed``); the operator's weights w_k are used as
+        they are.  On divided powers d^k
         is a pure shift: d^k a^e = perm(e, k) a^(e-k) and perm(e, k) =
         e!/(e-k)!, so d^k maps a^e/e! to a^(e-k)/(e-k)! when e >= k and to 0
         otherwise.  So the image is sum_f (sum_k w_k T(p)_(f+k)) a^f / f!:

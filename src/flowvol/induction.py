@@ -8,11 +8,12 @@ For the volume polynomial the top nonzero layer sits at index h, the volume
 degree of the problem restricted to nodes 2..r+1, and every lower layer is
 forced from it by the node-1 operator.  The machinery has two pieces:
 
-* ``lowering_operator(m, q)`` is the order-q operator in d_2..d_r collecting
-  every way to spread q derivative orders over those variables, each d_i^p
-  weighted by C(m[1,i], p); equivalently the u^q coefficient of
-  D(u) = prod_{i=2..r} (1 + u d_i)^m[1,i].  It vanishes once q exceeds
-  span = row_sum(1) - m[1,r+1], the first-row multiplicity into nodes 2..r.
+* the lowering operator D_q (``lowering_operator(m, q)``) is the order-q
+  operator in d_2..d_r collecting every way to spread q derivative orders
+  over those variables, each d_i^p weighted by C(m[1,i], p); equivalently
+  the u^q coefficient of D(u) = prod_{i=2..r} (1 + u d_i)^m[1,i].  It
+  vanishes once q exceeds span = row_sum(1) - m[1,r+1], the first-row
+  multiplicity into nodes 2..r.
 * the layer relation, solved downward from the top:
 
       g_(h-n) = sum_{j>=1} (-1)^(j+1) * (d-h+n-j)!/(d-h+n)! * D_j g_(h-n+j).
@@ -65,21 +66,23 @@ E(u) D(-u) = 1, so
 
 and E_n is the u^n coefficient: every way to spread n derivative orders over
 d_2..d_r, each d_i^p weighted by C(m[1,i] - 1 + p, p).  ``operator_ladder``
-builds the D_q from the binomial rule in one pass, and nothing else:
-``OperatorLadder.steps`` builds every E_n from the series rule, with no
-operator products, the first time it is read.  Nothing in the package
-reads the E_n: they exist for acceptance criterion 8 and for the ladder
-metrics of the benchmark in ``flowbench/``, so neither ``operator_ladder``
-nor a lift builds one.
+alone builds the D_q and alone holds the span rule: it builds
+D_1..D_span from the binomial rule in one pass, and nothing else.
+``lowering_operator`` and ``OperatorLadder.generator`` read its stored
+generators, and ``OperatorLadder.steps`` builds every E_n from the series
+rule, with no operator products, the first time it is read.  Nothing in
+the package reads the E_n: they exist for acceptance criterion 8 and for
+the ladder metrics of the benchmark in ``flowbench/``, so neither
+``operator_ladder`` nor a lift builds one.
 
 The D_q and E_n come out of ``_node_terms`` in canonical form, with nonzero
 integer weights, every order from one call, so ``diffop._operator`` wraps
 them as it wraps ``pde_system``'s operators, ``int`` weights and all.  The
-lift's S is summed from the D_j with ``DiffOperator``'s own ``+`` and scalar
-``*``, which keep integer weights ``int``, so its terms are distinct nonzero
-``int`` values too, and ``apply`` returns ``int`` tables from it; neither
-goes through the checking constructor again, since inputs are checked where
-they enter.
+lift's S is one such dict too: the signed union of the D_j's terms.  D_j is
+homogeneous of order j, so no key is shared, every weight stays a nonzero
+``int``, and ``apply`` returns ``int`` tables from it.  None of these goes
+through the checking constructor again, since inputs are checked where they
+enter, and none uses the operator algebra's ``+`` or scalar ``*``.
 """
 
 from __future__ import annotations
@@ -95,19 +98,16 @@ from .residue import VolumePolynomial
 
 
 def lowering_operator(m: MultiplicityMatrix, q: int) -> DiffOperator:
-    """Order-q lowering operator in d_2..d_r built from the first row of m; zero above its span."""
-    if type(q) is not int or q < 1:
-        raise ValueError(f"order must be >= 1, got {q!r}")
-    if q > m.row_sums[0] - m.rows[0][-1]:  # above the span m[1,2] + ... + m[1,r] every order vanishes
-        return _operator(m.rank, {})
-    return _operator(m.rank, list(_node_terms(m, 1, q, math.comb))[q])
+    """Order-q lowering operator D_q of m, read from its ladder: ``operator_ladder(m).generator(q)``."""
+    return operator_ladder(m).generator(q)
 
 
 @dataclass(frozen=True)
 class OperatorLadder:
     """Lowering operators D_1..D_J and, on first read, their signed combinations E_0..E_h.
 
-    ``generators[q-1]`` is the order-q lowering operator; ``steps[n]`` is the
+    ``generators[q-1]`` is the order-q lowering operator for q up to the
+    span, and ``generator(q)`` serves every order; ``steps[n]`` is the
     explicit operator E_n, the u^n coefficient of prod_i (1 - u d_i)^(-m[1,i]),
     built the first time ``steps`` is read and kept from then on.  Only
     acceptance criterion 8 and the benchmark read it.
@@ -123,8 +123,10 @@ class OperatorLadder:
         return tuple(_operator(self.m.rank, terms) for terms in series)
 
     def generator(self, q: int) -> DiffOperator:
-        """D_q as ``lowering_operator`` builds it: q >= 1, the zero operator beyond the stored range."""
-        return lowering_operator(self.m, q)
+        """D_q for an int q >= 1: the stored ``generators[q-1]``, or the zero operator above the span."""
+        if type(q) is not int or q < 1:  # rejects booleans too
+            raise ValueError(f"order must be an int >= 1, got {q!r}")
+        return self.generators[q - 1] if q <= len(self.generators) else _operator(self.m.rank, {})
 
 
 def operator_ladder(m: MultiplicityMatrix) -> OperatorLadder:
@@ -136,9 +138,9 @@ def operator_ladder(m: MultiplicityMatrix) -> OperatorLadder:
 def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolynomial:
     """Volume polynomial for m from the volume of its restriction to nodes 2..r+1.
 
-    S = D_1 - D_2 + ... is summed from the ladder's generators with the
-    operator algebra, and the layers u_0..u_h are kept as divided-power
-    tables T(u_n), starting from v_prev's table.  S is applied once to each
+    S = D_1 - D_2 + ... is one operator whose terms are the signed union of
+    the ladder's generators' terms, and the layers u_0..u_h are kept as
+    divided-power tables T(u_n), starting from v_prev's table.  S is applied once to each
     T(u_k) with ``divided=True``, and each term of the image is added into
     the layer its degree names (module docstring): a key's first
     contribution is stored as it is, and only a repeated key pays an add.  A
@@ -152,9 +154,9 @@ def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolyno
     r = m.rank
     h = m.restriction_degree
     base = m.row_sums[0] - 1  # the power of a_1 that carries u_0
-    operator = DiffOperator(MultiPoly._trusted(r, {}))  # S = D_1 - D_2 + D_3 - ...
-    for j, generator in enumerate(operator_ladder(m).generators, start=1):
-        operator = operator + (-1) ** (j + 1) * generator
+    # S = D_1 - D_2 + D_3 - ...: the D_j have distinct degrees, so no key is shared
+    generators = enumerate(operator_ladder(m).generators, start=1)
+    operator = _operator(r, {k: w if j % 2 else -w for j, d in generators for k, w in d.poly.terms.items()})
     layers = [v_prev.table.embed(r, offset=1).terms] + [{} for _ in range(h)]  # layers[n] = T(u_n)
     for k in range(h):
         # u_k is complete: every contribution to it came from a lower layer

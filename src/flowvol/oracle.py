@@ -242,25 +242,17 @@ def dilation_counts(m: MultiplicityMatrix, a: tuple[int, ...], t_max: int | None
 
 @dataclass(frozen=True)
 class VolumeComparison:
-    """Side-by-side result of the residue route and the counting route."""
+    """Side-by-side values of the residue route and the counting route at one point.
 
-    a: tuple[int, ...]
+    ``cli`` writes the ``oracle-compare`` report from these fields.
+    """
+
     residue_value: Fraction
     count_value: Fraction
 
     @property
     def matches(self) -> bool:
         return self.residue_value == self.count_value
-
-    def __str__(self) -> str:
-        a_text = ",".join(str(x) for x in self.a)
-        lines = [
-            f"volume polynomial value at a=({a_text}): {self.residue_value}",
-            f"lattice-count leading coefficient:  {self.count_value}",
-            "exact match" if self.matches else
-            f"MISMATCH: difference {self.residue_value - self.count_value}",
-        ]
-        return "\n".join(lines)
 
 
 def compare_volume(
@@ -281,7 +273,7 @@ def compare_volume(
         if value < 1:
             raise ValueError(f"supply entry {value} below the required minimum 1")
     if t_max is not None and (type(t_max) is not int or t_max < m.degree):
-        raise ValueError(f"need dilations up to {m.degree}, got bound {t_max!r}")
+        raise ValueError(f"need an int bound of at least {m.degree} dilations, got {t_max!r}")
     residue_value = iterated_residue(m).value_at(point)
     count_value = dilation_counts(m, point, t_max).leading_coefficient
-    return VolumeComparison(point, residue_value, count_value)
+    return VolumeComparison(residue_value, count_value)

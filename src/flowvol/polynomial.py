@@ -302,8 +302,7 @@ class MultiPoly:
         as " + " or " - ", its size and its monomial, and the first term's
         sign is cut to "" or "-" before the join.  With ``divided``, each
         value c is read as T(p)_e = e! p_e (see ``evaluate``), and
-        p_e = c / e! is reduced with one gcd of c's numerator and e!; when
-        the gcd is e! itself the denominator is left as it is.
+        p_e = c / e! is reduced with one gcd of c's numerator and e!.
         """
         if not self.terms:
             return "0"
@@ -320,10 +319,7 @@ class MultiPoly:
             if divided:
                 weight = math.prod(map(factorial.__getitem__, exps))
                 common = math.gcd(num, weight)
-                if common == weight:
-                    num //= weight
-                else:
-                    num, den = num // common, den * (weight // common)
+                num, den = num // common, den * (weight // common)
             sign, num = (" - ", -num) if num < 0 else (" + ", num)
             if den != 1:
                 size = fraction.format(num, den)
@@ -366,8 +362,13 @@ class MultiPoly:
 
 
 def divided_powers(poly: MultiPoly) -> dict[Exponents, Scalar]:
-    """The divided-power table T(p) = {e: e! * p_e} of p, with p's value types; ``from_divided_powers`` inverts it."""
-    return {exps: c * math.prod(map(math.factorial, exps)) for exps, c in poly.terms.items()}
+    """The divided-power table T(p) = {e: e! * p_e} of p; ``from_divided_powers`` inverts it.
+
+    An entry is an ``int`` wherever e! * p_e is integral, and a ``Fraction``
+    elsewhere, so a volume's table is the residue's integer table.
+    """
+    table = ((exps, c * math.prod(map(math.factorial, exps))) for exps, c in poly.terms.items())
+    return {exps: v.numerator if v.denominator == 1 else v for exps, v in table}
 
 
 def from_divided_powers(nvars: int, entries: Mapping[Exponents, Scalar], scale: int) -> MultiPoly:

@@ -293,9 +293,11 @@ class VolumePolynomial:
     ``MultiPoly`` in ``table``.  ``iterated_residue`` and the lift hand
     over their own integer tables and build no polynomial;
     ``VolumePolynomial(m, poly)`` takes v itself and writes its table at
-    once, with ``polynomial.divided_powers``.  ``poly`` is built from the
-    table by one ``from_divided_powers`` on its first read, or is the
-    polynomial the volume was made from.  ``str(v)`` and ``value_at`` read
+    once, with ``polynomial.divided_powers``, whose integral entries are
+    ``int``, so a volume's table is the same integer table whichever way it
+    was made.  ``poly`` is built from the table by one
+    ``from_divided_powers`` on its first read, or is the polynomial the
+    volume was made from.  ``str(v)`` and ``value_at`` read
     the table with ``divided=True``, and two volumes are equal when their
     matrices and tables are.
 

@@ -501,6 +501,16 @@ class TestCommands:
         assert code == 0
         assert "exact match" in text
 
+    def test_oracle_compare_writes_three_lines(self, capsys):
+        # cli writes every line of the report from compare_volume's two values
+        assert main(["oracle-compare", GOLDEN_TEXT + "; a=(1,1,1)"]) == 0
+        assert capsys.readouterr() == (
+            "volume polynomial value at a=(1,1,1): 2/9\n"
+            "lattice-count leading coefficient:  2/9\n"
+            "exact match\n",
+            "",
+        )
+
     def test_oracle_compare_needs_integer_point(self):
         spec = parse_spec("r=1; m[1,2]=2; a=(1/2)")
         with pytest.raises(SpecError, match="integer"):

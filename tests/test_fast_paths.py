@@ -55,7 +55,8 @@ before ``render`` and ``evaluate`` read it, where the same methods with
 ``divided=True`` read the table itself; ``table_of`` multiplies each
 coefficient of an image by e!, where ``DiffOperator.apply`` with
 ``divided=True`` reads a table and returns one, and ``lift_operator`` sums
-the lift's S = D_1 - D_2 + ... as ``lift_volume`` does, to apply it alone.
+the lift's S = D_1 - D_2 + ... with the operator algebra's ``+`` and scalar
+``*``, where ``lift_volume`` takes the signed union of the D_j's terms.
 ``MultiPoly.sorted_terms`` sorts on (total degree, exponents) descending,
 or on exponents alone when every term has one degree, where ``grlex_key``
 (conftest) negates each entry; ``reference_render`` joins each monomial
@@ -1034,8 +1035,9 @@ def divided_read_points(rank):
 
 class TestDividedReadsMatchPolynomial:
     """The reads of a divided-power table T(p)_e = e! p_e with ``divided=True``, against
-    the polynomial p: on the residue's integer tables T(v), on the ``Fraction`` tables
-    of a ``VolumePolynomial`` made from a polynomial, and on any ``Fraction`` table."""
+    the polynomial p: on the residue's integer tables T(v), on the same table of a
+    ``VolumePolynomial`` made from a polynomial, on a volume's table with ``Fraction``
+    values, and on any ``Fraction`` table."""
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_every_small_matrix(self, rank):
@@ -1056,10 +1058,14 @@ class TestDividedReadsMatchPolynomial:
         point = data.draw(rational_points(m.rank))
         v = iterated_residue(m)
         made = VolumePolynomial(m, v.poly)
-        assert all(isinstance(c, Fraction) for c in made.table.terms.values()), m
-        assert made.table == v.table and str(made) == str(v) == v.poly.render(), m
-        assert made.value_at(point) == v.value_at(point) == v.poly.evaluate(point), (m, point)
-        for table in (v.table, made.table):
+        assert_canonical(made.table, int)  # the residue's integer table, not its Fraction copy
+        fractions = VolumePolynomial._of_table(m, MultiPoly._trusted(m.rank, {
+            e: Fraction(c) for e, c in v.table.terms.items()}))
+        assert_canonical(fractions.table, Fraction)
+        for volume in (made, fractions):
+            assert volume.table == v.table and str(volume) == str(v) == v.poly.render(), m
+            assert volume.value_at(point) == v.value_at(point) == v.poly.evaluate(point), (m, point)
+        for table in (v.table, made.table, fractions.table):
             assert_divided_reads_match(table, [point])
 
     @given(st.integers(1, 3).flatmap(lambda n: multipolys(nvars=n, max_terms=6, max_exp=6)), st.data())
@@ -1337,12 +1343,14 @@ class TestNodeImageOnTaggedColumns:
 
 def divided_power_round_trip(poly, top=0):
     """poly's table from ``divided_powers``, after checking each entry against e! * c_e,
-    its packing on the guarded fields for its largest exponent and ``top``, and that
-    ``from_divided_powers`` turns the table back into poly."""
+    an ``int`` exactly where that is integral, its packing on the guarded fields for its
+    largest exponent and ``top``, and that ``from_divided_powers`` turns the table back
+    into poly."""
     shifts, places, guard, guards = _layout(poly.nvars, max(max(map(max, poly.terms), default=0), top))
     entries = divided_powers(poly)
     for exps, g in entries.items():
-        assert g == factorials(exps) * poly.terms[exps], (poly, exps)
+        expected = factorials(exps) * poly.terms[exps]
+        assert g == expected and type(g) is (int if expected.denominator == 1 else Fraction), (poly, exps, g)
     table = _packed(entries.items(), places, guards)
     mask = 2 * guard - 1
     assert {tuple((key >> s & mask) - guard for s in shifts): g for key, g in table.items()} == entries, poly
@@ -1359,8 +1367,11 @@ class TestDividedPowerTable:
 
     @given(st.integers(1, 3).flatmap(lambda n: multipolys(nvars=n, max_terms=6, max_exp=6)), st.integers(0, 9))
     def test_from_divided_powers_inverts_the_table(self, poly, top):
-        # a polynomial's Fraction coefficients give Fraction entries
-        assert all(type(g) is Fraction for g in divided_power_round_trip(poly, top).values()), poly
+        entries = divided_power_round_trip(poly, top)  # int entries where e! * c_e is integral
+        # a table built with Fraction values, integral ones too, reads back the same
+        fractions = {e: c * factorials(e) for e, c in poly.terms.items()}
+        assert all(type(g) is Fraction for g in fractions.values()) and fractions == entries, poly
+        assert from_divided_powers(poly.nvars, fractions, 1) == poly, poly
 
     @pytest.mark.parametrize("seed", range(3))
     def test_seeded_polynomials_with_large_denominators(self, seed):
@@ -1507,7 +1518,7 @@ def table_of(poly):
 
 
 def lift_operator(m):
-    """The lift's S = D_1 - D_2 + D_3 - ..., summed as ``lift_volume`` sums it."""
+    """The lift's S = D_1 - D_2 + D_3 - ..., summed with the operator algebra."""
     operator = DiffOperator(MultiPoly.zero(m.rank))
     for j, generator in enumerate(operator_ladder(m).generators, start=1):
         operator = operator + (-1) ** (j + 1) * generator
@@ -1559,6 +1570,25 @@ def assert_lift_table_is_residue_table(m):
     assert lift_volume(VolumePolynomial(m.restriction(), v_prev.poly), m).table == direct.table, m
 
 
+def assert_lift_applies_the_signed_sum(m, monkeypatch):
+    """The operator ``lift_volume`` hands to ``DiffOperator.apply``, once for each of the
+    h layers below the top, is ``lift_operator(m)`` term for term, with ``int`` weights."""
+    v_prev, applied, apply = iterated_residue(m.restriction()), [], DiffOperator.apply
+
+    def recording(self, p, divided=False):
+        applied.append(self)
+        return apply(self, p, divided)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DiffOperator, "apply", recording)
+        lift_volume(v_prev, m)
+    expected = lift_operator(m)
+    assert len(applied) == m.restriction_degree, m
+    for op in applied:
+        assert op.poly.terms == expected.poly.terms, m
+        assert_canonical(op.poly, int)
+
+
 class TestDividedApply:
     """``DiffOperator.apply`` with ``divided=True`` on tables T(p)_e = e! p_e against the
     table of the image of p, and the lift that runs on it against the residue's table."""
@@ -1598,6 +1628,16 @@ class TestDividedApply:
         assert d2.apply(cube, divided=True).terms == {} and d2.apply(MultiPoly(2, {(3, 0): 1})).is_zero
         assert d1_cubed.apply(cube, divided=True).terms == {(0, 0): 6}
         assert d1_cubed.apply(MultiPoly(2, {(3, 0): 1})) == MultiPoly(2, {(0, 0): 6})
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_lift_applies_the_signed_sum_on_every_small_matrix(self, rank, monkeypatch):
+        for m in every_matrix(rank, (1, 2, 3)):
+            assert_lift_applies_the_signed_sum(m, monkeypatch)
+
+    @pytest.mark.parametrize("rank, entries", [(4, (1, 2, 3)), (5, (1, 2))])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_lift_applies_the_signed_sum_on_seeded_rank_four_and_five(self, rank, entries, seed, monkeypatch):
+        assert_lift_applies_the_signed_sum(seeded_matrix(rank, entries, seed), monkeypatch)
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_lift_table_on_every_small_matrix(self, rank):

@@ -86,11 +86,25 @@ class TestLoweringOperator:
         assert lowering_operator(GOLDEN_M, span + 5).poly.is_zero
         assert lowering_operator(GOLDEN_M, 10**6) == DiffOperator(MultiPoly.zero(GOLDEN_M.rank))
         lowering_operator(GOLDEN_M, span)
-        assert tops == [span]
+        # each call builds its ladder, which stops at the span; no call reaches q
+        assert tops == [span] * 3
 
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError):
             lowering_operator(GOLDEN_M, 0)
+
+    @given(multiplicity_matrices(min_rank=2, max_rank=4))
+    def test_every_order_is_read_from_the_ladder(self, m):
+        ladder = operator_ladder(m)
+        span = m.row_sum(1) - m.multiplicity(1, m.rank + 1)
+        assert len(ladder.generators) == span
+        for q in range(1, span + 3):
+            generator = ladder.generator(q)
+            if q <= span:
+                assert generator is ladder.generators[q - 1]
+            else:
+                assert generator == DiffOperator(MultiPoly.zero(m.rank))
+            assert lowering_operator(m, q) == generator
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_generating_product_identity(self, rank):
@@ -137,14 +151,20 @@ class TestOperatorLadder:
 
     @pytest.mark.parametrize("q", [0, -1])
     def test_generator_order_must_be_positive(self, q):
-        with pytest.raises(ValueError, match="order must be >= 1"):
+        with pytest.raises(ValueError, match="order must be an int >= 1"):
             operator_ladder(GOLDEN_M).generator(q)
 
     @pytest.mark.parametrize("q", [1.5, 1.0, True, Fraction(1)])
     def test_lowering_order_must_be_an_int(self, q):
         # 1.5 once gave the zero operator and True gave D_1
-        with pytest.raises(ValueError, match="order must be >= 1"):
+        with pytest.raises(ValueError, match="order must be an int >= 1"):
             lowering_operator(GOLDEN_M, q)
+
+    def test_non_int_order_message_names_the_type(self):
+        # the message names the type, so a bool does not read as a value below 1
+        with pytest.raises(ValueError) as info:
+            operator_ladder(GOLDEN_M).generator(True)
+        assert str(info.value) == "order must be an int >= 1, got True"
 
     @given(multiplicity_matrices(min_rank=2, max_rank=3))
     def test_steps_are_order_homogeneous(self, m):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 import flowvol.oracle
 from flowvol import MultiPoly, MultiplicityMatrix, compare_volume, iterated_residue
 from flowvol.multiplicity import root_pairs
-from flowvol.oracle import CountTable, _newton_fit, count_lattice_points, dilation_counts
+from flowvol.oracle import CountTable, VolumeComparison, _newton_fit, count_lattice_points, dilation_counts
 
 GOLDEN_M = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 2))
 
@@ -309,8 +310,7 @@ class TestCompareVolume:
     def test_rank_three_reference(self):
         report = compare_volume(GOLDEN_M, (1, 1, 1))
         assert report.matches
-        assert report.residue_value == Fraction(2, 9)
-        assert "exact match" in str(report)
+        assert report.residue_value == report.count_value == Fraction(2, 9)
 
     def test_sweep_small_interior_points(self):
         for rank in (1, 2, 3):
@@ -342,6 +342,15 @@ class TestCompareVolume:
         with pytest.raises(ValueError):
             compare_volume(m, a, t_max)
 
-    def test_report_text_shows_values(self):
-        text = str(compare_volume(MultiplicityMatrix(2, (1, 1, 1)), (1, 1)))
-        assert "a=(1,1)" in text and "1" in text
+    def test_report_holds_only_the_two_values(self):
+        # the report's text is written by cli (tests/test_cli.py)
+        report = compare_volume(MultiplicityMatrix(2, (1, 1, 1)), (1, 2))
+        assert [field.name for field in fields(report)] == ["residue_value", "count_value"]
+        assert report.residue_value == report.count_value == 1
+        assert "__str__" not in vars(VolumeComparison)
+
+    def test_non_int_bound_message_names_the_type(self):
+        # the message names the type, so 2.5 does not read as a bound too small
+        with pytest.raises(ValueError) as info:
+            compare_volume(MultiplicityMatrix(2, (1, 1, 1)), (1, 1), t_max=2.5)
+        assert str(info.value) == "need an int bound of at least 1 dilations, got 2.5"

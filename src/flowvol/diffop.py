@@ -16,7 +16,11 @@ u^q coefficient of prod_{j>l} (1 + u d_j)^m[l,j], is the sum over exponent
 vectors (p_(l+1), ..., p_r) with p_(l+1) + ... + p_r = q of
 prod_j C(m[l,j], p_j) d_j^p_j.  Distinct vectors give distinct monomials, so
 no two terms of the expansion merge, and every coefficient is an integer.
-``_node_terms`` is that coefficient rule for any weight in place of C(m, p);
+``_node_terms`` is that coefficient rule for any weight in place of C(m, p),
+every degree q up to a top from one pass over the weighted monomials of
+total at most top, returned as a list of per-degree dicts; its memory and
+time grow with that whole output, which is largest for
+``induction.OperatorLadder.steps``, a path no command takes.
 ``pde_system`` uses it with the binomial coefficients, and the
 rank-induction operators of ``induction`` use it at node 1.  Both wrap its
 canonical integer terms with ``_operator``, which does not check them again,
@@ -153,7 +157,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, factorial, prod
 from operator import gt, mul
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .multiplicity import MultiplicityMatrix
 from .polynomial import Exponents, MultiPoly, Scalar, divided_powers, from_divided_powers, homogeneous_monomials
@@ -161,44 +165,38 @@ from .polynomial import Exponents, MultiPoly, Scalar, divided_powers, from_divid
 
 def _node_terms(
     m: MultiplicityMatrix, l: int, top: int, weight: Callable[[int, int], int]
-) -> Iterator[dict[Exponents, int]]:
+) -> list[dict[Exponents, int]]:
     """The u^q coefficients, q = 0..top, of prod_{j=l+1..r} (sum_p weight(m[l,j], p) u^p d_j^p).
 
     Coefficient q is ``{exponents: int}`` in all r partials, zero weights
     dropped; the exponents of d_1..d_l are zero, and the keys come in the
     order of ``homogeneous_monomials(r - l, q)``.  Every degree comes from
-    one pass.  The trailing variables d_(l+1)..d_r are split in half, and
-    each half's weighted monomials of total at most top are listed once, in
-    descending lex order, one variable appended a step, its weights for the
-    powers 0..top read from one row; a zero weight is dropped where it is
-    met, since it zeroes every product that carries it.  A key of degree q
-    is a head of the first half, d_1..d_l's zeros in front, followed by a
-    tail of the second half of total q minus the head's, so taking the heads
-    in order and each head's tails in order keeps descending lex order.
-    Only the two halves are held, a small part of the output, and the
-    degrees are yielded one at a time, so that a caller can turn each into
-    its final form before the next is built.
+    one pass: the weighted monomials of total at most top in d_(l+1)..d_r
+    are listed in one ``{exponents: weight}`` dict, in descending lex order,
+    one trailing variable appended a step with its powers from the largest
+    down and its weights for the powers 0..top read from one row.  A zero
+    weight is dropped where it is met, since it zeroes every product that
+    carries it.  Each monomial is then filed under its degree, which keeps
+    descending lex order within a degree.  Keys and weights are flat, so
+    the cyclic garbage collector drops them from its scans at once; a list
+    of (key, weight, total) tuples made it rescan the growing list about
+    130 times at r=7 (the ladder steps below).
+
+    The dict holds every monomial at once, so time and memory grow with the
+    whole output: tens of microseconds at the spans of ``pde_system`` and
+    the lift's ladder, and 5.2 million terms, about 6 s and 1 GiB, for
+    ``induction.OperatorLadder.steps`` at r=7 with every multiplicity 2,
+    which no command reads.
     """
-
-    def monomials(rows: list[list[int]], start: Exponents) -> list[tuple[Exponents, int, int]]:
-        """(key, weight, total) of start followed by each monomial of total <= top in the rows' variables."""
-        out = [(start, 1, 0)]
-        for row in rows:
-            out = [
-                (key + (e,), w * x, j + e) for key, w, j in out for e in range(top - j, -1, -1) if (x := row[e])
-            ]
-        return out
-
-    rows = [[weight(mult, p) for p in range(top + 1)] for mult in m.rows[l - 1][:-1]]
-    half = (len(rows) + 1) // 2
-    tails: list[list[tuple[Exponents, int]]] = [[] for _ in range(top + 1)]
-    for key, w, j in monomials(rows[half:], ()):
-        tails[j].append((key, w))
-    heads = monomials(rows[:half], (0,) * l)
-    return (
-        {head + tail: w * c for head, w, j in heads if j <= q for tail, c in tails[q - j]}
-        for q in range(top + 1)
-    )
+    terms = {(0,) * l: 1}
+    for mult in m.rows[l - 1][:-1]:  # m[l,j] for j = l+1..r
+        row = [weight(mult, p) for p in range(top + 1)]
+        terms = {key + (e,): w * x
+                 for key, w in terms.items() for e in range(top - sum(key), -1, -1) if (x := row[e])}
+    levels: list[dict[Exponents, int]] = [{} for _ in range(top + 1)]
+    for key, w in terms.items():
+        levels[sum(key)][key] = w
+    return levels
 
 
 def _operator(r: int, terms: dict[Exponents, int]) -> DiffOperator:

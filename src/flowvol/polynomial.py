@@ -241,10 +241,12 @@ class MultiPoly:
 
         With a_i = n_i/d_i and top_i the largest exponent of a_i, every term
         c * prod a_i^e_i equals c * prod n_i^e_i d_i^(top_i - e_i) divided by
-        the common D = prod d_i^top_i.  So the integer products are summed per
-        coefficient denominator q into T_q, and with L the lcm of those q the
-        value is (sum_q T_q * (L / q)) / (L * D): one exact division, one
-        ``Fraction``, however many denominators the coefficients have.
+        the common D = prod d_i^top_i.  So the value is one sum of
+        c * prod n_i^e_i d_i^(top_i - e_i) over the terms, the products read
+        from one power table per variable, divided once by D.  On a table of
+        ``int`` values, such as a volume's, that is an integer sum and one
+        ``Fraction``; a ``Fraction``-valued polynomial, such as a volume's
+        ``poly``, pays one ``Fraction`` product and add per term.
 
         With ``divided``, each value c is read as T(p)_e = e! p_e, the
         divided-power table of the polynomial p that is evaluated (see
@@ -265,18 +267,9 @@ class MultiPoly:
              for e in range(top + 1)]
             for v, top in zip(values, tops)
         ]
-        by_denominator: dict[int, int] = {}
-        for exps, coeff in self.terms.items():
-            product = coeff.numerator
-            for table, e in zip(tables, exps):
-                product *= table[e]
-            q = coeff.denominator
-            by_denominator[q] = by_denominator.get(q, 0) + product
-        common = math.prod(v.denominator ** top * (math.factorial(top) if divided else 1)
-                           for v, top in zip(values, tops))
-        lcm = math.lcm(*by_denominator)
-        numerator = sum(total * (lcm // q) for q, total in by_denominator.items())
-        return Fraction(numerator, lcm * common)
+        total = sum(coeff * math.prod(map(getitem, tables, exps)) for exps, coeff in self.terms.items())
+        return Fraction(total, math.prod(v.denominator ** top * (math.factorial(top) if divided else 1)
+                                         for v, top in zip(values, tops)))
 
     def embed(self, nvars: int, offset: int) -> "MultiPoly":
         """Reindex into a larger variable frame, shifting variables right by ``offset``."""

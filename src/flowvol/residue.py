@@ -295,11 +295,11 @@ class VolumePolynomial:
     ``VolumePolynomial(m, poly)`` takes v itself and writes its table at
     once, with ``polynomial.divided_powers``, whose integral entries are
     ``int``, so a volume's table is the same integer table whichever way it
-    was made.  ``poly`` is built from the table by one
-    ``from_divided_powers`` on its first read, or is the polynomial the
-    volume was made from.  ``str(v)`` and ``value_at`` read
-    the table with ``divided=True``, and two volumes are equal when their
-    matrices and tables are.
+    was made.  ``poly`` is always built from the table, by one
+    ``from_divided_powers`` on its first read, so the table is the one
+    source of v even when v was made from a polynomial.  ``str(v)`` and
+    ``value_at`` read the table with ``divided=True``, and two volumes are
+    equal when their matrices and tables are.
 
     The table is checked once, when v is made.  One that is zero, not
     homogeneous of the volume degree or with a corner coefficient T(v)_o /
@@ -313,17 +313,17 @@ class VolumePolynomial:
     def __init__(self, m: MultiplicityMatrix, poly: MultiPoly) -> None:
         if poly.nvars != m.rank:
             raise ValueError("polynomial variable count does not match the rank")
-        self._hold(m, MultiPoly._trusted(m.rank, divided_powers(poly)), poly)
+        self._hold(m, MultiPoly._trusted(m.rank, divided_powers(poly)))
 
     @classmethod
     def _of_table(cls, m: MultiplicityMatrix, table: MultiPoly) -> "VolumePolynomial":
         """The volume of the divided-power table ``table`` of m.rank variables, checked."""
         volume = object.__new__(cls)
-        volume._hold(m, table, None)
+        volume._hold(m, table)
         return volume
 
-    def _hold(self, m: MultiplicityMatrix, table: MultiPoly, poly: MultiPoly | None) -> None:
-        """Check the table, then keep it and the polynomial, if one is given."""
+    def _hold(self, m: MultiplicityMatrix, table: MultiPoly) -> None:
+        """Check the table, then keep it; the polynomial waits for its first read."""
         if not table.terms:
             raise _VolumeCheckError("volume polynomial cannot be identically zero")
         if set(map(sum, table.terms)) != {m.degree}:
@@ -331,7 +331,7 @@ class VolumePolynomial:
         corner = divided_coefficient(table.terms, m.corner_exponents)
         if corner != m.corner_value:
             raise _VolumeCheckError(f"corner coefficient {corner} differs from expected {m.corner_value}")
-        self.m, self.table, self._poly = m, table, poly
+        self.m, self.table, self._poly = m, table, None
 
     @property
     def poly(self) -> MultiPoly:

@@ -672,6 +672,40 @@ class TestCommands:
         with pytest.raises(RuntimeError, match="Fraction polynomial"):  # the patch is live
             iterated_residue(parse_spec(GOLDEN_TEXT).matrix()).poly
 
+    @pytest.mark.parametrize("seed", [None, 0], ids=["golden", "seeded-rank-4"])
+    def test_commands_evaluate_int_tables_and_build_no_steps(self, monkeypatch, seed):
+        # every command, with a point: evaluate reads only int tables, and no
+        # node-term call goes past the first row's span, as the ladder steps'
+        # call (up to the restricted volume degree) would
+        if seed is None:
+            spec = parse_spec(GOLDEN_TEXT + "; a=(1,1,2)")
+        else:
+            rng = random.Random(seed)
+            spec = ProblemSpec(4, tuple(rng.randint(1, 2) for _ in range(10)), tuple(map(Fraction, (1, 2, 1, 1))))
+        m = spec.matrix()
+        span = m.row_sums[0] - m.rows[0][-1]
+        assert m.restriction_degree > span
+        kinds, tops = [], []
+        evaluate, node_terms = MultiPoly.evaluate, flowvol.diffop._node_terms
+
+        def recording_evaluate(self, point, divided=False):
+            kinds.append({type(c) for c in self.terms.values()})
+            return evaluate(self, point, divided)
+
+        def recording_node_terms(m, l, top, weight):
+            tops.append(top)
+            return node_terms(m, l, top, weight)
+
+        monkeypatch.setattr(MultiPoly, "evaluate", recording_evaluate)
+        for module in (flowvol.diffop, flowvol.induction):
+            monkeypatch.setattr(module, "_node_terms", recording_node_terms)
+        for command in ("volume", "check-pde", "kernel", "lift", "oracle-compare", "corner"):
+            assert run_command(spec, command)[1] == 0, command
+        fractional = tuple(Fraction(k + 2, k + 1) for k in range(m.rank))
+        assert run_command(replace(spec, a=fractional), "volume")[1] == 0
+        assert len(kinds) == 3 and all(kind == {int} for kind in kinds)
+        assert tops and all(top <= span for top in tops)
+
     def test_corner(self):
         text, code = run_command(parse_spec(GOLDEN_TEXT), "corner")
         assert code == 0

@@ -5,7 +5,7 @@ from itertools import product
 from math import comb, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import flowvol.linalg
 from flowvol import (
@@ -90,6 +90,22 @@ class TestNodeTerms:
                 for q, level in enumerate(levels):
                     expected = reference_node_terms(m, l, q, weight)
                     assert list(level.items()) == list(expected.items()), (mult, l, q)
+
+    @given(st.data())
+    def test_any_node_and_top_equals_the_enumeration(self, data):
+        # any node and top up to 10 for both weights, and the ladder steps'
+        # call, the series weight at node 1 up to the restricted volume degree
+        m = data.draw(multiplicity_matrices(max_rank=5))
+        weight = data.draw(st.sampled_from([comb, binomial_series_coeff]))
+        cases = [(data.draw(st.integers(1, m.rank)), data.draw(st.integers(0, 10)), weight)]
+        if m.rank <= 4:
+            cases.append((1, m.restriction_degree, binomial_series_coeff))
+        for l, top, weight in cases:
+            levels = _node_terms(m, l, top, weight)
+            assert type(levels) is list and len(levels) == top + 1
+            for q, level in enumerate(levels):
+                expected = reference_node_terms(m, l, q, weight)
+                assert list(level.items()) == list(expected.items()), (m, l, top, q)
 
 
 class TestPdeSystem:

@@ -1004,6 +1004,16 @@ class TestIntegerEvaluation:
         point = (Fraction(7, 3), 4, Fraction(11, 5), Fraction(1, 2), 9)
         assert v.value_at(point) == naive_evaluate(v.poly, point)
 
+    @given(multipolys(nvars=3, max_terms=8, max_exp=4), rational_points(3))
+    @example(MultiPoly(3, {(3, 0, 1): Fraction(1, 2), (0, 2, 0): Fraction(1, 4), (1, 1, 1): Fraction(2, 3)}),
+             (Fraction(-3, 2), 5, Fraction(2, 7)))
+    def test_mixed_int_and_fraction_table_in_both_modes(self, p, point):
+        # divided_powers keeps an int wherever e! p_e is integral, so the
+        # table's values mix int and Fraction
+        table = MultiPoly._trusted(3, divided_powers(p))
+        assert table.evaluate(point) == naive_evaluate(table, point)
+        assert table.evaluate(point, divided=True) == naive_evaluate(p, point)
+
     def test_zero_polynomial(self):
         value = MultiPoly.zero(2).evaluate((Fraction(3, 4), -1))
         assert type(value) is Fraction and value == 0

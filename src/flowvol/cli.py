@@ -42,8 +42,8 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .multiplicity import MultiplicityMatrix, root_pairs
 from .polynomial import MultiPoly, divided_coefficient
@@ -94,8 +94,7 @@ class SpecError(ValueError):
     """Malformed or inconsistent problem specification."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     """Parsed problem: rank, flat multiplicities, optional evaluation point."""
 
     rank: int

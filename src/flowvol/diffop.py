@@ -153,11 +153,10 @@ c_k e!/target!.  This gives the same kernel, for three reasons:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, factorial, prod
 from operator import gt, mul
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .multiplicity import MultiplicityMatrix
 from .polynomial import Exponents, MultiPoly, Scalar, divided_powers, from_divided_powers, homogeneous_monomials
@@ -233,8 +232,7 @@ def _unpacked(table: Mapping[int, Scalar], shifts: range, guard: int) -> dict[Ex
     return {tuple((key >> s & mask) - guard for s in shifts): c for key, c in table.items()}
 
 
-@dataclass(frozen=True)
-class DiffOperator:
+class DiffOperator(NamedTuple):
     """Polynomial in the commuting partial-derivative symbols d_1..d_n."""
 
     poly: MultiPoly
@@ -308,8 +306,7 @@ class DiffOperator:
         return f"DiffOperator({self})"
 
 
-@dataclass(frozen=True)
-class PdeSystem:
+class PdeSystem(NamedTuple):
     """The r annihilating operators, listed for node l = rank down to 1."""
 
     m: MultiplicityMatrix

@@ -88,7 +88,6 @@ enter, and none uses the operator algebra's ``+`` or scalar ``*``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .diffop import DiffOperator, _node_terms, _operator
@@ -102,7 +101,6 @@ def lowering_operator(m: MultiplicityMatrix, q: int) -> DiffOperator:
     return operator_ladder(m).generator(q)
 
 
-@dataclass(frozen=True)
 class OperatorLadder:
     """Lowering operators D_1..D_J and, on first read, their signed combinations E_0..E_h.
 
@@ -113,8 +111,8 @@ class OperatorLadder:
     acceptance criterion 8 and the benchmark read it.
     """
 
-    m: MultiplicityMatrix
-    generators: tuple[DiffOperator, ...]
+    def __init__(self, m: MultiplicityMatrix, generators: tuple[DiffOperator, ...]) -> None:
+        self.m, self.generators = m, generators
 
     @cached_property
     def steps(self) -> tuple[DiffOperator, ...]:

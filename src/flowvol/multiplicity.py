@@ -6,15 +6,15 @@ A rank-r problem assigns a positive integer m[i,j] to every root e_i - e_j,
 notation used throughout the tests, e.g. rank 3 with m=(1,1,2,1,2,2).
 Row l is the consecutive run m[l,l+1], ..., m[l,r+1].  A matrix is checked
 once, when it is made, and then keeps its rows, their sums, the volume
-degree and the corner exponents, so that no later read checks or derives
-them again; the corner value is derived where it is read.  None of them
-takes part in equality, hashing or repr.
+degree and the corner exponents beside ``rank`` and ``mult`` in six
+immutable slots, so that no later read checks or derives them again; the
+corner value is derived where it is read.  Equality, hashing and repr read
+``rank`` and ``mult`` alone, so none of the derived values takes part.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,29 +24,27 @@ def root_pairs(rank: int) -> list[tuple[int, int]]:
     return list(combinations(range(1, rank + 2), 2))
 
 
-@dataclass(frozen=True)
 class MultiplicityMatrix:
-    """Multiplicities of the positive roots, with the derived degree data."""
+    """Multiplicities of the positive roots, with the derived degree data.
 
-    rank: int
-    mult: tuple[int, ...]
-    # derived, each left out of equality, hashing and repr:
-    # rows[l - 1] is row l, m[l,l+1], ..., m[l,r+1]; row_sums[l - 1] its sum
-    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    row_sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # the volume polynomial's degree, total multiplicity minus rank
-    degree: int = field(init=False, repr=False, compare=False)
-    # exponents of the distinguished monomial: row_sum(l) - 1 per variable
-    corner_exponents: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    Instances are immutable: the six slots are filled once by ``__init__``,
+    and assigning or deleting any of them raises ``AttributeError``.
+    Equality, hashing and repr read ``rank`` and ``mult`` alone, and copies
+    and pickles are rebuilt from those two through ``__init__``.
+    """
 
-    def __post_init__(self) -> None:
-        rank = self.rank
+    # rows[l - 1] is row l, m[l,l+1], ..., m[l,r+1], and row_sums[l - 1] its
+    # sum; degree is the volume polynomial's, total multiplicity minus rank;
+    # corner_exponents are those of the distinguished monomial, row_sum(l) - 1
+    __slots__ = ("rank", "mult", "rows", "row_sums", "degree", "corner_exponents")
+
+    def __init__(self, rank: int, mult: tuple[int, ...]) -> None:
         # type() rather than isinstance(), so that booleans are rejected.
         if type(rank) is not int:
             raise ValueError(f"rank must be an integer, got {rank!r}")
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
-        expected, mult = rank * (rank + 1) // 2, tuple(self.mult)
+        expected, mult = rank * (rank + 1) // 2, tuple(mult)
         if len(mult) != expected:
             raise ValueError(f"rank {rank} needs {expected} multiplicities, got {len(mult)}")
         if set(map(type, mult)) != {int} or min(mult) < 1:
@@ -59,11 +57,28 @@ class MultiplicityMatrix:
             rows.append(mult[start:start + length])
             start += length
         row_sums = tuple(map(sum, rows))
-        # frozen: the fields set here go straight into the instance dict
-        vars(self).update(
-            mult=mult, rows=tuple(rows), row_sums=row_sums,
-            degree=sum(row_sums) - rank, corner_exponents=tuple(s - 1 for s in row_sums),
-        )
+        values = rank, mult, tuple(rows), row_sums, sum(row_sums) - rank, tuple(s - 1 for s in row_sums)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple[type, tuple[int, tuple[int, ...]]]:
+        return MultiplicityMatrix, (self.rank, self.mult)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not MultiplicityMatrix:
+            return NotImplemented
+        return (self.rank, self.mult) == (other.rank, other.mult)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.mult))
+
+    def __repr__(self) -> str:
+        return f"MultiplicityMatrix(rank={self.rank!r}, mult={self.mult!r})"
 
     def multiplicity(self, i: int, j: int) -> int:
         """m[i,j] for 1 <= i < j <= rank+1."""

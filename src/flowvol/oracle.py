@@ -75,10 +75,9 @@ difference above index d is therefore the first dilation off the fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .multiplicity import MultiplicityMatrix
 from .residue import _PropertyViolation, iterated_residue
@@ -182,8 +181,7 @@ def _newton_fit(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(differences)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Lattice counts L(t) of the dilates t*a from t = first on, with their exact polynomial fit."""
 
     m: MultiplicityMatrix
@@ -240,8 +238,7 @@ def dilation_counts(m: MultiplicityMatrix, a: tuple[int, ...], t_max: int | None
     return CountTable(m, counts, differences[: degree + 1], first)
 
 
-@dataclass(frozen=True)
-class VolumeComparison:
+class VolumeComparison(NamedTuple):
     """Side-by-side values of the residue route and the counting route at one point.
 
     ``cli`` writes the ``oracle-compare`` report from these fields.

@@ -100,16 +100,14 @@ itself, each way, belongs to ``polynomial``: only a read of the volume's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .multiplicity import MultiplicityMatrix
 from .polynomial import MultiPoly, divided_coefficient, divided_powers, from_divided_powers, table_sum
 
 
-@dataclass(frozen=True)
-class ResidueTerm:
+class ResidueTerm(NamedTuple):
     """One summand: coeff(a) * prod x_i^xpow[i-1], over its sum's difference factors.
 
     ``coeff`` is the divided-power transform T(c) of the coefficient c(a),
@@ -120,8 +118,7 @@ class ResidueTerm:
     xpow: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ResidueSum:
+class ResidueSum(NamedTuple):
     """Sum of exponential-rational terms over shared difference factors.
 
     ``diff`` lists each factor (x_i - x_j)^q of the common denominator as

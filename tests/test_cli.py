@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -632,7 +631,7 @@ class TestCommands:
             entries = divided_powers(extra(m))
             assert all(c.denominator == 1 for c in entries.values())
             coeff = term.coeff + MultiPoly._trusted(m.rank, entries)
-            return replace(state, terms=(ResidueTerm(coeff, term.xpow),))
+            return state._replace(terms=(ResidueTerm(coeff, term.xpow),))
 
         monkeypatch.setattr(flowvol.residue, "_iterated_sum", faulty)
         assert main([command, spec]) == 1
@@ -702,7 +701,7 @@ class TestCommands:
         for command in ("volume", "check-pde", "kernel", "lift", "oracle-compare", "corner"):
             assert run_command(spec, command)[1] == 0, command
         fractional = tuple(Fraction(k + 2, k + 1) for k in range(m.rank))
-        assert run_command(replace(spec, a=fractional), "volume")[1] == 0
+        assert run_command(spec._replace(a=fractional), "volume")[1] == 0
         assert len(kinds) == 3 and all(kind == {int} for kind in kinds)
         assert tops and all(top <= span for top in tops)
 

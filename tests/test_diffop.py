@@ -20,7 +20,7 @@ from flowvol.diffop import DiffOperator, _node_terms
 from flowvol.linalg import integer_nullspace
 from flowvol.polynomial import binomial_series_coeff, homogeneous_monomials
 
-from conftest import multipolys, multiplicity_matrices
+from conftest import multipolys, multiplicity_matrices, nonzero_fractions
 
 GOLDEN_M = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 2))
 
@@ -51,6 +51,31 @@ class TestApply:
     def test_linear_in_the_argument(self, p, q):
         op = (d(1, 2) - d(2, 2)) * d(1, 2)
         assert op.apply(p + q) == op.apply(p) + op.apply(q)
+
+
+class TestOperatorArithmetic:
+    """Operator ``+``, ``-`` and ``*`` are the polynomial ones on ``.poly``, and each gives an operator.
+
+    ``DiffOperator`` is a tuple, so an operator missing from the class would
+    fall through to the tuple's: ``2 * op`` would repeat it as a 2-tuple and
+    ``op + op`` would concatenate, with no error.
+    """
+
+    @given(st.data())
+    def test_every_operation_returns_the_operator_of_the_polynomial_result(self, data):
+        n = data.draw(st.integers(1, 3), label="rank")
+        a, b = (DiffOperator(data.draw(multipolys(nvars=n), label=name)) for name in "ab")
+        k = data.draw(st.one_of(st.integers(-6, 6).filter(bool), nonzero_fractions), label="k")
+        cases = [
+            (a + b, a.poly + b.poly),
+            (a - b, a.poly - b.poly),
+            (a * b, a.poly * b.poly),
+            (k * a, k * a.poly),
+            (a * k, a.poly * k),
+        ]
+        for result, poly in cases:
+            assert type(result) is DiffOperator, result
+            assert result.poly == poly
 
 
 def reference_node_terms(m, l, q, weight):

@@ -1,5 +1,6 @@
+import copy
+import pickle
 import re
-from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -72,13 +73,34 @@ def test_stored_rows_stay_out_of_equality_hash_and_repr():
 
 
 def test_derived_fields_stay_out_of_equality_hash_and_repr():
-    shown = [f.name for f in fields(MultiplicityMatrix) if f.compare or f.repr]
-    assert shown == ["rank", "mult"]
     same = MultiplicityMatrix(3, [1, 1, 2, 1, 2, 2])
     assert same.corner_value == Fraction(1, 12)
     assert same == GOLDEN and hash(same) == hash(GOLDEN) == hash((3, (1, 1, 2, 1, 2, 2)))
     assert repr(same) == repr(GOLDEN) == "MultiplicityMatrix(rank=3, mult=(1, 1, 2, 1, 2, 2))"
     assert (same.degree, same.corner_exponents) == (6, (3, 2, 1))
+
+
+DERIVED = ("rows", "row_sums", "degree", "corner_exponents")
+
+
+@pytest.mark.parametrize("name", ("rank", "mult") + DERIVED + ("other",))
+def test_no_attribute_can_be_assigned_or_deleted(name):
+    m = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 2))
+    with pytest.raises(AttributeError):
+        setattr(m, name, getattr(m, name, 1))
+    if name != "other":
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert m == GOLDEN and m.degree == 6 and not hasattr(m, "other")
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles_keep_the_matrix_and_its_derived_values(duplicate):
+    for m in (GOLDEN, MultiplicityMatrix(1, (3,)), MultiplicityMatrix(4, (2, 1, 3, 1, 1, 2, 2, 1, 1, 3))):
+        twin = duplicate(m)
+        assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+        assert [getattr(twin, name) for name in DERIVED] == [getattr(m, name) for name in DERIVED]
 
 
 @given(multiplicity_matrices())

@@ -17,7 +17,8 @@ read as its last value.  An argument of the form @path reads either format
 from a file.
 
 Exit codes: 0 success, 1 property violation (an exact identity failed, or
-a computed volume failed the volume check of ``residue``), 2 input error,
+a computed volume failed the volume check of ``residue``; ``run_command``
+returns its report line and code itself), 2 input error,
 141 (``EXIT_STDOUT_CLOSED``) when standard output is closed before the
 report is written in full.  A problem whose volume degree exceeds
 ``MAX_DEGREE``, or a ``kernel --degree`` or ``oracle-compare --dilations``
@@ -329,112 +330,120 @@ def run_command(
 ) -> tuple[str, int]:
     """Execute one command; returns (report text, exit code).
 
-    A failed certificate that ends the command at once raises a
-    ``residue._PropertyViolation``, which ``main`` reports as one
-    property-violation line with exit code 1 and no order check: a computed
-    volume that fails the volume check of ``residue.VolumePolynomial``, or
-    a lattice count off the fit (``oracle.OffFitError``).  Every command
-    that reads a volume, ``volume``, ``check-pde``, ``lift``, ``corner``
-    and the residue value of ``oracle-compare``, reads its integer table
-    T(v) (``VolumePolynomial.table``) and builds no ``Fraction`` polynomial
-    of it: ``lift`` renders the restricted, the lifted and the direct
-    volume's tables and compares the last two.  Every report line is written
-    here, ``oracle-compare``'s three from the two values of
-    ``oracle.compare_volume``.
+    This is the text and the code that ``flowvol`` prints and exits with;
+    ``main`` only adds reading the arguments, the error stream for a
+    ``SpecError`` (which propagates from here, as every other exception
+    does) and the closed-pipe exit.  A failed certificate that ends the
+    command at once, a computed volume that fails the volume check of
+    ``residue.VolumePolynomial`` or a lattice count off the fit
+    (``oracle.OffFitError``), raises the property violation of ``residue``,
+    which is returned here as its one ``property violation:`` line with code
+    1 and no order check.
+
+    Every command that reads a volume, ``volume``, ``check-pde``, ``lift``,
+    ``corner`` and the residue value of ``oracle-compare``, reads its
+    integer table T(v) (``VolumePolynomial.table``) and builds no
+    ``Fraction`` polynomial of it: ``lift`` renders the restricted, the
+    lifted and the direct volume's tables and compares the last two.  Every
+    report line is written here, ``oracle-compare``'s three from the two
+    values of ``oracle.compare_volume``.
     """
     m = spec.matrix()
     render = MultiPoly.render_latex if latex else MultiPoly.render
     lines: list[str] = []
     code = 0
 
-    if command == "volume":
-        v = iterated_residue(m)
-        lines.append(f"volume polynomial (rank {m.rank}, degree {m.degree}):")
-        lines.append(render(v.table, divided=True))
-        if spec.a is not None:
-            a_text = ",".join(str(x) for x in spec.a)
-            lines.append(f"value at a=({a_text}): {v.value_at(spec.a)}")
-    elif command == "check-pde":
-        from .diffop import node_residuals
+    try:
+        if command == "volume":
+            v = iterated_residue(m)
+            lines.append(f"volume polynomial (rank {m.rank}, degree {m.degree}):")
+            lines.append(render(v.table, divided=True))
+            if spec.a is not None:
+                a_text = ",".join(str(x) for x in spec.a)
+                lines.append(f"value at a=({a_text}): {v.value_at(spec.a)}")
+        elif command == "check-pde":
+            from .diffop import node_residuals
 
-        failures = 0
-        for l, residual in node_residuals(m, iterated_residue(m).table.terms):
-            if residual.is_zero:
-                lines.append(f"operator l={l}: annihilates v")
+            failures = 0
+            for l, residual in node_residuals(m, iterated_residue(m).table.terms):
+                if residual.is_zero:
+                    lines.append(f"operator l={l}: annihilates v")
+                else:
+                    failures += 1
+                    lines.append(f"operator l={l}: FAILS, residual {render(residual)}")
+            if failures == 0:
+                lines.append(f"all {m.rank} operators annihilate v")
             else:
-                failures += 1
-                lines.append(f"operator l={l}: FAILS, residual {render(residual)}")
-        if failures == 0:
-            lines.append(f"all {m.rank} operators annihilate v")
-        else:
-            lines.append(f"property violation: {failures} operator(s) do not annihilate v")
-            code = 1
-    elif command == "kernel":
-        d = m.degree if degree is None else degree
-        if d < 0:
-            raise SpecError(f"degree must be nonnegative, got {d}")
-        if d > MAX_DEGREE:
-            raise SpecError(f"degree {d} is above the ceiling {MAX_DEGREE}")
-        from .diffop import solution_space
+                lines.append(f"property violation: {failures} operator(s) do not annihilate v")
+                code = 1
+        elif command == "kernel":
+            d = m.degree if degree is None else degree
+            if d < 0:
+                raise SpecError(f"degree must be nonnegative, got {d}")
+            if d > MAX_DEGREE:
+                raise SpecError(f"degree {d} is above the ceiling {MAX_DEGREE}")
+            from .diffop import solution_space
 
-        basis = solution_space(m, d)
-        lines.append(f"solution space at degree {d}: dimension {len(basis)}")
-        for idx, poly in enumerate(basis):
-            lines.append(f"basis[{idx}] = {render(poly)}")
-    elif command == "lift":
-        if m.rank < 2:
-            raise SpecError("lift needs rank >= 2")
-        from .induction import lift_volume
+            basis = solution_space(m, d)
+            lines.append(f"solution space at degree {d}: dimension {len(basis)}")
+            for idx, poly in enumerate(basis):
+                lines.append(f"basis[{idx}] = {render(poly)}")
+        elif command == "lift":
+            if m.rank < 2:
+                raise SpecError("lift needs rank >= 2")
+            from .induction import lift_volume
 
-        v_prev = iterated_residue(m.restriction())
-        lifted = lift_volume(v_prev, m)
-        lines.append(f"rank-{m.rank - 1} volume: {render(v_prev.table, divided=True)}")
-        lines.append(f"lifted rank-{m.rank} volume: {render(lifted.table, divided=True)}")
-        direct = iterated_residue(m)  # after the renders, so that the residue's peak does not meet theirs
-        if lifted == direct:
-            lines.append("lift agrees with the direct residue computation")
-        else:
-            lines.append("property violation: lift differs from the direct residue")
-            lines.append(f"direct: {render(direct.table, divided=True)}")
-            code = 1
-    elif command == "oracle-compare":
-        if spec.a is None:
-            raise SpecError("oracle-compare needs an evaluation point a=(...)")
-        point = []
-        for x in spec.a:
-            if x.denominator != 1:
-                raise SpecError(f"oracle-compare needs integer a, got {x}")
-            point.append(int(x))
-        if dilations is not None and dilations < m.degree:
-            raise SpecError(f"--dilations must be at least the degree {m.degree}")
-        if dilations is not None and dilations > MAX_DEGREE:
-            raise SpecError(f"--dilations {dilations} is above the ceiling {MAX_DEGREE}")
-        supply = (m.degree if dilations is None else dilations) * sum(point)
-        if supply > MAX_SUPPLY:
-            raise SpecError(
-                f"largest dilated supply t_max * sum(a) = {supply} is above the ceiling {MAX_SUPPLY}"
-            )
-        low = next((x for x in point if x < 1), None)  # compare_volume's check, as an input error
-        if low is not None:
-            raise SpecError(f"supply entry {low} below the required minimum 1")
-        from .oracle import compare_volume
+            v_prev = iterated_residue(m.restriction())
+            lifted = lift_volume(v_prev, m)
+            lines.append(f"rank-{m.rank - 1} volume: {render(v_prev.table, divided=True)}")
+            lines.append(f"lifted rank-{m.rank} volume: {render(lifted.table, divided=True)}")
+            direct = iterated_residue(m)  # after the renders, so that the residue's peak does not meet theirs
+            if lifted == direct:
+                lines.append("lift agrees with the direct residue computation")
+            else:
+                lines.append("property violation: lift differs from the direct residue")
+                lines.append(f"direct: {render(direct.table, divided=True)}")
+                code = 1
+        elif command == "oracle-compare":
+            if spec.a is None:
+                raise SpecError("oracle-compare needs an evaluation point a=(...)")
+            point = []
+            for x in spec.a:
+                if x.denominator != 1:
+                    raise SpecError(f"oracle-compare needs integer a, got {x}")
+                point.append(int(x))
+            if dilations is not None and dilations < m.degree:
+                raise SpecError(f"--dilations must be at least the degree {m.degree}")
+            if dilations is not None and dilations > MAX_DEGREE:
+                raise SpecError(f"--dilations {dilations} is above the ceiling {MAX_DEGREE}")
+            supply = (m.degree if dilations is None else dilations) * sum(point)
+            if supply > MAX_SUPPLY:
+                raise SpecError(
+                    f"largest dilated supply t_max * sum(a) = {supply} is above the ceiling {MAX_SUPPLY}"
+                )
+            low = next((x for x in point if x < 1), None)  # compare_volume's check, as an input error
+            if low is not None:
+                raise SpecError(f"supply entry {low} below the required minimum 1")
+            from .oracle import compare_volume
 
-        report = compare_volume(m, point, t_max=dilations)
-        lines.append(f"volume polynomial value at a=({','.join(map(str, point))}): {report.residue_value}")
-        lines.append(f"lattice-count leading coefficient:  {report.count_value}")
-        if report.matches:
-            lines.append("exact match")
+            report = compare_volume(m, point, t_max=dilations)
+            lines.append(f"volume polynomial value at a=({','.join(map(str, point))}): {report.residue_value}")
+            lines.append(f"lattice-count leading coefficient:  {report.count_value}")
+            if report.matches:
+                lines.append("exact match")
+            else:
+                lines.append(f"MISMATCH: difference {report.residue_value - report.count_value}")
+                code = 1
+        elif command == "corner":
+            exps = m.corner_exponents
+            monomial = MultiPoly.monomial(exps).render()
+            actual = divided_coefficient(iterated_residue(m).table.terms, exps)
+            lines.append(f"corner monomial {monomial}: expected {m.corner_value}, computed {actual}")
+            lines.append("corner coefficient matches")  # VolumePolynomial has checked it
         else:
-            lines.append(f"MISMATCH: difference {report.residue_value - report.count_value}")
-            code = 1
-    elif command == "corner":
-        exps = m.corner_exponents
-        monomial = MultiPoly.monomial(exps).render()
-        actual = divided_coefficient(iterated_residue(m).table.terms, exps)
-        lines.append(f"corner monomial {monomial}: expected {m.corner_value}, computed {actual}")
-        lines.append("corner coefficient matches")  # VolumePolynomial has checked it
-    else:
-        raise SpecError(f"unknown command {command!r}")
+            raise SpecError(f"unknown command {command!r}")
+    except _PropertyViolation as exc:
+        return f"property violation: {exc}", 1
 
     if order_check:
         extra, extra_code = _order_regression_lines()
@@ -500,8 +509,6 @@ def main(argv: list[str] | None = None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _PropertyViolation as exc:
-        text, code = f"property violation: {exc}", 1
     try:
         print(text, flush=True)
     except BrokenPipeError:

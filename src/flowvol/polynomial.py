@@ -254,9 +254,9 @@ class MultiPoly:
         table of a_i and prod top_i! into D, so p is evaluated on the same
         path, with no division by e! per term.
         """
-        if not all(type(v) is int or isinstance(v, Fraction) for v in point):
-            raise ValueError(f"point {tuple(point)} is not of ints or Fractions")
-        values = [Fraction(v) for v in point]
+        values = tuple(point)  # read once: the point may be an iterator
+        if not all(type(v) is int or isinstance(v, Fraction) for v in values):
+            raise ValueError(f"point {values} is not of ints or Fractions")
         if len(values) != self.nvars:
             raise ValueError(f"point has length {len(values)}, expected {self.nvars}")
         if not self.terms:

@@ -272,7 +272,7 @@ def _iterated_sum(m: MultiplicityMatrix, order: Sequence[int]) -> ResidueSum:
 
 def residue_in_order(m: MultiplicityMatrix, order: Sequence[int]) -> MultiPoly:
     """Iterated residue of the kernel, taking variables in the given order."""
-    return from_divided_powers(m.rank, _iterated_sum(m, order).table().terms, 1)
+    return from_divided_powers(m.rank, _iterated_sum(m, tuple(order)).table().terms, 1)
 
 
 class _PropertyViolation(Exception):

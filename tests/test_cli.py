@@ -544,6 +544,11 @@ class TestCommands:
         spec, line = self.miscount_at_five(monkeypatch)
         assert main(["oracle-compare", spec, "--dilations", "5", "--order-check"]) == 1
         assert capsys.readouterr() == (line, "")
+        # run_command returns what main prints, with or without the order check
+        for order_check in (False, True):
+            assert run_command(parse_spec(spec), "oracle-compare", dilations=5, order_check=order_check) == (
+                line[:-1], 1
+            )
 
     @staticmethod
     def golden_plus_a3_to_the_6(m):
@@ -638,6 +643,9 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == f"property violation: {message}\n"
         assert captured.err == ""
+        # run_command returns what main prints, with or without the order check
+        for order_check in (False, True):
+            assert run_command(parse_spec(spec), command, order_check=order_check) == (captured.out[:-1], 1)
 
     def test_other_value_errors_in_the_residue_are_not_relabelled(self, monkeypatch):
         def fail(m, order):

@@ -117,6 +117,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             GOLDEN.evaluate((1, 1))
 
+    @pytest.mark.parametrize("divided", [False, True])
+    def test_point_is_read_once(self, divided):
+        # an iterator is consumed by the first pass over it, so a second read sees no entries
+        point = (Fraction(1, 2), 1, Fraction(-3, 4))
+        assert GOLDEN.evaluate(iter(point), divided=divided) == GOLDEN.evaluate(point, divided=divided)
+
     @given(multipolys(nvars=2), multipolys(nvars=2), rational_points(2))
     def test_evaluation_is_ring_homomorphism(self, p, q, point):
         assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)

@@ -222,6 +222,12 @@ class TestResidueOrder:
         with pytest.raises(ValueError, match="not a permutation"):
             residue_in_order(MultiplicityMatrix(2, (1, 1, 1)), order)
 
+    def test_order_is_read_once(self):
+        # an iterator passes the permutation check and would leave no variable to integrate
+        m = MultiplicityMatrix(2, (1, 1, 1))
+        assert residue_in_order(m, iter((2, 1))) == MultiPoly.variable(1, 2)
+        assert residue_in_order(m, iter((1, 2))) == residue_in_order(m, (1, 2))
+
     def test_reversed_order_changes_the_answer(self):
         m = MultiplicityMatrix(2, (1, 1, 1))
         forward = residue_in_order(m, canonical_order(2))

@@ -44,7 +44,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .multiplicity import MultiplicityMatrix, root_pairs
 from .polynomial import MultiPoly, divided_coefficient
@@ -305,8 +305,8 @@ def render_spec(spec: ProblemSpec) -> str:
     return "; ".join(parts)
 
 
-def _order_regression_lines() -> tuple[list[str], int]:
-    """Pinned check that the residue order is the innermost-first one."""
+def _order_regression_lines(render: Callable[[MultiPoly], str]) -> tuple[list[str], int]:
+    """Pinned check that the residue order is the innermost-first one, its failures shown by ``render``."""
     pinned = MultiplicityMatrix(2, (1, 1, 1))
     canonical = residue_in_order(pinned, canonical_order(2))
     reversed_order = residue_in_order(pinned, tuple(reversed(canonical_order(2))))
@@ -315,8 +315,8 @@ def _order_regression_lines() -> tuple[list[str], int]:
         return ["residue-order regression: ok (reversed order differs on r=2, m=(1,1,1))"], 0
     return [
         "residue-order regression: FAILED",
-        f"  canonical order gave {canonical.render()}",
-        f"  reversed order gave  {reversed_order.render()}",
+        f"  canonical order gave {render(canonical)}",
+        f"  reversed order gave  {render(reversed_order)}",
     ], 1
 
 
@@ -436,7 +436,7 @@ def run_command(
                 code = 1
         elif command == "corner":
             exps = m.corner_exponents
-            monomial = MultiPoly.monomial(exps).render()
+            monomial = render(MultiPoly.monomial(exps))
             actual = divided_coefficient(iterated_residue(m).table.terms, exps)
             lines.append(f"corner monomial {monomial}: expected {m.corner_value}, computed {actual}")
             lines.append("corner coefficient matches")  # VolumePolynomial has checked it
@@ -446,7 +446,7 @@ def run_command(
         return f"property violation: {exc}", 1
 
     if order_check:
-        extra, extra_code = _order_regression_lines()
+        extra, extra_code = _order_regression_lines(render)
         lines.extend(extra)
         code = max(code, extra_code)
     return "\n".join(lines), code

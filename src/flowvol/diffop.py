@@ -23,8 +23,15 @@ time grow with that whole output, which is largest for
 ``induction.OperatorLadder.steps``, a path no command takes.
 ``pde_system`` uses it with the binomial coefficients, and the
 rank-induction operators of ``induction`` use it at node 1.  Both wrap its
-canonical integer terms with ``_operator``, which does not check them again,
-so every operator built here holds ``int`` weights, not ``Fraction`` ones.
+canonical integer terms with ``DiffOperator._trusted``, which does not check
+them again, so every operator built here holds ``int`` weights, not
+``Fraction`` ones.
+
+A ``DiffOperator`` is a ``MultiPoly`` in the symbols d: it is built, added,
+multiplied, raised to a power and compared as one, and its sums, products
+and powers are operators (``embed`` gives a plain ``MultiPoly``).  It adds
+only ``apply``, its rendering in d and a ``poly`` that is the operator
+itself.
 
 To test a candidate, ``node_residuals`` never expands a node operator.  It
 takes the polynomial in divided powers a^e/e!, as its table T(p)_e =
@@ -198,15 +205,6 @@ def _node_terms(
     return levels
 
 
-def _operator(r: int, terms: dict[Exponents, int]) -> DiffOperator:
-    """Canonical nonzero integer weights, such as ``_node_terms`` makes, as an operator, not re-checked.
-
-    The weights stay ``int``, which ``MultiPoly._trusted`` allows, and the
-    dict is taken over as it is.
-    """
-    return DiffOperator(MultiPoly._trusted(r, terms))
-
-
 def _layout(nvars: int, top: int) -> tuple[range, list[int], int, int]:
     """The guarded bit fields for exponents and orders up to ``top`` (module docstring).
 
@@ -232,24 +230,15 @@ def _unpacked(table: Mapping[int, Scalar], shifts: range, guard: int) -> dict[Ex
     return {tuple((key >> s & mask) - guard for s in shifts): c for key, c in table.items()}
 
 
-class DiffOperator(NamedTuple):
-    """Polynomial in the commuting partial-derivative symbols d_1..d_n."""
+class DiffOperator(MultiPoly):
+    """Polynomial in the commuting partial-derivative symbols d_1..d_n, as a ``MultiPoly`` (module docstring)."""
 
-    poly: MultiPoly
+    __slots__ = ()
 
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        return DiffOperator(self.poly + other.poly)
-
-    def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return DiffOperator(self.poly - other.poly)
-
-    def __mul__(self, other: "DiffOperator | Scalar") -> "DiffOperator":
-        if isinstance(other, DiffOperator):
-            return DiffOperator(self.poly * other.poly)
-        return DiffOperator(self.poly * other)
-
-    def __rmul__(self, other: Scalar) -> "DiffOperator":
-        return DiffOperator(self.poly * other)
+    @property
+    def poly(self) -> DiffOperator:
+        """The operator itself, read as its polynomial in d."""
+        return self
 
     def apply(self, p: MultiPoly, divided: bool = False) -> MultiPoly:
         """Apply the operator to a polynomial, exactly, on packed divided powers.
@@ -280,13 +269,13 @@ class DiffOperator(NamedTuple):
         maps every key to 0.  Every other k_i is at most M, so one ``&`` and
         one compare keep the pairs with e >= k, and key - K is the key of e - k.
         """
-        if p.nvars != self.poly.nvars:
-            raise ValueError(f"variable-count mismatch: {self.poly.nvars} vs {p.nvars}")
+        if p.nvars != self.nvars:
+            raise ValueError(f"variable-count mismatch: {self.nvars} vs {p.nvars}")
         tops = [max(column) for column in zip(*p.terms)]
         shifts, places, guard, guards = _layout(p.nvars, max(tops, default=0))
         table = _packed((p.terms if divided else divided_powers(p)).items(), places, guards)
         out: dict[int, Scalar] = {}
-        for dexps, w in self.poly.terms.items():
+        for dexps, w in self.terms.items():
             if any(map(gt, dexps, tops)):
                 continue
             shift = sum(map(mul, dexps, places))
@@ -300,7 +289,7 @@ class DiffOperator(NamedTuple):
         return MultiPoly._trusted(p.nvars, _unpacked({key: c for key, c in out.items() if c}, shifts, guard))
 
     def __str__(self) -> str:
-        return self.poly.render(names="d")
+        return self.render(names="d")
 
     def __repr__(self) -> str:
         return f"DiffOperator({self})"
@@ -327,7 +316,7 @@ def pde_system(m: MultiplicityMatrix) -> PdeSystem:
         for q, level in enumerate(_node_terms(m, l, order - m.rows[l - 1][-1], comb)):
             for exps, coeff in level.items():
                 terms[exps[: l - 1] + (order - q,) + exps[l:]] = (-1) ** q * coeff
-        ops.append(_operator(r, terms))
+        ops.append(DiffOperator._trusted(r, terms))
     return PdeSystem(m, tuple(ops))
 
 

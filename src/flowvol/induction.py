@@ -76,8 +76,8 @@ the ladder metrics of the benchmark in ``flowbench/``, so neither
 ``operator_ladder`` nor a lift builds one.
 
 The D_q and E_n come out of ``_node_terms`` in canonical form, with nonzero
-integer weights, every order from one call, so ``diffop._operator`` wraps
-them as it wraps ``pde_system``'s operators, ``int`` weights and all.  The
+integer weights, every order from one call, so ``DiffOperator._trusted``
+wraps them as it wraps ``pde_system``'s operators, ``int`` weights and all.  The
 lift's S is one such dict too: the signed union of the D_j's terms.  D_j is
 homogeneous of order j, so no key is shared, every weight stays a nonzero
 ``int``, and ``apply`` returns ``int`` tables from it.  None of these goes
@@ -90,7 +90,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .diffop import DiffOperator, _node_terms, _operator
+from .diffop import DiffOperator, _node_terms
 from .multiplicity import MultiplicityMatrix
 from .polynomial import MultiPoly, binomial_series_coeff
 from .residue import VolumePolynomial
@@ -124,19 +124,20 @@ class OperatorLadder:
         2-core x86-64 machine with Python 3.11.
         """
         series = _node_terms(self.m, 1, self.m.restriction_degree, binomial_series_coeff)
-        return tuple(_operator(self.m.rank, terms) for terms in series)
+        return tuple(DiffOperator._trusted(self.m.rank, terms) for terms in series)
 
     def generator(self, q: int) -> DiffOperator:
         """D_q for an int q >= 1: the stored ``generators[q-1]``, or the zero operator above the span."""
         if type(q) is not int or q < 1:  # rejects booleans too
             raise ValueError(f"order must be an int >= 1, got {q!r}")
-        return self.generators[q - 1] if q <= len(self.generators) else _operator(self.m.rank, {})
+        return self.generators[q - 1] if q <= len(self.generators) else DiffOperator._trusted(self.m.rank, {})
 
 
 def operator_ladder(m: MultiplicityMatrix) -> OperatorLadder:
     """The generators up to the span; the steps up to the restricted volume degree wait for a read."""
     span = m.row_sums[0] - m.rows[0][-1]  # orders beyond this vanish
-    return OperatorLadder(m, tuple(_operator(m.rank, terms) for terms in _node_terms(m, 1, span, math.comb))[1:])
+    levels = _node_terms(m, 1, span, math.comb)[1:]  # D_0 = 1 is not a generator
+    return OperatorLadder(m, tuple(DiffOperator._trusted(m.rank, terms) for terms in levels))
 
 
 def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolynomial:
@@ -160,7 +161,7 @@ def lift_volume(v_prev: VolumePolynomial, m: MultiplicityMatrix) -> VolumePolyno
     base = m.row_sums[0] - 1  # the power of a_1 that carries u_0
     # S = D_1 - D_2 + D_3 - ...: the D_j have distinct degrees, so no key is shared
     generators = enumerate(operator_ladder(m).generators, start=1)
-    operator = _operator(r, {k: w if j % 2 else -w for j, d in generators for k, w in d.poly.terms.items()})
+    operator = DiffOperator._trusted(r, {k: w if j % 2 else -w for j, d in generators for k, w in d.terms.items()})
     layers = [v_prev.table.embed(r, offset=1).terms] + [{} for _ in range(h)]  # layers[n] = T(u_n)
     for k in range(h):
         # u_k is complete: every contribution to it came from a lower layer

@@ -214,7 +214,7 @@ def dilation_counts(m: MultiplicityMatrix, a: tuple[int, ...], t_max: int | None
     the fit.  a (m.rank positive integers) and t_max >= degree are
     trusted: ``compare_volume`` checks them.
     """
-    degree = m.degree
+    degree, a = m.degree, tuple(a)  # read once: a may be an iterator
     sink = sum(row[-1] for row in m.rows)
     first = -min(round(Fraction(degree * sum(a) + sink, 2 * sum(a))), degree)
     shift = [s - sum(m.rows[k - 1][i - k - 1] for k in range(1, i)) for i, s in enumerate(m.row_sums, 1)]

@@ -101,10 +101,13 @@ class MultiPoly:
     ``ValueError``.  Arithmetic, ``embed`` and operator
     application trust their canonical operands, drop cancelled zeros
     themselves and wrap their output with ``_trusted``, without checking it
-    again.  ``+`` and ``*`` store the value for a key the result does not
-    hold yet as it is, with no ``Fraction`` add against zero; only a key
-    already present pays for an add, and only such a key can cancel.  A sum
-    with a zero operand is the other operand itself, with no copy.
+    again.  Arithmetic builds its result in the class it is called on, so a
+    subclass such as ``diffop.DiffOperator`` gets its own kind back;
+    ``embed`` always builds a plain ``MultiPoly``.  ``+`` and ``*`` store
+    the value for a key the result does not hold yet as it is, with no
+    ``Fraction`` add against zero; only a key already present pays for an
+    add, and only such a key can cancel.  A sum with a zero operand is the
+    other operand itself, with no copy.
     """
 
     __slots__ = ("nvars", "terms")
@@ -199,7 +202,7 @@ class MultiPoly:
         self._require_same_shape(other)
         if not self.terms or not other.terms:
             return self if self.terms else other
-        return MultiPoly._trusted(self.nvars, table_sum(self.terms, other.terms))
+        return self._trusted(self.nvars, table_sum(self.terms, other.terms))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -207,15 +210,15 @@ class MultiPoly:
         return self + (-other)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return self._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             if not other:
-                return MultiPoly._trusted(self.nvars, {})
-            return MultiPoly._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
+                return self._trusted(self.nvars, {})
+            return self._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._require_same_shape(other)
         product: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -223,7 +226,7 @@ class MultiPoly:
                 exps = tuple(map(add, e1, e2))
                 old = product.get(exps)
                 product[exps] = c1 * c2 if old is None else old + c1 * c2
-        return MultiPoly._trusted(self.nvars, {e: c for e, c in product.items() if c})
+        return self._trusted(self.nvars, {e: c for e, c in product.items() if c})
 
     def __rmul__(self, other: Scalar) -> "MultiPoly":
         return self * other
@@ -231,7 +234,7 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> "MultiPoly":
         if type(exponent) is not int or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.one(self.nvars)
+        result = self.one(self.nvars)
         for _ in range(exponent):
             result = result * self
         return result

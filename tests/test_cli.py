@@ -588,6 +588,11 @@ class TestCommands:
             "  reversed order gave  a1\n",
             "",
         )
+        assert main(["volume", "r=1; m[1,2]=1", "--order-check", "--latex"]) == 1
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "  canonical order gave a_{1}",
+            "  reversed order gave  a_{1}",
+        ]
 
     @pytest.mark.parametrize("error", [ZeroDivisionError, ValueError])
     def test_other_arithmetic_errors_are_not_relabelled(self, monkeypatch, error):
@@ -718,6 +723,14 @@ class TestCommands:
         assert code == 0
         assert "expected 1/12, computed 1/12" in text
         assert "corner coefficient matches" in text
+
+    def test_corner_latex_renders_the_monomial_as_latex(self):
+        text, code = run_command(parse_spec(GOLDEN_TEXT), "corner", latex=True)
+        assert code == 0
+        assert text.splitlines()[0] == "corner monomial a_{1}^{3} a_{2}^{2} a_{3}: expected 1/12, computed 1/12"
+        assert run_command(parse_spec(GOLDEN_TEXT), "corner")[0].splitlines()[0] == (
+            "corner monomial a1^3*a2^2*a3: expected 1/12, computed 1/12"
+        )
 
     def test_order_check(self):
         text, code = run_command(parse_spec("r=1; m[1,2]=1"), "volume", order_check=True)

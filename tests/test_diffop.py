@@ -26,7 +26,7 @@ GOLDEN_M = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 2))
 
 
 def d(i, n):
-    return DiffOperator(MultiPoly.variable(i, n))
+    return DiffOperator.variable(i, n)
 
 
 class TestApply:
@@ -54,28 +54,46 @@ class TestApply:
 
 
 class TestOperatorArithmetic:
-    """Operator ``+``, ``-`` and ``*`` are the polynomial ones on ``.poly``, and each gives an operator.
+    """An operator is a ``MultiPoly`` in the symbols d: its arithmetic is the polynomial one,
+    and each result is an operator.
 
-    ``DiffOperator`` is a tuple, so an operator missing from the class would
-    fall through to the tuple's: ``2 * op`` would repeat it as a 2-tuple and
-    ``op + op`` would concatenate, with no error.
+    ``+``, ``-``, ``*`` and ``**`` build their results in the operator's own
+    class.  A result built as a plain ``MultiPoly`` would still equal the
+    polynomial result, since equality reads only the count and the terms, so
+    its type is what tells the two apart.
     """
 
     @given(st.data())
     def test_every_operation_returns_the_operator_of_the_polynomial_result(self, data):
         n = data.draw(st.integers(1, 3), label="rank")
-        a, b = (DiffOperator(data.draw(multipolys(nvars=n), label=name)) for name in "ab")
+        p, q = (data.draw(multipolys(nvars=n), label=name) for name in "pq")
+        a, b = DiffOperator(n, p.terms), DiffOperator(n, q.terms)
         k = data.draw(st.one_of(st.integers(-6, 6).filter(bool), nonzero_fractions), label="k")
         cases = [
-            (a + b, a.poly + b.poly),
-            (a - b, a.poly - b.poly),
-            (a * b, a.poly * b.poly),
-            (k * a, k * a.poly),
-            (a * k, a.poly * k),
+            (a + b, p + q),
+            (a - b, p - q),
+            (a * b, p * q),
+            (k * a, k * p),
+            (a * k, p * k),
+            (-a, -p),
+            *((a ** e, p ** e) for e in range(4)),
         ]
+        assert a.poly is a
         for result, poly in cases:
             assert type(result) is DiffOperator, result
-            assert result.poly == poly
+            assert result == poly
+
+    @pytest.mark.parametrize("args", [
+        ("x",),
+        (1.0, {(1,): 1}),
+        (2, {(1,): 1}),
+        (1, {(1,): True}),
+    ], ids=["not-a-count", "float-count", "short-exponents", "bool-weight"])
+    def test_constructor_checks_as_multipoly_does(self, args):
+        with pytest.raises(ValueError):
+            MultiPoly(*args)
+        with pytest.raises(ValueError):
+            DiffOperator(*args)
 
 
 def reference_node_terms(m, l, q, weight):
@@ -146,7 +164,7 @@ class TestPdeSystem:
     @pytest.mark.parametrize("mult", [1, 2, 4])
     def test_rank_one(self, mult):
         ops = pde_system(MultiplicityMatrix(1, (mult,))).ops
-        assert ops == (DiffOperator(MultiPoly.variable(1, 1) ** mult),)
+        assert ops == (DiffOperator.variable(1, 1) ** mult,)
 
     def test_rank_two_all_ones(self):
         ops = pde_system(MultiplicityMatrix(2, (1, 1, 1))).ops

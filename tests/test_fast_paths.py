@@ -433,7 +433,7 @@ def reference_pde_system(m):
         for j in range(l + 1, r + 1):
             diff = d_l - MultiPoly.variable(j, r)
             op = diff ** m.multiplicity(l, j) * op
-        ops.append(DiffOperator(op))
+        ops.append(DiffOperator(r, op.terms))
     return tuple(ops)
 
 
@@ -442,9 +442,9 @@ def reference_ladder_steps(m):
     r = m.rank
     span = m.row_sum(1) - m.multiplicity(1, r + 1)
     generators = [lowering_operator(m, q) for q in range(1, span + 1)]
-    steps = [DiffOperator(MultiPoly.one(r))]
+    steps = [DiffOperator.one(r)]
     for n in range(1, m.restriction_degree + 1):
-        acc = DiffOperator(MultiPoly.zero(r))
+        acc = DiffOperator.zero(r)
         for j in range(1, min(n, span) + 1):
             acc = acc + (-1) ** (j + 1) * (generators[j - 1] * steps[n - j])
         steps.append(acc)
@@ -814,11 +814,11 @@ class TestArithmeticStaysCanonical:
 
     @given(multipolys(nvars=2, max_exp=2), multipolys(nvars=2))
     def test_operator_application(self, d, p):
-        assert_canonical(DiffOperator(d).apply(p))
+        assert_canonical(DiffOperator(d.nvars, d.terms).apply(p))
 
     def test_operator_application_cancels(self):
         # (d1 - d2) kills a1 + a2: the two images cancel exactly.
-        op = DiffOperator(MultiPoly.variable(1, 2) - MultiPoly.variable(2, 2))
+        op = DiffOperator.variable(1, 2) - DiffOperator.variable(2, 2)
         image = op.apply(MultiPoly.variable(1, 2) + MultiPoly.variable(2, 2))
         assert image.terms == {}
 
@@ -1197,7 +1197,7 @@ class TestOneCompositionEnumerator:
     @pytest.mark.parametrize("q", [1, 2, 5])
     def test_rank_one_lowering_operator_is_zero(self, q):
         assert not list(_weak_compositions(q, 0))
-        assert lowering_operator(MultiplicityMatrix(1, (3,)), q) == DiffOperator(MultiPoly.zero(1))
+        assert lowering_operator(MultiplicityMatrix(1, (3,)), q) == DiffOperator.zero(1)
 
 
 @st.composite
@@ -1445,7 +1445,8 @@ def operator_families_on_volumes(m):
 def operators(draw, nvars=3):
     """Operators with mixed-denominator and negative coefficients, some of order above
     every exponent the drawn polynomials reach."""
-    return DiffOperator(draw(multipolys(nvars=nvars, max_terms=5, max_exp=draw(st.integers(0, 5)))))
+    p = draw(multipolys(nvars=nvars, max_terms=5, max_exp=draw(st.integers(0, 5))))
+    return DiffOperator(p.nvars, p.terms)
 
 
 @st.composite
@@ -1460,7 +1461,7 @@ def cancelling_sums(draw):
     for (i, j), c in draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)),
                                           nonzero_fractions, max_size=4)).items():
         s = s + (a1 + a2) ** i * a3 ** j * c
-    op = DiffOperator(a1 - a2) * draw(operators())
+    op = DiffOperator(3, (a1 - a2).terms) * draw(operators())
     return op, s, draw(multipolys(nvars=3))
 
 
@@ -1484,7 +1485,7 @@ class TestPackedApplyMatchesPairwise:
         operator_families_on_volumes(m)
 
     @given(operators(), multipolys(nvars=3, max_terms=6, max_exp=4))
-    @example(DiffOperator(MultiPoly(3, {(0, 0, 0): Fraction(-1, 2), (1, 0, 0): Fraction(2, 3)})),
+    @example(DiffOperator(3, {(0, 0, 0): Fraction(-1, 2), (1, 0, 0): Fraction(2, 3)}),
              MultiPoly(3, {(2, 0, 1): Fraction(3, 5), (1, 0, 1): Fraction(-7, 4)}))
     def test_any_rational_operator_and_polynomial(self, op, p):
         assert_apply_matches_reference(op, p)
@@ -1507,8 +1508,8 @@ class TestPackedApplyMatchesPairwise:
 
     @given(multipolys(nvars=3))
     def test_zero_operator(self, p):
-        assert_apply_matches_reference(DiffOperator(MultiPoly.zero(3)), p)
-        assert DiffOperator(MultiPoly.zero(3)).apply(p).is_zero
+        assert_apply_matches_reference(DiffOperator.zero(3), p)
+        assert DiffOperator.zero(3).apply(p).is_zero
 
     @given(multipolys(nvars=3, max_exp=3), st.integers(0, 2), st.integers(1, 3))
     def test_orders_above_the_polynomial_degree(self, p, index, excess):
@@ -1517,7 +1518,7 @@ class TestPackedApplyMatchesPairwise:
         degree = max(map(sum, p.terms), default=0)
         high = [0, 0, 0]
         high[index] = top + excess
-        op = DiffOperator(MultiPoly(3, {tuple(high): Fraction(5, 7), (degree, excess, 0): -3, (0, 0, 1): 1}))
+        op = DiffOperator(3, {tuple(high): Fraction(5, 7), (degree, excess, 0): -3, (0, 0, 1): 1})
         assert_apply_matches_reference(op, p)
         assert op.apply(p) == partial(p, 3)
 
@@ -1529,7 +1530,7 @@ def table_of(poly):
 
 def lift_operator(m):
     """The lift's S = D_1 - D_2 + D_3 - ..., summed with the operator algebra."""
-    operator = DiffOperator(MultiPoly.zero(m.rank))
+    operator = DiffOperator.zero(m.rank)
     for j, generator in enumerate(operator_ladder(m).generators, start=1):
         operator = operator + (-1) ** (j + 1) * generator
     return operator
@@ -1614,11 +1615,11 @@ class TestDividedApply:
         divided_apply_families(seeded_matrix(rank, entries, seed))
 
     @given(operators(), multipolys(nvars=3, max_terms=6, max_exp=4))
-    @example(DiffOperator(MultiPoly(3, {(0, 0, 0): Fraction(-1, 2), (1, 0, 0): Fraction(2, 3)})),
+    @example(DiffOperator(3, {(0, 0, 0): Fraction(-1, 2), (1, 0, 0): Fraction(2, 3)}),
              MultiPoly(3, {(2, 0, 1): Fraction(3, 5), (1, 0, 1): Fraction(-7, 4)}))
     def test_rational_operators_on_integer_and_fraction_tables(self, op, p):
         integers = MultiPoly._trusted(3, {e: c.numerator for e, c in p.terms.items()})
-        int_op = DiffOperator(MultiPoly._trusted(3, {k: w.numerator for k, w in op.poly.terms.items()}))
+        int_op = DiffOperator._trusted(3, {k: w.numerator for k, w in op.terms.items()})
         assert_divided_apply_matches(op, p)  # p's Fraction values read as a table
         assert_divided_apply_matches(op, integers)  # Fraction weights, even with denominator 1
         assert_divided_apply_matches(op * Fraction(2, 3), p)
@@ -1634,7 +1635,7 @@ class TestDividedApply:
 
     def test_a_term_is_skipped_only_above_the_largest_exponent(self):
         cube = MultiPoly._trusted(2, {(3, 0): 6})  # the table of a1^3
-        d2, d1_cubed = (DiffOperator(MultiPoly(2, {k: 1})) for k in ((0, 1), (3, 0)))
+        d2, d1_cubed = (DiffOperator(2, {k: 1}) for k in ((0, 1), (3, 0)))
         assert d2.apply(cube, divided=True).terms == {} and d2.apply(MultiPoly(2, {(3, 0): 1})).is_zero
         assert d1_cubed.apply(cube, divided=True).terms == {(0, 0): 6}
         assert d1_cubed.apply(MultiPoly(2, {(3, 0): 1})) == MultiPoly(2, {(0, 0): 6})

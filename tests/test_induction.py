@@ -22,7 +22,7 @@ GOLDEN_M = MultiplicityMatrix(3, (1, 1, 2, 1, 2, 2))
 
 
 def d(i, n):
-    return DiffOperator(MultiPoly.variable(i, n))
+    return DiffOperator.variable(i, n)
 
 
 def reference_lift(v_prev, m):
@@ -56,7 +56,7 @@ def all_matrices(rank, first_row=None):
 class TestLoweringOperator:
     @given(multiplicity_matrices(min_rank=2, max_rank=4))
     def test_first_order_is_weighted_gradient(self, m):
-        expected = DiffOperator(MultiPoly.zero(m.rank))
+        expected = DiffOperator.zero(m.rank)
         for i in range(2, m.rank + 1):
             expected = expected + m.multiplicity(1, i) * d(i, m.rank)
         assert lowering_operator(m, 1) == expected
@@ -84,7 +84,7 @@ class TestLoweringOperator:
         monkeypatch.setattr(flowvol.induction, "_node_terms", recording)
         span = GOLDEN_M.row_sum(1) - GOLDEN_M.multiplicity(1, GOLDEN_M.rank + 1)
         assert lowering_operator(GOLDEN_M, span + 5).poly.is_zero
-        assert lowering_operator(GOLDEN_M, 10**6) == DiffOperator(MultiPoly.zero(GOLDEN_M.rank))
+        assert lowering_operator(GOLDEN_M, 10**6) == DiffOperator.zero(GOLDEN_M.rank)
         lowering_operator(GOLDEN_M, span)
         # each call builds its ladder, which stops at the span; no call reaches q
         assert tops == [span] * 3
@@ -103,7 +103,7 @@ class TestLoweringOperator:
             if q <= span:
                 assert generator is ladder.generators[q - 1]
             else:
-                assert generator == DiffOperator(MultiPoly.zero(m.rank))
+                assert generator == DiffOperator.zero(m.rank)
             assert lowering_operator(m, q) == generator
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -131,7 +131,7 @@ class TestOperatorLadder:
     def test_explicit_low_steps(self):
         ladder = operator_ladder(GOLDEN_M)
         d1, d2, d3 = (ladder.generator(q) for q in (1, 2, 3))
-        assert ladder.steps[0] == DiffOperator(MultiPoly.one(3))
+        assert ladder.steps[0] == DiffOperator.one(3)
         assert ladder.steps[1] == d1
         assert ladder.steps[2] == d1 * d1 - d2
         assert ladder.steps[3] == d1 * d1 * d1 - 2 * (d1 * d2) + d3
@@ -198,7 +198,7 @@ class TestOperatorLadder:
     def test_rank_one_ladder_is_trivial(self):
         ladder = operator_ladder(MultiplicityMatrix(1, (4,)))
         assert ladder.generators == ()
-        assert ladder.steps == (DiffOperator(MultiPoly.one(1)),)
+        assert ladder.steps == (DiffOperator.one(1),)
 
 
 class TestLiftVolume:
@@ -263,6 +263,23 @@ class TestLiftVolume:
         lifted = lift_volume(iterated_residue(GOLDEN_M.restriction()), GOLDEN_M)
         assert lifted.poly == iterated_residue(GOLDEN_M).poly
         assert len(ladders) == 1 and "steps" not in vars(ladders[0])
+
+    def test_operators_show_the_terms_the_benchmark_tracer_reads(self, monkeypatch):
+        # flowbench's tracer reads ``.poly.terms`` of every applied operator and of
+        # every ladder step; each key must be an int tuple of length r
+        applied, apply = [], DiffOperator.apply
+
+        def recording(self, p, divided=False):
+            applied.append(self)
+            return apply(self, p, divided)
+
+        monkeypatch.setattr(DiffOperator, "apply", recording)
+        lift_volume(iterated_residue(GOLDEN_M.restriction()), GOLDEN_M)
+        assert applied
+        for op in applied + list(operator_ladder(GOLDEN_M).steps):
+            for key in op.poly.terms:
+                assert type(key) is tuple and len(key) == GOLDEN_M.rank, (op, key)
+                assert all(type(e) is int for e in key), (op, key)
 
     def test_wrong_restriction_rejected(self):
         other = MultiplicityMatrix(2, (2, 2, 2))

@@ -162,6 +162,12 @@ class TestDilationTable:
         assert table.predicted(2) == 15
         assert table.leading_coefficient == 2
 
+    def test_point_is_read_once(self):
+        # the window reads sum(a) and every dilation reads a again
+        table = dilation_counts(MultiplicityMatrix(2, (1, 1, 1)), iter((2, 1)))
+        assert table == dilation_counts(MultiplicityMatrix(2, (1, 1, 1)), (2, 1))
+        assert table.leading_coefficient == 2
+
     def test_window_start_balances_the_supplies(self):
         # T = round((d*sum(a) + sum_i m[i,r+1]) / (2*sum(a))), capped at d
         assert dilation_counts(GOLDEN_M, (1, 1, 1)).first == -4  # round((6*3 + 6) / 6)

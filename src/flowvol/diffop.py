@@ -7,25 +7,14 @@ node: row l contributes
 
     prod_{j=l+1..r} (d_l - d_j)^m[l,j] * d_l^m[l,r+1]
 
-of order row_sum(l).  Expanding each binomial,
-
-    (d_l - d_j)^m = sum_p C(m, p) d_l^(m-p) (-d_j)^p,
-
-the node operator is sum_q (-1)^q d_l^(row_sum(l) - q) * B_q, where B_q, the
-u^q coefficient of prod_{j>l} (1 + u d_j)^m[l,j], is the sum over exponent
-vectors (p_(l+1), ..., p_r) with p_(l+1) + ... + p_r = q of
-prod_j C(m[l,j], p_j) d_j^p_j.  Distinct vectors give distinct monomials, so
-no two terms of the expansion merge, and every coefficient is an integer.
-``_node_terms`` is that coefficient rule for any weight in place of C(m, p),
-every degree q up to a top from one pass over the weighted monomials of
-total at most top, returned as a list of per-degree dicts; its memory and
-time grow with that whole output, which is largest for
-``induction.OperatorLadder.steps``, a path no command takes.
-``pde_system`` uses it with the binomial coefficients, and the
-rank-induction operators of ``induction`` use it at node 1.  Both wrap its
-canonical integer terms with ``DiffOperator._trusted``, which does not check
-them again, so every operator built here holds ``int`` weights, not
-``Fraction`` ones.
+of order row_sum(l).  ``pde_system`` builds each node operator as that
+product of its factors, in the operator algebra of ``MultiPoly``, starting
+from the unit operators d_i and the empty product, each holding the ``int``
+weight 1 and wrapped by ``DiffOperator._trusted``.  Sums, negations and
+products of ``int`` weights are ``int``, so every operator built here holds
+``int`` weights, not ``Fraction`` ones.  No command calls it: it is the
+reference that the acceptance criteria and the tests check the key shifts
+of ``node_residuals`` (below) against.
 
 A ``DiffOperator`` is a ``MultiPoly`` in the symbols d: it is built, added,
 multiplied, raised to a power and compared as one, and its sums, products
@@ -160,49 +149,14 @@ c_k e!/target!.  This gives the same kernel, for three reasons:
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import gt, mul
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .multiplicity import MultiplicityMatrix
 from .polynomial import Exponents, MultiPoly, Scalar, divided_powers, from_divided_powers, homogeneous_monomials
-
-
-def _node_terms(
-    m: MultiplicityMatrix, l: int, top: int, weight: Callable[[int, int], int]
-) -> list[dict[Exponents, int]]:
-    """The u^q coefficients, q = 0..top, of prod_{j=l+1..r} (sum_p weight(m[l,j], p) u^p d_j^p).
-
-    Coefficient q is ``{exponents: int}`` in all r partials, zero weights
-    dropped; the exponents of d_1..d_l are zero, and the keys come in the
-    order of ``homogeneous_monomials(r - l, q)``.  Every degree comes from
-    one pass: the weighted monomials of total at most top in d_(l+1)..d_r
-    are listed in one ``{exponents: weight}`` dict, in descending lex order,
-    one trailing variable appended a step with its powers from the largest
-    down and its weights for the powers 0..top read from one row.  A zero
-    weight is dropped where it is met, since it zeroes every product that
-    carries it.  Each monomial is then filed under its degree, which keeps
-    descending lex order within a degree.  Keys and weights are flat, so
-    the cyclic garbage collector drops them from its scans at once; a list
-    of (key, weight, total) tuples made it rescan the growing list about
-    130 times at r=7 (the ladder steps below).
-
-    The dict holds every monomial at once, so time and memory grow with the
-    whole output: tens of microseconds at the spans of ``pde_system`` and
-    the lift's ladder, and 5.2 million terms, about 6 s and 1 GiB, for
-    ``induction.OperatorLadder.steps`` at r=7 with every multiplicity 2,
-    which no command reads.
-    """
-    terms = {(0,) * l: 1}
-    for mult in m.rows[l - 1][:-1]:  # m[l,j] for j = l+1..r
-        row = [weight(mult, p) for p in range(top + 1)]
-        terms = {key + (e,): w * x
-                 for key, w in terms.items() for e in range(top - sum(key), -1, -1) if (x := row[e])}
-    levels: list[dict[Exponents, int]] = [{} for _ in range(top + 1)]
-    for key, w in terms.items():
-        levels[sum(key)][key] = w
-    return levels
 
 
 def _layout(nvars: int, top: int) -> tuple[range, list[int], int, int]:
@@ -269,8 +223,7 @@ class DiffOperator(MultiPoly):
         maps every key to 0.  Every other k_i is at most M, so one ``&`` and
         one compare keep the pairs with e >= k, and key - K is the key of e - k.
         """
-        if p.nvars != self.nvars:
-            raise ValueError(f"variable-count mismatch: {self.nvars} vs {p.nvars}")
+        self._require_same_shape(p)
         tops = [max(column) for column in zip(*p.terms)]
         shifts, places, guard, guards = _layout(p.nvars, max(tops, default=0))
         table = _packed((p.terms if divided else divided_powers(p)).items(), places, guards)
@@ -307,16 +260,14 @@ class PdeSystem(NamedTuple):
 
 
 def pde_system(m: MultiplicityMatrix) -> PdeSystem:
-    """Build the annihilating operator of every node from its binomial expansion."""
+    """Build the annihilating operator of every node as the product of its factors (module docstring)."""
     r = m.rank
+    d = [DiffOperator._trusted(r, {exps: 1}) for exps in homogeneous_monomials(r, 1)]  # d_1, ..., d_r
     ops = []
     for l in range(r, 0, -1):
-        order = m.row_sums[l - 1]
-        terms = {}
-        for q, level in enumerate(_node_terms(m, l, order - m.rows[l - 1][-1], comb)):
-            for exps, coeff in level.items():
-                terms[exps[: l - 1] + (order - q,) + exps[l:]] = (-1) ** q * coeff
-        ops.append(DiffOperator._trusted(r, terms))
+        row, d_l = m.rows[l - 1], d[l - 1]
+        factors = [d_l] * row[-1] + [d_l - d_j for d_j, q in zip(d[l:], row[:-1]) for _ in range(q)]
+        ops.append(reduce(mul, factors, DiffOperator._trusted(r, {(0,) * r: 1})))
     return PdeSystem(m, tuple(ops))
 
 

@@ -75,25 +75,63 @@ the package reads the E_n: they exist for acceptance criterion 8 and for
 the ladder metrics of the benchmark in ``flowbench/``, so neither
 ``operator_ladder`` nor a lift builds one.
 
-The D_q and E_n come out of ``_node_terms`` in canonical form, with nonzero
-integer weights, every order from one call, so ``DiffOperator._trusted``
-wraps them as it wraps ``pde_system``'s operators, ``int`` weights and all.  The
-lift's S is one such dict too: the signed union of the D_j's terms.  D_j is
-homogeneous of order j, so no key is shared, every weight stays a nonzero
-``int``, and ``apply`` returns ``int`` tables from it.  None of these goes
-through the checking constructor again, since inputs are checked where they
-enter, and none uses the operator algebra's ``+`` or scalar ``*``.
+Both families are node 1's coefficient rule ``_node_terms`` with two
+weights, C(m[1,i], p) and C(m[1,i] - 1 + p, p).  It gives them in canonical
+form, with nonzero integer weights, every order from one call, so
+``DiffOperator._trusted`` wraps them without a check, ``int`` weights and
+all.  The lift's S is one such dict too: the signed union of the D_j's
+terms.  D_j is homogeneous of order j, so no key is shared, every weight
+stays a nonzero ``int``, and ``apply`` returns ``int`` tables from it.
+None of these goes through the checking constructor again, since inputs
+are checked where they enter, and none uses the operator algebra's ``+``
+or scalar ``*``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import Callable
 
-from .diffop import DiffOperator, _node_terms
+from .diffop import DiffOperator
 from .multiplicity import MultiplicityMatrix
-from .polynomial import MultiPoly, binomial_series_coeff
+from .polynomial import Exponents, MultiPoly, binomial_series_coeff
 from .residue import VolumePolynomial
+
+
+def _node_terms(m: MultiplicityMatrix, top: int, weight: Callable[[int, int], int]) -> list[dict[Exponents, int]]:
+    """The u^q coefficients, q = 0..top, of prod_{j=2..r} (sum_p weight(m[1,j], p) u^p d_j^p).
+
+    Coefficient q is ``{exponents: int}`` in all r partials, zero weights
+    dropped; the exponent of d_1 is zero, and the keys come in the order of
+    ``homogeneous_monomials(r - 1, q)``.  Distinct exponent vectors give
+    distinct monomials, so no two terms of the product merge.  Every degree
+    comes from one pass: the weighted monomials of total at most top in
+    d_2..d_r are listed in one ``{exponents: weight}`` dict, in descending
+    lex order, one trailing variable appended a step with its powers from
+    the largest down and its weights for the powers 0..top read from one
+    row.  A zero weight is dropped where it is met, since it zeroes every
+    product that carries it.  Each monomial is then filed under its degree,
+    which keeps descending lex order within a degree.  Keys and weights are
+    flat, so the cyclic garbage collector drops them from its scans at
+    once; a list of (key, weight, total) tuples made it rescan the growing
+    list about 130 times at r=7 (``OperatorLadder.steps``).
+
+    The dict holds every monomial at once, so time and memory grow with the
+    whole output: tens of microseconds at the span of the lift's ladder,
+    and 5.2 million terms, about 6 s and 1 GiB, for
+    ``OperatorLadder.steps`` at r=7 with every multiplicity 2, which no
+    command reads.
+    """
+    terms = {(0,): 1}
+    for mult in m.rows[0][:-1]:  # m[1,j] for j = 2..r
+        row = [weight(mult, p) for p in range(top + 1)]
+        terms = {key + (e,): w * x
+                 for key, w in terms.items() for e in range(top - sum(key), -1, -1) if (x := row[e])}
+    levels: list[dict[Exponents, int]] = [{} for _ in range(top + 1)]
+    for key, w in terms.items():
+        levels[sum(key)][key] = w
+    return levels
 
 
 def lowering_operator(m: MultiplicityMatrix, q: int) -> DiffOperator:
@@ -118,12 +156,12 @@ class OperatorLadder:
     def steps(self) -> tuple[DiffOperator, ...]:
         """E_0..E_h, read off the series rule in one pass (module docstring).
 
-        The cost is that of ``diffop._node_terms`` up to h, the restricted
+        The cost is that of ``_node_terms`` up to h, the restricted
         volume degree: at r=7 with every multiplicity 2, 37 operators of 5.2
         million terms in all, about 6.4 s and 1.0 GiB of peak memory on a
         2-core x86-64 machine with Python 3.11.
         """
-        series = _node_terms(self.m, 1, self.m.restriction_degree, binomial_series_coeff)
+        series = _node_terms(self.m, self.m.restriction_degree, binomial_series_coeff)
         return tuple(DiffOperator._trusted(self.m.rank, terms) for terms in series)
 
     def generator(self, q: int) -> DiffOperator:
@@ -136,7 +174,7 @@ class OperatorLadder:
 def operator_ladder(m: MultiplicityMatrix) -> OperatorLadder:
     """The generators up to the span; the steps up to the restricted volume degree wait for a read."""
     span = m.row_sums[0] - m.rows[0][-1]  # orders beyond this vanish
-    levels = _node_terms(m, 1, span, math.comb)[1:]  # D_0 = 1 is not a generator
+    levels = _node_terms(m, span, math.comb)[1:]  # D_0 = 1 is not a generator
     return OperatorLadder(m, tuple(DiffOperator._trusted(m.rank, terms) for terms in levels))
 
 

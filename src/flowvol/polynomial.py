@@ -106,8 +106,9 @@ class MultiPoly:
     ``embed`` always builds a plain ``MultiPoly``.  ``+`` and ``*`` store
     the value for a key the result does not hold yet as it is, with no
     ``Fraction`` add against zero; only a key already present pays for an
-    add, and only such a key can cancel.  A sum with a zero operand is the
-    other operand itself, with no copy.
+    add, and only such a key can cancel.  A sum with a zero operand holds
+    the other operand's terms, with no copy, in the left operand's class,
+    so every sum has the class of its left operand.
     """
 
     __slots__ = ("nvars", "terms")
@@ -193,15 +194,12 @@ class MultiPoly:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same_shape(other)
         if not self.terms or not other.terms:
-            return self if self.terms else other
+            return self._trusted(self.nvars, other.terms) if other.terms else self
         return self._trusted(self.nvars, table_sum(self.terms, other.terms))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":

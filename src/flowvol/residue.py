@@ -292,11 +292,12 @@ class VolumePolynomial:
     ``VolumePolynomial(m, poly)`` takes v itself and writes its table at
     once, with ``polynomial.divided_powers``, whose integral entries are
     ``int``, so a volume's table is the same integer table whichever way it
-    was made.  ``poly`` is always built from the table, by one
-    ``from_divided_powers`` on its first read, so the table is the one
-    source of v even when v was made from a polynomial.  ``str(v)`` and
-    ``value_at`` read the table with ``divided=True``, and two volumes are
-    equal when their matrices and tables are.
+    was made.  ``poly`` is built from the table by one
+    ``from_divided_powers`` on each read and never kept, so the table is
+    the one source of v even when v was made from a polynomial; no command
+    reads it.  ``str(v)`` and ``value_at`` read the table with
+    ``divided=True``, and two volumes are equal when their matrices and
+    tables are.
 
     The table is checked once, when v is made.  One that is zero, not
     homogeneous of the volume degree or with a corner coefficient T(v)_o /
@@ -305,7 +306,7 @@ class VolumePolynomial:
     property violation.
     """
 
-    __slots__ = ("m", "table", "_poly")
+    __slots__ = ("m", "table")
 
     def __init__(self, m: MultiplicityMatrix, poly: MultiPoly) -> None:
         if poly.nvars != m.rank:
@@ -320,7 +321,7 @@ class VolumePolynomial:
         return volume
 
     def _hold(self, m: MultiplicityMatrix, table: MultiPoly) -> None:
-        """Check the table, then keep it; the polynomial waits for its first read."""
+        """Check the table, then keep it; ``poly`` is built from it on each read."""
         if not table.terms:
             raise _VolumeCheckError("volume polynomial cannot be identically zero")
         if set(map(sum, table.terms)) != {m.degree}:
@@ -328,19 +329,14 @@ class VolumePolynomial:
         corner = divided_coefficient(table.terms, m.corner_exponents)
         if corner != m.corner_value:
             raise _VolumeCheckError(f"corner coefficient {corner} differs from expected {m.corner_value}")
-        self.m, self.table, self._poly = m, table, None
+        self.m, self.table = m, table
 
     @property
     def poly(self) -> MultiPoly:
-        if self._poly is None:
-            self._poly = from_divided_powers(self.m.rank, self.table.terms, 1)
-        return self._poly
+        return from_divided_powers(self.m.rank, self.table.terms, 1)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VolumePolynomial) and self.m == other.m and self.table == other.table
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.table))
 
     def value_at(self, point: Sequence[Fraction | int]) -> Fraction:
         return self.table.evaluate(point, divided=True)

@@ -698,19 +698,18 @@ class TestCommands:
         span = m.row_sums[0] - m.rows[0][-1]
         assert m.restriction_degree > span
         kinds, tops = [], []
-        evaluate, node_terms = MultiPoly.evaluate, flowvol.diffop._node_terms
+        evaluate, node_terms = MultiPoly.evaluate, flowvol.induction._node_terms
 
         def recording_evaluate(self, point, divided=False):
             kinds.append({type(c) for c in self.terms.values()})
             return evaluate(self, point, divided)
 
-        def recording_node_terms(m, l, top, weight):
+        def recording_node_terms(m, top, weight):
             tops.append(top)
-            return node_terms(m, l, top, weight)
+            return node_terms(m, top, weight)
 
         monkeypatch.setattr(MultiPoly, "evaluate", recording_evaluate)
-        for module in (flowvol.diffop, flowvol.induction):
-            monkeypatch.setattr(module, "_node_terms", recording_node_terms)
+        monkeypatch.setattr(flowvol.induction, "_node_terms", recording_node_terms)
         for command in ("volume", "check-pde", "kernel", "lift", "oracle-compare", "corner"):
             assert run_command(spec, command)[1] == 0, command
         fractional = tuple(Fraction(k + 2, k + 1) for k in range(m.rank))

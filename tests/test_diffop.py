@@ -2,7 +2,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,9 +15,9 @@ from flowvol import (
     pde_system,
     solution_space,
 )
-from flowvol.diffop import DiffOperator, _node_terms
+from flowvol.diffop import DiffOperator
 from flowvol.linalg import integer_nullspace
-from flowvol.polynomial import binomial_series_coeff, homogeneous_monomials
+from flowvol.polynomial import homogeneous_monomials
 
 from conftest import multipolys, multiplicity_matrices, nonzero_fractions
 
@@ -95,60 +94,16 @@ class TestOperatorArithmetic:
         with pytest.raises(ValueError):
             DiffOperator(*args)
 
-
-def reference_node_terms(m, l, q, weight):
-    """The u^q coefficient of the node-l product, one degree at a time.
-
-    Each monomial of ``homogeneous_monomials`` in the trailing variables
-    d_(l+1)..d_r takes its factors from the weight rows; zero products are
-    dropped.
-    """
-    r = m.rank
-    if l == r:
-        return {(0,) * r: 1} if q == 0 else {}
-    rows = [[weight(mult, p) for p in range(q + 1)] for mult in m.rows[l - 1][:-1]]
-    terms = {}
-    for powers in homogeneous_monomials(r - l, q):
-        coeff = prod(row[p] for row, p in zip(rows, powers))
-        if coeff:
-            terms[(0,) * l + powers] = coeff
-    return terms
-
-
-class TestNodeTerms:
-    @pytest.mark.parametrize("weight", [comb, binomial_series_coeff], ids=["comb", "series"])
-    @pytest.mark.parametrize("rank", range(1, 7))
-    def test_every_degree_equals_the_enumeration(self, rank, weight):
-        # the all-ones matrix and two seeded ones; every node, up to one degree
-        # past the node's span (where the binomial weights vanish), at most 7
-        rng = random.Random(330 + rank)
-        size = rank * (rank + 1) // 2
-        matrices = [(1,) * size] + [tuple(rng.randint(1, 3) for _ in range(size)) for _ in range(2)]
-        for mult in matrices:
-            m = MultiplicityMatrix(rank, mult)
-            for l in range(1, rank + 1):
-                top = min(m.row_sums[l - 1] - m.rows[l - 1][-1] + 1, 7)
-                levels = list(_node_terms(m, l, top, weight))
-                assert len(levels) == top + 1
-                for q, level in enumerate(levels):
-                    expected = reference_node_terms(m, l, q, weight)
-                    assert list(level.items()) == list(expected.items()), (mult, l, q)
-
-    @given(st.data())
-    def test_any_node_and_top_equals_the_enumeration(self, data):
-        # any node and top up to 10 for both weights, and the ladder steps'
-        # call, the series weight at node 1 up to the restricted volume degree
-        m = data.draw(multiplicity_matrices(max_rank=5))
-        weight = data.draw(st.sampled_from([comb, binomial_series_coeff]))
-        cases = [(data.draw(st.integers(1, m.rank)), data.draw(st.integers(0, 10)), weight)]
-        if m.rank <= 4:
-            cases.append((1, m.restriction_degree, binomial_series_coeff))
-        for l, top, weight in cases:
-            levels = _node_terms(m, l, top, weight)
-            assert type(levels) is list and len(levels) == top + 1
-            for q, level in enumerate(levels):
-                expected = reference_node_terms(m, l, q, weight)
-                assert list(level.items()) == list(expected.items()), (m, l, top, q)
+    @pytest.mark.parametrize("left, right, kind", [
+        (DiffOperator.zero(2), MultiPoly.variable(1, 2), DiffOperator),
+        (DiffOperator.one(2), MultiPoly.variable(1, 2), DiffOperator),
+        (MultiPoly.zero(2), DiffOperator.one(2), MultiPoly),
+    ], ids=["zero-operator-left", "operator-left", "zero-polynomial-left"])
+    def test_a_sum_has_its_left_operands_class(self, left, right, kind):
+        # a zero operand on either side does not change the rule
+        total = left + right
+        assert type(total) is kind
+        assert total == MultiPoly(2, {**left.terms, **right.terms})
 
 
 class TestPdeSystem:

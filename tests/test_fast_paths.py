@@ -33,10 +33,11 @@ where ``solution_space`` scales the null vector before its one conversion;
 ``filtered_staircase`` filters every
 monomial with it, where ``homogeneous_monomials`` builds only the staircase
 from its suffix-sum caps.  ``reference_pde_system``
-multiplies out the node operators prod_j (d_l - d_j)^m[l,j] * d_l^m[l,r+1] and
-``reference_ladder_steps`` runs E_n = sum_j (-1)^(j+1) D_j E_(n-j) as
-operator products, as the package did before both were read off their
-closed forms.  ``reference_node_residuals`` applies each expanded node
+reads the node operators off the closed form of their binomial expansion,
+where ``pde_system`` multiplies out prod_j (d_l - d_j)^m[l,j] * d_l^m[l,r+1],
+and ``reference_ladder_steps`` runs E_n = sum_j (-1)^(j+1) D_j E_(n-j) as
+operator products, as the package did before the E_n were read off their
+closed form.  ``reference_node_residuals`` applies each expanded node
 operator of ``pde_system`` with ``op.apply``, and ``partial_node_residual``
 applies its linear factors one at a time with ``partial`` (conftest), where
 ``node_residuals`` shifts the keys of an integer divided-power table, and
@@ -424,16 +425,25 @@ def staircase_solution_space(m, degree):
 
 
 def reference_pde_system(m):
-    """The node operators as products of powers of binomials."""
+    """The node operators from the closed form of their binomial expansion.
+
+    Expanding each (d_l - d_j)^m[l,j], the node-l operator is
+    sum_q (-1)^q d_l^(row_sum(l) - q) * B_q, where B_q, the u^q coefficient
+    of prod_{j>l} (1 + u d_j)^m[l,j], is the sum over the exponent vectors
+    (p_(l+1), ..., p_r) of total q of prod_j C(m[l,j], p_j) d_j^p_j.
+    Distinct vectors give distinct monomials, so no two terms merge.
+    """
     r = m.rank
     ops = []
     for l in range(r, 0, -1):
-        d_l = MultiPoly.variable(l, r)
-        op = d_l ** m.multiplicity(l, r + 1)
-        for j in range(l + 1, r + 1):
-            diff = d_l - MultiPoly.variable(j, r)
-            op = diff ** m.multiplicity(l, j) * op
-        ops.append(DiffOperator(r, op.terms))
+        order, row = m.row_sums[l - 1], m.rows[l - 1]
+        terms = {}
+        for q in range(order - row[-1] + 1):
+            for powers in homogeneous_monomials(r - l, q) if l < r else [()] if q == 0 else []:
+                coeff = math.prod(map(math.comb, row[:-1], powers))
+                if coeff:
+                    terms[(0,) * (l - 1) + (order - q,) + powers] = (-1) ** q * coeff
+        ops.append(DiffOperator(r, terms))
     return tuple(ops)
 
 

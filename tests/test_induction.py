@@ -1,9 +1,10 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import flowvol.induction
 from flowvol import (
@@ -15,6 +16,8 @@ from flowvol import (
     operator_ladder,
 )
 from flowvol.diffop import DiffOperator
+from flowvol.induction import _node_terms
+from flowvol.polynomial import binomial_series_coeff, homogeneous_monomials
 
 from conftest import multiplicity_matrices
 
@@ -53,6 +56,69 @@ def all_matrices(rank, first_row=None):
     return [MultiplicityMatrix(rank, (first_row or ()) + tail) for tail in rest]
 
 
+def reference_node_terms(m, q, weight):
+    """The u^q coefficient of the node-1 product, one degree at a time.
+
+    Each monomial of ``homogeneous_monomials`` in the trailing variables
+    d_2..d_r takes its factors from the weight rows; zero products are
+    dropped.
+    """
+    r = m.rank
+    if r == 1:
+        return {(0,): 1} if q == 0 else {}
+    rows = [[weight(mult, p) for p in range(q + 1)] for mult in m.rows[0][:-1]]
+    terms = {}
+    for powers in homogeneous_monomials(r - 1, q):
+        coeff = math.prod(row[p] for row, p in zip(rows, powers))
+        if coeff:
+            terms[(0,) + powers] = coeff
+    return terms
+
+
+def restrictions(m):
+    """m and each of its restrictions down to rank 1: node 1 of the (l-1)-th is node l of m."""
+    chain = [m]
+    while chain[-1].rank > 1:
+        chain.append(chain[-1].restriction())
+    return chain
+
+
+class TestNodeTerms:
+    @pytest.mark.parametrize("weight", [math.comb, binomial_series_coeff], ids=["comb", "series"])
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_every_degree_equals_the_enumeration(self, rank, weight):
+        # the all-ones matrix and two seeded ones, with every restriction of
+        # each, up to one degree past the first row's span (where the binomial
+        # weights vanish), at most 7
+        rng = random.Random(330 + rank)
+        size = rank * (rank + 1) // 2
+        matrices = [(1,) * size] + [tuple(rng.randint(1, 3) for _ in range(size)) for _ in range(2)]
+        for mult in matrices:
+            for m in restrictions(MultiplicityMatrix(rank, mult)):
+                top = min(m.row_sums[0] - m.rows[0][-1] + 1, 7)
+                levels = list(_node_terms(m, top, weight))
+                assert len(levels) == top + 1
+                for q, level in enumerate(levels):
+                    expected = reference_node_terms(m, q, weight)
+                    assert list(level.items()) == list(expected.items()), (mult, m, q)
+
+    @given(st.data())
+    def test_any_restriction_and_top_equals_the_enumeration(self, data):
+        # any restriction and top up to 10 for both weights, and the ladder
+        # steps' call, the series weight up to the restricted volume degree
+        m = data.draw(multiplicity_matrices(max_rank=5))
+        weight = data.draw(st.sampled_from([math.comb, binomial_series_coeff]))
+        cases = [(data.draw(st.sampled_from(restrictions(m))), data.draw(st.integers(0, 10)), weight)]
+        if m.rank <= 4:
+            cases.append((m, m.restriction_degree, binomial_series_coeff))
+        for node, top, weight in cases:
+            levels = _node_terms(node, top, weight)
+            assert type(levels) is list and len(levels) == top + 1
+            for q, level in enumerate(levels):
+                expected = reference_node_terms(node, q, weight)
+                assert list(level.items()) == list(expected.items()), (node, top, q)
+
+
 class TestLoweringOperator:
     @given(multiplicity_matrices(min_rank=2, max_rank=4))
     def test_first_order_is_weighted_gradient(self, m):
@@ -77,9 +143,9 @@ class TestLoweringOperator:
         tops = []
         node_terms = flowvol.induction._node_terms
 
-        def recording(m, l, top, weight):
+        def recording(m, top, weight):
             tops.append(top)
-            return node_terms(m, l, top, weight)
+            return node_terms(m, top, weight)
 
         monkeypatch.setattr(flowvol.induction, "_node_terms", recording)
         span = GOLDEN_M.row_sum(1) - GOLDEN_M.multiplicity(1, GOLDEN_M.rank + 1)

@@ -1,5 +1,6 @@
 """Smoke tests: the sweep scripts in ``scripts/`` run end to end on tiny families."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -50,3 +51,15 @@ def test_code_lines_total_is_the_sum_of_the_modules():
     assert names == sorted(path.name for path in (ROOT / "src" / "flowvol").glob("*.py"))
     assert total[0] == "total"
     assert int(total[1]) == sum(int(count) for _, count in rows) > 0
+
+
+def test_every_fault_edits_text_that_occurs_once():
+    # scripts/faults.py refuses a fault whose old text is not unique; this
+    # catches a change that moves faulted code in tier-1, with nothing copied or run
+    spec = importlib.util.spec_from_file_location("faults", ROOT / "scripts" / "faults.py")
+    faults = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(faults)
+    assert len({fault.name for fault in faults.FAULTS}) == len(faults.FAULTS) > 0
+    for fault in faults.FAULTS:
+        assert (ROOT / fault.path).read_text().count(fault.old) == 1, fault.name
+        assert (ROOT / fault.target.split("::")[0]).is_file(), fault.name
